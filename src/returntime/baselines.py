@@ -21,7 +21,7 @@ from .features import (
     pad_batch,
 )
 from .metrics import PredictionRecord
-from .rnnsm import TrainingConfig
+from .rnnsm import TrainingConfig, last_outputs
 
 logger = logging.getLogger(__name__)
 
@@ -106,7 +106,7 @@ def train_simple_rnn(
     # start at the marginal mean so the squared error begins at the variance
     params["out_b"][0] = float(np.mean([s.targets[-1] for s in train_seqs]))
     state = net.AdamState.for_params(params)
-    snapshot = {k: p.copy() for k, p in params.items()}
+    snapshot = ({k: p.copy() for k, p in params.items()}, state.copy())
     trace: list[float] = []
 
     for epoch in range(config.epochs):
@@ -133,11 +133,11 @@ def train_simple_rnn(
                 raise NumericalError(f"epoch {epoch} mean loss is {epoch_loss}")
         except NumericalError as exc:
             logger.warning("simple RNN diverged at epoch %d (%s); restoring last "
-                           "good parameters", epoch, exc)
-            params = snapshot
+                           "good parameters and optimizer state", epoch, exc)
+            params, state = snapshot
             break
         trace.append(epoch_loss)
-        snapshot = {k: p.copy() for k, p in params.items()}
+        snapshot = ({k: p.copy() for k, p in params.items()}, state.copy())
 
     return SimpleRnnModel(
         params=params, net_config=net_config, stats=stats, adam=state, loss_trace=trace
@@ -148,27 +148,21 @@ def predict_simple_rnn(
     model: SimpleRnnModel, sequences: list[UserSequence]
 ) -> list[PredictionRecord]:
     """Final-step output as the predicted gap, clamped to non-negative."""
+    o_last = last_outputs(model.params, model.net_config, sequences)
     records = []
-    for start in range(0, len(sequences), 256):
-        part = sequences[start:start + 256]
-        batch = pad_batch(part)
-        o, _, _ = net.forward_batch(
-            model.params, model.net_config, batch.disc, batch.cont, batch.lengths
-        )
-        o_last = o[np.arange(len(part)), batch.lengths - 1]
-        for seq, pred in zip(part, o_last):
-            final = float(seq.targets[-1])
-            records.append(
-                PredictionRecord(
-                    user_id=seq.user_id,
-                    predicted_return_days=max(float(pred), 0.0),
-                    true_return_days=None if seq.is_censored else final,
-                    censored_lower_bound_days=final if seq.is_censored else None,
-                    horizon_gap_days=seq.horizon_gap,
-                    active_day_count=seq.active_day_count,
-                    last_session_end_days=seq.last_session_end,
-                )
+    for seq, pred in zip(sequences, o_last):
+        final = float(seq.targets[-1])
+        records.append(
+            PredictionRecord(
+                user_id=seq.user_id,
+                predicted_return_days=max(float(pred), 0.0),
+                true_return_days=None if seq.is_censored else final,
+                censored_lower_bound_days=final if seq.is_censored else None,
+                horizon_gap_days=seq.horizon_gap,
+                active_day_count=seq.active_day_count,
+                last_session_end_days=seq.last_session_end,
             )
+        )
     return records
 
 

@@ -59,12 +59,19 @@ def load_and_split(config: dict) -> LoadedData:
     dataset = assign_windows(sessions, window, epoch_iso=epoch_iso,
                              epoch_weekday=epoch_weekday)
     split_cfg = config.get("split") or {}
-    seed = int(split_cfg.get("seed") if split_cfg.get("seed") is not None else config["seed"])
-    train, test = stratified_split(dataset, float(split_cfg.get("test_fraction", 0.2)), seed)
+    train, test = stratified_split(
+        dataset, float(split_cfg.get("test_fraction", 0.2)), _split_seed(config)
+    )
     return LoadedData(
         dataset=dataset, train=train, test=test,
         window_days=window.to_dict(),
     )
+
+
+def _split_seed(config: dict) -> int:
+    """split.seed when set (0 included), else the run seed."""
+    seed = (config.get("split") or {}).get("seed")
+    return int(seed if seed is not None else config["seed"])
 
 
 def feature_config(config: dict) -> FeatureConfig:
@@ -209,7 +216,7 @@ def train_model(model_name: str, data: LoadedData, config: dict, out_dir: str | 
         "window_days": data.window_days,
         "split": {
             "test_fraction": float((config.get("split") or {}).get("test_fraction", 0.2)),
-            "seed": int((config.get("split") or {}).get("seed") or config["seed"]),
+            "seed": _split_seed(config),
         },
         "features": {
             "max_steps": fcfg.max_steps,

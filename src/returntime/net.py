@@ -1,9 +1,11 @@
 """Sequence network built from scratch: embeddings with a unit-norm
 constraint, a dense fusion layer, an LSTM, and a single-neuron linear head.
 
-Forward and backward are exact, in 64-bit floats, over padded batches of
-shape (batch, steps, ...). Gate order in the fused LSTM tensors is
-input, forget, candidate, output.
+Forward and backward are exact, in 64-bit floats. Callers pass padded
+batches of shape (batch, steps, ...); internally only the real steps are
+computed, packed time-major with the rows sorted longest first, so the dense
+layers run once outside the time loop and padded steps cost nothing. Gate
+order in the fused LSTM tensors is input, forget, candidate, output.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import DataModelMismatchError, NumericalError
 
 CHECKPOINT_VERSION = 1
 
@@ -86,13 +88,11 @@ def init_params(config: NetConfig, rng: np.random.Generator) -> dict[str, np.nda
     return params
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+def _gate_rows(H: int) -> np.ndarray:
+    """Rows of the fused LSTM tensors in the internal gate order: output,
+    input, forget, candidate. The three sigmoid gates come first and the
+    three gates that multiply the cell-state gradient come last."""
+    return np.r_[3 * H:4 * H, 0:3 * H]
 
 
 def forward_batch(
@@ -106,56 +106,84 @@ def forward_batch(
 
     disc: (B, T, n_disc) int indices; cont: (B, T, n_cont); lengths: (B,).
     Returns per-step scalar outputs (B, T), hidden states (B, T, H), and the
-    cache needed by backward_batch. Padded steps are computed but carry no
-    meaning; callers must mask them.
+    cache needed by backward_batch. Only the real steps are computed: outputs
+    and hidden states at padded steps are exactly 0.
+
+    Internally the rows are stable-sorted longest first and the real steps
+    packed time-major into (N_real, ...) arrays; step t occupies rows
+    offsets[t]:offsets[t] + sizes[t], the first sizes[t] sorted batch rows
+    (the layout of PyTorch's PackedSequence). The embedding gather, the fusion
+    layer, the LSTM input projection and the output head run once over all
+    packed rows; only the recurrent product and the gate math run per step.
     """
-    B, T, _ = disc.shape
+    B, T = disc.shape[:2]
     H = config.hidden_size
+    lengths = np.asarray(lengths)
+    order = np.argsort(-lengths, kind="stable")
+    active = lengths[order] > np.arange(lengths.max(initial=0))[:, None]  # (steps, B)
+    sizes = np.count_nonzero(active, axis=1)
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    times, slots = np.nonzero(active)
+    rows = order[slots]
+    n0 = int(sizes[0]) if sizes.size else 0
+    # packed index of the previous step of every row past step 0
+    prev = offsets[times[n0:] - 1] + slots[n0:]
+
+    disc_p = disc[rows, times]
     parts = [
-        params[f"emb_{name}"][disc[:, :, k]]
+        params[f"emb_{name}"][disc_p[:, k]]
         for k, name in enumerate(config.discrete_features)
     ]
-    parts.append(cont)
-    u = np.concatenate(parts, axis=2)  # (B, T, D)
-    x = np.tanh(u @ params["fusion_w"].T + params["fusion_b"])  # (B, T, F)
+    parts.append(cont[rows, times])
+    u = np.concatenate(parts, axis=1)  # (N, D)
+    x = np.tanh(u @ params["fusion_w"].T + params["fusion_b"])  # (N, F)
 
-    gates = np.empty((B, T, 4 * H))
-    c = np.empty((B, T, H))
-    tanh_c = np.empty((B, T, H))
-    h = np.empty((B, T, H))
-    wx, wh, b = params["lstm_wx"], params["lstm_wh"], params["lstm_b"]
-    h_prev = np.zeros((B, H))
-    c_prev = np.zeros((B, H))
-    for t in range(T):
-        z = x[:, t] @ wx.T + h_prev @ wh.T + b
-        i = _sigmoid(z[:, :H])
-        f = _sigmoid(z[:, H:2 * H])
-        g = np.tanh(z[:, 2 * H:3 * H])
-        o_gate = _sigmoid(z[:, 3 * H:])
-        c_t = f * c_prev + i * g
-        tc = np.tanh(c_t)
-        h_t = o_gate * tc
-        gates[:, t, :H] = i
-        gates[:, t, H:2 * H] = f
-        gates[:, t, 2 * H:3 * H] = g
-        gates[:, t, 3 * H:] = o_gate
-        c[:, t] = c_t
-        tanh_c[:, t] = tc
-        h[:, t] = h_t
-        h_prev, c_prev = h_t, c_t
+    # Sigmoid gates use sigmoid(z) = 0.5*(1 + tanh(z/2)). Their weight rows
+    # are halved up front (exact in binary floating point), so one in-place
+    # tanh per step serves all four gates.
+    rows_g = _gate_rows(H)
+    scale = np.repeat([0.5, 1.0], [3 * H, H])
+    wx = params["lstm_wx"][rows_g] * scale[:, None]
+    wh_t = (params["lstm_wh"][rows_g] * scale[:, None]).T
+    # pre-activations, turned into gate activations in place step by step
+    gates = x @ wx.T + params["lstm_b"][rows_g] * scale  # (N, 4H)
+    c = np.empty((len(rows), H))
+    tanh_c = np.empty_like(c)
+    h = np.empty_like(c)
+    for t, n in enumerate(sizes):
+        cur = slice(offsets[t], offsets[t + 1])
+        z = gates[cur]
+        if t:
+            before = slice(offsets[t - 1], offsets[t - 1] + n)
+            z += h[before] @ wh_t
+        np.tanh(z, out=z)
+        sig = z[:, :3 * H]
+        sig += 1.0
+        sig *= 0.5
+        c_t = c[cur]
+        np.multiply(z[:, H:2 * H], z[:, 3 * H:], out=c_t)
+        if t:
+            c_t += z[:, 2 * H:3 * H] * c[before]
+        np.tanh(c_t, out=tanh_c[cur])
+        np.multiply(z[:, :H], tanh_c[cur], out=h[cur])
     with np.errstate(invalid="ignore", over="ignore"):
-        o = h @ params["out_v"] + params["out_b"][0]  # (B, T)
+        o_p = h @ params["out_v"] + params["out_b"][0]  # (N,)
 
-    if not np.all(np.isfinite(o)):
+    o = np.zeros((B, T))
+    o[rows, times] = o_p
+    if not np.all(np.isfinite(o_p)):
         bad = np.argwhere(~np.isfinite(o))
         raise NumericalError(
             f"non-finite activation at step {int(bad[0][1])} of batch row {int(bad[0][0])}"
         )
+    h_out = np.zeros((B, T, H))
+    h_out[rows, times] = h
     cache = {
-        "disc": disc, "cont": cont, "u": u, "x": x, "gates": gates,
-        "c": c, "tanh_c": tanh_c, "h": h, "lengths": np.asarray(lengths),
+        "shape": (B, T), "rows": rows, "times": times, "sizes": sizes,
+        "offsets": offsets, "prev": prev, "disc": disc_p, "u": u, "x": x,
+        "gates": gates, "c": c, "tanh_c": tanh_c, "h": h,
     }
-    return o, h, cache
+    return o, h_out, cache
 
 
 def forward(
@@ -180,70 +208,69 @@ def backward_batch(
 ) -> dict[str, np.ndarray]:
     """Exact gradients of sum(grad_o * o) with respect to every parameter.
 
-    grad_o must be (B, T); entries at padded steps are zeroed internally.
+    grad_o must be (B, T); its entries at padded steps are never read.
     """
-    h = cache["h"]
-    B, T, H = h.shape
+    B, T = cache["shape"]
     if grad_o.shape != (B, T):
         raise ValueError(f"grad_o shape {grad_o.shape} does not match cache ({B}, {T})")
-    lengths = cache["lengths"]
-    mask = np.arange(T)[None, :] < lengths[:, None]
-    grad_o = np.where(mask, grad_o, 0.0)
+    H = config.hidden_size
+    sizes, offsets, prev = cache["sizes"], cache["offsets"], cache["prev"]
+    gates, c, tanh_c, h, x, u = (
+        cache[k] for k in ("gates", "c", "tanh_c", "h", "x", "u")
+    )
+    N = len(h)
+    n0 = N - len(prev)
+    g_o = grad_o[cache["rows"], cache["times"]]  # (N,)
+    o_gate, i, f, g = (gates[:, k * H:(k + 1) * H] for k in range(4))
 
-    gates, c, tanh_c, x, u = cache["gates"], cache["c"], cache["tanh_c"], cache["x"], cache["u"]
-    wx, wh, v = params["lstm_wx"], params["lstm_wh"], params["out_v"]
+    # Local derivatives need no recurrence, so they are formed over all packed
+    # rows at once. With dc = dh*o_gate*(1 - tanh_c^2) + dc_next:
+    #   dz_o = dh * tanh_c*o_gate(1-o_gate),  dz_i = dc * g*i(1-i),
+    #   dz_f = dc * c_prev*f(1-f),            dz_g = dc * i(1-g^2).
+    c_prev = np.zeros((N, H))
+    c_prev[n0:] = c[prev]
+    coef = np.empty((N, 4, H))
+    coef[:, 0] = tanh_c * o_gate * (1.0 - o_gate)
+    coef[:, 1] = g * i * (1.0 - i)
+    coef[:, 2] = c_prev * f * (1.0 - f)
+    coef[:, 3] = i * (1.0 - g * g)
+    dc_coef = o_gate * (1.0 - tanh_c * tanh_c)
+
+    rows_g = _gate_rows(H)
+    wx, wh = params["lstm_wx"][rows_g], params["lstm_wh"][rows_g]
+    dh = np.outer(g_o, params["out_v"])  # (N, H); recurrent terms added below
+    dz = np.empty((N, 4, H))  # pre-activation gradients, internal gate order
+    # gradients flowing back from step t + 1, whose rows are step t's first rows
+    dh_next = dc_next = np.zeros((0, H))
+    for t in range(len(sizes) - 1, -1, -1):
+        cur = slice(offsets[t], offsets[t + 1])
+        m = len(dh_next)
+        dh_t = dh[cur]
+        dh_t[:m] += dh_next
+        dc = dh_t * dc_coef[cur]
+        dc[:m] += dc_next
+        dz_t = dz[cur]
+        np.multiply(dh_t, coef[cur, 0], out=dz_t[:, 0])
+        np.multiply(dc[:, None, :], coef[cur, 1:], out=dz_t[:, 1:])
+        dc_next = dc * f[cur]
+        dh_next = dz_t.reshape(-1, 4 * H) @ wh
+    dz = dz.reshape(N, 4 * H)
 
     grads = {k: np.zeros_like(p) for k, p in params.items()}
-    grads["out_v"] = np.einsum("bt,bth->h", grad_o, h)
-    grads["out_b"] = np.array([grad_o.sum()])
-
-    d_wx = grads["lstm_wx"]
-    d_wh = grads["lstm_wh"]
-    d_b = grads["lstm_b"]
-    dx = np.empty((B, T, x.shape[2]))
-    dh_next = np.zeros((B, H))
-    dc_next = np.zeros((B, H))
-    for t in range(T - 1, -1, -1):
-        i = gates[:, t, :H]
-        f = gates[:, t, H:2 * H]
-        g = gates[:, t, 2 * H:3 * H]
-        o_gate = gates[:, t, 3 * H:]
-        c_prev = c[:, t - 1] if t > 0 else np.zeros((B, H))
-        h_prev = h[:, t - 1] if t > 0 else np.zeros((B, H))
-
-        dh = grad_o[:, t][:, None] * v[None, :] + dh_next
-        do = dh * tanh_c[:, t]
-        dc = dc_next + dh * o_gate * (1.0 - tanh_c[:, t] ** 2)
-        di = dc * g
-        dg = dc * i
-        df = dc * c_prev
-        dc_next = dc * f
-
-        dz = np.concatenate(
-            [
-                di * i * (1.0 - i),
-                df * f * (1.0 - f),
-                dg * (1.0 - g ** 2),
-                do * o_gate * (1.0 - o_gate),
-            ],
-            axis=1,
-        )  # (B, 4H)
-        d_wx += dz.T @ x[:, t]
-        d_wh += dz.T @ h_prev
-        d_b += dz.sum(axis=0)
-        dx[:, t] = dz @ wx
-        dh_next = dz @ wh
-
-    dpre = dx * (1.0 - x ** 2)  # through the fusion tanh
-    grads["fusion_w"] = np.einsum("btf,btd->fd", dpre, u)
-    grads["fusion_b"] = dpre.sum(axis=(0, 1))
-    du = dpre @ params["fusion_w"]  # (B, T, D)
+    grads["out_v"] = g_o @ h
+    grads["out_b"] = np.array([g_o.sum()])
+    grads["lstm_wx"][rows_g] = dz.T @ x
+    grads["lstm_wh"][rows_g] = dz[n0:].T @ h[prev]
+    grads["lstm_b"][rows_g] = dz.sum(axis=0)
+    dpre = (dz @ wx) * (1.0 - x * x)  # through the fusion tanh
+    grads["fusion_w"] = dpre.T @ u
+    grads["fusion_b"] = dpre.sum(axis=0)
+    du = dpre @ params["fusion_w"]  # (N, D)
 
     offset = 0
     for k, name in enumerate(config.discrete_features):
         dim = config.embedding_dims[k]
-        seg = du[:, :, offset:offset + dim].reshape(-1, dim)
-        np.add.at(grads[f"emb_{name}"], cache["disc"][:, :, k].ravel(), seg)
+        np.add.at(grads[f"emb_{name}"], cache["disc"][:, k], du[:, offset:offset + dim])
         offset += dim
     return grads
 
@@ -264,6 +291,13 @@ class AdamState:
             step=0,
             m={k: np.zeros_like(p) for k, p in params.items()},
             v={k: np.zeros_like(p) for k, p in params.items()},
+        )
+
+    def copy(self) -> "AdamState":
+        return AdamState(
+            step=self.step,
+            m={k: a.copy() for k, a in self.m.items()},
+            v={k: a.copy() for k, a in self.v.items()},
         )
 
 
@@ -330,7 +364,7 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], NetConfig,
     with np.load(Path(path)) as data:
         meta = json.loads(bytes(data["meta"].tobytes()).decode())
         if meta["version"] != CHECKPOINT_VERSION:
-            raise NumericalError(f"unsupported checkpoint version {meta['version']}")
+            raise DataModelMismatchError(f"unsupported checkpoint version {meta['version']}")
         params = {
             k.split("::", 1)[1]: data[k].copy() for k in data.files if k.startswith("param::")
         }

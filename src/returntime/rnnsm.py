@@ -326,7 +326,7 @@ def train_rnnsm(
     """Minibatch Adam on the censored sequence loss; deterministic per seed.
 
     On divergence (non-finite loss or a tripped overflow guard) the last
-    epoch-end parameters are restored and training stops early.
+    epoch-end parameters and Adam state are restored and training stops early.
     """
     if w <= 0:
         raise ValidationError(f"current-influence weight w must be positive, got {w}")
@@ -347,7 +347,7 @@ def train_rnnsm(
     if uncensored_gaps.size:
         params["out_b"][0] = initial_output_bias(float(uncensored_gaps.mean()), w)
     state = net.AdamState.for_params(params)
-    snapshot = {k: p.copy() for k, p in params.items()}
+    snapshot = ({k: p.copy() for k, p in params.items()}, state.copy())
     trace: list[float] = []
     diverged = False
 
@@ -375,12 +375,12 @@ def train_rnnsm(
                 raise NumericalError(f"epoch {epoch} mean loss is {epoch_loss}")
         except NumericalError as exc:
             logger.warning("training diverged at epoch %d (%s); restoring last good "
-                           "parameters", epoch, exc)
-            params = snapshot
+                           "parameters and optimizer state", epoch, exc)
+            params, state = snapshot
             diverged = True
             break
         trace.append(epoch_loss)
-        snapshot = {k: p.copy() for k, p in params.items()}
+        snapshot = ({k: p.copy() for k, p in params.items()}, state.copy())
 
     return RnnsmModel(
         params=params, net_config=net_config, w=w, stats=stats,
@@ -391,15 +391,19 @@ def train_rnnsm(
 # ---------------------------------------------------------------------------
 # prediction
 
-def _last_outputs(
-    model: RnnsmModel, sequences: list[UserSequence], chunk: int = 256
+def last_outputs(
+    params: dict[str, np.ndarray],
+    net_config: net.NetConfig,
+    sequences: list[UserSequence],
 ) -> np.ndarray:
+    """Network output at each sequence's final step, (len(sequences),)."""
+    chunk = 256
     out = np.empty(len(sequences))
     for start in range(0, len(sequences), chunk):
         part = sequences[start:start + chunk]
         batch = pad_batch(part)
         o, _, _ = net.forward_batch(
-            model.params, model.net_config, batch.disc, batch.cont, batch.lengths
+            params, net_config, batch.disc, batch.cont, batch.lengths
         )
         out[start:start + len(part)] = o[np.arange(len(part)), batch.lengths - 1]
     return out
@@ -417,7 +421,7 @@ def predict(
     With condition_on_absence the expectation is conditioned on the user
     having been absent since the prediction-window start.
     """
-    o_last = _last_outputs(model, sequences)
+    o_last = last_outputs(model.params, model.net_config, sequences)
 
     def one(i: int) -> PredictionRecord:
         seq = sequences[i]

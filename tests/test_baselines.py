@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from returntime import net
+from returntime import baselines, net
 from returntime.baselines import (
     baseline_predict,
     load_simple_rnn,
@@ -11,7 +13,7 @@ from returntime.baselines import (
     train_simple_rnn,
 )
 from returntime.data import Session, WindowConfig, assign_windows
-from returntime.errors import DataError
+from returntime.errors import DataError, NumericalError
 from returntime.features import FeatureConfig, build_sequences, pad_batch
 from returntime.metrics import nonreturning_recall
 from returntime.rnnsm import TrainingConfig
@@ -123,6 +125,32 @@ class TestSimpleRnn:
             seqs, config, stats, TrainingConfig(epochs=8, seed=6, learning_rate=0.05)
         )
         assert model.loss_trace[-1] < model.loss_trace[0]
+
+    def test_divergence_restores_last_epoch_end_adam_state(self, small_data, monkeypatch):
+        _, seqs, stats = small_data
+        config = small_net(stats)
+        cfg = TrainingConfig(epochs=1, batch_size=32, seed=9)
+        one_epoch = train_simple_rnn(seqs, config, stats, cfg)
+        # diverge on the second batch of epoch 2, after one more Adam step
+        n_returning = sum(not s.is_censored for s in seqs)
+        fail_at = -(-n_returning // cfg.batch_size) + 2
+        mse = baselines.mse_sequence_loss
+        calls = []
+
+        def diverging_loss(*args):
+            calls.append(None)
+            if len(calls) == fail_at:
+                raise NumericalError("non-finite activation")
+            return mse(*args)
+
+        monkeypatch.setattr(baselines, "mse_sequence_loss", diverging_loss)
+        model = train_simple_rnn(seqs, config, stats, dataclasses.replace(cfg, epochs=2))
+        assert model.loss_trace == one_epoch.loss_trace
+        assert model.adam.step == one_epoch.adam.step
+        for k in model.params:
+            assert np.array_equal(model.params[k], one_epoch.params[k])
+            assert np.array_equal(model.adam.m[k], one_epoch.adam.m[k])
+            assert np.array_equal(model.adam.v[k], one_epoch.adam.v[k])
 
     def test_requires_returning_users(self, small_data):
         _, seqs, stats = small_data

@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from returntime.cli import main
@@ -121,6 +122,31 @@ class TestTrainPredictEvaluate:
         assert main(["predict", "--model", "cph", "--checkpoint", str(tmp_path / "cox"),
                      *cfgs, "--threads", "4", "--out", str(tmp_path / "b.csv")]) == 0
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    def test_unsupported_checkpoint_version_exit_3(self, generated, tmp_path):
+        cfg, out = generated
+        cfgs = ["--config", cfg, "--config", str(out / "run_config.json")]
+        assert main(["train", "--model", "rnn", *cfgs, "--out", str(tmp_path / "rnn")]) == 0
+        path = tmp_path / "rnn" / "model.npz"
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files}
+        meta = json.loads(arrays["meta"].tobytes().decode())
+        meta["version"] = 99
+        arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        np.savez(path, **arrays)
+        rc = main(["predict", "--model", "rnn", "--checkpoint", str(tmp_path / "rnn"),
+                   *cfgs, "--out", str(tmp_path / "p.csv")])
+        assert rc == 3
+
+    def test_split_seed_zero_recorded_in_meta(self, generated, tmp_path):
+        cfg, out = generated
+        split_cfg = write_cfg(tmp_path, {"split": {"seed": 0}}, name="split.json")
+        assert main(["train", "--model", "baseline", "--config", cfg,
+                     "--config", str(out / "run_config.json"), "--config", split_cfg,
+                     "--seed", "3", "--out", str(tmp_path / "bl")]) == 0
+        meta = json.loads((tmp_path / "bl" / "meta.json").read_text())
+        assert meta["seed"] == 3
+        assert meta["split"]["seed"] == 0
 
     def test_numerical_failure_exit_4(self, generated, tmp_path, monkeypatch):
         from returntime import cli

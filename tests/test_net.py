@@ -125,6 +125,64 @@ class TestBackward:
             net.backward_batch(params, CONFIG, cache, np.zeros((1, 5)))
 
 
+def ragged_instance(seed, lengths=(5, 1, 5, 2)):
+    """A padded batch whose rows are unsorted, with a tie and a length-1 row;
+    the padded entries hold random indices and values that must not matter."""
+    rng = np.random.default_rng(seed)
+    params, _, _ = random_instance(seed)
+    B, T = len(lengths), max(lengths)
+    disc = np.stack(
+        [rng.integers(0, c + 1, size=(B, T)) for c in CONFIG.cardinalities], axis=2
+    )
+    cont = rng.normal(size=(B, T, CONFIG.n_continuous))
+    lengths = np.array(lengths)
+    mask = np.arange(T)[None, :] < lengths[:, None]
+    grad_o = np.where(mask, rng.normal(size=(B, T)), 0.0)
+    return params, disc, cont, lengths, mask, grad_o
+
+
+class TestRaggedBatch:
+    def test_matches_finite_differences(self):
+        params, disc, cont, lengths, mask, grad_o = ragged_instance(30)
+
+        def loss():
+            o, _, _ = net.forward_batch(params, CONFIG, disc, cont, lengths)
+            return float((grad_o * o)[mask].sum())
+
+        _, _, cache = net.forward_batch(params, CONFIG, disc, cont, lengths)
+        analytic = net.backward_batch(params, CONFIG, cache, grad_o)
+        numeric = finite_difference_grads(loss, params)
+        assert max_relative_error(analytic, numeric) < 1e-4
+
+    def test_padded_grad_o_is_never_read(self):
+        params, disc, cont, lengths, mask, grad_o = ragged_instance(31)
+        _, _, cache = net.forward_batch(params, CONFIG, disc, cont, lengths)
+        noisy = np.where(mask, grad_o, np.random.default_rng(32).normal(size=grad_o.shape))
+        clean = net.backward_batch(params, CONFIG, cache, grad_o)
+        dirty = net.backward_batch(params, CONFIG, cache, noisy)
+        for k in clean:
+            assert np.array_equal(clean[k], dirty[k])
+
+    def test_padded_steps_are_exactly_zero(self):
+        params, disc, cont, lengths, mask, _ = ragged_instance(33)
+        o, h, _ = net.forward_batch(params, CONFIG, disc, cont, lengths)
+        assert np.all(o[~mask] == 0.0)
+        assert np.all(h[~mask] == 0.0)
+        assert np.all(o[mask] != 0.0)
+
+    def test_row_permutation_permutes_outputs_only(self):
+        params, disc, cont, lengths, _, grad_o = ragged_instance(34)
+        o, _, cache = net.forward_batch(params, CONFIG, disc, cont, lengths)
+        grads = net.backward_batch(params, CONFIG, cache, grad_o)
+        perm = np.array([2, 0, 3, 1])
+        o_p, _, cache_p = net.forward_batch(
+            params, CONFIG, disc[perm], cont[perm], lengths[perm]
+        )
+        grads_p = net.backward_batch(params, CONFIG, cache_p, grad_o[perm])
+        np.testing.assert_allclose(o_p, o[perm], rtol=0, atol=1e-12)
+        assert max_relative_error(grads_p, grads, abs_floor=1e-12) < 1e-12
+
+
 class TestUpdates:
     def test_zero_gradient_leaves_params_unchanged(self):
         params, _, _ = random_instance(11)

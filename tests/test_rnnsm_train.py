@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from returntime import net, rnnsm
 from returntime.data import assign_windows
-from returntime.errors import DataError
+from returntime.errors import DataError, NumericalError
 from returntime.features import FeatureConfig, build_sequences, pad_batch
 from returntime.synth import GeneratorConfig, generate
 
@@ -149,6 +151,34 @@ class TestTraining:
         assert model.loss_trace == []
         for p in model.params.values():
             assert np.all(np.isfinite(p))
+
+    def test_divergence_restores_last_epoch_end_adam_state(self, small_sequences, monkeypatch):
+        seqs, stats = small_sequences
+        config = small_net(stats)
+        cfg = rnnsm.TrainingConfig(epochs=1, batch_size=64, seed=3)
+        one_epoch = rnnsm.train_rnnsm(seqs, config, stats, w=0.1, config=cfg)
+        # diverge on the second batch of epoch 2, after one more Adam step
+        fail_at = -(-len(seqs) // cfg.batch_size) + 2
+        batch_loss = rnnsm._batch_loss
+        calls = []
+
+        def diverging_loss(*args):
+            calls.append(None)
+            if len(calls) == fail_at:
+                raise NumericalError("batch loss exponent exceeds 700")
+            return batch_loss(*args)
+
+        monkeypatch.setattr(rnnsm, "_batch_loss", diverging_loss)
+        model = rnnsm.train_rnnsm(
+            seqs, config, stats, w=0.1, config=dataclasses.replace(cfg, epochs=2)
+        )
+        assert model.diverged
+        assert model.loss_trace == one_epoch.loss_trace
+        assert model.adam.step == one_epoch.adam.step
+        for k in model.params:
+            assert np.array_equal(model.params[k], one_epoch.params[k])
+            assert np.array_equal(model.adam.m[k], one_epoch.adam.m[k])
+            assert np.array_equal(model.adam.v[k], one_epoch.adam.v[k])
 
 
 @pytest.fixture(scope="module")
