@@ -103,7 +103,9 @@ def cmd_predict(args: argparse.Namespace) -> int:
     model_name = validate_model_name(args.model)
     data = experiment.load_and_split(config)
     subset = {"train": data.train, "test": data.test, "all": data.dataset}[args.split]
-    records = experiment.predict_model(model_name, args.checkpoint, subset, config)
+    train_sha256 = None if args.split == "all" else experiment.train_users_sha256(data.train)
+    records = experiment.predict_model(model_name, args.checkpoint, subset, config,
+                                       train_sha256=train_sha256)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     metrics.write_predictions_csv(out, model_name, records, epoch_iso=subset.epoch_iso)
@@ -158,7 +160,8 @@ def build_parser() -> argparse.ArgumentParser:
             help="JSON run configuration file; repeatable, later files win",
         )
         p.add_argument("--seed", type=int, help="override the config seed")
-        p.add_argument("--threads", type=int, help="per-user parallelism for prediction")
+        p.add_argument("--threads", type=int,
+                       help="per-user parallelism for rnnsm/rnnsma prediction")
         if with_data:
             p.add_argument("--data", help="sessions JSONL path (overrides config)")
 

@@ -6,6 +6,8 @@ The fitted baseline stores a hazard mass at each distinct event time. For
 expectations those masses are spread into piecewise-constant hazard rates
 over the inter-event intervals, extrapolated beyond the last event at the
 last rate, so the survival integral has a closed form on every piece.
+Expectations are computed for many users at once: one array pass over a
+(users, knots) block per block of at most EXPECTATION_BLOCK_ROWS users.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .errors import DataError, NumericalError, ValidationError
 logger = logging.getLogger(__name__)
 
 TIE_DECIMALS = 9  # event times rounded to 1e-9 days before tie grouping
+EXPECTATION_BLOCK_ROWS = 256  # users per (users, knots) block; bounds temporaries
 
 
 def _validate_inputs(X: np.ndarray, times: np.ndarray, events: np.ndarray) -> None:
@@ -174,35 +177,54 @@ class CoxModel:
             return 0.0
         return math.exp(-math.exp(expo))
 
-    def mean_residual(self, x: np.ndarray, a: float) -> float:
-        """integral_a^inf S(z|x)/S(a|x) dz via the piecewise-exponential form."""
-        lin = self.risk_score(x)
-        if lin > 700.0:
-            return 0.0
-        risk = math.exp(lin)
-        if risk == 0.0:
-            return math.inf
-        knots = self.baseline_times
-        cum_a = self.cumulative_hazard(a)
-        if risk * cum_a > 700.0:
+    def mean_residuals(self, lin: np.ndarray, a: np.ndarray) -> np.ndarray:
+        """integral_a^inf S(z|x)/S(a|x) dz for every row, from its linear
+        predictor lin = beta.x, via the piecewise-exponential form.
+
+        Rows are processed in blocks of EXPECTATION_BLOCK_ROWS. Rows with
+        lin > 700 get 0; a zero risk score (exp underflow) is rejected by
+        the caller, expected_survival_time.
+        """
+        lin = np.asarray(lin, dtype=float)
+        a = np.asarray(a, dtype=float)
+        out = np.empty(len(lin))
+        underflows = 0
+        for lo in range(0, len(lin), EXPECTATION_BLOCK_ROWS):
+            rows = slice(lo, lo + EXPECTATION_BLOCK_ROWS)
+            out[rows], n = self._mean_residual_block(lin[rows], a[rows])
+            underflows += n
+        if underflows:
             logger.warning(
-                "survival at t=%.4g underflows for this user (risk %.3g); "
-                "residual expectation is effectively zero", a, risk,
+                "survival at the absence time underflows for %d of %d users; "
+                "their residual expectation is effectively zero", underflows, len(lin),
             )
-        if a >= knots[-1]:
-            return 1.0 / (self.tail_rate * risk)
-        i0 = int(np.searchsorted(knots, a, side="right"))
-        starts = np.concatenate([[a], knots[i0:-1]])
-        ends = knots[i0:]
-        rates = self._rates[i0:]
-        cum_starts = np.array([self.cumulative_hazard(s) for s in starts])
-        rel = -risk * (cum_starts - cum_a)  # log S(start)/S(a)
-        rho = rates * risk
-        with np.errstate(over="ignore", under="ignore"):
-            pieces = np.exp(rel) * (-np.expm1(-rho * (ends - starts))) / rho
-            tail_rel = -risk * (self._cum_at_knots[-1] - cum_a)
-            tail = math.exp(tail_rel) / (self.tail_rate * risk) if tail_rel > -700 else 0.0
-        return float(pieces.sum() + tail)
+        return out
+
+    def _mean_residual_block(self, lin: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, int]:
+        knots = self.baseline_times
+        left = np.concatenate([[0.0], knots])        # piece j covers (left[j], knots[j]]
+        rates = np.append(self._rates, self.tail_rate)  # index len(knots) is the tail
+        cum_left = self._cum_at_knots                # Lambda(left[j])
+        saturated = lin > 700.0
+        risk = np.exp(np.minimum(lin, 700.0))
+        # Lambda(a), linear inside the piece that holds a
+        i = np.searchsorted(knots, a, side="left")
+        cum_a = cum_left[i] + rates[i] * (a - left[i])
+        # piece j starts at max(a, left[j]); pieces ending at or before a have
+        # zero length and, with the clipped hazard drop, contribute exactly 0
+        r = risk[:, None]
+        gap = np.maximum(knots - np.maximum(a[:, None], left[:-1]), 0.0)
+        drop = np.maximum(cum_left[:-1] - cum_a[:, None], 0.0)  # Lambda(start) - Lambda(a)
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            underflows = int(np.count_nonzero(~saturated & (risk * cum_a > 700.0)))
+            rho = self._rates * r
+            pieces = np.exp(-r * drop) * -np.expm1(-rho * gap) / rho
+            pieces[gap == 0.0] = 0.0  # rho may overflow, and inf * 0 is nan
+            # beyond the last knot the clipped drop is 0, so a >= last knot
+            # gives exactly 1 / (tail_rate * risk)
+            tail_rel = -risk * np.maximum(cum_left[-1] - cum_a, 0.0)
+            tail = np.where(tail_rel > -700.0, np.exp(tail_rel) / (self.tail_rate * risk), 0.0)
+        return np.where(saturated, 0.0, pieces.sum(axis=1) + tail), underflows
 
     def to_dict(self) -> dict:
         return {
@@ -344,15 +366,35 @@ def expected_survival_time(
     model: CoxModel,
     x: np.ndarray,
     condition_on_absence: bool = False,
-    t_s: float = 0.0,
-) -> float:
+    t_s: float | np.ndarray = 0.0,
+    row_ids: Sequence[str] | None = None,
+) -> float | np.ndarray:
     """E[T | x], optionally conditioned on survival past the absence time t_s.
 
-    The conditional form equals t_s plus the mean residual life, which never
-    divides by an underflowing survival value.
+    Batched: x is one covariate row (p,) or N rows (N, p), and t_s a scalar
+    or one absence time per row (N,). One row gives a float, N rows an (N,)
+    array; both take the same array path. The conditional form equals t_s
+    plus the mean residual life, which never divides by an underflowing
+    survival value. A risk score exp(beta.x) that underflows to 0 would
+    make the expectation infinite and raises NumericalError naming the
+    first such row (by row_ids when given, else by index).
     """
-    if t_s < 0:
-        raise ValidationError(f"absence time must be non-negative, got {t_s}")
-    if condition_on_absence:
-        return t_s + model.mean_residual(x, t_s)
-    return model.mean_residual(x, 0.0)
+    x = np.asarray(x, dtype=float)
+    X = np.atleast_2d(x)
+    t_s = np.broadcast_to(np.asarray(t_s, dtype=float), (X.shape[0],))
+    if np.any(t_s < 0):
+        bad = t_s[np.argmax(t_s < 0)]
+        raise ValidationError(f"absence time must be non-negative, got {bad}")
+    lin = X @ model.beta
+    underflow = np.flatnonzero(np.exp(np.minimum(lin, 0.0)) == 0.0)
+    if underflow.size:
+        k = int(underflow[0])
+        name = f"user {row_ids[k]}" if row_ids is not None else f"row {k}"
+        more = f" and {underflow.size - 1} more" if underflow.size > 1 else ""
+        raise NumericalError(
+            f"Cox risk score exp(beta.x) underflows to 0 for {name} (linear predictor "
+            f"{lin[k]:.6g}){more}; the expected return time is unbounded"
+        )
+    a = t_s if condition_on_absence else np.zeros_like(t_s)
+    values = a + model.mean_residuals(lin, a)
+    return float(values[0]) if x.ndim == 1 else values

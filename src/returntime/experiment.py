@@ -3,9 +3,9 @@ dispatch, prediction dispatch, and report emission."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -72,6 +72,12 @@ def _split_seed(config: dict) -> int:
     """split.seed when set (0 included), else the run seed."""
     seed = (config.get("split") or {}).get("seed")
     return int(seed if seed is not None else config["seed"])
+
+
+def train_users_sha256(train: Dataset) -> str:
+    """sha256 of the sorted train user ids, one per line: the split's identity."""
+    ids = sorted(u.user_id for u in train.users)
+    return hashlib.sha256("\n".join(ids).encode()).hexdigest()
 
 
 def feature_config(config: dict) -> FeatureConfig:
@@ -217,6 +223,7 @@ def train_model(model_name: str, data: LoadedData, config: dict, out_dir: str | 
         "split": {
             "test_fraction": float((config.get("split") or {}).get("test_fraction", 0.2)),
             "seed": _split_seed(config),
+            "train_users_sha256": train_users_sha256(data.train),
         },
         "features": {
             "max_steps": fcfg.max_steps,
@@ -276,36 +283,30 @@ def train_model(model_name: str, data: LoadedData, config: dict, out_dir: str | 
 # ---------------------------------------------------------------------------
 # prediction dispatch
 
-def _cox_records(model, standardization, markers, dataset, condition, threads=1):
+def _cox_records(model, standardization, markers, dataset, condition):
     agg = build_aggregates(dataset, continuous_markers=markers)
     if agg.feature_names != standardization.feature_names:
         raise DataModelMismatchError(
             "aggregate feature schema does not match the trained model"
         )
-    X = standardization.apply(agg.X)
     users = dataset.users
-
-    def one(i: int) -> metrics.PredictionRecord:
-        user = users[i]
-        t_s = dataset.absence_time(user)
-        pred = cox.expected_survival_time(
-            model, X[i], condition_on_absence=condition, t_s=t_s
-        )
-        return metrics.PredictionRecord(
+    preds = cox.expected_survival_time(
+        model, standardization.apply(agg.X), condition_on_absence=condition,
+        t_s=np.array([dataset.absence_time(u) for u in users]),
+        row_ids=[u.user_id for u in users],
+    )
+    return [
+        metrics.PredictionRecord(
             user_id=user.user_id,
-            predicted_return_days=pred,
+            predicted_return_days=float(pred),
             true_return_days=None if user.is_censored else user.final_gap,
             censored_lower_bound_days=user.final_gap if user.is_censored else None,
             horizon_gap_days=dataset.horizon_gap(user),
             active_day_count=count_active_days(user),
             last_session_end_days=user.last_session_end,
         )
-
-    indices = range(len(users))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, indices))
-    return [one(i) for i in indices]
+        for user, pred in zip(users, preds)
+    ]
 
 
 def predict_model(
@@ -313,7 +314,15 @@ def predict_model(
     artifact_dir: str | Path,
     dataset: Dataset,
     config: dict,
+    train_sha256: str | None = None,
 ) -> list[metrics.PredictionRecord]:
+    """Predict every user of dataset with the artifact in artifact_dir.
+
+    When train_sha256 is given (predicting one side of a split), it must
+    equal the train split the artifact recorded, so a split drawn with
+    another seed or from other data cannot pass training users off as test
+    users.
+    """
     model_name = validate_model_name(model_name)
     family = {"cpha": "cph", "rnnsma": "rnnsm"}.get(model_name, model_name)
     conditioned = model_name in ("cpha", "rnnsma")
@@ -331,6 +340,14 @@ def predict_model(
         raise DataModelMismatchError(
             "dataset windows do not match the windows the model was trained with"
         )
+    if train_sha256 is not None:
+        recorded = (meta.get("split") or {}).get("train_users_sha256")
+        if recorded != train_sha256:
+            raise DataModelMismatchError(
+                f"this run's train split (users sha256 {train_sha256[:12]}) is not the "
+                f"one the model was trained on ({str(recorded)[:12] if recorded else 'none recorded'}); "
+                "use the training split seed and data, or predict --split all"
+            )
     threads = int(config.get("threads", 1))
     horizon_hint = dataset.window.prediction_length
 
@@ -347,7 +364,7 @@ def predict_model(
         standardization = Standardization.from_dict(meta["standardization"])
         return _cox_records(
             model, standardization, meta["continuous_markers"], dataset,
-            condition=conditioned, threads=threads,
+            condition=conditioned,
         )
 
     model = rnnsm.load_model(artifact / "model.npz")

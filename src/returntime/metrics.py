@@ -202,9 +202,11 @@ def build_report(
     model_records: dict[str, list[PredictionRecord]],
     auc_score_mode: str = "shifted",
 ) -> dict:
-    """Per-model metric table plus the week and active-day breakdowns."""
+    """Per-model metric table plus the week and active-day breakdowns, each
+    with its bucket sizes (n_by_week, n_by_active_days)."""
     report: dict = {"models": {}, "tables": {
-        "rmse_by_week": {}, "mean_error_by_week": {}, "rmse_by_active_days": {},
+        "rmse_by_week": {}, "mean_error_by_week": {}, "n_by_week": {},
+        "rmse_by_active_days": {}, "n_by_active_days": {},
     }, "n_users": {}}
     for name in sorted(model_records, key=_model_sort_key):
         records = model_records[name]
@@ -220,7 +222,9 @@ def build_report(
         report["tables"]["mean_error_by_week"][name] = {
             str(k): v for k, v in b.mean_error_by_week.items()
         }
+        report["tables"]["n_by_week"][name] = {str(k): v for k, v in b.n_by_week.items()}
         report["tables"]["rmse_by_active_days"][name] = dict(b.rmse_by_active_days)
+        report["tables"]["n_by_active_days"][name] = dict(b.n_by_active_days)
     return report
 
 

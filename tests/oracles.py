@@ -192,3 +192,31 @@ def recall_brute(records):
             if r.predicted_return_days > r.horizon_gap_days:
                 hits += 1
     return hits / positives
+
+
+def cox_mean_residual(model, x, a):
+    """integral_a^inf S(z|x)/S(a|x) dz for a fitted Cox model, one piece of
+    the baseline at a time: hazard rate h_j / (t_j - t_{j-1}) on each
+    inter-event interval, the last rate beyond the last event, and the
+    cumulative hazard at each piece start from the scalar
+    model.cumulative_hazard."""
+    lin = float(np.dot(x, model.beta))
+    if lin > 700.0:
+        return 0.0
+    risk = math.exp(lin)
+    knots = [float(t) for t in model.baseline_times]
+    masses = [float(h) for h in model.baseline_hazard]
+    lefts = [0.0] + knots[:-1]
+    cum_a = model.cumulative_hazard(a)
+    total = 0.0
+    for left, right, mass in zip(lefts, knots, masses):
+        if right <= a:
+            continue
+        start = max(a, left)
+        rho = mass / (right - left) * risk
+        weight = math.exp(-risk * (model.cumulative_hazard(start) - cum_a))
+        total += weight * -math.expm1(-rho * (right - start)) / rho
+    tail_rate = masses[-1] / (knots[-1] - lefts[-1])
+    start = max(a, knots[-1])
+    total += math.exp(-risk * (model.cumulative_hazard(start) - cum_a)) / (tail_rate * risk)
+    return total

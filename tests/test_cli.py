@@ -148,6 +148,53 @@ class TestTrainPredictEvaluate:
         assert meta["seed"] == 3
         assert meta["split"]["seed"] == 0
 
+    def test_predict_split_from_other_seed_exit_3(self, generated, tmp_path, capsys):
+        cfg, out = generated
+        cfgs = ["--config", cfg, "--config", str(out / "run_config.json")]
+        model = tmp_path / "bl"
+        assert main(["train", "--model", "baseline", *cfgs, "--seed", "7",
+                     "--out", str(model)]) == 0
+        meta = json.loads((model / "meta.json").read_text())
+        assert len(meta["split"]["train_users_sha256"]) == 64
+
+        def predict(seed, split):
+            target = tmp_path / f"p{seed}{split}.csv"
+            target.unlink(missing_ok=True)
+            rc = main(["predict", "--model", "baseline", "--checkpoint", str(model), *cfgs,
+                       "--seed", str(seed), "--split", split, "--out", str(target)])
+            return rc, target.exists()
+
+        assert predict(7, "test") == (0, True)
+        capsys.readouterr()
+        assert predict(8, "test") == (3, False)
+        assert predict(8, "train") == (3, False)
+        err = capsys.readouterr().err
+        assert "train split" in err and "Traceback" not in err
+        assert predict(8, "all") == (0, True)
+        # an artifact that records no split hash cannot vouch for its split
+        del meta["split"]["train_users_sha256"]
+        (model / "meta.json").write_text(json.dumps(meta))
+        assert predict(7, "test") == (3, False)
+
+    def test_cox_risk_underflow_exit_4(self, generated, tmp_path, capsys):
+        cfg, out = generated
+        cfgs = ["--config", cfg, "--config", str(out / "run_config.json")]
+        assert main(["train", "--model", "cph", *cfgs, "--out", str(tmp_path / "cox")]) == 0
+        path = tmp_path / "cox" / "model.json"
+        model = json.loads(path.read_text())
+        model["beta"] = [-1e4] * len(model["beta"])
+        path.write_text(json.dumps(model))
+        capsys.readouterr()
+        for name in ("cph", "cpha"):
+            target = tmp_path / f"{name}.csv"
+            rc = main(["predict", "--model", name, "--checkpoint", str(tmp_path / "cox"),
+                       *cfgs, "--out", str(target)])
+            err = capsys.readouterr().err
+            assert rc == 4
+            assert not target.exists()
+            assert "error: Cox risk score" in err and "linear predictor" in err
+            assert "Traceback" not in err
+
     def test_numerical_failure_exit_4(self, generated, tmp_path, monkeypatch):
         from returntime import cli
         from returntime.errors import NumericalError

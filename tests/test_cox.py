@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -5,9 +6,9 @@ import pytest
 from scipy import integrate as sp_integrate
 
 from returntime import cox
-from returntime.errors import DataError, ValidationError
+from returntime.errors import DataError, NumericalError, ValidationError
 
-from oracles import breslow_partial_log_likelihood, nelson_aalen
+from oracles import breslow_partial_log_likelihood, cox_mean_residual, nelson_aalen
 
 
 def simulate_ph(n, beta_true, seed, base_rate=0.1, censor_at=30.0):
@@ -216,6 +217,122 @@ class TestExpectedSurvivalTime:
         with pytest.raises(ValidationError):
             cox.expected_survival_time(self.hand_model(), np.array([0.0]),
                                        condition_on_absence=True, t_s=-1.0)
+
+
+class TestBatchedExpectation:
+    """The (N, p) form against per-row calls, a per-piece scalar oracle and
+    scipy quadrature, across more than one block of rows."""
+
+    @pytest.fixture(scope="class")
+    def fitted(self):
+        rng = np.random.default_rng(19)
+        n = 120
+        X = rng.normal(size=(n, 2))
+        rate = 0.1 * np.exp(X @ np.array([0.6, -0.4]))
+        t_event = rng.exponential(1.0 / rate)
+        events = t_event <= 40.0
+        model = cox.fit(X, np.minimum(t_event, 40.0), events)
+        knots = model.baseline_times
+        rows = 3 * cox.EXPECTATION_BLOCK_ROWS - 100  # crosses two block boundaries
+        x = rng.normal(size=(rows, 2))
+        # absence times cycle through 0, strictly between knots, exactly on
+        # a knot, and beyond the last knot
+        mids = 0.5 * (knots[:-1] + knots[1:])
+        cases = [
+            np.zeros(rows),
+            rng.choice(mids, size=rows),
+            rng.choice(knots, size=rows),
+            knots[-1] + rng.uniform(0.5, 30.0, size=rows),
+        ]
+        t_s = np.choose(np.arange(rows) % 4, cases)
+        # risk scores beyond the saturation guard, once per block
+        x[[7, cox.EXPECTATION_BLOCK_ROWS + 7, 2 * cox.EXPECTATION_BLOCK_ROWS + 9]] = (
+            model.beta * 750.0 / (model.beta @ model.beta)
+        )
+        return model, x, t_s
+
+    def test_array_equals_per_row_calls(self, fitted):
+        model, x, t_s = fitted
+        for condition in (False, True):
+            batched = cox.expected_survival_time(model, x, condition_on_absence=condition, t_s=t_s)
+            assert batched.shape == (len(x),)
+            rows = [
+                cox.expected_survival_time(model, x[i], condition_on_absence=condition,
+                                           t_s=float(t_s[i]))
+                for i in range(len(x))
+            ]
+            assert all(isinstance(v, float) for v in rows)
+            np.testing.assert_allclose(batched, rows, rtol=1e-12, atol=0)
+
+    def test_matches_per_piece_oracle(self, fitted):
+        model, x, t_s = fitted
+        batched = cox.expected_survival_time(model, x, condition_on_absence=True, t_s=t_s)
+        oracle = [t + cox_mean_residual(model, row, t) for row, t in zip(x, t_s)]
+        np.testing.assert_allclose(batched, oracle, rtol=1e-12, atol=0)
+        unconditioned = cox.expected_survival_time(model, x)
+        oracle = [cox_mean_residual(model, row, 0.0) for row in x]
+        np.testing.assert_allclose(unconditioned, oracle, rtol=1e-12, atol=0)
+
+    def test_saturated_rows_are_zero(self, fitted):
+        model, x, t_s = fitted
+        saturated = x @ model.beta > 700.0
+        assert saturated.sum() == 3
+        batched = cox.expected_survival_time(model, x, condition_on_absence=True, t_s=t_s)
+        np.testing.assert_array_equal(batched[saturated], t_s[saturated])
+        assert np.all(cox.expected_survival_time(model, x)[saturated] == 0.0)
+
+    def test_quadrature_oracle_on_a_sample(self, fitted):
+        model, x, t_s = fitted
+        knots = model.baseline_times
+        batched = cox.expected_survival_time(model, x, condition_on_absence=True, t_s=t_s)
+        for i in (0, 1, 2, 3, 300, 401, 502, 643):  # each absence-time case, all blocks
+            a = float(t_s[i])
+            end = max(a, knots[-1])
+            inner = [k for k in knots if a < k < end]
+            num = 0.0
+            if end > a:
+                num, _ = sp_integrate.quad(lambda t: model.survival(x[i], t), a, end,
+                                           points=inner or None, limit=10 * len(knots))
+            tail, _ = sp_integrate.quad(lambda t: model.survival(x[i], t), end, np.inf)
+            ref = a + (num + tail) / model.survival(x[i], a)
+            assert batched[i] == pytest.approx(ref, abs=1e-7)
+
+    def test_survival_underflow_warned_once_per_call(self, fitted, caplog):
+        model, x, t_s = fitted
+        x = x.copy()
+        x[:, :] = model.beta * 12.0 / (model.beta @ model.beta)  # lin = 12
+        late = np.full(len(x), model.baseline_times[-1])
+        with caplog.at_level(logging.WARNING, logger="returntime.cox"):
+            values = cox.expected_survival_time(model, x, condition_on_absence=True, t_s=late)
+        warnings = [r for r in caplog.records if "underflows" in r.getMessage()]
+        assert len(warnings) == 1
+        assert f"for {len(x)} of {len(x)} users" in warnings[0].getMessage()
+        assert np.all(np.isfinite(values)) and np.all(values >= late)
+
+    def test_overflowing_piece_rate_before_the_absence_time(self):
+        # a 1e-9-day piece has rate 1e9; at lin = 690 rate * risk overflows,
+        # which must not turn the zero-length pieces before t_s into nan
+        model = cox.CoxModel(
+            feature_names=["x"],
+            beta=np.array([1.0]),
+            baseline_times=np.array([1.0, 1.0 + 1e-9, 2.0]),
+            baseline_hazard=np.array([0.5, 1.0, 1.0]),
+        )
+        x = np.array([[0.0], [690.0], [690.0]])
+        t_s = np.array([1.5, 1.5, 0.0])
+        values = cox.expected_survival_time(model, x, condition_on_absence=True, t_s=t_s)
+        oracle = [t + cox_mean_residual(model, row, t) for row, t in zip(x, t_s)]
+        assert np.all(np.isfinite(values))
+        np.testing.assert_allclose(values, oracle, rtol=1e-12, atol=0)
+
+    def test_risk_underflow_raises_naming_the_row(self, fitted):
+        model, x, _ = fitted
+        x = x.copy()
+        x[5] = -model.beta * 800.0 / (model.beta @ model.beta)  # lin = -800
+        with pytest.raises(NumericalError, match=r"user u5 \(linear predictor -800\)"):
+            cox.expected_survival_time(model, x, row_ids=[f"u{i}" for i in range(len(x))])
+        with pytest.raises(NumericalError, match="row 0"):
+            cox.expected_survival_time(model, x[5])
 
 
 class TestPersistence:

@@ -252,6 +252,19 @@ class TestReportAndCsv:
         assert 0.0 <= row["nonreturning_auc"] <= 1.0
         assert 0.0 <= row["nonreturning_recall"] <= 1.0
 
+    def test_report_carries_bucket_counts(self):
+        rng = np.random.default_rng(11)
+        records = random_records(rng, 40)
+        report = build_report({"cph": records, "rnnsm": records[:25]})
+        tables = report["tables"]
+        for name, recs in (("cph", records), ("rnnsm", records[:25])):
+            uncensored = sum(1 for r in recs if r.true_return_days is not None)
+            assert uncensored > 0
+            assert set(tables["n_by_week"][name]) == set(tables["rmse_by_week"][name])
+            assert set(tables["n_by_active_days"][name]) == set(tables["rmse_by_active_days"][name])
+            assert sum(tables["n_by_week"][name].values()) == uncensored
+            assert sum(tables["n_by_active_days"][name].values()) == uncensored
+
     def test_model_ordering_canonical(self):
         rng = np.random.default_rng(9)
         records = random_records(rng, 30)
