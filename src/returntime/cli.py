@@ -104,7 +104,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     data = experiment.load_and_split(config)
     subset = {"train": data.train, "test": data.test, "all": data.dataset}[args.split]
     train_sha256 = None if args.split == "all" else experiment.train_users_sha256(data.train)
-    records = experiment.predict_model(model_name, args.checkpoint, subset, config,
+    records = experiment.predict_model(model_name, args.checkpoint, subset,
                                        train_sha256=train_sha256)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -140,8 +140,6 @@ def _cli_overrides(args: argparse.Namespace) -> dict:
     overrides: dict = {}
     if getattr(args, "seed", None) is not None:
         overrides["seed"] = args.seed
-    if getattr(args, "threads", None) is not None:
-        overrides["threads"] = args.threads
     if getattr(args, "data", None) is not None:
         overrides["data"] = {"sessions": args.data}
     return overrides
@@ -160,8 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="JSON run configuration file; repeatable, later files win",
         )
         p.add_argument("--seed", type=int, help="override the config seed")
-        p.add_argument("--threads", type=int,
-                       help="per-user parallelism for rnnsm/rnnsma prediction")
         if with_data:
             p.add_argument("--data", help="sessions JSONL path (overrides config)")
 

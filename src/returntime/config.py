@@ -17,7 +17,6 @@ MODEL_NAMES = ("baseline", "rnn", "cph", "cpha", "rnnsm", "rnnsma")
 
 DEFAULTS: dict = {
     "seed": 7,
-    "threads": 1,
     "data": {"sessions": None},
     "window": None,  # day offsets or *_date ISO strings; generate fills this in
     "split": {"test_fraction": 0.2},
@@ -120,3 +119,12 @@ def validate_model_name(name: str) -> str:
             f"unknown model {name!r}; expected one of {', '.join(MODEL_NAMES)}"
         )
     return name
+
+
+def model_family(name: str) -> str:
+    """The artifact family a model name trains and predicts with.
+
+    cpha and rnnsma reuse the cph and rnnsm artifacts: they differ only in
+    conditioning the prediction on the user's absence so far.
+    """
+    return {"cpha": "cph", "rnnsma": "rnnsm"}.get(validate_model_name(name), name)

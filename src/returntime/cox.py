@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DataError, NumericalError, ValidationError
+from .errors import DataError, DataModelMismatchError, NumericalError, ValidationError
 
 logger = logging.getLogger(__name__)
 
@@ -250,7 +250,11 @@ class CoxModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "CoxModel":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        """Read a saved model; an unreadable file raises DataModelMismatchError."""
+        try:
+            return cls.from_dict(json.loads(Path(path).read_text()))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataModelMismatchError(f"Cox model at {path} is unreadable: {exc}") from exc
 
 
 def baseline_hazard(

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, cox, metrics, net, rnnsm
-from .config import validate_model_name
+from .config import model_family
 from .data import (
     Dataset,
     assign_windows,
@@ -194,8 +194,7 @@ def select_w(train: Dataset, config: dict, dims: dict[str, int]) -> float:
             learning_rate=base.learning_rate, clip_norm=base.clip_norm, seed=base.seed,
         )
         model = rnnsm.train_rnnsm(fit_seqs, net_cfg, stats, w=w, config=tcfg)
-        records = rnnsm.predict(model, val_seqs, condition_on_absence=False)
-        c = metrics.concordance_index(records)
+        c = metrics.concordance_index(prediction_records(val_ds, rnnsm.predict(model, val_seqs)))
         scores.append((c, -w))
         logger.info("w grid: w=%g validation concordance %.4f", w, c)
     best = max(range(len(grid)), key=lambda i: scores[i])
@@ -212,8 +211,7 @@ def train_model(model_name: str, data: LoadedData, config: dict, out_dir: str | 
     differs. Returns the metadata dictionary that was written next to the
     artifact.
     """
-    model_name = validate_model_name(model_name)
-    family = {"cpha": "cph", "rnnsma": "rnnsm"}.get(model_name, model_name)
+    family = model_family(model_name)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     fcfg = feature_config(config)
@@ -235,20 +233,6 @@ def train_model(model_name: str, data: LoadedData, config: dict, out_dir: str | 
     if family == "baseline":
         (out / "model.json").write_text(json.dumps({"kind": "baseline"}, indent=2))
 
-    elif family == "rnn":
-        seqs, stats = build_sequences(data.train, fcfg)
-        dims = resolve_embedding_dims(
-            [s for s in seqs if not s.is_censored], stats, config, family="rnn"
-        )
-        model = baselines.train_simple_rnn(
-            seqs, _net_config(stats, dims, config), stats,
-            training_config(config, "rnn"),
-        )
-        baselines.save_simple_rnn(out / "model.npz", model)
-        stats.save(out / "norm_stats.json")
-        meta["embedding_dims"] = dims
-        meta["loss_trace"] = model.loss_trace
-
     elif family == "cph":
         agg = build_aggregates(data.train)
         standardization = Standardization.fit(agg.X, agg.feature_names)
@@ -261,17 +245,22 @@ def train_model(model_name: str, data: LoadedData, config: dict, out_dir: str | 
         meta["continuous_markers"] = agg.continuous_markers
         meta["beta"] = model.beta.tolist()
 
-    elif family == "rnnsm":
+    else:
         seqs, stats = build_sequences(data.train, fcfg)
-        dims = resolve_embedding_dims(seqs, stats, config, family="rnnsm", w_hint=0.1)
-        w = select_w(data.train, config, dims)
-        model = rnnsm.train_rnnsm(
-            seqs, _net_config(stats, dims, config), stats, w=w,
-            config=training_config(config, "rnnsm"),
-        )
+        dims = resolve_embedding_dims(seqs, stats, config, family=family)
+        net_cfg = _net_config(stats, dims, config)
+        if family == "rnn":
+            model = baselines.train_simple_rnn(
+                seqs, net_cfg, stats, training_config(config, "rnn")
+            )
+        else:
+            w = select_w(data.train, config, dims)
+            meta["w"] = w
+            model = rnnsm.train_rnnsm(
+                seqs, net_cfg, stats, w=w, config=training_config(config, "rnnsm")
+            )
         rnnsm.save_model(out / "model.npz", model)
         stats.save(out / "norm_stats.json")
-        meta["w"] = w
         meta["embedding_dims"] = dims
         meta["loss_trace"] = model.loss_trace
         meta["diverged"] = model.diverged
@@ -283,18 +272,10 @@ def train_model(model_name: str, data: LoadedData, config: dict, out_dir: str | 
 # ---------------------------------------------------------------------------
 # prediction dispatch
 
-def _cox_records(model, standardization, markers, dataset, condition):
-    agg = build_aggregates(dataset, continuous_markers=markers)
-    if agg.feature_names != standardization.feature_names:
-        raise DataModelMismatchError(
-            "aggregate feature schema does not match the trained model"
-        )
-    users = dataset.users
-    preds = cox.expected_survival_time(
-        model, standardization.apply(agg.X), condition_on_absence=condition,
-        t_s=np.array([dataset.absence_time(u) for u in users]),
-        row_ids=[u.user_id for u in users],
-    )
+def prediction_records(
+    dataset: Dataset, predicted: np.ndarray
+) -> list[metrics.PredictionRecord]:
+    """One record per user of dataset, in order, from (N,) predicted gaps."""
     return [
         metrics.PredictionRecord(
             user_id=user.user_id,
@@ -305,15 +286,28 @@ def _cox_records(model, standardization, markers, dataset, condition):
             active_day_count=count_active_days(user),
             last_session_end_days=user.last_session_end,
         )
-        for user, pred in zip(users, preds)
+        for user, pred in zip(dataset.users, predicted)
     ]
+
+
+def _cox_predictions(model, standardization, markers, dataset, condition):
+    agg = build_aggregates(dataset, continuous_markers=markers)
+    if agg.feature_names != standardization.feature_names:
+        raise DataModelMismatchError(
+            "aggregate feature schema does not match the trained model"
+        )
+    users = dataset.users
+    return cox.expected_survival_time(
+        model, standardization.apply(agg.X), condition_on_absence=condition,
+        t_s=np.array([dataset.absence_time(u) for u in users]),
+        row_ids=[u.user_id for u in users],
+    )
 
 
 def predict_model(
     model_name: str,
     artifact_dir: str | Path,
     dataset: Dataset,
-    config: dict,
     train_sha256: str | None = None,
 ) -> list[metrics.PredictionRecord]:
     """Predict every user of dataset with the artifact in artifact_dir.
@@ -323,14 +317,16 @@ def predict_model(
     another seed or from other data cannot pass training users off as test
     users.
     """
-    model_name = validate_model_name(model_name)
-    family = {"cpha": "cph", "rnnsma": "rnnsm"}.get(model_name, model_name)
-    conditioned = model_name in ("cpha", "rnnsma")
+    family = model_family(model_name)
+    conditioned = model_name != family
     artifact = Path(artifact_dir)
     meta_path = artifact / "meta.json"
     if not meta_path.exists():
         raise DataModelMismatchError(f"no model metadata at {meta_path}")
-    meta = json.loads(meta_path.read_text())
+    try:
+        meta = json.loads(meta_path.read_text())
+    except ValueError as exc:
+        raise DataModelMismatchError(f"model metadata at {meta_path} is unreadable: {exc}") from exc
     if meta.get("model_family") != family:
         raise DataModelMismatchError(
             f"artifact at {artifact} holds a {meta.get('model_family')!r} model, "
@@ -348,31 +344,26 @@ def predict_model(
                 f"one the model was trained on ({str(recorded)[:12] if recorded else 'none recorded'}); "
                 "use the training split seed and data, or predict --split all"
             )
-    threads = int(config.get("threads", 1))
-    horizon_hint = dataset.window.prediction_length
-
     if family == "baseline":
-        return baselines.baseline_predict(dataset)
-
-    if family == "rnn":
-        model = baselines.load_simple_rnn(artifact / "model.npz")
-        seqs, _ = build_sequences(dataset, stats=model.stats)
-        return baselines.predict_simple_rnn(model, seqs)
-
-    if family == "cph":
+        predicted = baselines.baseline_predict(dataset)
+    elif family == "cph":
         model = cox.CoxModel.load(artifact / "model.json")
         standardization = Standardization.from_dict(meta["standardization"])
-        return _cox_records(
+        predicted = _cox_predictions(
             model, standardization, meta["continuous_markers"], dataset,
             condition=conditioned,
         )
-
-    model = rnnsm.load_model(artifact / "model.npz")
-    seqs, _ = build_sequences(dataset, stats=model.stats)
-    return rnnsm.predict(
-        model, seqs, condition_on_absence=conditioned,
-        horizon_hint=horizon_hint, threads=threads,
-    )
+    else:
+        model = rnnsm.load_model(artifact / "model.npz", family)
+        seqs, _ = build_sequences(dataset, stats=model.stats)
+        if family == "rnn":
+            predicted = baselines.predict_simple_rnn(model, seqs)
+        else:
+            predicted = rnnsm.predict(
+                model, seqs, condition_on_absence=conditioned,
+                horizon_hint=dataset.window.prediction_length,
+            )
+    return prediction_records(dataset, predicted)
 
 
 def _window_days_of(dataset: Dataset) -> dict:

@@ -18,16 +18,16 @@ from __future__ import annotations
 
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
+import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from . import net
-from .errors import DataError, NumericalError, ValidationError
+from .errors import DataError, DataModelMismatchError, NumericalError, ValidationError
 from .features import PaddedBatch, SequenceStats, UserSequence, pad_batch
-from .metrics import PredictionRecord
 from .quadrature import integrate
 
 logger = logging.getLogger(__name__)
@@ -79,30 +79,6 @@ def log_density_return(o: float, w: float, gap: float) -> float:
     if gap <= 0:
         raise ValidationError(f"return gap must be positive, got {gap}")
     return o + w * gap - _gap_term(o, w, gap)
-
-
-@dataclass(frozen=True)
-class SurvivalCurve:
-    """Closed-form survival curve for the gap after one step."""
-
-    o: float
-    w: float
-    reference_time: float = 0.0
-
-    def log_survival(self, gap: float) -> float:
-        return log_survival(self.o, self.w, gap)
-
-    def survival(self, gap: float) -> float:
-        return math.exp(self.log_survival(gap))
-
-    def hazard(self, gap: float) -> float:
-        return hazard(self.o, self.w, gap)
-
-    def expected_gap(self) -> float:
-        return expected_return_time(self.o, self.w)
-
-    def conditioned_gap(self, t_s: float) -> float:
-        return absence_conditioned_expectation(self.o, self.w, t_s)
 
 
 # ---------------------------------------------------------------------------
@@ -289,11 +265,17 @@ class TrainingConfig:
 
 
 @dataclass
-class RnnsmModel:
+class RecurrentModel:
+    """The shared LSTM with its sequence statistics and training record.
+
+    w is the current-influence weight of the censored point-process loss
+    (RNNSM), or None for the plain RNN trained with squared error.
+    """
+
     params: dict[str, np.ndarray]
     net_config: net.NetConfig
-    w: float
     stats: SequenceStats
+    w: float | None = None
     adam: net.AdamState | None = None
     loss_trace: list[float] = field(default_factory=list)
     diverged: bool = False
@@ -316,17 +298,69 @@ def initial_output_bias(mean_gap: float, w: float) -> float:
     return 0.5 * (lo + hi)
 
 
+def _fit(
+    model: RecurrentModel,
+    sequences: list[UserSequence],
+    config: TrainingConfig,
+    rng: np.random.Generator,
+    batch_loss: Callable[[np.ndarray, PaddedBatch], tuple[float, np.ndarray]],
+    loss_divisor: int,
+) -> RecurrentModel:
+    """Minibatch Adam on model.params in a seeded order, for either loss.
+
+    batch_loss(o, batch) returns the batch's loss and the grad_o handed to
+    backward; an epoch's trace entry is its summed loss over loss_divisor.
+    On divergence (non-finite loss or a tripped overflow guard) the last
+    epoch-end parameters and Adam state are restored and training stops early.
+    """
+    params = model.params
+    state = net.AdamState.for_params(params)
+    snapshot = ({k: p.copy() for k, p in params.items()}, state.copy())
+
+    for epoch in range(config.epochs):
+        order = rng.permutation(len(sequences))
+        total = 0.0
+        try:
+            for start in range(0, len(order), config.batch_size):
+                idx = order[start:start + config.batch_size]
+                batch = pad_batch([sequences[i] for i in idx])
+                o, _, cache = net.forward_batch(
+                    params, model.net_config, batch.disc, batch.cont, batch.lengths
+                )
+                loss, grad_o = batch_loss(o, batch)
+                total += loss
+                grads = net.backward_batch(params, model.net_config, cache, grad_o)
+                net.apply_update_with_norm_projection(
+                    params, grads, state,
+                    lr=config.learning_rate, clip_norm=config.clip_norm,
+                )
+            epoch_loss = total / loss_divisor
+            if not math.isfinite(epoch_loss):
+                raise NumericalError(f"epoch {epoch} mean loss is {epoch_loss}")
+        except NumericalError as exc:
+            logger.warning("training diverged at epoch %d (%s); restoring last good "
+                           "parameters and optimizer state", epoch, exc)
+            params, state = snapshot
+            model.diverged = True
+            break
+        model.loss_trace.append(epoch_loss)
+        snapshot = ({k: p.copy() for k, p in params.items()}, state.copy())
+
+    model.params, model.adam = params, state
+    return model
+
+
 def train_rnnsm(
     sequences: list[UserSequence],
     net_config: net.NetConfig,
     stats: SequenceStats,
     w: float,
     config: TrainingConfig,
-) -> RnnsmModel:
+) -> RecurrentModel:
     """Minibatch Adam on the censored sequence loss; deterministic per seed.
 
-    On divergence (non-finite loss or a tripped overflow guard) the last
-    epoch-end parameters and Adam state are restored and training stops early.
+    The trace holds each epoch's mean loss per user; on divergence the last
+    epoch-end parameters and Adam state are kept (see _fit).
     """
     if w <= 0:
         raise ValidationError(f"current-influence weight w must be positive, got {w}")
@@ -346,46 +380,13 @@ def train_rnnsm(
     ])
     if uncensored_gaps.size:
         params["out_b"][0] = initial_output_bias(float(uncensored_gaps.mean()), w)
-    state = net.AdamState.for_params(params)
-    snapshot = ({k: p.copy() for k, p in params.items()}, state.copy())
-    trace: list[float] = []
-    diverged = False
 
-    for epoch in range(config.epochs):
-        order = rng.permutation(len(sequences))
-        total = 0.0
-        try:
-            for start in range(0, len(order), config.batch_size):
-                idx = order[start:start + config.batch_size]
-                batch = pad_batch([sequences[i] for i in idx])
-                o, _, cache = net.forward_batch(
-                    params, net_config, batch.disc, batch.cont, batch.lengths
-                )
-                losses, grad_o = _batch_loss(o, batch, w)
-                total += float(losses.sum())
-                grads = net.backward_batch(
-                    params, net_config, cache, grad_o / len(idx)
-                )
-                net.apply_update_with_norm_projection(
-                    params, grads, state,
-                    lr=config.learning_rate, clip_norm=config.clip_norm,
-                )
-            epoch_loss = total / len(sequences)
-            if not math.isfinite(epoch_loss):
-                raise NumericalError(f"epoch {epoch} mean loss is {epoch_loss}")
-        except NumericalError as exc:
-            logger.warning("training diverged at epoch %d (%s); restoring last good "
-                           "parameters and optimizer state", epoch, exc)
-            params, state = snapshot
-            diverged = True
-            break
-        trace.append(epoch_loss)
-        snapshot = ({k: p.copy() for k, p in params.items()}, state.copy())
+    def loss(o: np.ndarray, batch: PaddedBatch) -> tuple[float, np.ndarray]:
+        losses, grad_o = _batch_loss(o, batch, w)
+        return float(losses.sum()), grad_o / len(o)
 
-    return RnnsmModel(
-        params=params, net_config=net_config, w=w, stats=stats,
-        adam=state, loss_trace=trace, diverged=diverged,
-    )
+    model = RecurrentModel(params=params, net_config=net_config, stats=stats, w=w)
+    return _fit(model, sequences, config, rng, loss, loss_divisor=len(sequences))
 
 
 # ---------------------------------------------------------------------------
@@ -410,57 +411,40 @@ def last_outputs(
 
 
 def predict(
-    model: RnnsmModel,
+    model: RecurrentModel,
     sequences: list[UserSequence],
     condition_on_absence: bool = False,
     horizon_hint: float | None = None,
-    threads: int = 1,
-) -> list[PredictionRecord]:
-    """Expected return gap per user, measured from their last session end.
+) -> np.ndarray:
+    """Expected return gap per user (N,), measured from their last session end.
 
     With condition_on_absence the expectation is conditioned on the user
     having been absent since the prediction-window start.
     """
     o_last = last_outputs(model.params, model.net_config, sequences)
-
-    def one(i: int) -> PredictionRecord:
-        seq = sequences[i]
-        curve = SurvivalCurve(o=float(o_last[i]), w=model.w)
-        if condition_on_absence:
-            gap = absence_conditioned_expectation(
-                curve.o, curve.w, seq.absence_time, horizon_hint=horizon_hint
+    if condition_on_absence:
+        return np.array([
+            absence_conditioned_expectation(
+                float(o), model.w, seq.absence_time, horizon_hint=horizon_hint
             )
-        else:
-            gap = expected_return_time(curve.o, curve.w, horizon_hint=horizon_hint)
-        final = float(seq.targets[-1])
-        return PredictionRecord(
-            user_id=seq.user_id,
-            predicted_return_days=gap,
-            true_return_days=None if seq.is_censored else final,
-            censored_lower_bound_days=final if seq.is_censored else None,
-            horizon_gap_days=seq.horizon_gap,
-            active_day_count=seq.active_day_count,
-            last_session_end_days=seq.last_session_end,
-        )
-
-    indices = range(len(sequences))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, indices))
-    return [one(i) for i in indices]
+            for o, seq in zip(o_last, sequences)
+        ])
+    return np.array([
+        expected_return_time(float(o), model.w, horizon_hint=horizon_hint) for o in o_last
+    ])
 
 
 # ---------------------------------------------------------------------------
 # persistence
 
-def save_model(path: str | Path, model: RnnsmModel, kind: str = "rnnsm") -> None:
+def save_model(path: str | Path, model: RecurrentModel) -> None:
     net.save_checkpoint(
         path,
         model.params,
         model.net_config,
         state=model.adam,
         extra={
-            "kind": kind,
+            "kind": "rnn" if model.w is None else "rnnsm",
             "w": model.w,
             "stats": model.stats.to_dict(),
             "loss_trace": model.loss_trace,
@@ -469,20 +453,26 @@ def save_model(path: str | Path, model: RnnsmModel, kind: str = "rnnsm") -> None
     )
 
 
-def load_model(path: str | Path, expect_kind: str = "rnnsm") -> RnnsmModel:
-    from .errors import DataModelMismatchError
+def load_model(path: str | Path, kind: str) -> RecurrentModel:
+    """Read a checkpoint of the given kind ("rnn" or "rnnsm").
 
-    params, config, state, extra = net.load_checkpoint(path)
-    if extra.get("kind") != expect_kind:
+    A file that is not a readable checkpoint raises DataModelMismatchError.
+    """
+    try:
+        params, config, state, extra = net.load_checkpoint(path)
+        stats = SequenceStats.from_dict(extra["stats"])
+    except (zipfile.BadZipFile, EOFError, KeyError, ValueError) as exc:
+        raise DataModelMismatchError(f"checkpoint at {path} is unreadable: {exc}") from exc
+    if extra.get("kind") != kind:
         raise DataModelMismatchError(
-            f"checkpoint at {path} holds a {extra.get('kind')!r} model, "
-            f"expected {expect_kind!r}"
+            f"checkpoint at {path} holds a {extra.get('kind')!r} model, expected {kind!r}"
         )
-    return RnnsmModel(
+    w = extra.get("w")
+    return RecurrentModel(
         params=params,
         net_config=config,
-        w=float(extra["w"]),
-        stats=SequenceStats.from_dict(extra["stats"]),
+        stats=stats,
+        w=None if w is None else float(w),
         adam=state,
         loss_trace=list(extra.get("loss_trace", [])),
         diverged=bool(extra.get("diverged", False)),

@@ -15,6 +15,7 @@ from scipy import special
 
 from returntime import cox, net, rnnsm
 from returntime.cli import main
+from returntime.config import model_family
 from returntime.metrics import (
     concordance_index,
     nonreturning_auc,
@@ -64,9 +65,8 @@ def run_pipeline(base: Path, seed: int, reduced: dict | None = None) -> float:
         assert main(["train", "--model", model, *cfgs,
                      "--out", str(base / "models" / model)]) == 0
     for model in MODELS:
-        family = {"cpha": "cph", "rnnsma": "rnnsm"}.get(model, model)
         assert main(["predict", "--model", model,
-                     "--checkpoint", str(base / "models" / family),
+                     "--checkpoint", str(base / "models" / model_family(model)),
                      *cfgs, "--out", str(base / "preds" / f"{model}.csv")]) == 0
     assert main(["evaluate", "--pred",
                  *[str(base / "preds" / f"{m}.csv") for m in MODELS],

@@ -113,20 +113,33 @@ class TestTrainPredictEvaluate:
         for table in ("rmse_by_week", "mean_error_by_week", "rmse_by_active_days"):
             assert (tmp_path / "report" / f"{table}.csv").exists()
 
-    def test_threads_flag_does_not_change_predictions(self, generated, tmp_path):
+    @pytest.mark.parametrize("model,name,corrupt", [
+        ("rnn", "model.npz", lambda raw: raw[:3000]),
+        ("rnn", "model.npz", lambda raw: b"not a zip archive"),
+        ("rnn", "meta.json", lambda raw: raw[:len(raw) // 2]),
+        ("cph", "model.json", lambda raw: raw[:len(raw) // 2]),
+    ], ids=["npz-truncated", "npz-not-zip", "meta-truncated", "cox-json-truncated"])
+    def test_corrupt_artifact_exit_3(self, generated, tmp_path, capsys, model, name, corrupt):
         cfg, out = generated
         cfgs = ["--config", cfg, "--config", str(out / "run_config.json")]
-        assert main(["train", "--model", "cph", *cfgs, "--out", str(tmp_path / "cox")]) == 0
-        assert main(["predict", "--model", "cph", "--checkpoint", str(tmp_path / "cox"),
-                     *cfgs, "--out", str(tmp_path / "a.csv")]) == 0
-        assert main(["predict", "--model", "cph", "--checkpoint", str(tmp_path / "cox"),
-                     *cfgs, "--threads", "4", "--out", str(tmp_path / "b.csv")]) == 0
-        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+        artifact = tmp_path / model
+        assert main(["train", "--model", model, *cfgs, "--out", str(artifact)]) == 0
+        path = artifact / name
+        path.write_bytes(corrupt(path.read_bytes()))
+        capsys.readouterr()
+        target = tmp_path / "p.csv"
+        rc = main(["predict", "--model", model, "--checkpoint", str(artifact), *cfgs,
+                   "--out", str(target)])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert "unreadable" in err and "Traceback" not in err
+        assert not target.exists()
 
     def test_unsupported_checkpoint_version_exit_3(self, generated, tmp_path):
         cfg, out = generated
         cfgs = ["--config", cfg, "--config", str(out / "run_config.json")]
         assert main(["train", "--model", "rnn", *cfgs, "--out", str(tmp_path / "rnn")]) == 0
+        assert json.loads((tmp_path / "rnn" / "meta.json").read_text())["diverged"] is False
         path = tmp_path / "rnn" / "model.npz"
         with np.load(path) as data:
             arrays = {k: data[k] for k in data.files}

@@ -9,7 +9,6 @@ from returntime.errors import NumericalError, ValidationError
 from oracles import safe_density, safe_survival
 
 from returntime.rnnsm import (
-    SurvivalCurve,
     absence_conditioned_expectation,
     expected_return_time,
     hazard,
@@ -74,6 +73,10 @@ class TestLogSurvival:
 
     def test_tends_to_minus_infinity(self):
         assert log_survival(0.0, 1.0, 600.0) < -1e100
+        values = [log_survival(0.5, 0.3, float(g)) for g in np.linspace(0, 40, 30)]
+        assert values[0] == 0.0
+        assert all(b <= a for a, b in zip(values, values[1:]))
+        assert values[-1] < math.log(1e-3)
 
     @pytest.mark.parametrize("o,w,gap", [(0.0, 1.0, 2.0), (1.0, 0.5, 4.0), (-1.0, 2.0, 1.5)])
     def test_equals_negative_integrated_hazard(self, o, w, gap):
@@ -210,18 +213,3 @@ class TestAbsenceConditioning:
     def test_negative_absence_rejected(self):
         with pytest.raises(ValidationError):
             absence_conditioned_expectation(0.0, 1.0, -1.0)
-
-
-class TestSurvivalCurve:
-    def test_basic_shape(self):
-        curve = SurvivalCurve(o=0.5, w=0.3)
-        assert curve.survival(0.0) == 1.0
-        gaps = np.linspace(0, 40, 30)
-        values = [curve.survival(float(g)) for g in gaps]
-        assert all(b <= a for a, b in zip(values, values[1:]))
-        assert values[-1] < 1e-3
-
-    def test_expectations_delegate(self):
-        curve = SurvivalCurve(o=0.0, w=1.0)
-        assert curve.expected_gap() == expected_return_time(0.0, 1.0)
-        assert curve.conditioned_gap(0.5) == absence_conditioned_expectation(0.0, 1.0, 0.5)
