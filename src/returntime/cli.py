@@ -103,9 +103,8 @@ def cmd_predict(args: argparse.Namespace) -> int:
     model_name = validate_model_name(args.model)
     data = experiment.load_and_split(config)
     subset = {"train": data.train, "test": data.test, "all": data.dataset}[args.split]
-    train_sha256 = None if args.split == "all" else experiment.train_users_sha256(data.train)
-    records = experiment.predict_model(model_name, args.checkpoint, subset,
-                                       train_sha256=train_sha256)
+    split = None if args.split == "all" else experiment.split_identity(data)
+    records = experiment.predict_model(model_name, args.checkpoint, subset, split=split)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     metrics.write_predictions_csv(out, model_name, records, epoch_iso=subset.epoch_iso)

@@ -43,6 +43,7 @@ class LoadedData:
     train: Dataset
     test: Dataset
     window_days: dict
+    sessions_sha256: str  # of the sessions file's bytes
 
 
 def load_and_split(config: dict) -> LoadedData:
@@ -51,7 +52,8 @@ def load_and_split(config: dict) -> LoadedData:
         raise ConfigError("config carries no data.sessions path")
     if not Path(sessions_path).exists():
         raise DataModelMismatchError(f"sessions file not found: {sessions_path}")
-    sessions, epoch_iso, epoch_weekday = read_sessions_jsonl(sessions_path)
+    read = read_sessions_jsonl(sessions_path)
+    sessions, epoch_iso, epoch_weekday = read
     window_cfg = config.get("window")
     if not window_cfg:
         raise ConfigError("config carries no window section")
@@ -64,7 +66,7 @@ def load_and_split(config: dict) -> LoadedData:
     )
     return LoadedData(
         dataset=dataset, train=train, test=test,
-        window_days=window.to_dict(),
+        window_days=window.to_dict(), sessions_sha256=read.sha256,
     )
 
 
@@ -75,9 +77,17 @@ def _split_seed(config: dict) -> int:
 
 
 def train_users_sha256(train: Dataset) -> str:
-    """sha256 of the sorted train user ids, one per line: the split's identity."""
+    """sha256 of the sorted train user ids, one per line."""
     ids = sorted(u.user_id for u in train.users)
     return hashlib.sha256("\n".join(ids).encode()).hexdigest()
+
+
+def split_identity(data: LoadedData) -> dict[str, str]:
+    """The split's identity: the sessions file's and the train user ids' sha256."""
+    return {
+        "sessions_sha256": data.sessions_sha256,
+        "train_users_sha256": train_users_sha256(data.train),
+    }
 
 
 def feature_config(config: dict) -> FeatureConfig:
@@ -221,7 +231,7 @@ def train_model(model_name: str, data: LoadedData, config: dict, out_dir: str | 
         "split": {
             "test_fraction": float((config.get("split") or {}).get("test_fraction", 0.2)),
             "seed": _split_seed(config),
-            "train_users_sha256": train_users_sha256(data.train),
+            **split_identity(data),
         },
         "features": {
             "max_steps": fcfg.max_steps,
@@ -308,14 +318,14 @@ def predict_model(
     model_name: str,
     artifact_dir: str | Path,
     dataset: Dataset,
-    train_sha256: str | None = None,
+    split: dict[str, str] | None = None,
 ) -> list[metrics.PredictionRecord]:
     """Predict every user of dataset with the artifact in artifact_dir.
 
-    When train_sha256 is given (predicting one side of a split), it must
-    equal the train split the artifact recorded, so a split drawn with
-    another seed or from other data cannot pass training users off as test
-    users.
+    When split is given (predicting one side of a split), it is this run's
+    split_identity and must equal the one the artifact recorded, so a split
+    drawn with another seed or from other data cannot pass training users
+    off as test users.
     """
     family = model_family(model_name)
     conditioned = model_name != family
@@ -323,10 +333,16 @@ def predict_model(
     meta_path = artifact / "meta.json"
     if not meta_path.exists():
         raise DataModelMismatchError(f"no model metadata at {meta_path}")
+
+    def unreadable(detail) -> DataModelMismatchError:
+        return DataModelMismatchError(f"model metadata at {meta_path} is unreadable: {detail}")
+
     try:
         meta = json.loads(meta_path.read_text())
     except ValueError as exc:
-        raise DataModelMismatchError(f"model metadata at {meta_path} is unreadable: {exc}") from exc
+        raise unreadable(exc) from exc
+    if not isinstance(meta, dict):
+        raise unreadable(f"expected a JSON object, got {type(meta).__name__}")
     if meta.get("model_family") != family:
         raise DataModelMismatchError(
             f"artifact at {artifact} holds a {meta.get('model_family')!r} model, "
@@ -336,22 +352,29 @@ def predict_model(
         raise DataModelMismatchError(
             "dataset windows do not match the windows the model was trained with"
         )
-    if train_sha256 is not None:
-        recorded = (meta.get("split") or {}).get("train_users_sha256")
-        if recorded != train_sha256:
-            raise DataModelMismatchError(
-                f"this run's train split (users sha256 {train_sha256[:12]}) is not the "
-                f"one the model was trained on ({str(recorded)[:12] if recorded else 'none recorded'}); "
-                "use the training split seed and data, or predict --split all"
-            )
+    if split is not None:
+        recorded = meta.get("split")
+        recorded = recorded if isinstance(recorded, dict) else {}
+        for key, what in (("sessions_sha256", "sessions file"),
+                          ("train_users_sha256", "train split")):
+            if recorded.get(key) != split[key]:
+                theirs = str(recorded[key])[:12] if recorded.get(key) else "none recorded"
+                raise DataModelMismatchError(
+                    f"this run's {what} (sha256 {split[key][:12]}) is not the one the model "
+                    f"was trained on ({theirs}); use the training data and split seed, "
+                    "or predict --split all"
+                )
     if family == "baseline":
         predicted = baselines.baseline_predict(dataset)
     elif family == "cph":
         model = cox.CoxModel.load(artifact / "model.json")
-        standardization = Standardization.from_dict(meta["standardization"])
+        try:
+            standardization = Standardization.from_dict(meta["standardization"])
+            markers = list(meta["continuous_markers"])
+        except (KeyError, TypeError) as exc:
+            raise unreadable(f"{type(exc).__name__}: {exc}") from exc
         predicted = _cox_predictions(
-            model, standardization, meta["continuous_markers"], dataset,
-            condition=conditioned,
+            model, standardization, markers, dataset, condition=conditioned,
         )
     else:
         model = rnnsm.load_model(artifact / "model.npz", family)

@@ -220,3 +220,39 @@ def cox_mean_residual(model, x, a):
     start = max(a, knots[-1])
     total += math.exp(-risk * (model.cumulative_hazard(start) - cum_a)) / (tail_rate * risk)
     return total
+
+
+def read_sessions_plain(path):
+    """Parse a sessions JSONL file record by record, without any cache:
+    (sessions, epoch_iso, epoch_weekday), as returntime.data documents it."""
+    import datetime as dt
+    import json
+
+    from returntime.data import Session
+
+    def parse_ts(value):
+        ts = dt.datetime.fromisoformat(value.replace("Z", "+00:00"))
+        if ts.tzinfo is None:
+            ts = ts.replace(tzinfo=dt.timezone.utc)
+        return ts.astimezone(dt.timezone.utc)
+
+    with open(path, encoding="utf-8") as fh:
+        records = [json.loads(line) for line in fh if line.strip()]
+    if not records:
+        return [], "1970-01-01T00:00:00+00:00", 3
+    stamps = [parse_ts(rec["start_ts"]) for rec in records]
+    epoch = min(stamps).replace(hour=0, minute=0, second=0, microsecond=0)
+    sessions = []
+    for ts, rec in zip(stamps, records):
+        markers = rec.get("markers") or {}
+        sessions.append(Session(
+            user_id=str(rec["user_id"]),
+            start_time=(ts - epoch).total_seconds() / 86400.0,
+            duration=float(rec.get("duration_s", 0.0)) / 86400.0,
+            discrete_markers={k: v for k, v in markers.items() if isinstance(v, str)},
+            continuous_markers={
+                k: float(v) for k, v in markers.items()
+                if isinstance(v, (int, float)) and not isinstance(v, bool)
+            },
+        ))
+    return sessions, epoch.isoformat(), epoch.weekday()

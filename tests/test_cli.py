@@ -1,10 +1,19 @@
+import contextlib
+import datetime as dt
+import hashlib
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from returntime import data, experiment
 from returntime.cli import main
+from returntime.config import load_config
 
 TINY_GEN = {
     "generator": {"user_count": 60},
@@ -118,7 +127,11 @@ class TestTrainPredictEvaluate:
         ("rnn", "model.npz", lambda raw: b"not a zip archive"),
         ("rnn", "meta.json", lambda raw: raw[:len(raw) // 2]),
         ("cph", "model.json", lambda raw: raw[:len(raw) // 2]),
-    ], ids=["npz-truncated", "npz-not-zip", "meta-truncated", "cox-json-truncated"])
+        ("cph", "meta.json", lambda raw: b"[]"),
+        ("cph", "meta.json", lambda raw: json.dumps(
+            {k: v for k, v in json.loads(raw).items() if k != "standardization"}).encode()),
+    ], ids=["npz-truncated", "npz-not-zip", "meta-truncated", "cox-json-truncated",
+            "meta-list", "cph-meta-without-standardization"])
     def test_corrupt_artifact_exit_3(self, generated, tmp_path, capsys, model, name, corrupt):
         cfg, out = generated
         cfgs = ["--config", cfg, "--config", str(out / "run_config.json")]
@@ -231,3 +244,160 @@ class TestTrainPredictEvaluate:
         rc = main(["evaluate", "--pred", str(tmp_path / "p.csv"), str(tmp_path / "p.csv"),
                    "--out", str(tmp_path / "r")])
         assert rc == 2
+
+    def test_predict_after_sessions_edit_exit_3(self, generated, tmp_path, capsys):
+        cfg, out = generated
+        cfgs = ["--config", cfg, "--config", str(out / "run_config.json")]
+        sessions = out / "sessions.jsonl"
+        model = tmp_path / "bl"
+        assert main(["train", "--model", "baseline", *cfgs, "--out", str(model)]) == 0
+        meta_path = model / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        assert meta["split"]["sessions_sha256"] == hashlib.sha256(sessions.read_bytes()).hexdigest()
+
+        def predict(split):
+            target = tmp_path / f"p{split}.csv"
+            target.unlink(missing_ok=True)
+            rc = main(["predict", "--model", "baseline", "--checkpoint", str(model), *cfgs,
+                       "--split", split, "--out", str(target)])
+            return rc, target.exists()
+
+        def train_ids():
+            loaded = experiment.load_and_split(load_config([cfg, str(out / "run_config.json")]))
+            return experiment.train_users_sha256(loaded.train), loaded
+
+        assert predict("test") == (0, True)
+        # an artifact that records no sessions hash cannot vouch for its split
+        del meta["split"]["sessions_sha256"]
+        meta_path.write_text(json.dumps(meta))
+        assert predict("test") == (3, False)
+        assert main(["train", "--model", "baseline", *cfgs, "--out", str(model)]) == 0
+
+        # one more session for an existing user, one second after one of theirs
+        before, loaded = train_ids()
+        users = {u.user_id for u in loaded.dataset.users}
+        line = next(rec for rec in map(json.loads, sessions.read_text().splitlines())
+                    if rec["user_id"] in users)
+        start = dt.datetime.fromisoformat(line["start_ts"]) + dt.timedelta(seconds=1)
+        with sessions.open("a") as fh:
+            fh.write(json.dumps({**line, "start_ts": start.isoformat()}) + "\n")
+        assert train_ids()[0] == before
+        capsys.readouterr()
+        assert predict("test") == (3, False)
+        assert predict("train") == (3, False)
+        err = capsys.readouterr().err
+        assert "sessions file" in err and "Traceback" not in err
+        assert predict("all") == (0, True)
+
+    @pytest.mark.parametrize("bad", [
+        b'{"user_id": "x", "start_ts": 123}',
+        b'["user_id", "x"]',
+        b'{"user_id": "x", "start_ts": "2020-03-01T00:00:00", "duration_s": "abc"}',
+        b'{"user_id": "x", "start_ts": "2020-03-01T00:00:00", "markers": [1]}',
+        b'{"user_id": "x", "start_ts": "2020-03-01T00:00:00", "markers": {"d": "\xff"}}',
+        b'{"start_ts": "2020-03-01T00:00:00"}',
+    ], ids=["start-ts-number", "json-array", "duration-not-a-number", "markers-list",
+            "not-utf-8", "no-user-id"])
+    def test_malformed_record_exit_2(self, generated, tmp_path, capsys, bad):
+        cfg, out = generated
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(bad + b"\n" + (out / "sessions.jsonl").read_bytes())
+        capsys.readouterr()
+        rc = main(["train", "--model", "baseline", "--config", cfg,
+                   "--config", str(out / "run_config.json"), "--data", str(path),
+                   "--out", str(tmp_path / "m")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "Traceback" not in err
+        assert f"{path}:1: bad session record" in err
+        assert not Path(str(path) + data.CACHE_SUFFIX).exists()
+
+    def test_outputs_identical_on_cold_and_warm_cache(self, generated, tmp_path, monkeypatch):
+        cfg, out = generated
+        schedule = write_cfg(tmp_path, {
+            "training": {"rnn": {"epochs": 2}, "rnnsm": {"epochs": 2}},
+            "rnnsm": {"w_grid": [0.05, 0.1], "grid_epochs": 1},
+        }, name="schedule.json")
+        cfgs = ["--config", cfg, "--config", str(out / "run_config.json"), "--config", schedule]
+        models = ("baseline", "cph", "cpha", "rnn", "rnnsm", "rnnsma")
+
+        def pipeline(base):
+            for model in ("baseline", "cph", "rnn", "rnnsm"):
+                assert main(["train", "--model", model, *cfgs,
+                             "--out", str(base / "models" / model)]) == 0
+            for model in models:
+                family = {"cpha": "cph", "rnnsma": "rnnsm"}.get(model, model)
+                assert main(["predict", "--model", model, *cfgs,
+                             "--checkpoint", str(base / "models" / family),
+                             "--out", str(base / "preds" / f"{model}.csv")]) == 0
+            assert main(["evaluate", "--pred", *[str(base / "preds" / f"{m}.csv") for m in models],
+                         "--out", str(base / "report")]) == 0
+            return {p.relative_to(base): p.read_bytes()
+                    for p in sorted(base.rglob("*")) if p.suffix in (".csv", ".json")
+                    and p.parent.name in ("preds", "report")}
+
+        with monkeypatch.context() as m:  # every read parses and rewrites the cache
+            m.setattr(data, "_load_cache", lambda cache, digest: None)
+            cold = pipeline(tmp_path / "cold")
+        with monkeypatch.context() as m:  # every read is served from the cache
+            m.setattr(data, "_parse_jsonl", lambda *args: pytest.fail("parsed on a warm cache"))
+            warm = pipeline(tmp_path / "warm")
+        assert len(cold) == 6 + 1 + 3 + 1  # predictions, report.json, breakdowns, manifest
+        assert cold == warm
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: (st.lists(children, max_size=3)
+                      | st.dictionaries(st.text(max_size=4), children, max_size=3)),
+    max_leaves=6,
+)
+timestamps = st.datetimes(
+    timezones=st.builds(dt.timezone, st.timedeltas(min_value=-dt.timedelta(hours=23),
+                                                   max_value=dt.timedelta(hours=23)))
+).map(dt.datetime.isoformat)
+mutations = st.one_of(
+    st.tuples(st.just("line"), st.binary(max_size=40)),
+    st.tuples(st.just("line"), st.text(max_size=40).map(str.encode)),
+    st.tuples(st.just("record"), json_values),
+    st.tuples(st.sampled_from(["user_id", "start_ts", "duration_s", "markers"]),
+              st.one_of(json_values, timestamps, st.just(KeyError))),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_data(tmp_path_factory):
+    base = tmp_path_factory.mktemp("fuzz")
+    cfg = write_cfg(base, TINY_GEN)
+    assert main(["generate", "--config", cfg, "--out", str(base / "data"), "--seed", "3"]) == 0
+    return cfg, base / "data"
+
+
+@settings(max_examples=40, deadline=None)
+@given(index=st.integers(0, 10**6), mutation=mutations)
+def test_one_mutated_record_exits_0_or_2(fuzz_data, index, mutation):
+    cfg, out = fuzz_data
+    lines = (out / "sessions.jsonl").read_bytes().splitlines()
+    index %= len(lines)
+    kind, value = mutation
+    if kind == "line":
+        lines[index] = value.replace(b"\n", b" ").replace(b"\r", b" ")
+    elif kind == "record":
+        lines[index] = json.dumps(value).encode()
+    else:
+        rec = json.loads(lines[index])
+        if value is KeyError:
+            del rec[kind]
+        else:
+            rec[kind] = value
+        lines[index] = json.dumps(rec).encode()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "sessions.jsonl"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = main(["train", "--model", "baseline", "--config", cfg,
+                       "--config", str(out / "run_config.json"), "--data", str(path),
+                       "--out", str(Path(tmp) / "m")])
+    assert rc in (0, 2), err.getvalue()
+    assert "Traceback" not in err.getvalue()

@@ -1,7 +1,19 @@
+import datetime as dt
+import json
+import os
+import tempfile
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from returntime import data
 from returntime.data import (
+    CACHE_FORMAT_VERSION,
+    CACHE_SUFFIX,
     Dataset,
     Session,
     WindowConfig,
@@ -12,6 +24,8 @@ from returntime.data import (
     write_sessions_jsonl,
 )
 from returntime.errors import DataError, ValidationError
+
+from oracles import read_sessions_plain
 
 WINDOW = WindowConfig(activity_start=30.0, prediction_start=100.0, horizon_end=160.0)
 
@@ -202,3 +216,163 @@ class TestJsonlRoundTrip:
         write_sessions_jsonl(p1, sessions, "2020-01-01T00:00:00+00:00")
         write_sessions_jsonl(p2, sessions, "2020-01-01T00:00:00+00:00")
         assert p1.read_bytes() == p2.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# the parse cache beside a sessions file
+
+def cache_of(path):
+    return Path(str(path) + CACHE_SUFFIX)
+
+
+def cached_read(path):
+    """read_sessions_jsonl that fails unless it is served from the cache."""
+    with mock.patch.object(data, "_parse_jsonl", side_effect=AssertionError("parsed")):
+        return read_sessions_jsonl(path)
+
+
+def as_plain(read):
+    sessions, epoch_iso, weekday = read
+    return list(sessions), epoch_iso, weekday
+
+
+def write_lines(path, lines):
+    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+
+
+def record(user, day, duration_s=60.0, **markers):
+    ts = dt.datetime(2021, 3, 1, tzinfo=dt.timezone.utc) + dt.timedelta(days=day)
+    return json.dumps({"user_id": user, "start_ts": ts.isoformat(),
+                       "duration_s": duration_s, "markers": markers})
+
+
+SAMPLE = [record("a", 0.5, device="mobile", pages=3), record("b", 2.25, pages=1.5),
+          record("a", 7.0, device="desktop"), record("c", 9.0)]
+
+texts = st.text(st.characters(blacklist_categories=("Cs",)), max_size=6).flatmap(
+    lambda t: st.sampled_from([t, t + "\x00", t + " ", t + "\x00 "])
+)
+finite = st.floats(allow_nan=False, allow_infinity=False)
+scalars = st.one_of(st.none(), st.booleans(), st.integers(-2**53, 2**53),
+                    st.floats(allow_nan=False), texts)
+marker_values = st.one_of(scalars, st.lists(scalars, max_size=2),
+                          st.dictionaries(texts, scalars, max_size=2))
+BASE_TS = dt.datetime(2021, 3, 1, 12, tzinfo=dt.timezone.utc)
+
+
+@st.composite
+def session_records(draw):
+    """One JSON line, or a blank one; starts come from a small pool so that
+    duplicate and overlapping sessions occur."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.sampled_from(["", "   ", "\t"]))
+    rec = {
+        "user_id": draw(st.one_of(texts, st.integers(-5, 5), finite)),
+        "start_ts": draw(st.sampled_from([
+            (BASE_TS + dt.timedelta(hours=h)).isoformat() for h in (0, 0, 1, 30, 300)
+        ] + ["2021-03-02T08:00:00Z", "2021-03-02T08:00:00.5"])),
+    }
+    if draw(st.booleans()):
+        rec["duration_s"] = draw(st.one_of(st.integers(0, 10**6), st.floats(0, 1e7)))
+    markers = draw(st.one_of(st.just("absent"), st.none(),
+                             st.dictionaries(texts, marker_values, max_size=4)))
+    if markers != "absent":
+        rec["markers"] = markers
+    return json.dumps(rec, ensure_ascii=draw(st.booleans()))
+
+
+class TestSessionsCache:
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.lists(session_records(), max_size=12))
+    def test_hit_equals_miss_equals_plain_parse(self, lines):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "sessions.jsonl"
+            write_lines(path, lines)
+            plain = read_sessions_plain(path)
+            miss = read_sessions_jsonl(path)
+            assert cache_of(path).exists()
+            hit = cached_read(path)
+            assert as_plain(miss) == as_plain(hit) == plain
+            assert miss.sha256 == hit.sha256 == data.hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_edited_file_reparses_and_rewrites_cache(self, tmp_path):
+        path = tmp_path / "sessions.jsonl"
+        write_lines(path, SAMPLE)
+        first = read_sessions_jsonl(path)
+        old_cache = cache_of(path).read_bytes()
+        write_lines(path, SAMPLE + [record("b", 3.0, pages=2)])
+        second = read_sessions_jsonl(path)
+        assert second.sha256 != first.sha256
+        assert as_plain(second) == read_sessions_plain(path)
+        assert len(second[0]) == len(first[0]) + 1
+        assert cache_of(path).read_bytes() != old_cache
+        assert as_plain(cached_read(path)) == as_plain(second)
+
+    @pytest.mark.parametrize("spoil", [
+        lambda cache, other: cache.write_bytes(cache.read_bytes()[:len(cache.read_bytes()) // 2]),
+        lambda cache, other: cache.write_bytes(b"not a zip archive"),
+        lambda cache, other: rewrite_cache(cache, version=CACHE_FORMAT_VERSION + 1),
+        lambda cache, other: cache.write_bytes(other.read_bytes()),
+        lambda cache, other: rewrite_cache(cache, start_time=lambda a: a[:-1]),
+        lambda cache, other: rewrite_cache(cache, user=lambda a: a + 10),
+    ], ids=["truncated", "not-zip", "wrong-version", "wrong-hash", "short-column",
+            "code-out-of-range"])
+    def test_bad_cache_is_ignored_and_rewritten(self, tmp_path, spoil):
+        # the other file has the same layout and user ids but other times
+        other = tmp_path / "other.jsonl"
+        write_lines(other, [line.replace("2021-03", "2021-04") for line in SAMPLE])
+        read_sessions_jsonl(other)
+        path = tmp_path / "sessions.jsonl"
+        write_lines(path, SAMPLE)
+        read_sessions_jsonl(path)
+        spoil(cache_of(path), cache_of(other))
+        read = read_sessions_jsonl(path)
+        assert as_plain(read) == read_sessions_plain(path)
+        with np.load(cache_of(path)) as npz:
+            header = json.loads(npz["header"].tobytes())
+        assert (header["version"], header["sha256"]) == (CACHE_FORMAT_VERSION, read.sha256)
+        assert as_plain(cached_read(path)) == read_sessions_plain(path)
+
+    @pytest.mark.parametrize("failing", ["mkstemp", "savez", "replace"])
+    def test_failed_write_still_returns_the_parse(self, tmp_path, monkeypatch, failing):
+        def fail(*args, **kwargs):
+            raise OSError(30, "Read-only file system")
+
+        target = {"mkstemp": data.tempfile, "savez": data.np, "replace": data.os}[failing]
+        monkeypatch.setattr(target, failing, fail)
+        path = tmp_path / "sessions.jsonl"
+        write_lines(path, SAMPLE)
+        assert as_plain(read_sessions_jsonl(path)) == read_sessions_plain(path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["sessions.jsonl"]
+
+    def test_empty_file_reads_empty_through_the_cache(self, tmp_path):
+        path = tmp_path / "sessions.jsonl"
+        path.write_text("\n\n")
+        assert as_plain(read_sessions_jsonl(path)) == ([], "1970-01-01T00:00:00+00:00", 3)
+        assert as_plain(cached_read(path)) == ([], "1970-01-01T00:00:00+00:00", 3)
+
+    @pytest.mark.parametrize("bad,message", [
+        ('{"user_id": "d", "start_ts": 123}', ":5: bad session record"),
+        (record("d", 1.0, duration_s=-5.0), "invalid duration"),
+    ], ids=["parse-error", "invalid-session"])
+    def test_bad_record_leaves_no_cache(self, tmp_path, bad, message):
+        path = tmp_path / "sessions.jsonl"
+        write_lines(path, SAMPLE + [bad])
+        with pytest.raises(ValidationError, match=message):
+            read_sessions_jsonl(path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["sessions.jsonl"]
+
+
+def rewrite_cache(cache, version=None, **edits):
+    """Rewrite a cache in place with its header version or columns edited."""
+    with np.load(cache) as npz:
+        arrays = {name: npz[name] for name in npz.files}
+    header = json.loads(arrays["header"].tobytes())
+    if version is not None:
+        header["version"] = version
+    arrays["header"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
+    for name, edit in edits.items():
+        arrays[name] = edit(arrays[name])
+    with open(cache, "wb") as fh:
+        np.savez(fh, **arrays)
