@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from returntime import data, experiment
 from returntime.cli import main
-from returntime.config import load_config
+from returntime.config import load_config, model_family
 
 TINY_GEN = {
     "generator": {"user_count": 60},
@@ -326,9 +326,8 @@ class TestTrainPredictEvaluate:
                 assert main(["train", "--model", model, *cfgs,
                              "--out", str(base / "models" / model)]) == 0
             for model in models:
-                family = {"cpha": "cph", "rnnsma": "rnnsm"}.get(model, model)
                 assert main(["predict", "--model", model, *cfgs,
-                             "--checkpoint", str(base / "models" / family),
+                             "--checkpoint", str(base / "models" / model_family(model)),
                              "--out", str(base / "preds" / f"{model}.csv")]) == 0
             assert main(["evaluate", "--pred", *[str(base / "preds" / f"{m}.csv") for m in models],
                          "--out", str(base / "report")]) == 0

@@ -1,6 +1,5 @@
 import datetime as dt
 import json
-import os
 import tempfile
 from pathlib import Path
 from unittest import mock
