@@ -19,7 +19,7 @@ def baseline_predict(dataset: Dataset) -> np.ndarray:
     model never flags anyone as non-returning and always underestimates a
     returning user's gap.
     """
-    return np.array([dataset.absence_time(user) for user in dataset.users])
+    return dataset.absence_times
 
 
 # ---------------------------------------------------------------------------

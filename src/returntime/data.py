@@ -6,13 +6,17 @@ prediction_start], and the prediction window (prediction_start, horizon_end].
 A user is censored when they have no session in the prediction window; their
 final gap is then only known to exceed horizon_end minus their last session
 end.
+
+Sessions travel as columns (SessionColumns) from the parse cache to the
+feature builders; a Dataset keeps each user's sessions as one contiguous run
+of rows. Session and UserHistory objects are built only on request.
 """
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import datetime as dt
-import gc
 import hashlib
 import json
 import logging
@@ -22,7 +26,7 @@ import tempfile
 import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -32,7 +36,7 @@ logger = logging.getLogger(__name__)
 
 SECONDS_PER_DAY = 86400.0
 CACHE_SUFFIX = ".parsed.npz"  # the parse cache of <sessions file> is <sessions file>.parsed.npz
-CACHE_FORMAT_VERSION = 1  # bump when the cache layout or the parse result changes
+CACHE_FORMAT_VERSION = 2  # bump when the cache layout or the parse result changes
 
 
 @dataclass(frozen=True)
@@ -58,6 +62,131 @@ class Session:
     @property
     def end_time(self) -> float:
         return self.start_time + self.duration
+
+
+@dataclass(frozen=True, eq=False)
+class SessionColumns:
+    """Sessions as (n,) columns, one row per session.
+
+    ``user`` holds codes into ``user_ids``. Each discrete marker key maps to
+    (values, present, codes): its distinct values, then per row a presence
+    mask and a code into values. Each continuous key maps to (present,
+    values). A row without the marker holds code 0 or value 0.0.
+    """
+
+    user_ids: list[str]
+    user: np.ndarray  # int64
+    start_time: np.ndarray  # days since dataset epoch
+    duration: np.ndarray  # days
+    discrete: dict[str, tuple[list, np.ndarray, np.ndarray]]
+    continuous: dict[str, tuple[np.ndarray, np.ndarray]]
+
+    def __len__(self) -> int:
+        return len(self.start_time)
+
+    @property
+    def end_time(self) -> np.ndarray:
+        return self.start_time + self.duration
+
+    def __iter__(self) -> Iterator[Session]:
+        """The rows as Session objects."""
+        discrete: list[dict] = [{} for _ in range(len(self))]
+        continuous: list[dict] = [{} for _ in range(len(self))]
+        for key, (values, present, codes) in self.discrete.items():
+            for row in np.flatnonzero(present).tolist():
+                discrete[row][key] = values[codes[row]]
+        for key, (present, column) in self.continuous.items():
+            for row in np.flatnonzero(present).tolist():
+                continuous[row][key] = float(column[row])
+        return iter([
+            Session(self.user_ids[user], start, duration, disc, cont)
+            for user, start, duration, disc, cont in zip(
+                self.user.tolist(), self.start_time.tolist(), self.duration.tolist(),
+                discrete, continuous)
+        ])
+
+    def take(self, rows: np.ndarray) -> "SessionColumns":
+        """The given rows, in the given order."""
+        return SessionColumns(
+            self.user_ids, self.user[rows], self.start_time[rows], self.duration[rows],
+            {key: (values, present[rows], codes[rows])
+             for key, (values, present, codes) in self.discrete.items()},
+            {key: (present[rows], column[rows])
+             for key, (present, column) in self.continuous.items()},
+        )
+
+    @classmethod
+    def from_sessions(cls, sessions: Iterable[Session]) -> "SessionColumns":
+        """Columns of Session objects, in their order."""
+        columns = _ColumnBuilder()
+        starts = []
+        for s in sessions:
+            columns.add(s.user_id, s.duration, s.discrete_markers.items(),
+                        s.continuous_markers.items())
+            starts.append(s.start_time)
+        return _session_columns(*columns.build(starts))
+
+
+class _ColumnBuilder:
+    """Collects sessions row by row into a header of strings and (n,) columns.
+
+    User ids and each discrete marker's values are coded by first
+    appearance. Each marker key gets a presence mask and a value column per
+    kind: codes into the header's value list for discrete markers, floats
+    for continuous ones.
+    """
+
+    def __init__(self) -> None:
+        self.user_codes: dict[str, int] = {}
+        self.users: list[int] = []
+        self.durations: list[float] = []
+        self.discrete: dict[str, tuple[dict, list[int], list[int]]] = {}
+        self.continuous: dict[str, tuple[list[int], list[float]]] = {}
+
+    def add(self, user: str, duration: float, discrete: Iterable, continuous: Iterable) -> None:
+        row = len(self.users)
+        for key, value in discrete:
+            codes, rows, values = self.discrete.setdefault(key, ({}, [], []))
+            rows.append(row)
+            values.append(codes.setdefault(value, len(codes)))
+        for key, value in continuous:
+            rows, values = self.continuous.setdefault(key, ([], []))
+            rows.append(row)
+            values.append(value)
+        self.users.append(self.user_codes.setdefault(user, len(self.user_codes)))
+        self.durations.append(duration)
+
+    def build(self, start_time: list[float]) -> tuple[dict, dict[str, np.ndarray]]:
+        header = {
+            "user_ids": list(self.user_codes),
+            "discrete": [[key, list(codes)] for key, (codes, _, _) in self.discrete.items()],
+            "continuous": list(self.continuous),
+        }
+        arrays = {
+            "user": np.array(self.users, dtype=np.int64),
+            "start_time": np.array(start_time, dtype=float),
+            "duration": np.array(self.durations, dtype=float),
+        }
+        n = len(self.users)
+        for kind, markers, dtype in (
+                ("discrete", [(r, c) for _, r, c in self.discrete.values()], np.int64),
+                ("continuous", self.continuous.values(), float)):
+            for i, (rows, values) in enumerate(markers):  # zero where the marker is absent
+                present = arrays[f"{kind}_present_{i}"] = np.zeros(n, dtype=bool)
+                column = arrays[f"{kind}_value_{i}"] = np.zeros(n, dtype=dtype)
+                present[rows] = True
+                column[rows] = values
+        return header, arrays
+
+
+def _session_columns(header: dict, arrays: dict[str, np.ndarray]) -> SessionColumns:
+    return SessionColumns(
+        header["user_ids"], arrays["user"], arrays["start_time"], arrays["duration"],
+        {key: (values, arrays[f"discrete_present_{i}"], arrays[f"discrete_value_{i}"])
+         for i, (key, values) in enumerate(header["discrete"])},
+        {key: (arrays[f"continuous_present_{i}"], arrays[f"continuous_value_{i}"])
+         for i, key in enumerate(header["continuous"])},
+    )
 
 
 @dataclass(frozen=True)
@@ -108,115 +237,124 @@ class UserHistory:
     is_censored: bool
     last_session_end: float
 
-    @property
-    def last_session_start(self) -> float:
-        return self.sessions[-1].start_time
 
-    @property
-    def first_session_start(self) -> float:
-        return self.sessions[0].start_time
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    """A windowed collection of user histories."""
+    """Windowed users as columns.
 
-    users: tuple[UserHistory, ...]
+    User i owns rows offsets[i]:offsets[i + 1] of ``sessions``: their
+    observation-window sessions, merged and ordered by start, whose ``user``
+    column holds i. Users are ordered by id. ``final_gap``, ``is_censored``
+    and ``last_session_end`` are (n_users,) arrays with UserHistory's meaning.
+    """
+
+    sessions: SessionColumns
+    offsets: np.ndarray  # (n_users + 1,) int64
+    final_gap: np.ndarray
+    is_censored: np.ndarray  # bool
+    last_session_end: np.ndarray
     window: WindowConfig
     epoch_iso: str | None = None
     epoch_weekday: int = 0
 
     def __len__(self) -> int:
-        return len(self.users)
+        return len(self.final_gap)
 
     @property
-    def returning(self) -> tuple[UserHistory, ...]:
-        return tuple(u for u in self.users if not u.is_censored)
-
-    @property
-    def censored(self) -> tuple[UserHistory, ...]:
-        return tuple(u for u in self.users if u.is_censored)
+    def user_ids(self) -> list[str]:
+        return self.sessions.user_ids
 
     @property
     def censored_fraction(self) -> float:
-        if not self.users:
-            return 0.0
-        return len(self.censored) / len(self.users)
+        return int(self.is_censored.sum()) / len(self) if len(self) else 0.0
 
-    def absence_time(self, user: UserHistory) -> float:
-        return self.window.prediction_start - user.last_session_end
+    @property
+    def absence_times(self) -> np.ndarray:
+        return self.window.prediction_start - self.last_session_end
 
-    def horizon_gap(self, user: UserHistory) -> float:
-        return self.window.horizon_end - user.last_session_end
+    @property
+    def horizon_gaps(self) -> np.ndarray:
+        return self.window.horizon_end - self.last_session_end
 
-    def to_raw_sessions(self) -> list[Session]:
-        """Reconstruct a raw session stream that rebuilds this dataset.
+    @property
+    def gaps(self) -> np.ndarray:
+        """(n_sessions - 1,) next start minus end: entry r is the return
+        target after row r when row r + 1 belongs to the same user."""
+        s = self.sessions
+        return s.start_time[1:] - s.end_time[:-1]
 
-        Returning users get one synthetic prediction-window session at their
-        observed return time; only its start matters to assign_windows.
-        """
-        raw: list[Session] = []
-        for user in self.users:
-            raw.extend(user.sessions)
-            if not user.is_censored:
-                raw.append(
-                    Session(
-                        user_id=user.user_id,
-                        start_time=user.last_session_end + user.final_gap,
-                    )
-                )
-        return raw
+    @property
+    def day_heads(self) -> np.ndarray:
+        """Mask of the rows that open one of their user's active days."""
+        day = np.floor(self.sessions.start_time)
+        return (np.diff(self.sessions.user, prepend=-1) != 0) | (np.diff(day, prepend=-1) != 0)
+
+    @property
+    def active_day_counts(self) -> np.ndarray:
+        return np.bincount(self.sessions.user[self.day_heads], minlength=len(self))
+
+    @property
+    def users(self) -> tuple[UserHistory, ...]:
+        """The users as UserHistory objects."""
+        sessions = list(self.sessions)
+        gaps = self.gaps.tolist()
+        bounds = self.offsets.tolist()
+        return tuple(
+            UserHistory(user_id, tuple(sessions[a:b]), tuple(gaps[a:b - 1]), *labels)
+            for user_id, a, b, *labels in zip(
+                self.user_ids, bounds, bounds[1:], self.final_gap.tolist(),
+                self.is_censored.tolist(), self.last_session_end.tolist())
+        )
+
+    def subset(self, users: np.ndarray) -> "Dataset":
+        """The users at the given indices, which must be increasing."""
+        lengths = np.diff(self.offsets)[users]
+        offsets = np.append(0, np.cumsum(lengths))
+        rows = np.arange(offsets[-1]) + np.repeat(self.offsets[users] - offsets[:-1], lengths)
+        sessions = dataclasses.replace(
+            self.sessions.take(rows), user_ids=[self.user_ids[i] for i in users.tolist()],
+            user=np.repeat(np.arange(len(users)), lengths),
+        )
+        return Dataset(sessions, offsets, self.final_gap[users], self.is_censored[users],
+                       self.last_session_end[users], self.window, self.epoch_iso,
+                       self.epoch_weekday)
 
 
-def compute_return_targets(sessions: Sequence[Session]) -> list[float]:
-    """Gaps between consecutive sessions: next start minus previous end."""
-    if not sessions:
-        raise ValidationError("compute_return_targets requires at least one session")
-    targets: list[float] = []
-    for prev, nxt in zip(sessions, sessions[1:]):
-        if nxt.start_time <= prev.start_time:
-            raise ValidationError(
-                f"user {prev.user_id!r}: session times not strictly increasing "
-                f"({prev.start_time} then {nxt.start_time})"
-            )
-        gap = nxt.start_time - prev.end_time
-        if gap <= 0:
-            raise ValidationError(
-                f"user {prev.user_id!r}: session starting at {nxt.start_time} "
-                f"overlaps previous session ending at {prev.end_time}"
-            )
-        targets.append(gap)
-    return targets
+def _merge_overlaps(s: SessionColumns, user: np.ndarray) -> SessionColumns:
+    """Merge each session that starts before its user's previous one ends.
 
-
-def _merge_user_sessions(sessions: list[Session]) -> list[Session]:
-    """Sort by start and merge duplicates/overlaps so gaps stay positive.
-
-    Duplicate start times and sessions that begin before the previous one
-    ends collapse into a single session: continuous markers are summed and
-    the first session's discrete markers kept.
+    Rows are ordered by (user, start). A merged session keeps the first
+    one's start and discrete markers, ends at the later end, and sums the
+    continuous markers; its end decides whether the next session merges too,
+    so the users with an overlap are walked row by row.
     """
-    ordered = sorted(sessions, key=lambda s: s.start_time)
-    merged: list[Session] = []
-    for s in ordered:
-        if merged and s.start_time <= merged[-1].end_time:
-            prev = merged[-1]
-            cont = dict(prev.continuous_markers)
-            for k, v in s.continuous_markers.items():
-                cont[k] = cont.get(k, 0.0) + v
-            merged[-1] = Session(
-                user_id=prev.user_id,
-                start_time=prev.start_time,
-                duration=max(prev.end_time, s.end_time) - prev.start_time,
-                discrete_markers=prev.discrete_markers,
-                continuous_markers=cont,
-            )
+    overlaps = (user[1:] == user[:-1]) & (s.start_time[1:] <= s.end_time[:-1])
+    if not overlaps.any():
+        return s
+    start, duration = s.start_time.tolist(), s.duration.tolist()
+    continuous = {key: (present.tolist(), column.tolist())
+                  for key, (present, column) in s.continuous.items()}
+    keep = np.ones(len(s), dtype=bool)
+    head = None
+    for row in np.flatnonzero(np.isin(user, user[1:][overlaps])).tolist():
+        head_end = None if head is None else start[head] + duration[head]
+        if head_end is not None and user[row] == user[head] and start[row] <= head_end:
+            duration[head] = max(head_end, start[row] + duration[row]) - start[head]
+            for present, column in continuous.values():
+                if present[row]:
+                    column[head] += column[row]  # 0.0 + value when the head lacks the marker
+                    present[head] = True
+            keep[row] = False
         else:
-            merged.append(s)
-    return merged
+            head = row
+    return dataclasses.replace(
+        s, duration=np.array(duration),
+        continuous={key: (np.array(present), np.array(column))
+                    for key, (present, column) in continuous.items()},
+    ).take(keep)
 
 
-def assign_windows(raw_sessions: Iterable[Session], config: WindowConfig,
+def assign_windows(raw_sessions: SessionColumns | Iterable[Session], config: WindowConfig,
                    epoch_iso: str | None = None, epoch_weekday: int = 0) -> Dataset:
     """Window a raw session stream into labeled user histories.
 
@@ -224,51 +362,39 @@ def assign_windows(raw_sessions: Iterable[Session], config: WindowConfig,
     stores their observation-window sessions, and labels each user returning
     or censored from the prediction window.
     """
-    by_user: dict[str, list[Session]] = {}
-    for s in raw_sessions:
-        if s.start_time > config.horizon_end:
-            raise ValidationError(
-                f"session for user {s.user_id!r} at day {s.start_time} starts "
-                f"after horizon_end {config.horizon_end}"
-            )
-        by_user.setdefault(s.user_id, []).append(s)
+    raw = (raw_sessions if isinstance(raw_sessions, SessionColumns)
+           else SessionColumns.from_sessions(raw_sessions))
+    late = raw.start_time > config.horizon_end
+    if late.any():
+        row = int(np.argmax(late))
+        raise ValidationError(
+            f"session for user {raw.user_ids[raw.user[row]]!r} at day "
+            f"{float(raw.start_time[row])} starts after horizon_end {config.horizon_end}"
+        )
+    ids = sorted(raw.user_ids)
+    rank = np.argsort(sorted(range(len(ids)), key=raw.user_ids.__getitem__))  # code -> id order
+    user = rank[raw.user]
+    order = np.lexsort((raw.start_time, user))  # stable: equal starts keep file order
+    s = _merge_overlaps(raw.take(order), user[order])
+    user = rank[s.user]
 
-    users: list[UserHistory] = []
-    for user_id in sorted(by_user):
-        sessions = _merge_user_sessions(by_user[user_id])
-        obs = [s for s in sessions if s.start_time <= config.prediction_start]
-        post = [s for s in sessions if s.start_time > config.prediction_start]
-        if not obs:
-            continue
-        active = any(
-            config.activity_start <= s.start_time <= config.prediction_start
-            for s in obs
-        )
-        if not active:
-            continue
-        last_end = min(obs[-1].end_time, config.prediction_start)
-        if post:
-            final_gap = post[0].start_time - last_end
-            is_censored = False
-        else:
-            final_gap = config.horizon_end - last_end
-            is_censored = True
-        users.append(
-            UserHistory(
-                user_id=user_id,
-                sessions=tuple(obs),
-                return_targets=tuple(compute_return_targets(obs)),
-                final_gap=final_gap,
-                is_censored=is_censored,
-                last_session_end=last_end,
-            )
-        )
-    return Dataset(
-        users=tuple(users),
-        window=config,
-        epoch_iso=epoch_iso,
-        epoch_weekday=epoch_weekday,
+    obs = s.start_time <= config.prediction_start
+    # a user returns at the session after their last observation-window one
+    returns = np.append((user[1:] == user[:-1]) & ~obs[1:], False)
+    return_start = np.where(returns, np.append(s.start_time[1:], 0.0), np.nan)
+    s, user, return_start = s.take(obs), user[obs], return_start[obs]
+    heads = np.diff(user, prepend=-1) != 0
+    offsets = np.append(np.flatnonzero(heads), len(s))
+    last = offsets[1:] - 1
+    last_end = np.minimum(s.end_time[last], config.prediction_start)
+    returning = ~np.isnan(return_start[last])
+    final_gap = np.where(returning, return_start[last] - last_end, config.horizon_end - last_end)
+    observed = Dataset(
+        dataclasses.replace(s, user_ids=[ids[r] for r in user[heads].tolist()],
+                            user=np.cumsum(heads) - 1),
+        offsets, final_gap, ~returning, last_end, config, epoch_iso, epoch_weekday,
     )
+    return observed.subset(np.flatnonzero(s.start_time[last] >= config.activity_start))
 
 
 def stratified_split(dataset: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
@@ -276,9 +402,9 @@ def stratified_split(dataset: Dataset, test_fraction: float, seed: int) -> tuple
     if not (0 < test_fraction < 1):
         raise ValidationError(f"test_fraction must lie in (0, 1), got {test_fraction}")
     rng = np.random.default_rng(seed)
-    train_users: list[UserHistory] = []
-    test_users: list[UserHistory] = []
-    for stratum in (dataset.returning, dataset.censored):
+    train: list[np.ndarray] = []
+    test: list[np.ndarray] = []
+    for stratum in (np.flatnonzero(~dataset.is_censored), np.flatnonzero(dataset.is_censored)):
         if len(stratum) < 2:
             raise DataError(
                 "stratified_split needs at least 2 users in each of the "
@@ -287,17 +413,10 @@ def stratified_split(dataset: Dataset, test_fraction: float, seed: int) -> tuple
         n_test = int(round(len(stratum) * test_fraction))
         n_test = min(max(n_test, 1), len(stratum) - 1)
         order = rng.permutation(len(stratum))
-        test_users.extend(stratum[i] for i in order[:n_test])
-        train_users.extend(stratum[i] for i in order[n_test:])
-    train_users.sort(key=lambda u: u.user_id)
-    test_users.sort(key=lambda u: u.user_id)
-    make = lambda users: Dataset(
-        users=tuple(users),
-        window=dataset.window,
-        epoch_iso=dataset.epoch_iso,
-        epoch_weekday=dataset.epoch_weekday,
-    )
-    return make(train_users), make(test_users)
+        test.append(stratum[order[:n_test]])
+        train.append(stratum[order[n_test:]])
+    return (dataset.subset(np.sort(np.concatenate(train))),
+            dataset.subset(np.sort(np.concatenate(test))))
 
 
 def _parse_ts(value: str) -> dt.datetime:
@@ -315,7 +434,7 @@ class SessionsRead(tuple):
 
     sha256: str
 
-    def __new__(cls, sessions: list[Session], epoch_iso: str, epoch_weekday: int,
+    def __new__(cls, sessions: SessionColumns, epoch_iso: str, epoch_weekday: int,
                 sha256: str) -> "SessionsRead":
         read = super().__new__(cls, (sessions, epoch_iso, epoch_weekday))
         read.sha256 = sha256
@@ -329,62 +448,38 @@ def read_sessions_jsonl(path: str | Path) -> SessionsRead:
     duration_s (number), markers (object; string values become discrete
     markers, numeric values continuous ones). The epoch is midnight UTC of
     the earliest start_ts so time-of-day and weekday derivations stay aligned.
-    Returns (sessions, epoch_iso, epoch_weekday), with the sha256 of the
-    file's bytes as ``.sha256``; a malformed record raises ValidationError
-    naming path:lineno.
+    Returns (sessions as SessionColumns in file order, epoch_iso,
+    epoch_weekday), with the sha256 of the file's bytes as ``.sha256``; a
+    malformed record, or a negative or non-finite duration, raises
+    ValidationError naming path:lineno.
 
     The parse is cached beside the file as ``<name>.parsed.npz``, keyed by
     the sha256 of the file's bytes and CACHE_FORMAT_VERSION. The file is
-    hashed on every read; a cache that is missing, stale or unreadable is
-    ignored and rewritten, and one that cannot be written is skipped.
+    hashed on every read; a cache that is missing, stale, unreadable, or
+    whose content fails its checksum or the duration check is ignored and
+    rewritten, and one that cannot be written is skipped.
     """
     path = Path(path)
     raw = path.read_bytes()
     digest = hashlib.sha256(raw).hexdigest()
     cache = path.with_name(path.name + CACHE_SUFFIX)
-    with _gc_paused():
-        columns = _load_cache(cache, digest)
-        parsed = columns is None
-        if parsed:
-            columns = _parse_jsonl(path, raw, digest)
-        header, arrays = columns
-        sessions = _sessions_from_columns(header, arrays)  # validates every session
-    if parsed:
-        _write_cache(cache, header, arrays)
+    columns = _load_cache(cache, digest)
+    if columns is None:
+        columns = _parse_jsonl(path, raw, digest)
+        _write_cache(cache, *columns)
+    header, arrays = columns
+    sessions = _session_columns(header, arrays)
     return SessionsRead(sessions, header["epoch_iso"], header["epoch_weekday"], digest)
 
 
-@contextlib.contextmanager
-def _gc_paused():
-    """Pause the cyclic garbage collector, restoring its state on exit.
-
-    Reading a sessions file allocates a few hundred thousand dicts and
-    Session objects, none of them in a reference cycle. With the collector
-    on, each 700 allocations start a collection that finds nothing; in a
-    process holding a large heap those passes took up to 40% of a cache hit.
-    """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
-
-
 def _parse_jsonl(path: Path, raw: bytes, digest: str) -> tuple[dict, dict[str, np.ndarray]]:
-    """Decode the JSON lines into a header of strings and (rows,) columns.
+    """Decode the JSON lines into _ColumnBuilder's header and columns.
 
-    Lines split like a text-mode file (\\n, \\r\\n or \\r). Each marker
-    key gets a presence mask and a value column per kind: codes into the
-    header's value list for discrete markers, floats for continuous ones.
+    Lines split like a text-mode file (\\n, \\r\\n or \\r).
     """
-    user_codes: dict[str, int] = {}
-    users: list[int] = []
+    columns = _ColumnBuilder()
     stamps: list[dt.datetime] = []
-    durations: list[float] = []
-    discrete: dict[str, tuple[dict[str, int], list[int], list[int]]] = {}
-    continuous: dict[str, tuple[list[int], list[float]]] = {}
+    linenos: list[int] = []
     for lineno, line in enumerate(raw.splitlines(), start=1):
         try:
             text = line.decode("utf-8").strip()
@@ -395,97 +490,44 @@ def _parse_jsonl(path: Path, raw: bytes, digest: str) -> tuple[dict, dict[str, n
             user = str(rec["user_id"])
             duration = float(rec.get("duration_s", 0.0)) / SECONDS_PER_DAY
             markers = rec.get("markers") or {}
-            row = len(stamps)
-            for key, value in markers.items():
-                if isinstance(value, str):
-                    codes, rows, values = discrete.setdefault(key, ({}, [], []))
-                    rows.append(row)
-                    values.append(codes.setdefault(value, len(codes)))
-                elif isinstance(value, (int, float)) and not isinstance(value, bool):
-                    rows, values = continuous.setdefault(key, ([], []))
-                    values.append(float(value))
-                    rows.append(row)
+            columns.add(
+                user, duration, [(k, v) for k, v in markers.items() if isinstance(v, str)],
+                [(k, float(v)) for k, v in markers.items()
+                 if isinstance(v, (int, float)) and not isinstance(v, bool)],
+            )
         except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             raise ValidationError(f"{path}:{lineno}: bad session record: {exc}") from exc
-        users.append(user_codes.setdefault(user, len(user_codes)))
         stamps.append(ts)
-        durations.append(duration)
+        linenos.append(lineno)
 
     if stamps:
         epoch = min(stamps).replace(hour=0, minute=0, second=0, microsecond=0)
     else:
         epoch = dt.datetime(1970, 1, 1, tzinfo=dt.timezone.utc)
-    header = {
-        "version": CACHE_FORMAT_VERSION,
-        "sha256": digest,
-        "epoch_iso": epoch.isoformat(),
-        "epoch_weekday": epoch.weekday(),
-        "user_ids": list(user_codes),
-        "discrete": [[key, list(codes)] for key, (codes, _, _) in discrete.items()],
-        "continuous": list(continuous),
-    }
-    arrays = {
-        "user": np.array(users, dtype=np.int64),
-        "start_time": np.array(
-            [(ts - epoch).total_seconds() / SECONDS_PER_DAY for ts in stamps], dtype=float
-        ),
-        "duration": np.array(durations, dtype=float),
-    }
-    n = len(stamps)
-    for i, (_, rows, codes) in enumerate(discrete.values()):
-        arrays[f"discrete_present_{i}"], arrays[f"discrete_value_{i}"] = _marker_column(
-            n, rows, np.array(codes, dtype=np.int64))
-    for i, (rows, values) in enumerate(continuous.values()):
-        arrays[f"continuous_present_{i}"], arrays[f"continuous_value_{i}"] = _marker_column(
-            n, rows, np.array(values, dtype=float))
+    header, arrays = columns.build(
+        [(ts - epoch).total_seconds() / SECONDS_PER_DAY for ts in stamps])
+    header.update(version=CACHE_FORMAT_VERSION, sha256=digest, epoch_iso=epoch.isoformat(),
+                  epoch_weekday=epoch.weekday())
+    bad = np.flatnonzero(_bad_times(arrays))  # starts count from the earliest: only durations
+    if bad.size:
+        raise ValidationError(f"{path}:{linenos[bad[0]]}: bad session record: invalid duration "
+                              f"{float(arrays['duration'][bad[0]])} days")
     return header, arrays
 
 
-def _marker_column(n: int, rows: list[int], values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(n,) presence mask and (n,) values, zero where the marker is absent."""
-    present = np.zeros(n, dtype=bool)
-    present[rows] = True
-    full = np.zeros(n, dtype=values.dtype)
-    full[rows] = values
-    return present, full
+def _bad_times(arrays: dict[str, np.ndarray]) -> np.ndarray:
+    """Mask of the rows whose start_time or duration is negative or not finite."""
+    start, duration = arrays["start_time"], arrays["duration"]
+    return ~(np.isfinite(start) & (start >= 0) & np.isfinite(duration) & (duration >= 0))
 
 
-def _sessions_from_columns(header: dict, arrays: dict[str, np.ndarray]) -> list[Session]:
-    """Sessions in file order from a header and columns of _parse_jsonl."""
-    n = len(arrays["start_time"])
-    discrete: list[dict] = [{} for _ in range(n)]
-    continuous: list[dict] = [{} for _ in range(n)]
-    for i, (key, values) in enumerate(header["discrete"]):
-        present = arrays[f"discrete_present_{i}"]
-        codes = arrays[f"discrete_value_{i}"][present].tolist()
-        for row, code in zip(np.flatnonzero(present).tolist(), codes):
-            discrete[row][key] = values[code]
-    for i, key in enumerate(header["continuous"]):
-        present = arrays[f"continuous_present_{i}"]
-        values = arrays[f"continuous_value_{i}"][present].tolist()
-        for row, value in zip(np.flatnonzero(present).tolist(), values):
-            continuous[row][key] = value
-    user_ids = header["user_ids"]
-    return [
-        Session(user_ids[user], start, duration, disc, cont)
-        for user, start, duration, disc, cont in zip(
-            arrays["user"].tolist(), arrays["start_time"].tolist(),
-            arrays["duration"].tolist(), discrete, continuous,
-        )
-    ]
-
-
-def _column_spec(header: dict) -> dict[str, tuple[str, int | None]]:
-    """Expected columns: name -> (dtype kind, exclusive bound on codes or None)."""
-    spec = {"user": ("i", len(header["user_ids"])), "start_time": ("f", None),
-            "duration": ("f", None)}
-    for i, (_, values) in enumerate(header["discrete"]):
-        spec[f"discrete_present_{i}"] = ("b", None)
-        spec[f"discrete_value_{i}"] = ("i", len(values))
-    for i, _ in enumerate(header["continuous"]):
-        spec[f"continuous_present_{i}"] = ("b", None)
-        spec[f"continuous_value_{i}"] = ("f", None)
-    return spec
+def _digest(members: dict[str, np.ndarray]) -> np.ndarray:
+    """sha256 of each member's name, dtype, shape and bytes, as (32,) uint8."""
+    h = hashlib.sha256()
+    for name in sorted(members):
+        h.update(f"{name} {members[name].dtype.str} {members[name].shape}\n".encode())
+        h.update(members[name].tobytes())
+    return np.frombuffer(h.digest(), dtype=np.uint8)
 
 
 def _load_cache(cache: Path, digest: str) -> tuple[dict, dict[str, np.ndarray]] | None:
@@ -493,20 +535,14 @@ def _load_cache(cache: Path, digest: str) -> tuple[dict, dict[str, np.ndarray]] 
     try:
         with np.load(cache, allow_pickle=False) as npz:
             arrays = {name: npz[name] for name in npz.files}
+        if not np.array_equal(arrays.pop("digest"), _digest(arrays)):
+            return None
         header = json.loads(arrays.pop("header").tobytes())
-        if header["version"] != CACHE_FORMAT_VERSION or header["sha256"] != digest:
+        if (header["version"] != CACHE_FORMAT_VERSION or header["sha256"] != digest
+                or _bad_times(arrays).any()):
             return None
-        spec = _column_spec(header)
-        if set(arrays) != set(spec):
-            return None
-        rows = (len(arrays["start_time"]),)
-        for name, (kind, bound) in spec.items():
-            column = arrays[name]
-            if column.dtype.kind != kind or column.shape != rows:
-                return None
-            if bound is not None and column.size and not 0 <= column.min() <= column.max() < bound:
-                return None
-    except (EOFError, KeyError, OSError, TypeError, ValueError, zipfile.BadZipFile):
+    except (EOFError, KeyError, NotImplementedError, OSError, RuntimeError, TypeError,
+            ValueError, zipfile.BadZipFile):  # NotImplementedError, RuntimeError: zip flags
         return None
     return header, arrays
 
@@ -520,9 +556,10 @@ def _write_cache(cache: Path, header: dict, arrays: dict[str, np.ndarray]) -> No
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=cache.parent, prefix=cache.name + ".", suffix=".tmp")
+        members = {"header": np.frombuffer(json.dumps(header).encode(), dtype=np.uint8),
+                   **arrays}
         with os.fdopen(fd, "wb") as fh:
-            np.savez(fh, header=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8),
-                     **arrays)
+            np.savez(fh, digest=_digest(members), **members)
         os.replace(tmp, cache)
     except OSError as exc:
         logger.info("sessions cache %s not written: %s", cache, exc)

@@ -27,7 +27,6 @@ from .features import (
     Standardization,
     build_aggregates,
     build_sequences,
-    count_active_days,
     select_embedding_dims,
 )
 
@@ -78,7 +77,7 @@ def _split_seed(config: dict) -> int:
 
 def train_users_sha256(train: Dataset) -> str:
     """sha256 of the sorted train user ids, one per line."""
-    ids = sorted(u.user_id for u in train.users)
+    ids = sorted(train.user_ids)
     return hashlib.sha256("\n".join(ids).encode()).hexdigest()
 
 
@@ -246,9 +245,8 @@ def train_model(model_name: str, data: LoadedData, config: dict, out_dir: str | 
     elif family == "cph":
         agg = build_aggregates(data.train)
         standardization = Standardization.fit(agg.X, agg.feature_names)
-        times = np.array([u.final_gap for u in data.train.users])
-        events = np.array([not u.is_censored for u in data.train.users])
-        model = cox.fit(standardization.apply(agg.X), times, events,
+        model = cox.fit(standardization.apply(agg.X), data.train.final_gap,
+                        ~data.train.is_censored,
                         feature_names=agg.feature_names)
         model.save(out / "model.json")
         meta["standardization"] = standardization.to_dict()
@@ -288,15 +286,19 @@ def prediction_records(
     """One record per user of dataset, in order, from (N,) predicted gaps."""
     return [
         metrics.PredictionRecord(
-            user_id=user.user_id,
+            user_id=user_id,
             predicted_return_days=float(pred),
-            true_return_days=None if user.is_censored else user.final_gap,
-            censored_lower_bound_days=user.final_gap if user.is_censored else None,
-            horizon_gap_days=dataset.horizon_gap(user),
-            active_day_count=count_active_days(user),
-            last_session_end_days=user.last_session_end,
+            true_return_days=None if censored else final_gap,
+            censored_lower_bound_days=final_gap if censored else None,
+            horizon_gap_days=horizon_gap,
+            active_day_count=active_days,
+            last_session_end_days=last_end,
         )
-        for user, pred in zip(dataset.users, predicted)
+        for user_id, pred, censored, final_gap, horizon_gap, active_days, last_end in zip(
+            dataset.user_ids, predicted, dataset.is_censored.tolist(),
+            dataset.final_gap.tolist(), dataset.horizon_gaps.tolist(),
+            dataset.active_day_counts.tolist(), dataset.last_session_end.tolist(),
+        )
     ]
 
 
@@ -306,11 +308,9 @@ def _cox_predictions(model, standardization, markers, dataset, condition):
         raise DataModelMismatchError(
             "aggregate feature schema does not match the trained model"
         )
-    users = dataset.users
     return cox.expected_survival_time(
         model, standardization.apply(agg.X), condition_on_absence=condition,
-        t_s=np.array([dataset.absence_time(u) for u in users]),
-        row_ids=[u.user_id for u in users],
+        t_s=dataset.absence_times, row_ids=dataset.user_ids,
     )
 
 
@@ -348,7 +348,7 @@ def predict_model(
             f"artifact at {artifact} holds a {meta.get('model_family')!r} model, "
             f"cannot predict with {model_name!r}"
         )
-    if meta.get("window_days") != _window_days_of(dataset):
+    if meta.get("window_days") != dataset.window.to_dict():
         raise DataModelMismatchError(
             "dataset windows do not match the windows the model was trained with"
         )
@@ -387,10 +387,6 @@ def predict_model(
                 horizon_hint=dataset.window.prediction_length,
             )
     return prediction_records(dataset, predicted)
-
-
-def _window_days_of(dataset: Dataset) -> dict:
-    return dataset.window.to_dict()
 
 
 # ---------------------------------------------------------------------------

@@ -9,14 +9,13 @@ z-scored with statistics frozen from the training split.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .data import Dataset, UserHistory
+from .data import Dataset
 from .errors import DataError, ValidationError
 
 DERIVED_DISCRETE = ("day_of_week", "day_of_month", "hour_of_day")
@@ -38,24 +37,9 @@ class FeatureConfig:
             )
 
 
-def count_active_days(user: UserHistory) -> int:
-    return len({math.floor(s.start_time) for s in user.sessions})
-
-
 def dataset_continuous_markers(dataset: Dataset) -> list[str]:
-    names: set[str] = set()
-    for user in dataset.users:
-        for s in user.sessions:
-            names.update(s.continuous_markers)
-    return sorted(names)
-
-
-def dataset_discrete_markers(dataset: Dataset) -> list[str]:
-    names: set[str] = set()
-    for user in dataset.users:
-        for s in user.sessions:
-            names.update(s.discrete_markers)
-    return sorted(names)
+    return sorted(key for key, (present, _) in dataset.sessions.continuous.items()
+                  if present.any())
 
 
 # ---------------------------------------------------------------------------
@@ -85,30 +69,29 @@ def build_aggregates(dataset: Dataset, continuous_markers: Sequence[str] | None 
         + [f"mean_{m}" for m in markers]
         + ["absence_time", "observation_span", "missing_gap_flag"]
     )
-    rows = []
-    ids = []
-    for user in dataset.users:
-        gaps = np.asarray(user.return_targets)
-        durations = [s.duration for s in user.sessions]
-        row = [
-            float(len(user.sessions)),
-            float(count_active_days(user)),
-            float(gaps.mean()) if gaps.size else 0.0,
-            float(gaps.std()) if gaps.size >= 2 else 0.0,
-            float(np.mean(durations)),
-        ]
-        for m in markers:
-            vals = [s.continuous_markers.get(m, 0.0) for s in user.sessions]
-            row.append(float(np.mean(vals)))
-        row.append(dataset.absence_time(user))
-        row.append(user.last_session_start - user.first_session_start)
-        row.append(0.0 if gaps.size else 1.0)
-        rows.append(row)
-        ids.append(user.user_id)
-    X = np.asarray(rows, dtype=float).reshape(len(rows), len(names))
+    sessions = dataset.sessions
+    offsets = dataset.offsets
+    counts = np.diff(offsets)
+    gaps = dataset.gaps
+    means = [(4, sessions.duration)] + [(5 + j, sessions.continuous[m][1])
+                                        for j, m in enumerate(markers) if m in sessions.continuous]
+    X = np.zeros((len(dataset), len(names)))  # absent markers average 0.0
+    X[:, 0], X[:, 1] = counts, dataset.active_day_counts
+    bounds = offsets.tolist()
+    for i, (a, b) in enumerate(zip(bounds, bounds[1:])):
+        if b - a >= 2:
+            X[i, 2] = gaps[a:b - 1].mean()
+        if b - a >= 3:
+            X[i, 3] = gaps[a:b - 1].std()
+        for j, column in means:
+            X[i, j] = column[a:b].mean()
+    X[:, -3] = dataset.absence_times
+    X[:, -2] = sessions.start_time[offsets[1:] - 1] - sessions.start_time[offsets[:-1]]
+    X[:, -1] = counts == 1
     if not np.all(np.isfinite(X)):
         raise ValidationError("aggregate features contain non-finite entries")
-    return AggregateMatrix(X=X, feature_names=names, user_ids=ids, continuous_markers=markers)
+    return AggregateMatrix(X=X, feature_names=names, user_ids=list(dataset.user_ids),
+                           continuous_markers=markers)
 
 
 @dataclass
@@ -172,13 +155,6 @@ class SequenceStats:
     max_steps: int
     per_session_steps: bool
 
-    def encode_discrete(self, name: str, value) -> int:
-        vocab = self.vocabs.get(name)
-        if vocab is None:
-            return int(value)
-        card = self.cardinalities[self.discrete_features.index(name)]
-        return vocab.get(str(value), card)  # unseen categories -> unknown slot
-
     def to_dict(self) -> dict:
         return {
             "discrete_features": self.discrete_features,
@@ -214,51 +190,33 @@ class SequenceStats:
         return cls.from_dict(json.loads(Path(path).read_text()))
 
 
-def _user_steps(user: UserHistory, dataset: Dataset, markers: list[str],
-                marker_features: list[str], per_session: bool):
-    """Raw (discrete values, continuous values, elapsed, target) step rows."""
-    weekday0 = dataset.epoch_weekday
-    steps_disc: list[list] = []
-    steps_cont: list[list[float]] = []
-    targets: list[float] = []
+def _unit_sums(column: np.ndarray, heads: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Sum column over each unit's rows heads[u]:heads[u] + lengths[u].
 
-    if per_session:
-        units = [[s] for s in user.sessions]
-        gaps = list(user.return_targets)  # end-to-start gaps between sessions
-    else:
-        units = []
-        days: list[int] = []
-        for s in user.sessions:
-            day = math.floor(s.start_time)
-            if days and day == days[-1]:
-                units[-1].append(s)
-            else:
-                units.append([s])
-                days.append(day)
-        gaps = [float(days[i + 1] - days[i]) for i in range(len(days) - 1)]
+    Row k of every unit is added in one step, from 0.0 and left to right,
+    so each sum rounds exactly as Python's sum over the unit does.
+    """
+    total = np.zeros(len(heads))
+    units = np.arange(len(heads))
+    for k in range(int(lengths.max(initial=0))):
+        units = units[lengths[units] > k]
+        total[units] += column[heads[units] + k]
+    return total
 
-    for j, unit in enumerate(units):
-        first = unit[0]
-        day = math.floor(first.start_time)
-        frac = first.start_time - day
-        disc_row = [first.discrete_markers.get(m) for m in marker_features]
-        disc_row += [
-            (day + weekday0) % 7,
-            day % 31,
-            min(int(frac * 24.0), 23),
-        ]
-        gap_before = gaps[j - 1] if j > 0 else 0.0
-        cont_row = [
-            gap_before,
-            float(len(unit)),
-            float(sum(s.duration for s in unit)),
-        ]
-        for m in markers:
-            cont_row.append(float(sum(s.continuous_markers.get(m, 0.0) for s in unit)))
-        steps_disc.append(disc_row)
-        steps_cont.append(cont_row)
-        targets.append(gaps[j] if j < len(gaps) else user.final_gap)
-    return steps_disc, steps_cont, targets
+
+def _marker_codes(dataset: Dataset, name: str, vocab: dict[str, int], card: int,
+                  rows: np.ndarray) -> np.ndarray:
+    """Vocab index of a discrete marker at the given rows.
+
+    A missing marker encodes as the string "None" would; values outside the
+    vocab take the unknown slot, card.
+    """
+    missing = vocab.get("None", card)
+    if name not in dataset.sessions.discrete:
+        return np.full(len(rows), missing, dtype=np.int64)
+    values, present, codes = dataset.sessions.discrete[name]
+    table = np.array([vocab.get(str(v), card) for v in values] + [missing], dtype=np.int64)
+    return table[np.where(present[rows], codes[rows], len(values))]
 
 
 def build_sequences(
@@ -272,32 +230,23 @@ def build_sequences(
     are fitted on this dataset and returned; otherwise the given stats are
     applied unchanged (test mode).
     """
-    if stats is None:
+    fitting = stats is None
+    if fitting:
         if config is None:
             raise ValidationError("build_sequences needs a FeatureConfig in training mode")
-        markers = dataset_continuous_markers(dataset)
-        marker_features = dataset_discrete_markers(dataset)
         vocabs: dict[str, dict[str, int]] = {}
-        for name in marker_features:
-            values = sorted(
-                {
-                    str(s.discrete_markers[name])
-                    for u in dataset.users
-                    for s in u.sessions
-                    if name in s.discrete_markers
-                }
-            )
-            vocabs[name] = {v: i for i, v in enumerate(values)}
-        discrete_features = marker_features + list(DERIVED_DISCRETE)
-        cardinalities = [len(vocabs[n]) for n in marker_features] + [
-            DERIVED_CARDINALITIES[n] for n in DERIVED_DISCRETE
-        ]
+        for name, (values, present, codes) in sorted(dataset.sessions.discrete.items()):
+            if present.any():
+                used = {str(values[c]) for c in np.unique(codes[present]).tolist()}
+                vocabs[name] = {v: i for i, v in enumerate(sorted(used))}
+        markers = dataset_continuous_markers(dataset)
         cont_channels = ["elapsed_days", "session_count", "total_duration"] + [
             f"sum_{m}" for m in markers
         ]
         stats = SequenceStats(
-            discrete_features=discrete_features,
-            cardinalities=cardinalities,
+            discrete_features=list(vocabs) + list(DERIVED_DISCRETE),
+            cardinalities=([len(vocab) for vocab in vocabs.values()]
+                           + [DERIVED_CARDINALITIES[n] for n in DERIVED_DISCRETE]),
             vocabs=vocabs,
             cont_channels=cont_channels,
             mean=np.zeros(len(cont_channels)),
@@ -306,48 +255,62 @@ def build_sequences(
             max_steps=config.max_steps,
             per_session_steps=config.per_session_steps,
         )
-        fitting = True
-    else:
-        markers = stats.continuous_markers
-        marker_features = [n for n in stats.discrete_features if n in stats.vocabs]
-        fitting = False
+    markers = stats.continuous_markers
 
-    raw: list[tuple[UserHistory, list, list, list]] = []
-    for user in dataset.users:
-        d, c, t = _user_steps(user, dataset, markers, marker_features, stats.per_session_steps)
-        keep = stats.max_steps
-        raw.append((user, d[-keep:], c[-keep:], t[-keep:]))
+    # one unit per step: an active day, or a session in per-session mode
+    sessions = dataset.sessions
+    heads = (np.arange(len(sessions)) if stats.per_session_steps
+             else np.flatnonzero(dataset.day_heads))
+    lengths = np.diff(heads, append=len(sessions))
+    per_user = np.bincount(sessions.user[heads], minlength=len(dataset))
+    firsts = np.cumsum(per_user) - per_user
+    start = sessions.start_time[heads]
+    day = np.floor(start)
+
+    # gap after each unit: to the next unit's day, or end to start per
+    # session; the user's final gap after their last unit
+    after = np.zeros(len(heads))
+    after[:-1] = dataset.gaps if stats.per_session_steps else np.diff(day)
+    targets = after.copy()
+    targets[firsts + per_user - 1] = dataset.final_gap
+    elapsed = np.zeros(len(heads))
+    elapsed[1:] = after[:-1]
+    elapsed[firsts] = 0.0
+    sums = [sessions.duration] + [sessions.continuous[m][1] if m in sessions.continuous
+                                  else np.zeros(len(sessions)) for m in markers]
+    cont = np.column_stack([elapsed, lengths] + [_unit_sums(c, heads, lengths) for c in sums])
+
+    day_index = day.astype(np.int64)
+    derived = {
+        "day_of_week": (day_index + dataset.epoch_weekday) % 7,
+        "day_of_month": day_index % 31,
+        "hour_of_day": np.minimum(((start - day) * 24.0).astype(np.int64), 23),
+    }
+    disc = np.column_stack([
+        _marker_codes(dataset, name, stats.vocabs[name], stats.cardinalities[k], heads)
+        if name in stats.vocabs else derived[name]
+        for k, name in enumerate(stats.discrete_features)
+    ])
+
+    keep = np.arange(len(heads)) >= np.repeat(firsts + per_user - stats.max_steps, per_user)
+    cont, disc, targets = cont[keep], disc[keep], targets[keep]  # each user's last max_steps
 
     if fitting:
-        all_rows = np.concatenate(
-            [np.asarray(c, dtype=float) for _, _, c, _ in raw if c], axis=0
-        ) if any(c for _, _, c, _ in raw) else np.zeros((0, len(stats.cont_channels)))
-        if all_rows.shape[0] == 0:
+        if cont.shape[0] == 0:
             raise DataError("cannot fit sequence statistics on an empty dataset")
-        stats.mean = all_rows.mean(axis=0)
-        std = all_rows.std(axis=0)
+        stats.mean = cont.mean(axis=0)
+        std = cont.std(axis=0)
         stats.std = np.where(std == 0.0, 1.0, std)
+    cont = (cont - stats.mean) / stats.std
 
-    sequences: list[UserSequence] = []
-    for user, d_rows, c_rows, t_rows in raw:
-        disc = np.empty((len(d_rows), len(stats.discrete_features)), dtype=np.int64)
-        for j, row in enumerate(d_rows):
-            for k, name in enumerate(stats.discrete_features):
-                disc[j, k] = stats.encode_discrete(name, row[k])
-        cont = (np.asarray(c_rows, dtype=float) - stats.mean) / stats.std
-        sequences.append(
-            UserSequence(
-                user_id=user.user_id,
-                disc=disc,
-                cont=cont,
-                targets=np.asarray(t_rows, dtype=float),
-                is_censored=user.is_censored,
-                active_day_count=count_active_days(user),
-                last_session_end=user.last_session_end,
-                absence_time=dataset.absence_time(user),
-                horizon_gap=dataset.horizon_gap(user),
-            )
-        )
+    bounds = np.append(0, np.cumsum(np.minimum(per_user, stats.max_steps))).tolist()
+    sequences = [
+        UserSequence(user_id, disc[a:b], cont[a:b], targets[a:b], *labels)
+        for user_id, a, b, *labels in zip(
+            dataset.user_ids, bounds, bounds[1:], dataset.is_censored.tolist(),
+            dataset.active_day_counts.tolist(), dataset.last_session_end.tolist(),
+            dataset.absence_times.tolist(), dataset.horizon_gaps.tolist())
+    ]
     return sequences, stats
 
 

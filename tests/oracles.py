@@ -256,3 +256,241 @@ def read_sessions_plain(path):
             },
         ))
     return sessions, epoch.isoformat(), epoch.weekday()
+
+
+# ---------------------------------------------------------------------------
+# the per-session object path: windowing, sequences and aggregates over
+# Session and UserHistory objects, the reference for the columnar package code
+
+def compute_return_targets(sessions):
+    """Gaps between consecutive sessions: next start minus previous end."""
+    from returntime.errors import ValidationError
+
+    if not sessions:
+        raise ValidationError("compute_return_targets requires at least one session")
+    targets = []
+    for prev, nxt in zip(sessions, sessions[1:]):
+        if nxt.start_time <= prev.start_time:
+            raise ValidationError(
+                f"user {prev.user_id!r}: session times not strictly increasing "
+                f"({prev.start_time} then {nxt.start_time})"
+            )
+        gap = nxt.start_time - prev.end_time
+        if gap <= 0:
+            raise ValidationError(
+                f"user {prev.user_id!r}: session starting at {nxt.start_time} "
+                f"overlaps previous session ending at {prev.end_time}"
+            )
+        targets.append(gap)
+    return targets
+
+
+def merge_user_sessions(sessions):
+    """Sort by start and merge duplicates/overlaps: continuous markers summed,
+    the first session's discrete markers kept."""
+    from returntime.data import Session
+
+    ordered = sorted(sessions, key=lambda s: s.start_time)
+    merged = []
+    for s in ordered:
+        if merged and s.start_time <= merged[-1].end_time:
+            prev = merged[-1]
+            cont = dict(prev.continuous_markers)
+            for k, v in s.continuous_markers.items():
+                cont[k] = cont.get(k, 0.0) + v
+            merged[-1] = Session(
+                user_id=prev.user_id,
+                start_time=prev.start_time,
+                duration=max(prev.end_time, s.end_time) - prev.start_time,
+                discrete_markers=prev.discrete_markers,
+                continuous_markers=cont,
+            )
+        else:
+            merged.append(s)
+    return merged
+
+
+def assign_windows_objects(raw_sessions, config):
+    """UserHistory per kept user, sorted by id, one session object at a time."""
+    from returntime.data import UserHistory
+    from returntime.errors import ValidationError
+
+    by_user = {}
+    for s in raw_sessions:
+        if s.start_time > config.horizon_end:
+            raise ValidationError(
+                f"session for user {s.user_id!r} at day {s.start_time} starts "
+                f"after horizon_end {config.horizon_end}"
+            )
+        by_user.setdefault(s.user_id, []).append(s)
+    users = []
+    for user_id in sorted(by_user):
+        sessions = merge_user_sessions(by_user[user_id])
+        obs = [s for s in sessions if s.start_time <= config.prediction_start]
+        post = [s for s in sessions if s.start_time > config.prediction_start]
+        if not obs or not any(config.activity_start <= s.start_time for s in obs):
+            continue
+        last_end = min(obs[-1].end_time, config.prediction_start)
+        if post:
+            final_gap, is_censored = post[0].start_time - last_end, False
+        else:
+            final_gap, is_censored = config.horizon_end - last_end, True
+        users.append(UserHistory(
+            user_id=user_id, sessions=tuple(obs),
+            return_targets=tuple(compute_return_targets(obs)),
+            final_gap=final_gap, is_censored=is_censored, last_session_end=last_end,
+        ))
+    return tuple(users)
+
+
+def to_raw_sessions(users):
+    """A raw session stream that rebuilds these users: returning users get
+    one synthetic prediction-window session at their observed return time."""
+    from returntime.data import Session
+
+    raw = []
+    for user in users:
+        raw.extend(user.sessions)
+        if not user.is_censored:
+            raw.append(Session(user_id=user.user_id,
+                               start_time=user.last_session_end + user.final_gap))
+    return raw
+
+
+def count_active_days(user):
+    return len({math.floor(s.start_time) for s in user.sessions})
+
+
+def _object_markers(users, kind):
+    names = set()
+    for user in users:
+        for s in user.sessions:
+            names.update(getattr(s, kind))
+    return sorted(names)
+
+
+def build_aggregates_objects(users, window, continuous_markers=None):
+    """(X, feature names) of returntime.features.build_aggregates, row by row."""
+    markers = (list(continuous_markers) if continuous_markers is not None
+               else _object_markers(users, "continuous_markers"))
+    names = (["session_count", "active_day_count", "mean_gap", "std_gap", "mean_duration"]
+             + [f"mean_{m}" for m in markers]
+             + ["absence_time", "observation_span", "missing_gap_flag"])
+    rows = []
+    for user in users:
+        gaps = np.asarray(user.return_targets)
+        row = [
+            float(len(user.sessions)),
+            float(count_active_days(user)),
+            float(gaps.mean()) if gaps.size else 0.0,
+            float(gaps.std()) if gaps.size >= 2 else 0.0,
+            float(np.mean([s.duration for s in user.sessions])),
+        ]
+        for m in markers:
+            row.append(float(np.mean([s.continuous_markers.get(m, 0.0) for s in user.sessions])))
+        row.append(window.prediction_start - user.last_session_end)
+        row.append(user.sessions[-1].start_time - user.sessions[0].start_time)
+        row.append(0.0 if gaps.size else 1.0)
+        rows.append(row)
+    return np.asarray(rows, dtype=float).reshape(len(rows), len(names)), names
+
+
+def _user_steps(user, epoch_weekday, markers, marker_features, per_session):
+    """Raw (discrete values, continuous values, target) step rows of one user."""
+    if per_session:
+        units = [[s] for s in user.sessions]
+        gaps = list(user.return_targets)
+    else:
+        units, days = [], []
+        for s in user.sessions:
+            day = math.floor(s.start_time)
+            if days and day == days[-1]:
+                units[-1].append(s)
+            else:
+                units.append([s])
+                days.append(day)
+        gaps = [float(days[i + 1] - days[i]) for i in range(len(days) - 1)]
+    steps_disc, steps_cont, targets = [], [], []
+    for j, unit in enumerate(units):
+        first = unit[0]
+        day = math.floor(first.start_time)
+        frac = first.start_time - day
+        steps_disc.append([first.discrete_markers.get(m) for m in marker_features]
+                          + [(day + epoch_weekday) % 7, day % 31, min(int(frac * 24.0), 23)])
+        steps_cont.append(
+            [gaps[j - 1] if j > 0 else 0.0, float(len(unit)),
+             float(sum(s.duration for s in unit))]
+            + [float(sum(s.continuous_markers.get(m, 0.0) for s in unit)) for m in markers]
+        )
+        targets.append(gaps[j] if j < len(gaps) else user.final_gap)
+    return steps_disc, steps_cont, targets
+
+
+def build_sequences_objects(users, window, epoch_weekday, config=None, stats=None):
+    """returntime.features.build_sequences, one user and one step at a time."""
+    from returntime.features import (
+        DERIVED_CARDINALITIES,
+        DERIVED_DISCRETE,
+        SequenceStats,
+        UserSequence,
+    )
+
+    if stats is None:
+        markers = _object_markers(users, "continuous_markers")
+        marker_features = _object_markers(users, "discrete_markers")
+        vocabs = {}
+        for name in marker_features:
+            values = sorted({str(s.discrete_markers[name]) for u in users
+                             for s in u.sessions if name in s.discrete_markers})
+            vocabs[name] = {v: i for i, v in enumerate(values)}
+        cont_channels = (["elapsed_days", "session_count", "total_duration"]
+                         + [f"sum_{m}" for m in markers])
+        stats = SequenceStats(
+            discrete_features=marker_features + list(DERIVED_DISCRETE),
+            cardinalities=([len(vocabs[n]) for n in marker_features]
+                           + [DERIVED_CARDINALITIES[n] for n in DERIVED_DISCRETE]),
+            vocabs=vocabs, cont_channels=cont_channels,
+            mean=np.zeros(len(cont_channels)), std=np.ones(len(cont_channels)),
+            continuous_markers=markers, max_steps=config.max_steps,
+            per_session_steps=config.per_session_steps,
+        )
+        fitting = True
+    else:
+        markers = stats.continuous_markers
+        marker_features = [n for n in stats.discrete_features if n in stats.vocabs]
+        fitting = False
+
+    raw = []
+    for user in users:
+        d, c, t = _user_steps(user, epoch_weekday, markers, marker_features,
+                              stats.per_session_steps)
+        keep = stats.max_steps
+        raw.append((user, d[-keep:], c[-keep:], t[-keep:]))
+    if fitting:
+        all_rows = np.concatenate([np.asarray(c, dtype=float) for _, _, c, _ in raw], axis=0)
+        stats.mean = all_rows.mean(axis=0)
+        std = all_rows.std(axis=0)
+        stats.std = np.where(std == 0.0, 1.0, std)
+
+    def encode(name, value):
+        vocab = stats.vocabs.get(name)
+        if vocab is None:
+            return int(value)
+        card = stats.cardinalities[stats.discrete_features.index(name)]
+        return vocab.get(str(value), card)
+
+    sequences = []
+    for user, d_rows, c_rows, t_rows in raw:
+        disc = np.empty((len(d_rows), len(stats.discrete_features)), dtype=np.int64)
+        for j, row in enumerate(d_rows):
+            for k, name in enumerate(stats.discrete_features):
+                disc[j, k] = encode(name, row[k])
+        sequences.append(UserSequence(
+            user_id=user.user_id, disc=disc,
+            cont=(np.asarray(c_rows, dtype=float) - stats.mean) / stats.std,
+            targets=np.asarray(t_rows, dtype=float), is_censored=user.is_censored,
+            active_day_count=count_active_days(user), last_session_end=user.last_session_end,
+            absence_time=window.prediction_start - user.last_session_end,
+            horizon_gap=window.horizon_end - user.last_session_end,
+        ))
+    return sequences, stats

@@ -296,8 +296,10 @@ class TestTrainPredictEvaluate:
         b'{"user_id": "x", "start_ts": "2020-03-01T00:00:00", "markers": [1]}',
         b'{"user_id": "x", "start_ts": "2020-03-01T00:00:00", "markers": {"d": "\xff"}}',
         b'{"start_ts": "2020-03-01T00:00:00"}',
+        b'{"user_id": "x", "start_ts": "2020-03-01T00:00:00", "duration_s": 1e999999}',
+        b'{"user_id": "x", "start_ts": "2020-03-01T00:00:00", "duration_s": -5}',
     ], ids=["start-ts-number", "json-array", "duration-not-a-number", "markers-list",
-            "not-utf-8", "no-user-id"])
+            "not-utf-8", "no-user-id", "duration-overflows", "duration-negative"])
     def test_malformed_record_exit_2(self, generated, tmp_path, capsys, bad):
         cfg, out = generated
         path = tmp_path / "bad.jsonl"

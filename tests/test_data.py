@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from returntime import data
@@ -17,14 +17,13 @@ from returntime.data import (
     Session,
     WindowConfig,
     assign_windows,
-    compute_return_targets,
     read_sessions_jsonl,
     stratified_split,
     write_sessions_jsonl,
 )
 from returntime.errors import DataError, ValidationError
 
-from oracles import read_sessions_plain
+from oracles import compute_return_targets, read_sessions_plain, to_raw_sessions
 
 WINDOW = WindowConfig(activity_start=30.0, prediction_start=100.0, horizon_end=160.0)
 
@@ -125,7 +124,7 @@ class TestAssignWindows:
                 raw.append(s(f"u{i:03d}", t, duration=rng.uniform(0, 0.05)))
                 t += rng.exponential(30.0)
         ds = assign_windows(raw, WINDOW)
-        rebuilt = assign_windows(ds.to_raw_sessions(), WINDOW)
+        rebuilt = assign_windows(to_raw_sessions(ds.users), WINDOW)
         assert rebuilt.users == ds.users
 
 
@@ -363,15 +362,88 @@ class TestSessionsCache:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["sessions.jsonl"]
 
 
-def rewrite_cache(cache, version=None, **edits):
-    """Rewrite a cache in place with its header version or columns edited."""
+def rewrite_cache(cache, version=None, header_edit=None, **edits):
+    """Rewrite a cache in place with its header version, header or columns edited."""
     with np.load(cache) as npz:
         arrays = {name: npz[name] for name in npz.files}
     header = json.loads(arrays["header"].tobytes())
     if version is not None:
         header["version"] = version
+    if header_edit is not None:
+        header = header_edit(header)
     arrays["header"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
     for name, edit in edits.items():
         arrays[name] = edit(arrays[name])
     with open(cache, "wb") as fh:
         np.savez(fh, **arrays)
+
+
+COLUMN_EDITS = {
+    "nan": lambda a: np.where(np.arange(a.size) == 0, np.nan, a),
+    "negative": lambda a: ~a if a.dtype.kind == "b" else -a - 1,
+    "unsorted": lambda a: a[::-1],
+    "out-of-range": lambda a: ~a if a.dtype.kind == "b" else a + 10,
+    "short": lambda a: a[:-1],
+    "float32": lambda a: a.astype(np.float32),
+}
+cache_members = st.sampled_from([
+    "user", "start_time", "duration", "discrete_present_0", "discrete_value_0",
+    "continuous_present_0", "continuous_value_0", "header", "digest",
+])
+cache_spoils = st.one_of(
+    st.tuples(st.just("truncate"), st.floats(0.0, 1.0, exclude_max=True)),
+    st.tuples(st.just("flip"), st.integers(0, 10**6)),
+    st.tuples(st.just("bytes"), st.binary(max_size=64)),
+    st.tuples(st.just("other"), st.none()),
+    st.tuples(st.just("version"), st.integers(-1, CACHE_FORMAT_VERSION + 2)),
+    st.tuples(st.just("user-ids"), st.none()),
+    st.tuples(st.sampled_from(sorted(COLUMN_EDITS)), cache_members),
+)
+
+
+def spoil_cache(cache, other, spoil):
+    kind, arg = spoil
+    raw = cache.read_bytes()
+    if kind == "truncate":
+        cache.write_bytes(raw[:int(len(raw) * arg)])
+    elif kind == "flip":
+        flipped = bytearray(raw)
+        flipped[arg // 8 % len(raw)] ^= 1 << arg % 8
+        cache.write_bytes(bytes(flipped))
+    elif kind == "bytes":
+        cache.write_bytes(arg)
+    elif kind == "other":
+        cache.write_bytes(other.read_bytes())
+    elif kind == "version":
+        rewrite_cache(cache, version=arg)
+    elif kind == "user-ids":
+        rewrite_cache(cache, header_edit=lambda h: {**h, "user_ids": h["user_ids"][::-1]})
+    else:
+        rewrite_cache(cache, **{arg: COLUMN_EDITS[kind]})
+
+
+class TestFuzzedCache:
+    # the first six are the spoiled caches of TestSessionsCache
+    @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(cache_spoils)
+    @example(("truncate", 0.5))
+    @example(("bytes", b"not a zip archive"))
+    @example(("version", CACHE_FORMAT_VERSION + 1))
+    @example(("other", None))
+    @example(("short", "start_time"))
+    @example(("out-of-range", "user"))
+    @example(("unsorted", "start_time"))
+    @example(("nan", "duration"))
+    @example(("negative", "start_time"))
+    def test_any_spoiled_cache_reads_as_the_plain_parse(self, spoil):
+        with tempfile.TemporaryDirectory() as tmp:
+            other = Path(tmp) / "other.jsonl"
+            write_lines(other, [line.replace("2021-03", "2021-04") for line in SAMPLE])
+            read_sessions_jsonl(other)
+            path = Path(tmp) / "sessions.jsonl"
+            write_lines(path, SAMPLE)
+            read_sessions_jsonl(path)
+            spoil_cache(cache_of(path), cache_of(other), spoil)
+            plain = read_sessions_plain(path)
+            assert as_plain(read_sessions_jsonl(path)) == plain
+            assert as_plain(cached_read(path)) == plain

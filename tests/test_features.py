@@ -1,16 +1,30 @@
 import copy
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from returntime.data import Session, WindowConfig, assign_windows
+from returntime import experiment
+from returntime.cli import main
+from returntime.config import load_config
+from returntime.data import Session, WindowConfig, assign_windows, stratified_split
 from returntime.errors import ValidationError
+
+from oracles import (
+    assign_windows_objects,
+    build_aggregates_objects,
+    build_sequences_objects,
+    count_active_days,
+    read_sessions_plain,
+)
 from returntime.features import (
     FeatureConfig,
     Standardization,
     build_aggregates,
     build_sequences,
-    count_active_days,
     pad_batch,
     select_embedding_dims,
 )
@@ -163,6 +177,110 @@ class TestSequences:
         assert batch.disc.shape[0] == len(seqs)
         assert batch.lengths.tolist() == [len(s_) for s_ in seqs]
         assert np.all(batch.targets > 0)
+
+
+# ---------------------------------------------------------------------------
+# the columnar path against the per-session object path, bit for bit
+
+def assert_bitwise_equal(got, want):
+    """Equal shape, dtype and bytes: np.array_equal, and the sign of each zero."""
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
+
+
+def assert_same_sequences(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g.user_id, g.is_censored, g.active_day_count, g.last_session_end,
+                g.absence_time, g.horizon_gap) == (w.user_id, w.is_censored, w.active_day_count,
+                                                   w.last_session_end, w.absence_time,
+                                                   w.horizon_gap)
+        assert g.disc.dtype == np.int64
+        for name in ("disc", "cont", "targets"):
+            assert_bitwise_equal(getattr(g, name), getattr(w, name))
+
+
+def assert_matches_object_path(train, test, train_users, test_users):
+    """Sequences in both step modes, fitted on train and applied to test,
+    and aggregates, equal to the object path's on the same users."""
+    window, weekday = train.window, train.epoch_weekday
+    for per_session in (False, True):
+        config = FeatureConfig(max_steps=8 if per_session else 64, per_session_steps=per_session)
+        seqs, stats = build_sequences(train, config)
+        want, want_stats = build_sequences_objects(train_users, window, weekday, config)
+        assert stats.to_dict() == want_stats.to_dict()
+        assert_bitwise_equal(stats.mean, want_stats.mean)
+        assert_bitwise_equal(stats.std, want_stats.std)
+        assert_same_sequences(seqs, want)
+        seqs, _ = build_sequences(test, stats=stats)
+        assert_same_sequences(seqs, build_sequences_objects(test_users, window, weekday,
+                                                            stats=stats)[0])
+    agg = build_aggregates(train)
+    X, names = build_aggregates_objects(train_users, window)
+    assert (agg.feature_names, agg.user_ids) == (names, [u.user_id for u in train_users])
+    assert_bitwise_equal(agg.X, X)
+    pinned = build_aggregates(test, continuous_markers=agg.continuous_markers + ["absent"])
+    X, _ = build_aggregates_objects(test_users, window, agg.continuous_markers + ["absent"])
+    assert_bitwise_equal(pinned.X, X)
+
+
+PROPERTY_WINDOW = WindowConfig(activity_start=10.0, prediction_start=20.0, horizon_end=30.0)
+
+
+@st.composite
+def session_streams(draw):
+    """Sessions of a few users with duplicate and overlapping starts, sessions
+    straddling prediction_start, same-day bursts, and missing markers."""
+    users = st.sampled_from(["a", "b", "None", "c\x00"])
+    starts = st.one_of(st.sampled_from([5.25, 5.5, 12.0, 19.9, 20.0, 20.5]),
+                       st.floats(0.0, 30.0))
+    durations = st.one_of(st.sampled_from([-0.0, 0.0, 0.01, 0.3, 2.0]), st.floats(0.0, 3.0))
+    devices = st.sampled_from(["mobile", "tablet", "None", "smartwatch", None])
+    values = st.one_of(st.none(), st.sampled_from([-0.0, 0.0, 0.1, 1e-17]),
+                       st.floats(-5.0, 5.0))
+
+    def session(user, start):
+        device, pages, videos = draw(devices), draw(values), draw(values)
+        return Session(
+            user, start, min(draw(durations), 30.0 - start),
+            {} if device is None else {"device": device},
+            {k: v for k, v in (("pages", pages), ("videos", videos)) if v is not None},
+        )
+
+    sessions = [session(draw(users), draw(starts)) for _ in range(draw(st.integers(0, 25)))]
+    for _ in range(draw(st.integers(0, 2))):  # a burst of nine or more on one day
+        user, day = draw(users), draw(st.sampled_from([10, 12, 19]))
+        fractions = draw(st.lists(st.floats(0.0, 0.99), min_size=9, max_size=14))
+        sessions += [session(user, day + f) for f in fractions]
+    return draw(st.permutations(sessions))
+
+
+class TestObjectPathOracle:
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(session_streams(), session_streams(), st.integers(0, 6))
+    def test_random_streams_match_object_path(self, raw, other, weekday):
+        dataset = assign_windows(raw, PROPERTY_WINDOW, epoch_weekday=weekday)
+        users = assign_windows_objects(raw, PROPERTY_WINDOW)
+        assert dataset.users == users
+        test = assign_windows(other, PROPERTY_WINDOW, epoch_weekday=weekday)
+        test_users = assign_windows_objects(other, PROPERTY_WINDOW)
+        assert test.users == test_users
+        if users and test_users:
+            assert_matches_object_path(dataset, test, users, test_users)
+
+    def test_default_data_matches_object_path(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "data"
+            assert main(["generate", "--out", str(out), "--seed", "7"]) == 0
+            data = experiment.load_and_split(load_config([str(out / "run_config.json")]))
+            sessions, _, _ = read_sessions_plain(out / "sessions.jsonl")
+        users = assign_windows_objects(sessions, data.dataset.window)
+        assert data.dataset.users == users
+        by_id = {u.user_id: u for u in users}
+        train_users = tuple(by_id[i] for i in data.train.user_ids)
+        test_users = tuple(by_id[i] for i in data.test.user_ids)
+        assert data.train.users == train_users and data.test.users == test_users
+        assert_matches_object_path(data.train, data.test, train_users, test_users)
 
 
 class TestEmbeddingDimSelection:
