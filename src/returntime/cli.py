@@ -17,40 +17,44 @@ import sys
 from pathlib import Path
 
 from . import experiment, metrics
-from .config import load_config, validate_model_name, write_manifest
+from .config import (
+    count, entries, load_config, mapping, setting, text, validate_model_name, write_manifest,
+)
 from .errors import ConfigError, ReturnTimeError
 from .synth import CohortConfig, GeneratorConfig, generate_to_files
 
 logger = logging.getLogger(__name__)
 
-_GENERATOR_SCALARS = (
-    "user_count", "horizon_days", "activity_window_days", "prediction_window_days",
-    "signup_spread", "duration_log_mean", "duration_log_sigma", "session_cap",
-    "epoch_iso",
-)
+_GENERATOR_SCALARS = {
+    "user_count": count, "horizon_days": float, "activity_window_days": float,
+    "prediction_window_days": float, "signup_spread": float, "duration_log_mean": float,
+    "duration_log_sigma": float, "session_cap": count, "epoch_iso": text,
+}
 
 
 def generator_from_config(config: dict) -> GeneratorConfig:
-    gcfg = dict(config.get("generator") or {})
-    cohorts = gcfg.pop("cohorts", None)
-    unknown = set(gcfg) - set(_GENERATOR_SCALARS)
+    unknown = (set(setting(config, "generator", mapping, optional=True) or ())
+               - set(_GENERATOR_SCALARS) - {"cohorts"})
     if unknown:
         raise ConfigError(f"unknown generator option(s): {sorted(unknown)}")
-    kwargs = {k: v for k, v in gcfg.items() if v is not None}
+    kwargs = {name: setting(config, f"generator.{name}", convert, optional=True)
+              for name, convert in _GENERATOR_SCALARS.items()}
+    kwargs = {name: value for name, value in kwargs.items() if value is not None}
+    cohorts = setting(config, "generator.cohorts", entries, optional=True)
     if cohorts is not None:
         parsed = []
         for c in cohorts:
-            c = dict(c)
-            if "lapse_window" in c:
-                c["lapse_window"] = tuple(c["lapse_window"])
-            if "device_probs" in c:
-                c["device_probs"] = tuple(c["device_probs"])
             try:
+                c = dict(c)
+                if "lapse_window" in c:
+                    c["lapse_window"] = tuple(c["lapse_window"])
+                if "device_probs" in c:
+                    c["device_probs"] = tuple(c["device_probs"])
                 parsed.append(CohortConfig(**c))
-            except TypeError as exc:
-                raise ConfigError(f"bad cohort entry {c.get('name', '?')!r}: {exc}") from exc
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"config key generator.cohorts: bad entry {c!r}: {exc}") from exc
         kwargs["cohorts"] = tuple(parsed)
-    gen = GeneratorConfig(seed=int(config["seed"]), **kwargs)
+    gen = GeneratorConfig(seed=setting(config, "seed", int), **kwargs)
     gen.validate()
     return gen
 
@@ -72,7 +76,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     out = Path(args.out)
     summary = generate_to_files(gen, out)
     run_config = {
-        "seed": int(config["seed"]),
+        "seed": setting(config, "seed", int),
         "data": {"sessions": str(out / "sessions.jsonl")},
         "window": _window_dates(gen),
     }
@@ -122,7 +126,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         model_records[name] = records
     report = experiment.write_report(
         args.out, model_records,
-        auc_score_mode=(config.get("evaluation") or {}).get("auc_score_mode", "shifted"),
+        auc_score_mode=setting(config, "evaluation.auc_score_mode", text),
     )
     write_manifest(args.out, "evaluate", config)
     width = max(len(m) for m in report["models"])

@@ -7,6 +7,7 @@ import hashlib
 import json
 import platform
 from pathlib import Path
+from typing import Any, Callable
 
 import numpy as np
 
@@ -84,6 +85,54 @@ def load_config(
     if overrides:
         config = _deep_merge(config, overrides)
     return config
+
+
+def setting(config: dict, key: str, convert: Callable[[Any], Any], optional: bool = False):
+    """The value at a dotted key ("training.rnn.epochs"), passed through convert.
+
+    A value that is missing or null (also under a section that is not a
+    mapping) gives None when optional and a ConfigError otherwise, as does a
+    value that convert rejects; the error names the key.
+    """
+    value = config
+    for part in key.split("."):
+        value = value.get(part) if isinstance(value, dict) else None
+    if value is None:
+        if optional:
+            return None
+        raise ConfigError(f"config key {key} is missing or null")
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"config key {key} = {value!r}: {exc}") from exc
+
+
+def _of_type(kind: type, name: str) -> Callable[[Any], Any]:
+    """A converter that passes values of kind, except "", through."""
+
+    def check(value):
+        if not isinstance(value, kind) or value == "":
+            raise TypeError(f"expected {name}")
+        return value
+
+    return check
+
+
+boolean = _of_type(bool, "true or false")
+entries = _of_type(list, "a list")
+mapping = _of_type(dict, "a mapping")
+text = _of_type(str, "a non-empty string")
+
+
+def numbers(value) -> list[float]:
+    return [float(v) for v in entries(value)]
+
+
+def count(value) -> int:
+    """An integer of at least 1."""
+    if int(value) < 1:
+        raise ValueError("expected an integer of at least 1")
+    return int(value)
 
 
 def config_hash(config: dict) -> str:

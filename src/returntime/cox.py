@@ -22,6 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DataError, DataModelMismatchError, NumericalError, ValidationError
+from .features import Standardization
 
 logger = logging.getLogger(__name__)
 
@@ -38,6 +39,22 @@ def _validate_inputs(X: np.ndarray, times: np.ndarray, events: np.ndarray) -> No
         raise ValidationError("survival times must be positive")
     if not events.any():
         raise DataError("all observations are censored; nothing to fit")
+
+
+def _tie_groups(
+    times: np.ndarray, events: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Group rows by event time rounded to TIE_DECIMALS.
+
+    Returns the stable sort order of the rounded times, the sorted rounded
+    times, the first sorted index of each tie group and each group's event
+    count.
+    """
+    rounded = np.round(np.asarray(times, dtype=float), TIE_DECIMALS)
+    order = np.argsort(rounded, kind="mergesort")
+    ts = rounded[order]
+    starts = np.flatnonzero(np.append(True, ts[1:] != ts[:-1])[:ts.size])
+    return order, ts, starts, np.add.reduceat(events[order].astype(np.int64), starts)
 
 
 def efron_partial_log_likelihood(
@@ -59,11 +76,9 @@ def efron_partial_log_likelihood(
     _validate_inputs(X, times, events)
 
     n, p = X.shape
-    rounded = np.round(times, TIE_DECIMALS)
-    order = np.argsort(rounded, kind="mergesort")
+    order, _, starts, group_events = _tie_groups(times, events)
     Xs = X[order]
     ev = events[order]
-    ts = rounded[order]
 
     eta = Xs @ beta
     shift = eta.max()
@@ -76,11 +91,10 @@ def efron_partial_log_likelihood(
     S1 = np.cumsum(rx[::-1], axis=0)[::-1]
     S2 = np.cumsum(rxx[::-1], axis=0)[::-1]
 
-    # first index of each tie group, and events per group, for every row
-    first_idx = np.searchsorted(ts, ts, side="left")
-    group_events = np.zeros(n, dtype=np.int64)
-    np.add.at(group_events, first_idx, ev.astype(np.int64))
-    d_per_row = group_events[first_idx]
+    # first index of each row's tie group, and events in that group
+    sizes = np.diff(starts, append=n)
+    first_idx = np.repeat(starts, sizes)
+    d_per_row = np.repeat(group_events, sizes)
 
     value = 0.0
     grad = np.zeros(p)
@@ -99,11 +113,9 @@ def efron_partial_log_likelihood(
 
     # tied event groups with the Efron correction; a group's first row need
     # not itself be an event
-    for start in np.flatnonzero((first_idx == np.arange(n)) & (group_events > 1)):
-        stop = start
-        while stop < n and ts[stop] == ts[start]:
-            stop += 1
-        d_idx = np.flatnonzero(ev[start:stop]) + start
+    tied = group_events > 1
+    for start, size in zip(starts[tied], sizes[tied]):
+        d_idx = np.flatnonzero(ev[start:start + size]) + start
         d = len(d_idx)
         s0d = r[d_idx].sum()
         s1d = rx[d_idx].sum(axis=0)
@@ -133,6 +145,8 @@ class CoxModel:
     n_train: int = 0
     _rates: np.ndarray = field(init=False, repr=False)
     _cum_at_knots: np.ndarray = field(init=False, repr=False)
+    _piece_left: np.ndarray = field(init=False, repr=False)
+    _piece_rates: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         t = np.asarray(self.baseline_times, dtype=float)
@@ -145,22 +159,24 @@ class CoxModel:
         self.baseline_hazard = h
         widths = np.diff(np.concatenate([[0.0], t]))
         self._rates = h / widths
-        self._cum_at_knots = np.concatenate([[0.0], np.cumsum(h)])
+        self._cum_at_knots = np.concatenate([[0.0], np.cumsum(h)])  # Lambda(_piece_left)
+        # piece j covers (_piece_left[j], t[j]]; index len(t) is the tail
+        # beyond the last knot, at the last rate
+        self._piece_left = np.concatenate([[0.0], t])
+        self._piece_rates = np.append(self._rates, self._rates[-1:])
 
     @property
     def tail_rate(self) -> float:
         return float(self._rates[-1])
 
-    def cumulative_hazard(self, t: float) -> float:
-        """Baseline cumulative hazard, linear between event times."""
-        if t <= 0:
-            return 0.0
-        knots = self.baseline_times
-        i = int(np.searchsorted(knots, t, side="left"))
-        if i >= len(knots):
-            return float(self._cum_at_knots[-1] + self.tail_rate * (t - knots[-1]))
-        left = knots[i - 1] if i > 0 else 0.0
-        return float(self._cum_at_knots[i] + self._rates[i] * (t - left))
+    def cumulative_hazard(self, t: float | np.ndarray) -> float | np.ndarray:
+        """Baseline cumulative hazard, linear between event times; 0 for
+        t <= 0. A scalar t gives a float, an array an array."""
+        t = np.asarray(t, dtype=float)
+        i = np.searchsorted(self.baseline_times, t, side="left")
+        value = self._cum_at_knots[i] + self._piece_rates[i] * (t - self._piece_left[i])
+        value = np.where(t <= 0, 0.0, value)
+        return float(value) if value.ndim == 0 else value
 
     def risk_score(self, x: np.ndarray) -> float:
         return float(np.asarray(x, dtype=float) @ self.beta)
@@ -202,14 +218,11 @@ class CoxModel:
 
     def _mean_residual_block(self, lin: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, int]:
         knots = self.baseline_times
-        left = np.concatenate([[0.0], knots])        # piece j covers (left[j], knots[j]]
-        rates = np.append(self._rates, self.tail_rate)  # index len(knots) is the tail
-        cum_left = self._cum_at_knots                # Lambda(left[j])
+        left = self._piece_left
+        cum_left = self._cum_at_knots
         saturated = lin > 700.0
         risk = np.exp(np.minimum(lin, 700.0))
-        # Lambda(a), linear inside the piece that holds a
-        i = np.searchsorted(knots, a, side="left")
-        cum_a = cum_left[i] + rates[i] * (a - left[i])
+        cum_a = self.cumulative_hazard(a)
         # piece j starts at max(a, left[j]); pieces ending at or before a have
         # zero length and, with the clipped hazard drop, contribute exactly 0
         r = risk[:, None]
@@ -262,25 +275,11 @@ def baseline_hazard(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Hazard mass d_i / sum of risk scores over the risk set, per distinct
     event time. With unit risk scores this reduces to Nelson-Aalen increments."""
-    times = np.round(np.asarray(times, dtype=float), TIE_DECIMALS)
     events = np.asarray(events, dtype=bool)
-    risk_scores = np.asarray(risk_scores, dtype=float)
-    order = np.argsort(times, kind="mergesort")
-    ts, ev, rs = times[order], events[order], risk_scores[order]
-    suffix = np.cumsum(rs[::-1])[::-1]
-    out_t, out_h = [], []
-    start = 0
-    n = len(ts)
-    while start < n:
-        stop = start
-        while stop < n and ts[stop] == ts[start]:
-            stop += 1
-        d = int(ev[start:stop].sum())
-        if d > 0:
-            out_t.append(ts[start])
-            out_h.append(d / suffix[start])
-        start = stop
-    return np.asarray(out_t), np.asarray(out_h)
+    order, ts, starts, d = _tie_groups(times, events)
+    suffix = np.cumsum(np.asarray(risk_scores, dtype=float)[order][::-1])[::-1]
+    starts, d = starts[d > 0], d[d > 0]
+    return ts[starts], d / suffix[starts]
 
 
 def fit(
@@ -310,10 +309,8 @@ def fit(
     if len(names) != p:
         raise ValidationError(f"{len(names)} feature names for {p} columns")
 
-    mu = X.mean(axis=0)
-    sd = X.std(axis=0)
-    sd = np.where(sd == 0.0, 1.0, sd)
-    Xs = (X - mu) / sd
+    scaling = Standardization.fit(X, names)
+    Xs = scaling.apply(X)
 
     beta = np.zeros(p)
     value, grad, hess = efron_partial_log_likelihood(beta, Xs, times, events)
@@ -345,8 +342,12 @@ def fit(
             f"{np.max(np.abs(grad)):.3e} after {max_iter} iterations"
         )
 
-    beta_raw = beta / sd
-    base_t, base_h = baseline_hazard(times, events, _stable_risk(X, beta_raw))
+    beta_raw = beta / scaling.std
+    # the hazard masses use the raw-scale risk exp(beta.x), as predictions do
+    lin = X @ beta_raw
+    if np.max(np.abs(lin)) > 700.0:
+        raise NumericalError("risk scores overflow; standardize covariates before fitting")
+    base_t, base_h = baseline_hazard(times, events, np.exp(lin))
     return CoxModel(
         feature_names=names,
         beta=beta_raw,
@@ -354,16 +355,6 @@ def fit(
         baseline_hazard=base_h,
         n_train=n,
     )
-
-
-def _stable_risk(X: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """exp(beta.x) for the baseline denominator; the hazard masses use the
-    same raw-scale convention as predictions, so no shift is applied here
-    beyond guarding the exponent range."""
-    lin = X @ beta
-    if np.max(lin) > 700.0 or np.min(lin) < -700.0:
-        raise NumericalError("risk scores overflow; standardize covariates before fitting")
-    return np.exp(lin)
 
 
 def expected_survival_time(

@@ -6,13 +6,13 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import baselines, cox, metrics, net, rnnsm
-from .config import model_family
+from .config import boolean, count, mapping, model_family, numbers, setting, text
 from .data import (
     Dataset,
     assign_windows,
@@ -46,22 +46,21 @@ class LoadedData:
 
 
 def load_and_split(config: dict) -> LoadedData:
-    sessions_path = (config.get("data") or {}).get("sessions")
-    if not sessions_path:
-        raise ConfigError("config carries no data.sessions path")
+    sessions_path = setting(config, "data.sessions", text)
     if not Path(sessions_path).exists():
         raise DataModelMismatchError(f"sessions file not found: {sessions_path}")
     read = read_sessions_jsonl(sessions_path)
     sessions, epoch_iso, epoch_weekday = read
-    window_cfg = config.get("window")
-    if not window_cfg:
-        raise ConfigError("config carries no window section")
+    # day offsets are numbers, *_date entries ISO strings
+    window_cfg = {
+        key: setting(config, f"window.{key}", text if key.endswith("_date") else float)
+        for key in setting(config, "window", mapping)
+    }
     window = resolve_window_days(window_cfg, epoch_iso)
     dataset = assign_windows(sessions, window, epoch_iso=epoch_iso,
                              epoch_weekday=epoch_weekday)
-    split_cfg = config.get("split") or {}
     train, test = stratified_split(
-        dataset, float(split_cfg.get("test_fraction", 0.2)), _split_seed(config)
+        dataset, setting(config, "split.test_fraction", float), _split_seed(config)
     )
     return LoadedData(
         dataset=dataset, train=train, test=test,
@@ -71,8 +70,8 @@ def load_and_split(config: dict) -> LoadedData:
 
 def _split_seed(config: dict) -> int:
     """split.seed when set (0 included), else the run seed."""
-    seed = (config.get("split") or {}).get("seed")
-    return int(seed if seed is not None else config["seed"])
+    seed = setting(config, "split.seed", int, optional=True)
+    return seed if seed is not None else setting(config, "seed", int)
 
 
 def train_users_sha256(train: Dataset) -> str:
@@ -90,35 +89,41 @@ def split_identity(data: LoadedData) -> dict[str, str]:
 
 
 def feature_config(config: dict) -> FeatureConfig:
-    f = config.get("features") or {}
     return FeatureConfig(
-        max_steps=int(f.get("max_steps", 64)),
-        per_session_steps=bool(f.get("per_session_steps", False)),
-        variance_threshold=float(f.get("variance_threshold", 0.9)),
+        max_steps=setting(config, "features.max_steps", int),
+        per_session_steps=setting(config, "features.per_session_steps", boolean),
+        variance_threshold=setting(config, "features.variance_threshold", float),
     )
 
 
 def training_config(config: dict, model: str, seed_offset: int = 0) -> rnnsm.TrainingConfig:
-    t = (config.get("training") or {}).get(model, {})
     return rnnsm.TrainingConfig(
-        epochs=int(t.get("epochs", 20)),
-        batch_size=int(t.get("batch_size", 64)),
-        learning_rate=float(t.get("learning_rate", 0.01)),
-        clip_norm=float(t.get("clip_norm", 5.0)),
-        seed=int(config["seed"]) + seed_offset,
+        epochs=setting(config, f"training.{model}.epochs", int),
+        batch_size=setting(config, f"training.{model}.batch_size", count),
+        learning_rate=setting(config, f"training.{model}.learning_rate", float),
+        clip_norm=setting(config, f"training.{model}.clip_norm", float),
+        seed=setting(config, "seed", int) + seed_offset,
     )
 
 
 def _net_config(stats: SequenceStats, dims: dict[str, int], config: dict) -> net.NetConfig:
-    n = config.get("network") or {}
     return net.NetConfig(
         discrete_features=tuple(stats.discrete_features),
         cardinalities=tuple(stats.cardinalities),
-        embedding_dims=tuple(int(dims[name]) for name in stats.discrete_features),
+        embedding_dims=tuple(dims[name] for name in stats.discrete_features),
         n_continuous=len(stats.cont_channels),
-        fusion_size=int(n.get("fusion_size", 32)),
-        hidden_size=int(n.get("hidden_size", 32)),
+        fusion_size=setting(config, "network.fusion_size", count),
+        hidden_size=setting(config, "network.hidden_size", count),
     )
+
+
+def _embedding_dims(value) -> str | dict[str, int]:
+    """"auto", or a mapping of feature name to a dimension of at least 1."""
+    if value == "auto":
+        return value
+    if not isinstance(value, dict):
+        raise TypeError("expected 'auto' or a mapping")
+    return {name: count(dim) for name, dim in value.items()}
 
 
 def resolve_embedding_dims(
@@ -127,46 +132,26 @@ def resolve_embedding_dims(
     """Either take dims from the config or run the preliminary-model PCA
     selection: train wide embeddings briefly with the family's own loss,
     then keep the dimensions explaining more than the variance threshold."""
-    n = config.get("network") or {}
-    dims_option = n.get("embedding_dims", "auto")
+    dims_option = setting(config, "network.embedding_dims", _embedding_dims)
     if isinstance(dims_option, dict):
         missing = set(stats.discrete_features) - set(dims_option)
         if missing:
             raise ConfigError(f"embedding_dims missing features {sorted(missing)}")
-        return {k: int(dims_option[k]) for k in stats.discrete_features}
-    if dims_option != "auto":
-        raise ConfigError("network.embedding_dims must be 'auto' or a mapping")
+        return {k: dims_option[k] for k in stats.discrete_features}
 
-    wide = int(n.get("preliminary_dim", 10))
-    prelim_config = net.NetConfig(
-        discrete_features=tuple(stats.discrete_features),
-        cardinalities=tuple(stats.cardinalities),
-        embedding_dims=tuple(wide for _ in stats.discrete_features),
-        n_continuous=len(stats.cont_channels),
-        fusion_size=int(n.get("fusion_size", 32)),
-        hidden_size=int(n.get("hidden_size", 32)),
-    )
-    base = training_config(config, family, seed_offset=101)
-    prelim_train = rnnsm.TrainingConfig(
-        epochs=int(n.get("preliminary_epochs", 2)),
-        batch_size=base.batch_size,
-        learning_rate=base.learning_rate,
-        clip_norm=base.clip_norm,
-        seed=base.seed,
+    wide = setting(config, "network.preliminary_dim", count)
+    prelim_config = _net_config(stats, dict.fromkeys(stats.discrete_features, wide), config)
+    prelim_train = replace(
+        training_config(config, family, seed_offset=101),
+        epochs=setting(config, "network.preliminary_epochs", int),
     )
     if family == "rnn":
-        prelim_params = baselines.train_simple_rnn(
-            train_seqs, prelim_config, stats, prelim_train
-        ).params
+        prelim = baselines.train_simple_rnn(train_seqs, prelim_config, stats, prelim_train)
     else:
-        prelim_params = rnnsm.train_rnnsm(
-            train_seqs, prelim_config, stats, w=w_hint, config=prelim_train
-        ).params
+        prelim = rnnsm.train_rnnsm(train_seqs, prelim_config, stats, w_hint, prelim_train)
     threshold = feature_config(config).variance_threshold
-    dims = {
-        name: select_embedding_dims(prelim_params[f"emb_{name}"], threshold)
-        for name in stats.discrete_features
-    }
+    dims = {name: select_embedding_dims(prelim.params[f"emb_{name}"], threshold)
+            for name in stats.discrete_features}
     logger.info("embedding dimensions from preliminary %s model: %s", family, dims)
     return dims
 
@@ -178,30 +163,28 @@ def select_w(train: Dataset, config: dict, dims: dict[str, int]) -> float:
     a held-out split of the train data, so the selection sees the same
     capacity the final model will have.
     """
-    r = config.get("rnnsm") or {}
-    if r.get("w") is not None:
-        return float(r["w"])
-    grid = [float(w) for w in r.get("w_grid", [0.01, 0.05, 0.1, 0.5, 1.0])]
-    if any(w <= 0 for w in grid):
-        raise ConfigError("w grid values must be positive")
+    w = setting(config, "rnnsm.w", float, optional=True)
+    if w is not None:
+        return w
+    grid = setting(config, "rnnsm.w_grid", numbers)
+    if not grid or any(w <= 0 for w in grid):
+        raise ConfigError("config key rnnsm.w_grid must list positive values")
     if len(grid) == 1:
         return grid[0]
     fit_ds, val_ds = stratified_split(
-        train, float(r.get("validation_fraction", 0.2)), int(config["seed"]) + 17
+        train, setting(config, "rnnsm.validation_fraction", float),
+        setting(config, "seed", int) + 17,
     )
     fcfg = feature_config(config)
     fit_seqs, stats = build_sequences(fit_ds, fcfg)
     val_seqs, _ = build_sequences(val_ds, stats=stats)
     net_cfg = _net_config(stats, dims, config)
-    base = training_config(config, "rnnsm", seed_offset=31)
-    grid_epochs = r.get("grid_epochs")
-    epochs = int(grid_epochs) if grid_epochs is not None else base.epochs
+    tcfg = training_config(config, "rnnsm", seed_offset=31)
+    grid_epochs = setting(config, "rnnsm.grid_epochs", int, optional=True)
+    if grid_epochs is not None:
+        tcfg = replace(tcfg, epochs=grid_epochs)
     scores = []
     for w in grid:
-        tcfg = rnnsm.TrainingConfig(
-            epochs=epochs, batch_size=base.batch_size,
-            learning_rate=base.learning_rate, clip_norm=base.clip_norm, seed=base.seed,
-        )
         model = rnnsm.train_rnnsm(fit_seqs, net_cfg, stats, w=w, config=tcfg)
         c = metrics.concordance_index(prediction_records(val_ds, rnnsm.predict(model, val_seqs)))
         scores.append((c, -w))
@@ -228,7 +211,7 @@ def train_model(model_name: str, data: LoadedData, config: dict, out_dir: str | 
         "model_family": family,
         "window_days": data.window_days,
         "split": {
-            "test_fraction": float((config.get("split") or {}).get("test_fraction", 0.2)),
+            "test_fraction": setting(config, "split.test_fraction", float),
             "seed": _split_seed(config),
             **split_identity(data),
         },
@@ -236,7 +219,7 @@ def train_model(model_name: str, data: LoadedData, config: dict, out_dir: str | 
             "max_steps": fcfg.max_steps,
             "per_session_steps": fcfg.per_session_steps,
         },
-        "seed": int(config["seed"]),
+        "seed": setting(config, "seed", int),
     }
 
     if family == "baseline":
@@ -258,15 +241,10 @@ def train_model(model_name: str, data: LoadedData, config: dict, out_dir: str | 
         dims = resolve_embedding_dims(seqs, stats, config, family=family)
         net_cfg = _net_config(stats, dims, config)
         if family == "rnn":
-            model = baselines.train_simple_rnn(
-                seqs, net_cfg, stats, training_config(config, "rnn")
-            )
+            model = baselines.train_simple_rnn(seqs, net_cfg, stats, training_config(config, "rnn"))
         else:
-            w = select_w(data.train, config, dims)
-            meta["w"] = w
-            model = rnnsm.train_rnnsm(
-                seqs, net_cfg, stats, w=w, config=training_config(config, "rnnsm")
-            )
+            meta["w"] = w = select_w(data.train, config, dims)
+            model = rnnsm.train_rnnsm(seqs, net_cfg, stats, w, training_config(config, "rnnsm"))
         rnnsm.save_model(out / "model.npz", model)
         stats.save(out / "norm_stats.json")
         meta["embedding_dims"] = dims
@@ -300,18 +278,6 @@ def prediction_records(
             dataset.active_day_counts.tolist(), dataset.last_session_end.tolist(),
         )
     ]
-
-
-def _cox_predictions(model, standardization, markers, dataset, condition):
-    agg = build_aggregates(dataset, continuous_markers=markers)
-    if agg.feature_names != standardization.feature_names:
-        raise DataModelMismatchError(
-            "aggregate feature schema does not match the trained model"
-        )
-    return cox.expected_survival_time(
-        model, standardization.apply(agg.X), condition_on_absence=condition,
-        t_s=dataset.absence_times, row_ids=dataset.user_ids,
-    )
 
 
 def predict_model(
@@ -373,8 +339,13 @@ def predict_model(
             markers = list(meta["continuous_markers"])
         except (KeyError, TypeError) as exc:
             raise unreadable(f"{type(exc).__name__}: {exc}") from exc
-        predicted = _cox_predictions(
-            model, standardization, markers, dataset, condition=conditioned,
+        agg = build_aggregates(dataset, continuous_markers=markers)
+        if agg.feature_names != standardization.feature_names:
+            raise DataModelMismatchError(
+                "aggregate feature schema does not match the trained model")
+        predicted = cox.expected_survival_time(
+            model, standardization.apply(agg.X), condition_on_absence=conditioned,
+            t_s=dataset.absence_times, row_ids=dataset.user_ids,
         )
     else:
         model = rnnsm.load_model(artifact / "model.npz", family)

@@ -298,9 +298,8 @@ def build_sequences(
     if fitting:
         if cont.shape[0] == 0:
             raise DataError("cannot fit sequence statistics on an empty dataset")
-        stats.mean = cont.mean(axis=0)
-        std = cont.std(axis=0)
-        stats.std = np.where(std == 0.0, 1.0, std)
+        scaling = Standardization.fit(cont, stats.cont_channels)
+        stats.mean, stats.std = scaling.mean, scaling.std
     cont = (cont - stats.mean) / stats.std
 
     bounds = np.append(0, np.cumsum(np.minimum(per_user, stats.max_steps))).tolist()

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -94,17 +95,10 @@ def concordance_index(records: Sequence[PredictionRecord]) -> float:
 
 
 def _midranks(values: np.ndarray) -> np.ndarray:
-    order = np.argsort(values, kind="mergesort")
-    ranks = np.empty(len(values))
-    i = 0
-    sorted_vals = values[order]
-    while i < len(values):
-        j = i
-        while j < len(values) and sorted_vals[j] == sorted_vals[i]:
-            j += 1
-        ranks[order[i:j]] = 0.5 * (i + j + 1)  # 1-based average rank
-        i = j
-    return ranks
+    """1-based ranks, ties sharing their average rank."""
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)
+    return (0.5 * (2 * ends - counts + 1))[inverse]
 
 
 def nonreturning_auc(
@@ -176,18 +170,13 @@ def error_breakdowns(records: Sequence[PredictionRecord]) -> Breakdowns:
         week_err.setdefault(week, []).append(err)
         bucket = _active_day_bucket(r.active_day_count)
         day_sq.setdefault(bucket, []).append(err * err)
+    buckets = sorted(day_sq, key=lambda b: math.inf if b.endswith("+") else int(b))
     return Breakdowns(
         rmse_by_week={k: float(np.sqrt(np.mean(v))) for k, v in sorted(week_sq.items())},
         mean_error_by_week={k: float(np.mean(v)) for k, v in sorted(week_err.items())},
         n_by_week={k: len(v) for k, v in sorted(week_sq.items())},
-        rmse_by_active_days={
-            k: float(np.sqrt(np.mean(day_sq[k])))
-            for k in sorted(day_sq, key=lambda b: math.inf if b.endswith("+") else int(b))
-        },
-        n_by_active_days={
-            k: len(day_sq[k])
-            for k in sorted(day_sq, key=lambda b: math.inf if b.endswith("+") else int(b))
-        },
+        rmse_by_active_days={k: float(np.sqrt(np.mean(day_sq[k]))) for k in buckets},
+        n_by_active_days={k: len(day_sq[k]) for k in buckets},
     )
 
 
@@ -211,13 +200,16 @@ def build_report(
     for name in sorted(model_records, key=_model_sort_key):
         records = model_records[name]
         report["n_users"][name] = len(records)
-        report["models"][name] = {
-            "rmse_days": rmse_returning(records),
-            "concordance": concordance_index(records),
-            "nonreturning_auc": nonreturning_auc(records, score_mode=auc_score_mode),
-            "nonreturning_recall": nonreturning_recall(records),
-        }
-        b = error_breakdowns(records)
+        # errors beyond the float range (predictions near 1e154 days and up)
+        # give an inf RMSE rather than a warning
+        with np.errstate(over="ignore"):
+            report["models"][name] = {
+                "rmse_days": rmse_returning(records),
+                "concordance": concordance_index(records),
+                "nonreturning_auc": nonreturning_auc(records, score_mode=auc_score_mode),
+                "nonreturning_recall": nonreturning_recall(records),
+            }
+            b = error_breakdowns(records)
         report["tables"]["rmse_by_week"][name] = {str(k): v for k, v in b.rmse_by_week.items()}
         report["tables"]["mean_error_by_week"][name] = {
             str(k): v for k, v in b.mean_error_by_week.items()
@@ -247,7 +239,7 @@ def write_predictions_csv(
     epoch = None
     if epoch_iso is not None:
         epoch = dt.datetime.fromisoformat(epoch_iso.replace("Z", "+00:00"))
-    with Path(path).open("w", newline="") as fh:
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
         for r in records:
@@ -269,37 +261,53 @@ def write_predictions_csv(
             ])
 
 
+def _finite(value: str) -> float:
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"non-finite value {value!r}")
+    return number
+
+
 def read_predictions_csv(path: str | Path) -> tuple[str, list[PredictionRecord]]:
+    """Read a prediction CSV written by write_predictions_csv.
+
+    The file is decoded as UTF-8. A file that is not UTF-8 or not CSV, or a
+    row with a missing, non-numeric or non-finite value, raises
+    ValidationError naming path:line; a missing column names the path.
+    """
     path = Path(path)
-    records: list[PredictionRecord] = []
-    model_name: str | None = None
-    with path.open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = set(CSV_COLUMNS) - set(reader.fieldnames or ())
-        if missing:
-            raise ValidationError(f"{path}: prediction CSV missing columns {sorted(missing)}")
-        for row in reader:
-            if model_name is None:
-                model_name = row["model"]
-            elif row["model"] != model_name:
-                raise ValidationError(f"{path}: mixed model names in one prediction CSV")
-            records.append(
-                PredictionRecord(
-                    user_id=row["user_id"],
-                    predicted_return_days=float(row["predicted_return_days"]),
-                    true_return_days=float(row["true_return_days"]) if row["true_return_days"] else None,
-                    censored_lower_bound_days=(
-                        float(row["censored_lower_bound_days"])
-                        if row["censored_lower_bound_days"] else None
-                    ),
-                    horizon_gap_days=float(row["horizon_gap_days"]),
-                    active_day_count=int(row["active_day_count"]),
-                    last_session_end_days=(
-                        float(row["last_session_end_days"])
-                        if row["last_session_end_days"] else None
-                    ),
-                )
-            )
-    if model_name is None:
+    raw = path.read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise ValidationError(f"{path}:{line}: prediction CSV is not UTF-8") from exc
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    try:
+        columns = reader.fieldnames or ()
+        rows = [(reader.line_num, row) for row in reader]
+    except csv.Error as exc:
+        raise ValidationError(f"{path}:{reader.line_num}: not a CSV file: {exc}") from exc
+    missing = set(CSV_COLUMNS) - set(columns)
+    if missing:
+        raise ValidationError(f"{path}: prediction CSV missing columns {sorted(missing)}")
+    if not rows:
         raise ValidationError(f"{path}: prediction CSV is empty")
+    model_name = rows[0][1]["model"]
+    records: list[PredictionRecord] = []
+    for line, row in rows:
+        if row["model"] != model_name:
+            raise ValidationError(f"{path}:{line}: mixed model names in one prediction CSV")
+        try:
+            optional = {key: _finite(row[key]) if row[key] else None for key in (
+                "true_return_days", "censored_lower_bound_days", "last_session_end_days")}
+            records.append(PredictionRecord(
+                user_id=row["user_id"],
+                predicted_return_days=_finite(row["predicted_return_days"]),
+                horizon_gap_days=_finite(row["horizon_gap_days"]),
+                active_day_count=int(row["active_day_count"]),
+                **optional,
+            ))
+        except (TypeError, ValueError, ValidationError) as exc:
+            raise ValidationError(f"{path}:{line}: bad prediction row: {exc}") from exc
     return model_name, records

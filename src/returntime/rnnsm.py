@@ -52,21 +52,31 @@ def hazard(o: float, w: float, dt: float) -> float:
     return math.exp(expo)
 
 
+def _integrated_hazard(o, z, w: float) -> np.ndarray:
+    """(exp(o + z) - exp(o)) / w elementwise: the hazard integrated over a
+    gap whose w*gap is z. Up to z = 50 it is grouped as exp(o)*expm1(z)/w,
+    free of cancellation on short gaps; beyond, the difference form does not
+    overflow where expm1(z) would. Both forms are evaluated, and overflow
+    saturates to inf: callers check exponents against EXP_LIMIT first when
+    overflow must be an error."""
+    with np.errstate(over="ignore"):
+        e_o = np.exp(o)
+        return np.where(z <= 50.0, e_o * np.expm1(np.minimum(z, 50.0)) / w,
+                        (np.exp(o + z) - e_o) / w)
+
+
 def _gap_term(o: float, w: float, gap: float) -> float:
-    """(exp(o + w*gap) - exp(o)) / w, grouped to avoid overflow and
-    cancellation; equals the integrated hazard over [0, gap]."""
+    """The integrated hazard over [0, gap >= 0] for one gap; overflow raises.
+    With w > 0 the largest exponent is o + w*gap."""
+    if w <= 0:
+        raise ValidationError(f"current-influence weight w must be positive, got {w}")
     z = w * gap
     _check_exponent(o + z, f"survival term (o={o:.6g}, w={w:.6g}, gap={gap:.6g})")
-    _check_exponent(o, f"survival term (o={o:.6g})")
-    if z <= 50.0:
-        return math.exp(o) * math.expm1(z) / w
-    return (math.exp(o + z) - math.exp(o)) / w
+    return float(_integrated_hazard(o, z, w))
 
 
 def log_survival(o: float, w: float, gap: float) -> float:
     """log S(gap): probability of no return within gap days of the step."""
-    if w <= 0:
-        raise ValidationError(f"current-influence weight w must be positive, got {w}")
     if gap < 0:
         raise ValidationError(f"gap must be non-negative, got {gap}")
     return -_gap_term(o, w, gap)
@@ -74,8 +84,6 @@ def log_survival(o: float, w: float, gap: float) -> float:
 
 def log_density_return(o: float, w: float, gap: float) -> float:
     """log f(gap): log-likelihood of a return exactly gap days after the step."""
-    if w <= 0:
-        raise ValidationError(f"current-influence weight w must be positive, got {w}")
     if gap <= 0:
         raise ValidationError(f"return gap must be positive, got {gap}")
     return o + w * gap - _gap_term(o, w, gap)
@@ -83,16 +91,6 @@ def log_density_return(o: float, w: float, gap: float) -> float:
 
 # ---------------------------------------------------------------------------
 # sequence loss
-
-def _gap_term_array(o: np.ndarray, z: np.ndarray, w: float) -> np.ndarray:
-    """Vectorized (exp(o + z) - exp(o)) / w with the same overflow grouping."""
-    out = np.empty_like(o)
-    small = z <= 50.0
-    out[small] = np.exp(o[small]) * np.expm1(z[small]) / w
-    big = ~small
-    out[big] = (np.exp(o[big] + z[big]) - np.exp(o[big])) / w
-    return out
-
 
 def sequence_loss(
     o_seq: np.ndarray,
@@ -124,7 +122,7 @@ def sequence_loss(
     z = w * targets
     worst = float(np.max(np.maximum(o_seq + z, o_seq)))
     _check_exponent(worst, "sequence loss")
-    A = _gap_term_array(o_seq, z, w)
+    A = _integrated_hazard(o_seq, z, w)
     ll = o_seq + z - A
     grad = A - 1.0
     if is_censored:
@@ -144,7 +142,7 @@ def _batch_loss(
     z = w * batch.targets
     worst = float(np.max(np.maximum(o + z, o)[mask], initial=-np.inf))
     _check_exponent(worst, "batch loss")
-    A = _gap_term_array(o, z, w)
+    A = _integrated_hazard(o, z, w)
     ll = o + z - A
     grad = A - 1.0
     rows = np.arange(B)
@@ -162,17 +160,6 @@ def _batch_loss(
 
 # ---------------------------------------------------------------------------
 # expectations
-
-def _survival_values(o: float, w: float, t: np.ndarray) -> np.ndarray:
-    """S(t) for an array of gaps, saturating to 0 instead of overflowing."""
-    z = w * np.asarray(t, dtype=float)
-    with np.errstate(over="ignore"):
-        small = z <= 50.0
-        a = np.empty_like(z)
-        a[small] = np.exp(o) * np.expm1(z[small]) / w
-        a[~small] = (np.exp(o + z[~small]) - np.exp(o)) / w
-        return np.exp(-a)
-
 
 def expected_return_time(
     o: float,
@@ -202,7 +189,7 @@ def expected_return_time(
         upper = float(np.logaddexp(0.0, x)) / w
 
     for _ in range(200):
-        log_s = -_gap_term_safe(o, w, upper)
+        log_s = -float(_integrated_hazard(o, w * upper, w))
         if log_s < _LOG_TAIL:
             # tail bound: S(t) <= S(U) exp(-lambda(U)(t-U)) for t > U
             log_lambda = o + w * upper
@@ -214,18 +201,8 @@ def expected_return_time(
         raise NumericalError(
             f"could not bound the survival tail for o={o:.6g}, w={w:.6g}"
         )
-    return integrate(lambda t: _survival_values(o, w, t), 0.0, upper, abs_tol=abs_tol)
-
-
-def _gap_term_safe(o: float, w: float, gap: float) -> float:
-    """Integrated hazard like _gap_term, but saturating instead of raising."""
-    z = w * gap
-    if z <= 50.0:
-        return math.exp(o) * math.expm1(z) / w
-    expo = o + z
-    if expo > EXP_LIMIT:
-        return math.inf
-    return (math.exp(expo) - math.exp(o)) / w
+    return integrate(lambda t: np.exp(-_integrated_hazard(o, w * t, w)), 0.0, upper,
+                     abs_tol=abs_tol)
 
 
 def absence_conditioned_expectation(

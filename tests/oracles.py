@@ -194,12 +194,80 @@ def recall_brute(records):
     return hits / positives
 
 
+def efron_by_group(beta, X, times, events, decimals=9):
+    """Efron partial log-likelihood, gradient and Hessian, one distinct
+    event time at a time: times rounded to the given decimals, the risk set
+    and the tied events listed by scanning every row, and no shift of the
+    linear predictor."""
+    beta = np.asarray(beta, dtype=float)
+    X = np.asarray(X, dtype=float)
+    t = np.round(np.asarray(times, dtype=float), decimals).tolist()
+    n, p = X.shape
+    eta = [float(X[i] @ beta) for i in range(n)]
+    r = [math.exp(e) for e in eta]
+    value, grad, hess = 0.0, np.zeros(p), np.zeros((p, p))
+    for time in sorted({t[i] for i in range(n) if events[i]}):
+        tied = [i for i in range(n) if events[i] and t[i] == time]
+        risk = [i for i in range(n) if t[i] >= time]
+        sums = [
+            (sum(r[i] for i in rows), sum(r[i] * X[i] for i in rows),
+             sum(r[i] * np.outer(X[i], X[i]) for i in rows))
+            for rows in (risk, tied)
+        ]
+        (s0, s1, s2), (d0, d1, d2) = sums
+        d = len(tied)
+        for l, i in enumerate(tied):
+            value += eta[i]
+            grad += X[i]
+            phi = s0 - l / d * d0
+            mu = (s1 - l / d * d1) / phi
+            value -= math.log(phi)
+            grad -= mu
+            hess -= (s2 - l / d * d2) / phi - np.outer(mu, mu)
+    return value, grad, hess
+
+
+def baseline_hazard_walk(times, events, risk_scores, decimals=9):
+    """Hazard mass per distinct event time by walking the sorted rows group
+    by group, summing the risk set from the right as a running suffix sum."""
+    times = np.round(np.asarray(times, dtype=float), decimals)
+    order = np.argsort(times, kind="mergesort")
+    ts = times[order]
+    ev = np.asarray(events, dtype=bool)[order]
+    suffix = np.cumsum(np.asarray(risk_scores, dtype=float)[order][::-1])[::-1]
+    out_t, out_h = [], []
+    start = 0
+    while start < len(ts):
+        stop = start
+        while stop < len(ts) and ts[stop] == ts[start]:
+            stop += 1
+        d = int(ev[start:stop].sum())
+        if d > 0:
+            out_t.append(ts[start])
+            out_h.append(d / suffix[start])
+        start = stop
+    return np.asarray(out_t, dtype=float), np.asarray(out_h, dtype=float)
+
+
+def cox_cumulative_hazard(model, t):
+    """Baseline cumulative hazard: the masses of the event times before t,
+    plus the share of the next mass up to t, or the last rate beyond the
+    last event time."""
+    knots = [float(k) for k in model.baseline_times]
+    masses = [float(h) for h in model.baseline_hazard]
+    total, left = 0.0, 0.0
+    for k, mass in zip(knots, masses):
+        if t <= k:
+            return total + mass / (k - left) * (t - left) if t > 0 else 0.0
+        total, left = total + mass, k
+    return total + masses[-1] / (knots[-1] - (knots[-2] if len(knots) > 1 else 0.0)) * (t - left)
+
+
 def cox_mean_residual(model, x, a):
     """integral_a^inf S(z|x)/S(a|x) dz for a fitted Cox model, one piece of
     the baseline at a time: hazard rate h_j / (t_j - t_{j-1}) on each
     inter-event interval, the last rate beyond the last event, and the
-    cumulative hazard at each piece start from the scalar
-    model.cumulative_hazard."""
+    cumulative hazard at each piece start from cox_cumulative_hazard."""
     lin = float(np.dot(x, model.beta))
     if lin > 700.0:
         return 0.0
@@ -207,18 +275,18 @@ def cox_mean_residual(model, x, a):
     knots = [float(t) for t in model.baseline_times]
     masses = [float(h) for h in model.baseline_hazard]
     lefts = [0.0] + knots[:-1]
-    cum_a = model.cumulative_hazard(a)
+    cum_a = cox_cumulative_hazard(model, a)
     total = 0.0
     for left, right, mass in zip(lefts, knots, masses):
         if right <= a:
             continue
         start = max(a, left)
         rho = mass / (right - left) * risk
-        weight = math.exp(-risk * (model.cumulative_hazard(start) - cum_a))
+        weight = math.exp(-risk * (cox_cumulative_hazard(model, start) - cum_a))
         total += weight * -math.expm1(-rho * (right - start)) / rho
     tail_rate = masses[-1] / (knots[-1] - lefts[-1])
     start = max(a, knots[-1])
-    total += math.exp(-risk * (model.cumulative_hazard(start) - cum_a)) / (tail_rate * risk)
+    total += math.exp(-risk * (cox_cumulative_hazard(model, start) - cum_a)) / (tail_rate * risk)
     return total
 
 

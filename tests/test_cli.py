@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from returntime import data, experiment
+from returntime import data, experiment, metrics
 from returntime.cli import main
 from returntime.config import load_config, model_family
 
@@ -314,6 +314,42 @@ class TestTrainPredictEvaluate:
         assert f"{path}:1: bad session record" in err
         assert not Path(str(path) + data.CACHE_SUFFIX).exists()
 
+    @pytest.mark.parametrize("command,payload,key", [
+        ("rnn", {"training": {"rnn": None}}, "training.rnn"),
+        ("baseline", {"features": {"max_steps": "abc"}}, "features.max_steps"),
+        ("baseline", {"features": {"max_steps": float("inf")}}, "features.max_steps"),
+        ("baseline", {"features": {"per_session_steps": "false"}}, "features.per_session_steps"),
+        ("baseline", {"split": {"test_fraction": "x"}}, "split.test_fraction"),
+        ("baseline", {"seed": "x"}, "seed"),
+        ("baseline", {"window": {"activity_start_date": 5}}, "window.activity_start_date"),
+        ("baseline", {"data": {"sessions": ""}}, "data.sessions"),
+        ("rnn", {"network": {"hidden_size": 0}}, "network.hidden_size"),
+        ("rnn", {"network": {"embedding_dims": {"device": "x"}}}, "network.embedding_dims"),
+        ("rnnsm", {"rnnsm": {"w_grid": "0.1"}}, "rnnsm.w_grid"),
+        ("generate", {"generator": {"user_count": "many"}}, "generator.user_count"),
+        ("generate", {"generator": {"cohorts": {"name": "a"}}}, "generator.cohorts"),
+        ("generate", {"generator": {"cohorts": [5]}}, "generator.cohorts"),
+    ], ids=["training-rnn-null", "max-steps-text", "max-steps-inf", "flag-text",
+            "test-fraction-text", "seed-text", "window-date-number", "sessions-empty",
+            "hidden-size-zero", "embedding-dim-text", "w-grid-text", "user-count-text",
+            "cohorts-mapping", "cohort-entry-number"])
+    def test_wrong_typed_setting_exit_2(self, generated, tmp_path, capsys, command, payload,
+                                        key):
+        cfg, out = generated
+        bad = write_cfg(tmp_path, payload, name="bad.json")
+        if command == "generate":
+            argv = ["generate", "--config", cfg, "--config", bad, "--out", str(tmp_path / "g")]
+        else:
+            argv = ["train", "--model", command, "--config", cfg,
+                    "--config", str(out / "run_config.json"), "--config", bad,
+                    "--out", str(tmp_path / "m")]
+        capsys.readouterr()
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"config key {key}" in err
+        assert "Traceback" not in err
+
     def test_outputs_identical_on_cold_and_warm_cache(self, generated, tmp_path, monkeypatch):
         cfg, out = generated
         schedule = write_cfg(tmp_path, {
@@ -402,3 +438,89 @@ def test_one_mutated_record_exits_0_or_2(fuzz_data, index, mutation):
                        "--out", str(Path(tmp) / "m")])
     assert rc in (0, 2), err.getvalue()
     assert "Traceback" not in err.getvalue()
+
+
+def prediction_csv(path):
+    """A valid prediction CSV of six users, two of them censored."""
+    records = [
+        metrics.PredictionRecord(f"u{i}", pred, true, bound, 120.0, days, 3.5)
+        for i, (pred, true, bound, days) in enumerate([
+            (4.0, 2.5, None, 3), (30.0, None, 95.0, 1), (1.5, 1.0, None, 12),
+            (200.0, None, 110.0, 2), (9.0, 14.0, None, 5), (6.0, 7.5, None, 64),
+        ])
+    ]
+    metrics.write_predictions_csv(path, "rnnsm", records, epoch_iso="2020-01-01T00:00:00+00:00")
+    return path
+
+
+def evaluate(path, out):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        rc = main(["evaluate", "--pred", str(path), "--out", str(out)])
+    return rc, err.getvalue()
+
+
+@pytest.mark.parametrize("column,value", [
+    ("predicted_return_days", b"abc"),
+    ("predicted_return_days", b"nan"),
+    ("horizon_gap_days", b"1e999"),
+    ("active_day_count", b"2.5"),
+    ("user_id", b"u\xff"),
+    (None, None),
+], ids=["prediction-text", "prediction-nan", "horizon-overflows", "active-days-float",
+        "not-utf-8", "short-row"])
+def test_malformed_prediction_csv_exit_2(tmp_path, column, value):
+    path = prediction_csv(tmp_path / "p.csv")
+    lines = path.read_bytes().split(b"\r\n")
+    header = lines[0].split(b",")
+    cells = lines[3].split(b",")
+    if column is None:
+        del cells[-3:]
+    else:
+        cells[header.index(column.encode())] = value
+    lines[3] = b",".join(cells)
+    path.write_bytes(b"\r\n".join(lines))
+    rc, err = evaluate(path, tmp_path / "report")
+    assert rc == 2
+    assert f"error: {path}:4: " in err
+    assert "Traceback" not in err
+
+
+csv_cells = st.one_of(
+    st.text(max_size=12), st.floats().map(repr), st.integers().map(str),
+    st.sampled_from(["", "nan", "inf", "-0.0", "1e999", '"', "1,2", "\x00"]),
+)
+csv_mutations = st.one_of(
+    st.tuples(st.just("line"), st.binary(max_size=60)),
+    st.tuples(st.just("cell"), st.tuples(st.integers(0, 20), csv_cells)),
+    st.tuples(st.just("cut"), st.integers(0, 20)),
+    st.tuples(st.just("flip"), st.tuples(st.integers(0, 10**6), st.integers(0, 7))),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(index=st.integers(0, 10**6), mutation=csv_mutations)
+def test_one_mutated_prediction_csv_exits_0_or_2(index, mutation):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = prediction_csv(Path(tmp) / "p.csv")
+        raw = path.read_bytes()
+        lines = raw.split(b"\r\n")
+        index %= len(lines)
+        kind, value = mutation
+        if kind == "line":
+            lines[index] = value
+        elif kind == "cell":
+            cells = lines[index].split(b",")
+            cells[value[0] % len(cells)] = value[1].encode("utf-8", "surrogatepass")
+            lines[index] = b",".join(cells)
+        elif kind == "cut":
+            lines[index] = b",".join(lines[index].split(b",")[:value])
+        if kind == "flip":
+            flipped = bytearray(raw)
+            flipped[value[0] % len(raw)] ^= 1 << value[1]
+            path.write_bytes(bytes(flipped))
+        else:
+            path.write_bytes(b"\r\n".join(lines))
+        rc, err = evaluate(path, Path(tmp) / "report")
+    assert rc in (0, 2), err
+    assert "Traceback" not in err

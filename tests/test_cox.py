@@ -3,12 +3,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate as sp_integrate
 
 from returntime import cox
 from returntime.errors import DataError, NumericalError, ValidationError
 
-from oracles import breslow_partial_log_likelihood, cox_mean_residual, nelson_aalen
+from oracles import (
+    baseline_hazard_walk,
+    breslow_partial_log_likelihood,
+    cox_cumulative_hazard,
+    cox_mean_residual,
+    efron_by_group,
+    nelson_aalen,
+)
 
 
 def simulate_ph(n, beta_true, seed, base_rate=0.1, censor_at=30.0):
@@ -94,6 +103,51 @@ class TestEfronPartialLikelihood:
             + 0.3 * -0.5 - math.log(math.exp(-0.15) + math.exp(0.3))
         )
         assert v_with == pytest.approx(manual, rel=1e-12)
+
+
+@st.composite
+def heavy_ties(draw):
+    """Rows on five base times, each moved by at most 4e-10 (which rounds
+    back to the base) or by 1.6e-9 to 2.4e-9 (which rounds to base + 2e-9);
+    row 0 is a censored row leading a tie group that holds an event, and the
+    last two rows are events tied at the largest time."""
+    n = draw(st.integers(4, 24))
+    p = draw(st.integers(1, 3))
+    base = draw(st.lists(st.integers(1, 5), min_size=n, max_size=n))
+    jitter = draw(st.lists(st.sampled_from([-4, -1, 0, 1, 4, 16, 20, 24]),
+                           min_size=n, max_size=n))
+    events = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    unit = st.floats(-2.0, 2.0, allow_nan=False)
+    X = np.array(draw(st.lists(st.lists(unit, min_size=p, max_size=p), min_size=n, max_size=n)))
+    beta = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=p, max_size=p)))
+    base[1], jitter[:2], events[:2] = base[0], [1, -1], [False, True]
+    base[-2:], jitter[-2:], events[-2:] = [6, 6], [4, -4], [True, True]
+    times = np.array(base, dtype=float) + np.array(jitter) * 1e-10
+    return beta, X, times, np.array(events)
+
+
+class TestEfronTies:
+    @settings(max_examples=150, deadline=None)
+    @given(case=heavy_ties())
+    def test_matches_per_group_oracle(self, case):
+        beta, X, times, events = case
+        value, grad, hess = cox.efron_partial_log_likelihood(beta, X, times, events)
+        ref_value, ref_grad, ref_hess = efron_by_group(beta, X, times, events)
+        assert value == pytest.approx(ref_value, rel=1e-12, abs=1e-12)
+        np.testing.assert_allclose(grad, ref_grad, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(hess, ref_hess, rtol=1e-12, atol=1e-12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=heavy_ties())
+    def test_baseline_equals_group_walk_bitwise(self, case):
+        beta, X, times, events = case
+        risk = np.exp(X @ beta)
+        base_t, base_h = cox.baseline_hazard(times, events, risk)
+        ref_t, ref_h = baseline_hazard_walk(times, events, risk)
+        for got, ref in ((base_t, ref_t), (base_h, ref_h)):
+            assert got.dtype == ref.dtype and got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes()
+        assert base_t.tolist() == sorted(set(np.round(times[events], 9).tolist()))
 
 
 class TestFit:
@@ -212,6 +266,20 @@ class TestExpectedSurvivalTime:
         grid = np.linspace(0.0, 50.0, 60)
         values = [model.survival(x, float(t)) for t in grid]
         assert all(b <= a + 1e-15 for a, b in zip(values, values[1:]))
+
+    def test_cumulative_hazard_scalar_and_array(self):
+        model = cox.CoxModel(
+            feature_names=["x"],
+            beta=np.array([0.0]),
+            baseline_times=np.array([1.0, 2.5, 4.0]),
+            baseline_hazard=np.array([0.5, 0.3, 0.9]),
+        )
+        t = np.array([-1.0, 0.0, 0.4, 1.0, 1.7, 2.5, 3.0, 4.0, 9.0])
+        values = model.cumulative_hazard(t)
+        assert values.shape == t.shape
+        scalars = [model.cumulative_hazard(float(v)) for v in t]
+        assert all(isinstance(v, float) for v in scalars)
+        assert values.tolist() == scalars == [cox_cumulative_hazard(model, v) for v in t]
 
     def test_negative_absence_rejected(self):
         with pytest.raises(ValidationError):

@@ -74,6 +74,12 @@ class TestLogSurvival:
     def test_tends_to_minus_infinity(self):
         assert log_survival(0.0, 1.0, 600.0) < -1e100
 
+    def test_underflowing_exp_o_with_a_long_gap(self):
+        # exp(-800) underflows to 0 and w*gap = 750 overflows expm1; the
+        # value comes from the difference form alone, with no warning
+        assert log_survival(-800.0, 0.5, 1500.0) == pytest.approx(-math.exp(-50.0) / 0.5,
+                                                                  rel=1e-12)
+
     @pytest.mark.parametrize("o,w,gap", [(0.0, 1.0, 2.0), (1.0, 0.5, 4.0), (-1.0, 2.0, 1.5)])
     def test_equals_negative_integrated_hazard(self, o, w, gap):
         integral, _ = sp_integrate.quad(lambda t: hazard(o, w, t), 0, gap, limit=200)
@@ -163,6 +169,12 @@ class TestExpectedReturnTime:
         a = expected_return_time(-0.5, 0.2)
         b = expected_return_time(-0.5, 0.2, horizon_hint=120.0)
         assert a == pytest.approx(b, abs=1e-7)
+
+    def test_tail_bound_overflow_saturates(self):
+        # the first tail bound at 4 * 120 days has exponent 300 + 480, past
+        # exp's range; the survival there reads 0 instead of warning
+        value = expected_return_time(300.0, 1.0, horizon_hint=120.0)
+        assert 0.0 <= value < 1e-8
 
     def test_large_o_closed_form(self):
         assert expected_return_time(650.0, 1.0) == pytest.approx(math.exp(-650.0))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -155,6 +157,13 @@ class TestNonReturningAuc:
     def test_single_class_rejected(self):
         with pytest.raises(DataError):
             nonreturning_auc([rec("a", 1.0, true=2.0)])
+
+    def test_nan_scores_terminate(self):
+        # tied NaN scores share one rank; a rank walk comparing NaN to itself
+        # never left the first NaN
+        records = [rec("a", math.nan, bound=100.0), rec("b", math.nan, true=5.0),
+                   rec("c", 10.0, true=5.0)]
+        assert nonreturning_auc(records) == 0.75
 
     def test_explicit_horizon_gaps_override(self):
         records = [rec("a", 50.0, bound=100.0, horizon=100.0), rec("b", 50.0, true=5.0, horizon=100.0)]
