@@ -18,7 +18,8 @@ from pathlib import Path
 
 from . import experiment, metrics
 from .config import (
-    count, entries, load_config, mapping, setting, text, validate_model_name, write_manifest,
+    count, entries, finite, load_config, mapping, setting, text, validate_model_name,
+    write_manifest,
 )
 from .errors import ConfigError, ReturnTimeError
 from .synth import CohortConfig, GeneratorConfig, generate_to_files
@@ -29,6 +30,24 @@ _GENERATOR_SCALARS = {
     "user_count": count, "horizon_days": float, "activity_window_days": float,
     "prediction_window_days": float, "signup_spread": float, "duration_log_mean": float,
     "duration_log_sigma": float, "session_cap": count, "epoch_iso": text,
+}
+
+
+def _finites(length: int):
+    def convert(value) -> tuple[float, ...]:
+        values = tuple(finite(v) for v in entries(value))
+        if len(values) != length:
+            raise ValueError(f"expected {length} numbers")
+        return values
+
+    return convert
+
+
+_COHORT_FIELDS = {
+    "name": text, "fraction": finite, "gap_log_mean": finite, "gap_log_sigma": finite,
+    "lapse_multiplier": finite, "lapse_window": _finites(2), "lapse_taper_days": finite,
+    "device_probs": _finites(3), "night_owl_prob": finite, "pages_log_mean": finite,
+    "pages_log_sigma": finite,
 }
 
 
@@ -45,13 +64,11 @@ def generator_from_config(config: dict) -> GeneratorConfig:
         parsed = []
         for c in cohorts:
             try:
-                c = dict(c)
-                if "lapse_window" in c:
-                    c["lapse_window"] = tuple(c["lapse_window"])
-                if "device_probs" in c:
-                    c["device_probs"] = tuple(c["device_probs"])
-                parsed.append(CohortConfig(**c))
-            except (TypeError, ValueError) as exc:
+                unknown = set(mapping(c)) - set(_COHORT_FIELDS)
+                if unknown:
+                    raise ValueError(f"unknown field(s) {sorted(unknown)}")
+                parsed.append(CohortConfig(**{k: _COHORT_FIELDS[k](v) for k, v in c.items()}))
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ConfigError(f"config key generator.cohorts: bad entry {c!r}: {exc}") from exc
         kwargs["cohorts"] = tuple(parsed)
     gen = GeneratorConfig(seed=setting(config, "seed", int), **kwargs)

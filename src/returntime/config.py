@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 import platform
 from pathlib import Path
 from typing import Any, Callable
@@ -126,6 +127,13 @@ text = _of_type(str, "a non-empty string")
 
 def numbers(value) -> list[float]:
     return [float(v) for v in entries(value)]
+
+
+def finite(value) -> float:
+    """A finite number."""
+    if not math.isfinite(float(value)):
+        raise ValueError("expected a finite number")
+    return float(value)
 
 
 def count(value) -> int:

@@ -151,6 +151,10 @@ class CoxModel:
     def __post_init__(self) -> None:
         t = np.asarray(self.baseline_times, dtype=float)
         h = np.asarray(self.baseline_hazard, dtype=float)
+        if t.ndim != 1 or t.size == 0 or h.shape != t.shape:
+            raise ValidationError(
+                f"baseline needs equal-length, non-empty 1-d times and hazards, got "
+                f"{t.shape} and {h.shape}")
         if np.any(np.diff(t) <= 0) or np.any(t <= 0):
             raise ValidationError("baseline event times must be positive and strictly increasing")
         if np.any(h < 0):
@@ -263,10 +267,11 @@ class CoxModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "CoxModel":
-        """Read a saved model; an unreadable file raises DataModelMismatchError."""
+        """Read a saved model; an unreadable or invalid file raises
+        DataModelMismatchError."""
         try:
             return cls.from_dict(json.loads(Path(path).read_text()))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ValidationError) as exc:
             raise DataModelMismatchError(f"Cox model at {path} is unreadable: {exc}") from exc
 
 

@@ -7,6 +7,7 @@ gap between their last session and the horizon.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import datetime as dt
 import io
@@ -78,20 +79,32 @@ def concordance_index(records: Sequence[PredictionRecord]) -> float:
     A pair is comparable when the earlier time belongs to an uncensored
     record and is strictly smaller than the other record's observed time or
     censoring bound. Tied predictions count one half.
+
+    Records are walked from the latest observed time down, one group of
+    equal times at a time: each event of a group is compared with the sorted
+    predictions of all strictly later records, and the group's own
+    predictions join them only after that. Pairs are counted as integers.
     """
     obs = np.array([r.observed_days for r in records])
-    event = np.array([not r.is_censored for r in records])
-    pred = np.array([r.predicted_return_days for r in records])
-    concordant = 0.0
-    comparable = 0
-    for i in np.flatnonzero(event):
-        later = obs > obs[i]
-        comparable += int(later.sum())
-        concordant += float(np.sum(pred[i] < pred[later]))
-        concordant += 0.5 * float(np.sum(pred[i] == pred[later]))
+    event = [not r.is_censored for r in records]
+    pred = [r.predicted_return_days for r in records]
+    order = np.argsort(-obs, kind="stable")
+    bounds = [0, *(np.flatnonzero(np.diff(obs[order])) + 1).tolist(), len(order)]
+    later: list[float] = []  # sorted predictions of the records already walked
+    concordant = tied = comparable = 0
+    for start, end in zip(bounds, bounds[1:]):
+        group = order[start:end].tolist()
+        for i in group:
+            if event[i]:
+                low, high = bisect.bisect_left(later, pred[i]), bisect.bisect_right(later, pred[i])
+                comparable += len(later)
+                concordant += len(later) - high
+                tied += high - low
+        for i in group:
+            bisect.insort(later, pred[i])
     if comparable == 0:
         raise DataError("concordance needs at least one comparable pair")
-    return concordant / comparable
+    return (concordant + 0.5 * tied) / comparable
 
 
 def _midranks(values: np.ndarray) -> np.ndarray:

@@ -162,12 +162,13 @@ def _batch_loss(
 # expectations
 
 def expected_return_time(
-    o: float,
+    o,
     w: float,
     horizon_hint: float | None = None,
     abs_tol: float = 1e-8,
-) -> float:
-    """E[gap] = integral of S over (0, inf) by adaptive quadrature.
+):
+    """E[gap] = integral of S over (0, inf) by adaptive quadrature, for a
+    scalar o (returns a float) or an (N,) array of outputs in one pass.
 
     The upper limit U is pushed out (doubling) until S(U) < 1e-9 and the
     analytic tail bound S(U)/hazard(U) is below half the tolerance; the tail
@@ -175,58 +176,71 @@ def expected_return_time(
     """
     if w <= 0:
         raise ValidationError(f"current-influence weight w must be positive, got {w}")
-    if not math.isfinite(o):
-        raise ValidationError(f"network output must be finite, got {o}")
-    if o > 600.0:
-        # hazard at 0 is e^o, so the survival mass is exhausted within ~e^-o
-        return math.exp(-o)
-
+    o = np.asarray(o, dtype=float)
+    scalar = o.ndim == 0
+    o = o.reshape(-1)
+    finite = np.isfinite(o)
+    if not finite.all():
+        raise ValidationError(f"network output must be finite, got {o[~finite][0]}")
+    # past o = 600 the hazard at 0 is e^o, so the survival mass is exhausted
+    # within ~e^-o
+    saturated = o > 600.0
+    o_q = o[~saturated]
     if horizon_hint is not None and horizon_hint > 0:
-        upper = 4.0 * horizon_hint
+        upper = np.full(o_q.shape, 4.0 * horizon_hint)
     else:
         # closed-form start: S(U) = 1e-9  <=>  w*U = log1p(-log(1e-9)*w*e^-o)
-        x = math.log(-_LOG_TAIL * w) - o
-        upper = float(np.logaddexp(0.0, x)) / w
-
+        upper = np.logaddexp(0.0, math.log(-_LOG_TAIL * w) - o_q) / w
     for _ in range(200):
-        log_s = -float(_integrated_hazard(o, w * upper, w))
-        if log_s < _LOG_TAIL:
-            # tail bound: S(t) <= S(U) exp(-lambda(U)(t-U)) for t > U
-            log_lambda = o + w * upper
-            log_tail = log_s - log_lambda
-            if log_tail < math.log(0.5 * abs_tol):
-                break
-        upper *= 2.0
+        log_s = -_integrated_hazard(o_q, w * upper, w)
+        # tail bound: S(t) <= S(U) exp(-lambda(U)(t-U)) for t > U
+        log_tail = log_s - (o_q + w * upper)
+        loose = ~((log_s < _LOG_TAIL) & (log_tail < math.log(0.5 * abs_tol)))
+        if not loose.any():
+            break
+        upper = np.where(loose, 2.0 * upper, upper)
     else:
         raise NumericalError(
-            f"could not bound the survival tail for o={o:.6g}, w={w:.6g}"
+            f"could not bound the survival tail for o={o_q[loose][0]:.6g}, w={w:.6g}"
         )
-    return integrate(lambda t: np.exp(-_integrated_hazard(o, w * t, w)), 0.0, upper,
-                     abs_tol=abs_tol)
+    out = np.empty(o.shape)
+    out[saturated] = np.exp(-o[saturated])
+    out[~saturated] = integrate(lambda t: np.exp(-_integrated_hazard(o_q[:, None], w * t, w)),
+                                0.0, upper, abs_tol=abs_tol)
+    return float(out[0]) if scalar else out
 
 
 def absence_conditioned_expectation(
-    o: float,
+    o,
     w: float,
-    t_s: float,
+    t_s,
     horizon_hint: float | None = None,
-) -> float:
-    """E[gap | gap > t_s]: expected return time given t_s days of absence.
+):
+    """E[gap | gap > t_s]: expected return time given t_s days of absence,
+    for scalars (returns a float) or (N,) arrays of outputs and absences.
 
     Equals t_s plus the mean residual life, which has the same closed form
     with o' = o + w*t_s; this stays finite even when S(t_s) underflows.
     """
-    if t_s < 0:
-        raise ValidationError(f"absence time must be non-negative, got {t_s}")
+    o, t_s = np.broadcast_arrays(np.asarray(o, dtype=float), np.asarray(t_s, dtype=float))
+    scalar = o.ndim == 0
+    o, t_s = o.reshape(-1), t_s.reshape(-1)
+    negative = t_s < 0
+    if negative.any():
+        raise ValidationError(f"absence time must be non-negative, got {t_s[negative][0]}")
     shifted = o + w * t_s
-    if shifted > 600.0:
+    out = np.empty(o.shape)
+    under = shifted > 600.0
+    if under.any():
         logger.warning(
-            "survival at absence time %.3g underflows (o=%.3g, w=%.3g); "
+            "survival at the absence time underflows for %d of %d users (w=%.3g); "
             "returning the absence time plus a vanishing residual",
-            t_s, o, w,
+            int(under.sum()), o.size, w,
         )
-        return t_s + math.exp(-min(shifted, EXP_LIMIT))
-    return t_s + expected_return_time(shifted, w, horizon_hint=horizon_hint)
+        out[under] = t_s[under] + np.exp(-np.minimum(shifted[under], EXP_LIMIT))
+    out[~under] = t_s[~under] + expected_return_time(shifted[~under], w,
+                                                     horizon_hint=horizon_hint)
+    return float(out[0]) if scalar else out
 
 
 # ---------------------------------------------------------------------------
@@ -263,15 +277,28 @@ def initial_output_bias(mean_gap: float, w: float) -> float:
 
     Without this, large w values start with hazards of exp(w * gap) on long
     censored gaps and spend most of the schedule recovering from the blowup.
-    Solved by bisection; expected_return_time is strictly decreasing in o.
+    Solved by 60 steps of bisection; expected_return_time is strictly
+    decreasing in o. Each of 12 rounds prices, in one batched call, all 31
+    midpoints the next five steps could visit, then walks them. A value does
+    not depend on its batch, so the result is that of one call per step, to
+    the bit.
     """
     lo, hi = -30.0, 30.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if expected_return_time(mid, w) > mean_gap:
-            lo = mid
-        else:
-            hi = mid
+    for _ in range(12):
+        # a 5-level bisection tree: node k's lower and upper halves are
+        # nodes 2k + 1 and 2k + 2
+        tree = [(lo, hi)]
+        for k in range(15):
+            a, b = tree[k]
+            tree += [(a, 0.5 * (a + b)), (0.5 * (a + b), b)]
+        mids = [0.5 * (a + b) for a, b in tree]
+        above = expected_return_time(np.array(mids), w) > mean_gap
+        k = 0
+        while k < len(mids):
+            if above[k]:
+                lo, k = mids[k], 2 * k + 2
+            else:
+                hi, k = mids[k], 2 * k + 1
     return 0.5 * (lo + hi)
 
 
@@ -400,15 +427,9 @@ def predict(
     """
     o_last = last_outputs(model.params, model.net_config, sequences)
     if condition_on_absence:
-        return np.array([
-            absence_conditioned_expectation(
-                float(o), model.w, seq.absence_time, horizon_hint=horizon_hint
-            )
-            for o, seq in zip(o_last, sequences)
-        ])
-    return np.array([
-        expected_return_time(float(o), model.w, horizon_hint=horizon_hint) for o in o_last
-    ])
+        t_s = np.array([seq.absence_time for seq in sequences], dtype=float)
+        return absence_conditioned_expectation(o_last, model.w, t_s, horizon_hint=horizon_hint)
+    return expected_return_time(o_last, model.w, horizon_hint=horizon_hint)
 
 
 # ---------------------------------------------------------------------------

@@ -562,3 +562,124 @@ def build_sequences_objects(users, window, epoch_weekday, config=None, stats=Non
             horizon_gap=window.horizon_end - user.last_session_end,
         ))
     return sequences, stats
+
+
+# ---------------------------------------------------------------------------
+# rnnsm expectations one user at a time: the heap-driven G7/K15 quadrature and
+# the per-user tail-doubling loop that the batched path replaced
+
+_GK_NODES = np.array([
+    0.000000000000000,
+    -0.207784955007898, 0.207784955007898,
+    -0.405845151377397, 0.405845151377397,
+    -0.586087235467691, 0.586087235467691,
+    -0.741531185599394, 0.741531185599394,
+    -0.864864423359769, 0.864864423359769,
+    -0.949107912342759, 0.949107912342759,
+    -0.991455371120813, 0.991455371120813,
+])
+_G7_WEIGHTS = np.array([
+    0.417959183673469,
+    0.0, 0.0,
+    0.381830050505119, 0.381830050505119,
+    0.0, 0.0,
+    0.279705391489277, 0.279705391489277,
+    0.0, 0.0,
+    0.129484966168870, 0.129484966168870,
+    0.0, 0.0,
+])
+_K15_WEIGHTS = np.array([
+    0.209482141084728,
+    0.204432940075298, 0.204432940075298,
+    0.190350578064785, 0.190350578064785,
+    0.169004726639267, 0.169004726639267,
+    0.140653259715525, 0.140653259715525,
+    0.104790010322250, 0.104790010322250,
+    0.063092092629979, 0.063092092629979,
+    0.022935322010529, 0.022935322010529,
+])
+
+
+def _gk_panel(f, a, b):
+    """One G7/K15 panel on [a, b]; returns (K15 value, error estimate)."""
+    from returntime.errors import QuadratureError
+
+    half = 0.5 * (b - a)
+    mid = 0.5 * (a + b)
+    fx = np.asarray(f(mid + half * _GK_NODES), dtype=float)
+    if not np.all(np.isfinite(fx)):
+        raise QuadratureError(f"integrand non-finite on [{a}, {b}]")
+    k15 = half * float(fx @ _K15_WEIGHTS)
+    g7 = half * float(fx @ _G7_WEIGHTS)
+    diff = abs(k15 - g7)
+    return k15, min(diff, (200.0 * diff) ** 1.5)
+
+
+def integrate_heap(f, a, b, abs_tol=1e-8, max_panels=2000):
+    """Adaptive G7/K15 on one interval: a heap pops the panel with the largest
+    error estimate (ties to the leftmost) and splits it until the summed
+    estimate is below abs_tol."""
+    import heapq
+
+    from returntime.errors import QuadratureError
+
+    if b <= a:
+        return 0.0
+    value, err = _gk_panel(f, a, b)
+    heap = [(-err, a, b, value)]
+    total_err = err
+    n_panels = 1
+    while total_err > abs_tol:
+        if n_panels >= max_panels:
+            raise QuadratureError(f"quadrature on [{a}, {b}] did not converge: {n_panels} panels")
+        neg_err, lo, hi, _ = heapq.heappop(heap)
+        mid = 0.5 * (lo + hi)
+        v1, e1 = _gk_panel(f, lo, mid)
+        v2, e2 = _gk_panel(f, mid, hi)
+        heapq.heappush(heap, (-e1, lo, mid, v1))
+        heapq.heappush(heap, (-e2, mid, hi, v2))
+        total_err += e1 + e2 + neg_err
+        n_panels += 1
+    return float(sum(item[3] for item in heap))
+
+
+def _hazard_integral(o, z, w):
+    """(exp(o + z) - exp(o)) / w for a gap whose w*gap is z, grouped through
+    expm1 up to z = 50; overflow saturates to inf."""
+    with np.errstate(over="ignore"):
+        e_o = np.exp(o)
+        return np.where(z <= 50.0, e_o * np.expm1(np.minimum(z, 50.0)) / w,
+                        (np.exp(o + z) - e_o) / w)
+
+
+def expected_return_time_scalar(o, w, horizon_hint=None, abs_tol=1e-8):
+    """E[gap] for one network output: the survival integrated on [0, U], U
+    doubled until S(U) < 1e-9 and the tail bound S(U)/hazard(U) is below
+    abs_tol / 2; past o = 600 the value is e^-o."""
+    from returntime.errors import NumericalError
+
+    if o > 600.0:
+        return math.exp(-o)
+    log_level = math.log(1e-9)
+    if horizon_hint is not None and horizon_hint > 0:
+        upper = 4.0 * horizon_hint
+    else:
+        upper = float(np.logaddexp(0.0, math.log(-log_level * w) - o)) / w
+    for _ in range(200):
+        log_s = -float(_hazard_integral(o, w * upper, w))
+        if log_s < log_level and log_s - (o + w * upper) < math.log(0.5 * abs_tol):
+            break
+        upper *= 2.0
+    else:
+        raise NumericalError(f"could not bound the survival tail for o={o}, w={w}")
+    return integrate_heap(lambda t: np.exp(-_hazard_integral(o, w * t, w)), 0.0, upper,
+                          abs_tol=abs_tol)
+
+
+def absence_conditioned_expectation_scalar(o, w, t_s, horizon_hint=None):
+    """E[gap | gap > t_s] for one user: t_s plus the expectation at o + w*t_s,
+    or t_s + e^-(o + w*t_s) (capped at 700) once that exceeds 600."""
+    shifted = o + w * t_s
+    if shifted > 600.0:
+        return t_s + math.exp(-min(shifted, 700.0))
+    return t_s + expected_return_time_scalar(shifted, w, horizon_hint=horizon_hint)

@@ -22,6 +22,21 @@ TINY_GEN = {
 }
 
 
+def cohort(**changes):
+    """A generator cohort entry with the given fields changed or added."""
+    return {"name": "a", "fraction": 1.0, "gap_log_mean": 1.0, "gap_log_sigma": 0.5, **changes}
+
+
+def edited(edit):
+    """A corruption that applies edit to the artifact's JSON object."""
+    def corrupt(raw):
+        payload = json.loads(raw)
+        edit(payload)
+        return json.dumps(payload).encode()
+
+    return corrupt
+
+
 def write_cfg(tmp_path, payload, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -130,8 +145,13 @@ class TestTrainPredictEvaluate:
         ("cph", "meta.json", lambda raw: b"[]"),
         ("cph", "meta.json", lambda raw: json.dumps(
             {k: v for k, v in json.loads(raw).items() if k != "standardization"}).encode()),
+        ("cph", "model.json", edited(lambda d: d.update(baseline_times=[], baseline_hazard=[]))),
+        ("cph", "model.json", edited(lambda d: d.update(baseline_times=d["baseline_times"][::-1]))),
+        ("cph", "model.json", edited(
+            lambda d: d.update(baseline_hazard=[-h for h in d["baseline_hazard"]]))),
     ], ids=["npz-truncated", "npz-not-zip", "meta-truncated", "cox-json-truncated",
-            "meta-list", "cph-meta-without-standardization"])
+            "meta-list", "cph-meta-without-standardization", "cox-empty-baseline",
+            "cox-knots-descending", "cox-negative-hazard"])
     def test_corrupt_artifact_exit_3(self, generated, tmp_path, capsys, model, name, corrupt):
         cfg, out = generated
         cfgs = ["--config", cfg, "--config", str(out / "run_config.json")]
@@ -329,10 +349,23 @@ class TestTrainPredictEvaluate:
         ("generate", {"generator": {"user_count": "many"}}, "generator.user_count"),
         ("generate", {"generator": {"cohorts": {"name": "a"}}}, "generator.cohorts"),
         ("generate", {"generator": {"cohorts": [5]}}, "generator.cohorts"),
+        ("generate", {"generator": {"cohorts": [cohort(fraction="x")]}}, "generator.cohorts"),
+        ("generate", {"generator": {"cohorts": [cohort(fraction=float("nan"))]}},
+         "generator.cohorts"),
+        ("generate", {"generator": {"cohorts": [cohort(name=5)]}}, "generator.cohorts"),
+        ("generate", {"generator": {"cohorts": [cohort(gap_log_sigma=None)]}},
+         "generator.cohorts"),
+        ("generate", {"generator": {"cohorts": [cohort(device_probs=[1.0])]}},
+         "generator.cohorts"),
+        ("generate", {"generator": {"cohorts": [cohort(lapse_window="ab")]}},
+         "generator.cohorts"),
+        ("generate", {"generator": {"cohorts": [cohort(typo=1)]}}, "generator.cohorts"),
     ], ids=["training-rnn-null", "max-steps-text", "max-steps-inf", "flag-text",
             "test-fraction-text", "seed-text", "window-date-number", "sessions-empty",
             "hidden-size-zero", "embedding-dim-text", "w-grid-text", "user-count-text",
-            "cohorts-mapping", "cohort-entry-number"])
+            "cohorts-mapping", "cohort-entry-number", "cohort-fraction-text",
+            "cohort-fraction-nan", "cohort-name-number", "cohort-sigma-null", "cohort-device-probs-short",
+            "cohort-lapse-window-text", "cohort-unknown-field"])
     def test_wrong_typed_setting_exit_2(self, generated, tmp_path, capsys, command, payload,
                                         key):
         cfg, out = generated

@@ -415,3 +415,10 @@ class TestPersistence:
         np.testing.assert_array_equal(loaded.baseline_times, model.baseline_times)
         x = np.array([1.0])
         assert cox.expected_survival_time(loaded, x) == cox.expected_survival_time(model, x)
+
+    @pytest.mark.parametrize("times,hazard", [([], []), ([1.0, 2.0], [0.5]), ([[1.0]], [[0.5]])],
+                             ids=["empty", "unequal-lengths", "two-dimensional"])
+    def test_malformed_baseline_rejected(self, times, hazard):
+        with pytest.raises(ValidationError, match="baseline"):
+            cox.CoxModel(feature_names=["x"], beta=np.array([0.0]),
+                         baseline_times=np.array(times), baseline_hazard=np.array(hazard))

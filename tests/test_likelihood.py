@@ -1,12 +1,20 @@
+import logging
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import integrate as sp_integrate
 from scipy import special
 
 from returntime.errors import NumericalError, ValidationError
-from oracles import safe_density, safe_survival
+from oracles import (
+    absence_conditioned_expectation_scalar,
+    expected_return_time_scalar,
+    safe_density,
+    safe_survival,
+)
 
 from returntime.rnnsm import (
     absence_conditioned_expectation,
@@ -221,6 +229,65 @@ class TestAbsenceConditioning:
     def test_negative_absence_rejected(self):
         with pytest.raises(ValidationError):
             absence_conditioned_expectation(0.0, 1.0, -1.0)
+
+
+outputs = st.lists(st.floats(-30.0, 650.0), min_size=1, max_size=6)
+weights = st.floats(1e-3, 2.0)
+hints = st.none() | st.floats(1.0, 200.0)
+
+
+class TestBatchedExpectation:
+    """One array call against the per-user oracle (1e-12 relative) and
+    against its own N = 1 calls (bit for bit)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(o=outputs, w=weights, hint=hints)
+    @example(o=[650.0, 0.5, 600.5, -30.0], w=1e-3, hint=None)
+    @example(o=[-30.0, 601.0, 2.0], w=2.0, hint=120.0)
+    def test_expected_return_time(self, o, w, hint):
+        values = expected_return_time(np.array(o), w, horizon_hint=hint)
+        assert values.shape == (len(o),)
+        for value, o_i in zip(values, o):
+            assert math.isclose(value, expected_return_time_scalar(o_i, w, hint), rel_tol=1e-12)
+            assert value == expected_return_time(o_i, w, horizon_hint=hint)
+
+    @settings(max_examples=60, deadline=None)
+    @given(o=outputs, w=weights, t_s=st.lists(st.floats(0.0, 300.0), min_size=6, max_size=6),
+           hint=hints)
+    @example(o=[1.0, 0.0, 650.0, -30.0], w=2.0, t_s=[300.0, 0.0, 0.0, 300.0], hint=None)
+    @example(o=[-5.0, 599.0], w=1e-3, t_s=[250.0, 1.5], hint=60.0)
+    def test_absence_conditioned_expectation(self, o, w, t_s, hint):
+        t_s = t_s[:len(o)]
+        values = absence_conditioned_expectation(np.array(o), w, np.array(t_s),
+                                                 horizon_hint=hint)
+        for value, o_i, t_i in zip(values, o, t_s):
+            oracle = absence_conditioned_expectation_scalar(o_i, w, t_i, hint)
+            assert math.isclose(value, oracle, rel_tol=1e-12)
+            assert value == absence_conditioned_expectation(o_i, w, t_i, horizon_hint=hint)
+
+    def test_scalar_inputs_return_floats(self):
+        assert type(expected_return_time(0.0, 1.0)) is float
+        assert type(absence_conditioned_expectation(0.0, 1.0, 2.0)) is float
+
+    def test_empty_batch(self):
+        assert expected_return_time(np.array([]), 0.5).shape == (0,)
+        assert absence_conditioned_expectation(np.array([]), 0.5, np.array([])).shape == (0,)
+
+    def test_one_bad_output_names_it(self):
+        with pytest.raises(ValidationError, match="nan"):
+            expected_return_time(np.array([0.0, np.nan]), 0.5)
+        with pytest.raises(ValidationError, match="-1"):
+            absence_conditioned_expectation(np.array([0.0, 1.0]), 0.5, np.array([2.0, -1.0]))
+
+    def test_underflow_warning_once_per_call_with_count(self, caplog):
+        o = np.array([500.0, 0.0, 500.0, 450.0])
+        t_s = np.array([200.0, 1.0, 100.0, 100.0])  # o + 2 t_s: 900, 2, 700, 650
+        with caplog.at_level(logging.WARNING, logger="returntime.rnnsm"):
+            absence_conditioned_expectation(o, 2.0, t_s)
+            absence_conditioned_expectation(o[1:2], 2.0, t_s[1:2])
+        messages = [r.getMessage() for r in caplog.records if "underflows" in r.getMessage()]
+        assert len(messages) == 1
+        assert "3 of 4 users" in messages[0]
 
 
 class TestSurvivalCurve:

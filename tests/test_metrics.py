@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from returntime.errors import DataError, ValidationError
 from returntime.metrics import (
@@ -42,6 +44,21 @@ def random_records(rng, n=10):
         else:
             true = float(rng.choice([0.5, 2.0, 5.0, 9.0, 30.0, 80.0]))
             records.append(rec(f"u{i}", pred, true=true, horizon=horizon))
+    return records
+
+
+@st.composite
+def tie_heavy_records(draw):
+    """Few distinct observed times and predictions, censored and uncensored
+    records mixed at the same times."""
+    records = []
+    for i in range(draw(st.integers(1, 25))):
+        time = draw(st.sampled_from([0.5, 1.0, 2.0, 3.0]))
+        pred = draw(st.sampled_from([-0.0, 0.0, 1.0, 2.0, 7.5]))
+        if draw(st.booleans()):
+            records.append(rec(f"u{i}", pred, bound=time))
+        else:
+            records.append(rec(f"u{i}", pred, true=time))
     return records
 
 
@@ -113,6 +130,17 @@ class TestConcordance:
             except DataError:
                 continue
             assert fast == concordance_brute(records)
+
+    @settings(max_examples=200, deadline=None)
+    @given(records=tie_heavy_records())
+    def test_matches_brute_force_under_heavy_ties(self, records):
+        try:
+            brute = concordance_brute(records)
+        except ZeroDivisionError:
+            with pytest.raises(DataError):
+                concordance_index(records)
+            return
+        assert concordance_index(records) == brute
 
     def test_no_comparable_pairs_rejected(self):
         with pytest.raises(DataError):

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -9,7 +10,12 @@ from returntime.errors import DataError, NumericalError
 from returntime.features import FeatureConfig, build_sequences, pad_batch
 from returntime.synth import GeneratorConfig, generate
 
-from oracles import finite_difference_grads, max_relative_error
+from oracles import (
+    absence_conditioned_expectation_scalar,
+    expected_return_time_scalar,
+    finite_difference_grads,
+    max_relative_error,
+)
 
 TINY = net.NetConfig(
     discrete_features=("device", "hour"),
@@ -114,6 +120,17 @@ class TestTraining:
         for k in m1.params:
             assert np.array_equal(m1.params[k], m2.params[k])
 
+    @pytest.mark.parametrize("mean_gap,w", [(20.0, 0.01), (3.7, 0.5), (0.4, 2.0), (150.0, 0.05)])
+    def test_initial_output_bias_is_one_call_per_bisection_step(self, mean_gap, w):
+        lo, hi = -30.0, 30.0
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if rnnsm.expected_return_time(mid, w) > mean_gap:
+                lo = mid
+            else:
+                hi = mid
+        assert rnnsm.initial_output_bias(mean_gap, w) == 0.5 * (lo + hi)
+
     def test_needs_both_strata(self, small_sequences):
         seqs, stats = small_sequences
         config = small_net(stats)
@@ -206,6 +223,20 @@ class TestPrediction:
         c = rnnsm.predict(model, seqs, condition_on_absence=True)
         assert np.all(c >= p - 1e-9)
         assert c.mean() > p.mean()
+
+    @pytest.mark.parametrize("conditioned", [False, True])
+    def test_matches_per_user_oracle(self, trained, conditioned):
+        model, seqs = trained
+        o = rnnsm.last_outputs(model.params, model.net_config, seqs)
+        predicted = rnnsm.predict(model, seqs, condition_on_absence=conditioned,
+                                  horizon_hint=120.0)
+        for value, o_i, seq in zip(predicted, o.tolist(), seqs):
+            if conditioned:
+                oracle = absence_conditioned_expectation_scalar(o_i, model.w, seq.absence_time,
+                                                                120.0)
+            else:
+                oracle = expected_return_time_scalar(o_i, model.w, 120.0)
+            assert math.isclose(value, oracle, rel_tol=1e-12)
 
     def test_zero_absence_gives_identical_prediction(self, trained):
         model, seqs = trained
