@@ -374,8 +374,12 @@ def assign_windows(raw_sessions: SessionColumns | Iterable[Session], config: Win
     ids = sorted(raw.user_ids)
     rank = np.argsort(sorted(range(len(ids)), key=raw.user_ids.__getitem__))  # code -> id order
     user = rank[raw.user]
-    order = np.lexsort((raw.start_time, user))  # stable: equal starts keep file order
-    s = _merge_overlaps(raw.take(order), user[order])
+    step = np.diff(user)
+    if np.all((step > 0) | ((step == 0) & (np.diff(raw.start_time) >= 0))):
+        s = _merge_overlaps(raw, user)  # already in order, as user-major files are
+    else:
+        order = np.lexsort((raw.start_time, user))  # stable: equal starts keep file order
+        s = _merge_overlaps(raw.take(order), user[order])
     user = rank[s.user]
 
     obs = s.start_time <= config.prediction_start

@@ -77,14 +77,20 @@ def build_aggregates(dataset: Dataset, continuous_markers: Sequence[str] | None 
                                         for j, m in enumerate(markers) if m in sessions.continuous]
     X = np.zeros((len(dataset), len(names)))  # absent markers average 0.0
     X[:, 0], X[:, 1] = counts, dataset.active_day_counts
-    bounds = offsets.tolist()
-    for i, (a, b) in enumerate(zip(bounds, bounds[1:])):
-        if b - a >= 2:
-            X[i, 2] = gaps[a:b - 1].mean()
-        if b - a >= 3:
-            X[i, 3] = gaps[a:b - 1].std()
+    # Users with n sessions are stacked into one (users, n) block per
+    # distinct n. numpy reduces each row of a block with the same pairwise
+    # summation as a 1-d slice, so every mean and std equals the per-user
+    # call bit for bit.
+    for n in np.unique(counts).tolist():
+        users = np.flatnonzero(counts == n)
+        rows = offsets[users][:, None] + np.arange(n)
+        if n >= 2:
+            user_gaps = gaps[rows[:, :-1]]
+            X[users, 2] = user_gaps.mean(axis=1)
+            if n >= 3:
+                X[users, 3] = user_gaps.std(axis=1)
         for j, column in means:
-            X[i, j] = column[a:b].mean()
+            X[users, j] = column[rows].mean(axis=1)
     X[:, -3] = dataset.absence_times
     X[:, -2] = sessions.start_time[offsets[1:] - 1] - sessions.start_time[offsets[:-1]]
     X[:, -1] = counts == 1

@@ -4,8 +4,10 @@ constraint, a dense fusion layer, an LSTM, and a single-neuron linear head.
 Forward and backward are exact, in 64-bit floats. Callers pass padded
 batches of shape (batch, steps, ...); internally only the real steps are
 computed, packed time-major with the rows sorted longest first, so the dense
-layers run once outside the time loop and padded steps cost nothing. Gate
-order in the fused LSTM tensors is input, forget, candidate, output.
+layers run once outside the time loop and padded steps cost nothing. The
+scoring pass, forward_last, runs any number of sequences in the same order
+but keeps only the running LSTM state, and returns each one's final output.
+Gate order in the fused LSTM tensors is input, forget, candidate, output.
 """
 
 from __future__ import annotations
@@ -95,6 +97,69 @@ def _gate_rows(H: int) -> np.ndarray:
     return np.r_[3 * H:4 * H, 0:3 * H]
 
 
+def _pack(lengths: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Time-major packing of B sequences of the given lengths (B,).
+
+    Returns (order, sizes, offsets, times, slots): the sequences
+    stable-sorted longest first; per step t the count sizes[t] of sequences
+    still running, which are the first sizes[t] sorted ones and occupy packed
+    rows offsets[t]:offsets[t + 1]; and per packed row its step and its
+    position in the sorted order (the layout of PyTorch's PackedSequence).
+    """
+    order = np.argsort(-lengths, kind="stable")
+    active = lengths[order] > np.arange(lengths.max(initial=0))[:, None]  # (steps, B)
+    sizes = np.count_nonzero(active, axis=1)
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    times, slots = np.nonzero(active)
+    return order, sizes, offsets, times, slots
+
+
+def _fused_inputs(params: dict[str, np.ndarray], config: NetConfig, disc: np.ndarray,
+                  cont: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Fusion-layer input u (N, D) and output x (N, F) of N steps given as
+    disc (N, n_disc) indices and cont (N, n_cont) values."""
+    parts = [params[f"emb_{name}"][disc[:, k]] for k, name in enumerate(config.discrete_features)]
+    parts.append(cont)
+    u = np.concatenate(parts, axis=1)
+    return u, np.tanh(u @ params["fusion_w"].T + params["fusion_b"])
+
+
+def _lstm_weights(params: dict[str, np.ndarray], H: int) -> tuple[np.ndarray, ...]:
+    """(wx, wh.T, b) in the internal gate order, sigmoid-gate rows halved.
+
+    Sigmoid gates use sigmoid(z) = 0.5*(1 + tanh(z/2)). Their weight rows are
+    halved up front (exact in binary floating point), so one in-place tanh
+    per step serves all four gates (see _lstm_cell).
+    """
+    rows_g = _gate_rows(H)
+    scale = np.repeat([0.5, 1.0], [3 * H, H])
+    wx = params["lstm_wx"][rows_g] * scale[:, None]
+    wh_t = (params["lstm_wh"][rows_g] * scale[:, None]).T
+    return wx, wh_t, params["lstm_b"][rows_g] * scale
+
+
+def _lstm_cell(z: np.ndarray, c_prev: np.ndarray | None, c: np.ndarray, tanh_c: np.ndarray,
+               h: np.ndarray) -> None:
+    """One LSTM step over n rows, in place.
+
+    z (n, 4H) holds the step's pre-activations from _lstm_weights and is
+    turned into the gate activations. c_prev is the previous cell state, or
+    None at a sequence's first step. The cell state, its tanh and the hidden
+    state are written into c, tanh_c and h (each (n, H), none aliasing
+    c_prev).
+    """
+    H = c.shape[1]
+    np.tanh(z, out=z)
+    sig = z[:, :3 * H]
+    sig += 1.0
+    sig *= 0.5
+    np.multiply(z[:, H:2 * H], z[:, 3 * H:], out=c)
+    if c_prev is not None:
+        c += z[:, 2 * H:3 * H] * c_prev
+    np.tanh(c, out=tanh_c)
+    np.multiply(z[:, :H], tanh_c, out=h)
+
+
 def forward_batch(
     params: dict[str, np.ndarray],
     config: NetConfig,
@@ -109,63 +174,36 @@ def forward_batch(
     cache needed by backward_batch. Only the real steps are computed: outputs
     and hidden states at padded steps are exactly 0.
 
-    Internally the rows are stable-sorted longest first and the real steps
-    packed time-major into (N_real, ...) arrays; step t occupies rows
-    offsets[t]:offsets[t] + sizes[t], the first sizes[t] sorted batch rows
-    (the layout of PyTorch's PackedSequence). The embedding gather, the fusion
-    layer, the LSTM input projection and the output head run once over all
-    packed rows; only the recurrent product and the gate math run per step.
+    Internally the real steps are packed time-major (see _pack), so the
+    embedding gather, the fusion layer, the LSTM input projection and the
+    output head run once over all packed rows; only the recurrent product and
+    the gate math run per step.
     """
     B, T = disc.shape[:2]
     H = config.hidden_size
-    lengths = np.asarray(lengths)
-    order = np.argsort(-lengths, kind="stable")
-    active = lengths[order] > np.arange(lengths.max(initial=0))[:, None]  # (steps, B)
-    sizes = np.count_nonzero(active, axis=1)
-    offsets = np.concatenate(([0], np.cumsum(sizes)))
-    times, slots = np.nonzero(active)
+    order, sizes, offsets, times, slots = _pack(np.asarray(lengths))
     rows = order[slots]
     n0 = int(sizes[0]) if sizes.size else 0
     # packed index of the previous step of every row past step 0
     prev = offsets[times[n0:] - 1] + slots[n0:]
 
     disc_p = disc[rows, times]
-    parts = [
-        params[f"emb_{name}"][disc_p[:, k]]
-        for k, name in enumerate(config.discrete_features)
-    ]
-    parts.append(cont[rows, times])
-    u = np.concatenate(parts, axis=1)  # (N, D)
-    x = np.tanh(u @ params["fusion_w"].T + params["fusion_b"])  # (N, F)
-
-    # Sigmoid gates use sigmoid(z) = 0.5*(1 + tanh(z/2)). Their weight rows
-    # are halved up front (exact in binary floating point), so one in-place
-    # tanh per step serves all four gates.
-    rows_g = _gate_rows(H)
-    scale = np.repeat([0.5, 1.0], [3 * H, H])
-    wx = params["lstm_wx"][rows_g] * scale[:, None]
-    wh_t = (params["lstm_wh"][rows_g] * scale[:, None]).T
+    u, x = _fused_inputs(params, config, disc_p, cont[rows, times])  # (N, D), (N, F)
+    wx, wh_t, b = _lstm_weights(params, H)
     # pre-activations, turned into gate activations in place step by step
-    gates = x @ wx.T + params["lstm_b"][rows_g] * scale  # (N, 4H)
+    gates = x @ wx.T + b  # (N, 4H)
     c = np.empty((len(rows), H))
     tanh_c = np.empty_like(c)
     h = np.empty_like(c)
     for t, n in enumerate(sizes):
         cur = slice(offsets[t], offsets[t + 1])
         z = gates[cur]
+        c_prev = None
         if t:
             before = slice(offsets[t - 1], offsets[t - 1] + n)
             z += h[before] @ wh_t
-        np.tanh(z, out=z)
-        sig = z[:, :3 * H]
-        sig += 1.0
-        sig *= 0.5
-        c_t = c[cur]
-        np.multiply(z[:, H:2 * H], z[:, 3 * H:], out=c_t)
-        if t:
-            c_t += z[:, 2 * H:3 * H] * c[before]
-        np.tanh(c_t, out=tanh_c[cur])
-        np.multiply(z[:, :H], tanh_c[cur], out=h[cur])
+            c_prev = c[before]
+        _lstm_cell(z, c_prev, c[cur], tanh_c[cur], h[cur])
     with np.errstate(invalid="ignore", over="ignore"):
         o_p = h @ params["out_v"] + params["out_b"][0]  # (N,)
 
@@ -184,6 +222,59 @@ def forward_batch(
         "gates": gates, "c": c, "tanh_c": tanh_c, "h": h,
     }
     return o, h_out, cache
+
+
+def forward_last(
+    params: dict[str, np.ndarray],
+    config: NetConfig,
+    disc: np.ndarray,
+    cont: np.ndarray,
+    lengths: np.ndarray,
+) -> np.ndarray:
+    """Output at the final step of each of B sequences, (B,): the scoring
+    pass, which keeps no cache for backward_batch.
+
+    disc (N, n_disc) and cont (N, n_cont) hold the sequences' steps one
+    sequence after another, in the order of lengths (B,); every length is at
+    least 1. As in forward_batch the sequences are stable-sorted longest
+    first and step t runs the first sizes[t] of them, but besides a
+    time-major copy of the inputs only the running (c, h) state of B rows
+    and one step's gates are kept. h sits beside the
+    step's fusion output in one (B, F + H) buffer, so the input and
+    recurrent products are one matmul; a sequence's h stops changing at its
+    last step, and the output head then runs once over all B rows. Each
+    output equals forward_batch's at that step up to rounding.
+    """
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if lengths.size and lengths.min() < 1:
+        raise ValueError("every sequence needs at least one step")
+    B, F, H = len(lengths), config.fusion_size, config.hidden_size
+    order, _, offsets, times, slots = _pack(lengths)
+    rows = (np.cumsum(lengths) - lengths)[order][slots] + times  # time-major step order
+    disc, cont = disc[rows], cont[rows]
+
+    wx, wh_t, b = _lstm_weights(params, H)
+    w = np.concatenate([wx.T, wh_t])  # (F + H, 4H)
+    xh = np.zeros((B, F + H))  # [x_t | h_{t-1}] per sorted row, h = 0 before step 0
+    tanh_c = np.empty((B, H))
+    c, c_next = np.empty((B, H)), np.empty((B, H))
+    bounds = offsets.tolist()
+    for t, (a, e) in enumerate(zip(bounds, bounds[1:])):
+        n = e - a
+        xh[:n, :F] = _fused_inputs(params, config, disc[a:e], cont[a:e])[1]
+        z = xh[:n] @ w
+        z += b
+        _lstm_cell(z, c[:n] if t else None, c_next[:n], tanh_c[:n], xh[:n, F:])
+        c, c_next = c_next, c
+    with np.errstate(invalid="ignore", over="ignore"):
+        o_sorted = xh[:, F:] @ params["out_v"] + params["out_b"][0]
+    o = np.empty(B)
+    o[order] = o_sorted
+    if not np.all(np.isfinite(o)):
+        raise NumericalError(
+            f"non-finite activation at the last step of sequence {int(np.argmax(~np.isfinite(o)))}"
+        )
+    return o
 
 
 def forward(

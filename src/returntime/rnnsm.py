@@ -401,17 +401,16 @@ def last_outputs(
     net_config: net.NetConfig,
     sequences: list[UserSequence],
 ) -> np.ndarray:
-    """Network output at each sequence's final step, (len(sequences),)."""
-    chunk = 256
-    out = np.empty(len(sequences))
-    for start in range(0, len(sequences), chunk):
-        part = sequences[start:start + chunk]
-        batch = pad_batch(part)
-        o, _, _ = net.forward_batch(
-            params, net_config, batch.disc, batch.cont, batch.lengths
-        )
-        out[start:start + len(part)] = o[np.arange(len(part)), batch.lengths - 1]
-    return out
+    """Network output at each sequence's final step, (len(sequences),), from
+    one scoring pass over all of them."""
+    if not sequences:
+        return np.empty(0)
+    return net.forward_last(
+        params, net_config,
+        np.concatenate([s.disc for s in sequences]),
+        np.concatenate([s.cont for s in sequences]),
+        np.array([len(s) for s in sequences]),
+    )
 
 
 def predict(

@@ -178,7 +178,9 @@ def _simulate_user(
             device = DEVICES[primary]
         else:
             device = DEVICES[(primary + 1 + int(rng.integers(0, len(DEVICES) - 1))) % len(DEVICES)]
-        pages = max(1.0, float(np.round(rng.lognormal(cohort.pages_log_mean, cohort.pages_log_sigma))))
+        # round(x, 0) rounds half to even like np.round, keeps an overflowed
+        # draw at inf, and costs a fraction of a numpy scalar call
+        pages = max(1.0, round(rng.lognormal(cohort.pages_log_mean, cohort.pages_log_sigma), 0))
         if start <= horizon:
             sessions.append(
                 Session(

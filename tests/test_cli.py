@@ -1,8 +1,12 @@
 import contextlib
+import csv
 import datetime as dt
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -11,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import returntime
 from returntime import data, experiment, metrics
 from returntime.cli import main
 from returntime.config import load_config, model_family
@@ -63,6 +68,26 @@ class TestGenerate:
         rc_b = json.loads((tmp_path / "b" / "run_config.json").read_text())
         rc_a["data"] = rc_b["data"] = None
         assert rc_a == rc_b
+
+    def test_python_m_runs_the_cli(self, tmp_path):
+        cfg = write_cfg(tmp_path, TINY_GEN)
+        package_root = str(Path(returntime.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+
+        def run(*args):
+            return subprocess.run([sys.executable, "-m", "returntime", *args], env=env,
+                                  capture_output=True, text=True, timeout=300)
+
+        done = run("generate", "--config", cfg, "--out", str(tmp_path / "a"), "--seed", "5")
+        assert done.returncode == 0, done.stderr
+        assert main(["generate", "--config", cfg, "--out", str(tmp_path / "b"), "--seed", "5"]) == 0
+        assert ((tmp_path / "a" / "sessions.jsonl").read_bytes()
+                == (tmp_path / "b" / "sessions.jsonl").read_bytes())
+        failed = run("train", "--model", "baseline", "--config", str(tmp_path / "nope.json"),
+                     "--out", str(tmp_path / "m"))
+        assert failed.returncode == 2
+        assert "error:" in failed.stderr and "Traceback" not in failed.stderr
 
     def test_invalid_cohort_fractions_exit_2(self, tmp_path):
         cfg = write_cfg(tmp_path, {
@@ -221,6 +246,24 @@ class TestTrainPredictEvaluate:
         del meta["split"]["train_users_sha256"]
         (model / "meta.json").write_text(json.dumps(meta))
         assert predict(7, "test") == (3, False)
+
+    def test_nan_parameter_exit_4(self, generated, tmp_path, capsys):
+        cfg, out = generated
+        cfgs = ["--config", cfg, "--config", str(out / "run_config.json")]
+        assert main(["train", "--model", "rnn", *cfgs, "--out", str(tmp_path / "rnn")]) == 0
+        path = tmp_path / "rnn" / "model.npz"
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files}
+        arrays["param::lstm_wh"][0, 0] = np.nan
+        np.savez(path, **arrays)
+        capsys.readouterr()
+        target = tmp_path / "p.csv"
+        rc = main(["predict", "--model", "rnn", "--checkpoint", str(tmp_path / "rnn"),
+                   *cfgs, "--out", str(target)])
+        err = capsys.readouterr().err
+        assert rc == 4
+        assert "non-finite activation" in err and "Traceback" not in err
+        assert not target.exists()
 
     def test_cox_risk_underflow_exit_4(self, generated, tmp_path, capsys):
         cfg, out = generated
@@ -414,6 +457,29 @@ class TestTrainPredictEvaluate:
             warm = pipeline(tmp_path / "warm")
         assert len(cold) == 6 + 1 + 3 + 1  # predictions, report.json, breakdowns, manifest
         assert cold == warm
+
+        # a user's prediction does not depend on the other users predicted with it
+        def rows(path):
+            text = path.read_text(encoding="utf-8")
+            return {r["user_id"]: r for r in csv.DictReader(io.StringIO(text, newline=""))}
+
+        base = tmp_path / "warm"
+        for model in models:
+            target = base / "all" / f"{model}.csv"
+            assert main(["predict", "--model", model, *cfgs, "--split", "all",
+                         "--checkpoint", str(base / "models" / model_family(model)),
+                         "--out", str(target)]) == 0
+            test, everyone = rows(base / "preds" / f"{model}.csv"), rows(target)
+            assert test and set(test) < set(everyone)
+            for user, row in test.items():
+                other = everyone[user]
+                if model.startswith("rnn"):  # the scoring pass sees other users' rows
+                    got, want = (float(r["predicted_return_days"]) for r in (row, other))
+                    assert abs(got - want) <= 1e-12 * abs(want)
+                    derived = ("predicted_return_days", "predicted_return_date")
+                    row, other = ({k: v for k, v in r.items() if k not in derived}
+                                  for r in (row, other))
+                assert row == other
 
 
 json_values = st.recursive(

@@ -128,6 +128,55 @@ class TestAssignWindows:
         assert rebuilt.users == ds.users
 
 
+def dataset_columns(ds):
+    """Every column of a Dataset, with discrete markers decoded to values, so
+    datasets read from differently ordered files compare bit for bit."""
+    s = ds.sessions
+    columns = {"offsets": ds.offsets, "final_gap": ds.final_gap, "is_censored": ds.is_censored,
+               "last_session_end": ds.last_session_end, "user": s.user,
+               "start_time": s.start_time, "duration": s.duration}
+    for key, (values, present, codes) in s.discrete.items():
+        columns[f"{key}.present"] = present
+        columns[f"{key}.values"] = np.array([str(values[c]) for c in codes[present].tolist()])
+    for key, (present, column) in s.continuous.items():
+        columns[f"{key}.present"], columns[f"{key}.column"] = present, column
+    return (s.user_ids, ds.window, ds.epoch_iso, ds.epoch_weekday), {
+        name: (a.dtype.str, a.shape, a.tobytes()) for name, a in columns.items()}
+
+
+@st.composite
+def shuffled_sessions(draw):
+    """Sessions of a few users in any order, with equal starts within a user
+    (which merge, keeping the first's markers) and sessions outside the
+    windows."""
+    users = st.sampled_from(["a", "b", "b2", "c"])
+    starts = st.one_of(st.sampled_from([10.0, 29.5, 30.0, 64.25, 100.0, 120.0]),
+                       st.floats(0.0, 160.0))
+    sessions = []
+    for _ in range(draw(st.integers(0, 40))):
+        start = draw(starts)
+        duration = draw(st.sampled_from([0.0, 0.01, 0.5]))
+        device = draw(st.sampled_from(["mobile", "tablet", None]))
+        pages = draw(st.one_of(st.none(), st.floats(0.0, 9.0)))
+        sessions.append(Session(draw(users), start, min(duration, 160.0 - start),
+                                {} if device is None else {"device": device},
+                                {} if pages is None else {"pages": pages}))
+    return draw(st.permutations(sessions))
+
+
+class TestWindowsFromAnyOrder:
+    @settings(max_examples=200, deadline=None)
+    @given(shuffled_sessions())
+    def test_user_major_time_ordered_and_shuffled_rows_agree(self, raw):
+        # sorts are stable, so sessions with equal (user, start) keep their order
+        user_major = sorted(raw, key=lambda x: (x.user_id, x.start_time))
+        time_ordered = sorted(raw, key=lambda x: x.start_time)
+        with mock.patch.object(np, "lexsort", side_effect=AssertionError("re-sorted")):
+            want = dataset_columns(assign_windows(user_major, WINDOW))
+        assert dataset_columns(assign_windows(time_ordered, WINDOW)) == want
+        assert dataset_columns(assign_windows(raw, WINDOW)) == want
+
+
 class TestReturnTargets:
     def test_gap_measured_from_session_end(self):
         sessions = [s("a", 0.0, duration=1.0), s("a", 3.0, duration=0.5)]

@@ -90,6 +90,46 @@ class TestAggregates:
         assert np.all(agg.X[:, agg.feature_names.index("mean_videos")] == 0.0)
 
 
+@st.composite
+def long_histories(draw):
+    """Users with 1 to 300 sessions each, across numpy's 8- and 128-element
+    pairwise-summation blocks, some missing the pages marker."""
+    counts = draw(st.lists(st.integers(1, 300) | st.sampled_from([1, 2, 3, 8, 9, 128, 129]),
+                           min_size=1, max_size=8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    raw = []
+    for u, n in enumerate(counts):
+        starts = np.sort(rng.uniform(0.0, 9.99, size=n))
+        starts[-1] = rng.uniform(1.0, 9.99)  # in the activity window
+        starts.sort()
+        for start, duration, pages in zip(starts.tolist(), rng.exponential(1e-4, n).tolist(),
+                                          rng.lognormal(1.0, 1.0, n).tolist()):
+            markers = {"pages_viewed": pages} if pages > 1.0 or not raw else {}
+            raw.append(Session(f"u{u}", start, duration, {}, markers))
+    return raw
+
+
+class TestAggregatesAgainstPerUserCalls:
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(long_histories())
+    def test_each_mean_and_std_equals_the_per_user_call(self, raw):
+        ds = assign_windows(raw, WINDOW)
+        agg = build_aggregates(ds)
+        gaps, offsets = ds.gaps, ds.offsets.tolist()
+        columns = [ds.sessions.duration, ds.sessions.continuous["pages_viewed"][1]]
+        want = np.zeros((len(ds), 4))
+        for i, (a, b) in enumerate(zip(offsets, offsets[1:])):
+            if b - a >= 2:
+                want[i, 0] = gaps[a:b - 1].mean()
+            if b - a >= 3:
+                want[i, 1] = gaps[a:b - 1].std()
+            for j, column in enumerate(columns):
+                want[i, 2 + j] = column[a:b].mean()
+        assert agg.feature_names[2:6] == ["mean_gap", "std_gap", "mean_duration",
+                                          "mean_pages_viewed"]
+        assert_bitwise_equal(agg.X[:, 2:6], want)
+
+
 class TestSequences:
     def test_truncation_to_most_recent_days(self):
         raw = [s("u", float(d) + 0.3) for d in range(70)] + [s("u", 75.0)]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from returntime import net
+from returntime import net, rnnsm
 from returntime.errors import NumericalError
 
 from oracles import finite_difference_grads, max_relative_error, scalar_net_forward
@@ -181,6 +181,59 @@ class TestRaggedBatch:
         grads_p = net.backward_batch(params, CONFIG, cache_p, grad_o[perm])
         np.testing.assert_allclose(o_p, o[perm], rtol=0, atol=1e-12)
         assert max_relative_error(grads_p, grads, abs_floor=1e-12) < 1e-12
+
+
+def scoring_instance(seed, lengths):
+    """Random parameters and B sequences, both as the scoring pass takes them
+    (steps stacked one sequence after another) and as a padded batch."""
+    rng = np.random.default_rng(seed)
+    params, _, _ = random_instance(seed)
+    N, B, T = int(sum(lengths)), len(lengths), max(lengths, default=0)
+    disc = np.stack(
+        [rng.integers(0, c + 1, size=N) for c in CONFIG.cardinalities], axis=1
+    ).reshape(N, len(CONFIG.cardinalities))
+    cont = rng.normal(size=(N, CONFIG.n_continuous))
+    disc_b = np.zeros((B, T, disc.shape[1]), dtype=np.int64)
+    cont_b = np.zeros((B, T, CONFIG.n_continuous))
+    first = np.cumsum(lengths) - lengths
+    for i, (a, L) in enumerate(zip(first, lengths)):
+        disc_b[i, :L], cont_b[i, :L] = disc[a:a + L], cont[a:a + L]
+    return params, disc, cont, np.array(lengths, dtype=np.int64), (disc_b, cont_b)
+
+
+class TestScoringPass:
+    @pytest.mark.parametrize("lengths", [
+        [5, 1, 5, 2, 3, 1, 7],  # unsorted, tied and length-1 rows
+        [4],  # one user
+        [1],
+        [64, 3, 64, 64, 1],  # rows at the default max_steps
+    ], ids=["ragged", "one-user", "one-step", "max-steps"])
+    def test_matches_forward_batch_last_steps(self, lengths):
+        params, disc, cont, L, (disc_b, cont_b) = scoring_instance(40, lengths)
+        o_b, _, _ = net.forward_batch(params, CONFIG, disc_b, cont_b, L)
+        want = o_b[np.arange(len(L)), L - 1]
+        got = net.forward_last(params, CONFIG, disc, cont, L)
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    def test_empty_input_gives_empty_output(self):
+        params, disc, cont, L, _ = scoring_instance(41, [])
+        assert net.forward_last(params, CONFIG, disc, cont, L).shape == (0,)
+        assert rnnsm.last_outputs(params, CONFIG, []).shape == (0,)
+
+    @pytest.mark.parametrize("name", ["lstm_wh", "out_v", "fusion_b"])
+    def test_nan_parameter_raises(self, name):
+        params, disc, cont, L, _ = scoring_instance(43, [2, 4, 1])
+        params[name] = params[name].copy()
+        params[name].flat[0] = np.nan
+        with pytest.raises(NumericalError, match="last step") as info:
+            net.forward_last(params, CONFIG, disc, cont, L)
+        assert info.value.exit_code == 4
+
+    def test_rejects_an_empty_sequence(self):
+        params, disc, cont, _, _ = scoring_instance(44, [2, 3])
+        with pytest.raises(ValueError, match="at least one step"):
+            net.forward_last(params, CONFIG, disc, cont, np.array([5, 0]))
 
 
 class TestUpdates:
