@@ -111,7 +111,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     model_name = validate_model_name(args.model)
     data = experiment.load_and_split(config)
     meta = experiment.train_model(model_name, data, config, args.out)
-    write_manifest(args.out, f"train:{model_name}", config)
+    write_manifest(args.out, f"train:{model_name}", config, blas=meta["blas"])
     extras = ""
     if "w" in meta:
         extras = f" (w={meta['w']})"

@@ -148,8 +148,9 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def manifest_for(command: str, config: dict) -> dict:
+def manifest_for(command: str, config: dict, **extra) -> dict:
     return {
+        **extra,
         "command": command,
         "config": config,
         "config_hash": config_hash(config),
@@ -162,11 +163,13 @@ def manifest_for(command: str, config: dict) -> dict:
     }
 
 
-def write_manifest(out_dir: str | Path, command: str, config: dict) -> None:
+def write_manifest(out_dir: str | Path, command: str, config: dict, **extra) -> None:
+    """manifest.json: command, config and its hash, seed, versions, and any
+    extra entries (train adds its BLAS record)."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "manifest.json").write_text(
-        json.dumps(manifest_for(command, config), sort_keys=True, indent=2)
+        json.dumps(manifest_for(command, config, **extra), sort_keys=True, indent=2)
     )
 
 

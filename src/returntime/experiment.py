@@ -6,12 +6,15 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import multiprocessing
+import os
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from . import baselines, cox, metrics, net, rnnsm
+from . import baselines, blas, cox, metrics, net, rnnsm
 from .config import boolean, count, mapping, model_family, numbers, setting, text
 from .data import (
     Dataset,
@@ -25,6 +28,7 @@ from .features import (
     FeatureConfig,
     SequenceStats,
     Standardization,
+    UserSequence,
     build_aggregates,
     build_sequences,
     select_embedding_dims,
@@ -156,21 +160,114 @@ def resolve_embedding_dims(
     return dims
 
 
-def select_w(train: Dataset, config: dict, dims: dict[str, int]) -> float:
-    """Grid search over the current-influence weight on validation concordance.
+@dataclass(frozen=True)
+class RnnsmFit:
+    """One rnnsm fit short of its w: train_rnnsm on these inputs."""
+
+    sequences: list[UserSequence]
+    net_config: net.NetConfig
+    stats: SequenceStats
+    training: rnnsm.TrainingConfig
+
+    def __call__(self, w: float) -> rnnsm.RecurrentModel:
+        return rnnsm.train_rnnsm(self.sequences, self.net_config, self.stats, w, self.training)
+
+
+@dataclass(frozen=True)
+class _Grid:
+    """What the w grid's tasks read: forked pool workers inherit it, so a
+    task carries only its w."""
+
+    candidate: RnnsmFit  # on the fit part of the train split
+    validation: list[UserSequence]
+    final: RnnsmFit  # on the whole train split
+
+    def validation_predictions(self, w: float) -> np.ndarray:
+        return rnnsm.predict(self.candidate(w), self.validation)
+
+
+_worker_grid: _Grid | None = None  # set in each pool worker by _start_worker
+
+
+def _start_worker(grid: _Grid) -> None:
+    global _worker_grid
+    blas.set_threads(1)
+    _worker_grid = grid
+
+
+def _in_worker(task: str, w: float):
+    return getattr(_worker_grid, task)(w)
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _leader(grid: list[float], concordances: list) -> int:
+    """Index of the best scored candidate: highest concordance, then smallest w."""
+    return max((i for i, c in enumerate(concordances) if c is not None),
+               key=lambda i: (concordances[i], -grid[i]))
+
+
+def _grid_in_pool(grid_job: _Grid, grid: list[float], score, workers: int):
+    """Concordance per candidate and the final model, from forked workers.
+
+    The first time fewer candidates are unfinished than there are workers, the
+    idle worker starts the final fit for the current leader. If another
+    candidate wins, its final fit starts once the grid ends, as it would
+    without the early start, and the early model is discarded.
+    """
+    # fork, not spawn: spawn re-imports the caller's __main__, so a script
+    # without a __main__ guard fails, pickles the sequences into every task,
+    # and takes 0.5-0.8 s to start a worker where fork takes 0.04 s
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                               initializer=_start_worker, initargs=(grid_job,))
+    try:
+        pending = {pool.submit(_in_worker, "validation_predictions", w): i
+                   for i, w in enumerate(grid)}
+        concordances: list = [None] * len(grid)
+        early = None  # (candidate index, future of its final fit)
+        while pending:
+            done, _ = wait(pending, return_when=FIRST_COMPLETED)
+            for future in done:
+                concordances[pending.pop(future)] = score(future.result())
+            if early is None and len(pending) < workers:
+                leader = _leader(grid, concordances)
+                early = leader, pool.submit(_in_worker, "final", grid[leader])
+        best = _leader(grid, concordances)
+        if best == early[0]:
+            return concordances, best, early[1].result()
+        logger.info("w grid: w=%g overtook w=%g; fitting the final model again",
+                    grid[best], grid[early[0]])
+        return concordances, best, pool.submit(_in_worker, "final", grid[best]).result()
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
+def select_w(
+    train: Dataset, config: dict, dims: dict[str, int], final: RnnsmFit
+) -> tuple[float, list[list[float]], rnnsm.RecurrentModel]:
+    """Grid search over the current-influence weight on validation
+    concordance; returns w, the [w, concordance] pairs in grid order and the
+    final model fitted with w.
 
     Each candidate trains a model with the final architecture and schedule on
     a held-out split of the train data, so the selection sees the same
-    capacity the final model will have.
+    capacity the final model will have. With more than one usable CPU the
+    candidates and the final fit run in forked worker processes, on one
+    OpenBLAS thread each; otherwise they run here, one after another.
     """
     w = setting(config, "rnnsm.w", float, optional=True)
     if w is not None:
-        return w
+        return w, [], final(w)
     grid = setting(config, "rnnsm.w_grid", numbers)
     if not grid or any(w <= 0 for w in grid):
         raise ConfigError("config key rnnsm.w_grid must list positive values")
     if len(grid) == 1:
-        return grid[0]
+        return grid[0], [], final(grid[0])
     fit_ds, val_ds = stratified_split(
         train, setting(config, "rnnsm.validation_fraction", float),
         setting(config, "seed", int) + 17,
@@ -178,19 +275,26 @@ def select_w(train: Dataset, config: dict, dims: dict[str, int]) -> float:
     fcfg = feature_config(config)
     fit_seqs, stats = build_sequences(fit_ds, fcfg)
     val_seqs, _ = build_sequences(val_ds, stats=stats)
-    net_cfg = _net_config(stats, dims, config)
     tcfg = training_config(config, "rnnsm", seed_offset=31)
     grid_epochs = setting(config, "rnnsm.grid_epochs", int, optional=True)
     if grid_epochs is not None:
         tcfg = replace(tcfg, epochs=grid_epochs)
-    scores = []
-    for w in grid:
-        model = rnnsm.train_rnnsm(fit_seqs, net_cfg, stats, w=w, config=tcfg)
-        c = metrics.concordance_index(prediction_records(val_ds, rnnsm.predict(model, val_seqs)))
-        scores.append((c, -w))
+    grid_job = _Grid(RnnsmFit(fit_seqs, _net_config(stats, dims, config), stats, tcfg),
+                     val_seqs, final)
+
+    def score(predicted: np.ndarray) -> float:
+        return metrics.concordance_index(prediction_records(val_ds, predicted))
+
+    workers = min(len(grid), _usable_cpus())
+    if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
+        concordances, best, model = _grid_in_pool(grid_job, grid, score, workers)
+    else:
+        concordances = [score(grid_job.validation_predictions(w)) for w in grid]
+        best = _leader(grid, concordances)
+        model = final(grid[best])
+    for w, c in zip(grid, concordances):
         logger.info("w grid: w=%g validation concordance %.4f", w, c)
-    best = max(range(len(grid)), key=lambda i: scores[i])
-    return grid[best]
+    return grid[best], [[w, c] for w, c in zip(grid, concordances)], model
 
 
 # ---------------------------------------------------------------------------
@@ -200,8 +304,9 @@ def train_model(model_name: str, data: LoadedData, config: dict, out_dir: str | 
     """Fit one model family on the train split and persist its artifact.
 
     cpha and rnnsma alias the cph / rnnsm artifacts since only prediction
-    differs. Returns the metadata dictionary that was written next to the
-    artifact.
+    differs. Training runs on one OpenBLAS thread (see blas.one_thread), so
+    the artifact does not depend on the host's thread count. Returns the
+    metadata dictionary that was written next to the artifact.
     """
     family = model_family(model_name)
     out = Path(out_dir)
@@ -221,7 +326,14 @@ def train_model(model_name: str, data: LoadedData, config: dict, out_dir: str | 
         },
         "seed": setting(config, "seed", int),
     }
+    with blas.one_thread() as meta["blas"]:
+        _fit_and_save(family, data, config, out, meta)
+    (out / "meta.json").write_text(json.dumps(meta, sort_keys=True, indent=2))
+    return meta
 
+
+def _fit_and_save(family: str, data: LoadedData, config: dict, out: Path, meta: dict) -> None:
+    """Fit the family's model, write its artifact and add its entries to meta."""
     if family == "baseline":
         (out / "model.json").write_text(json.dumps({"kind": "baseline"}, indent=2))
 
@@ -237,22 +349,18 @@ def train_model(model_name: str, data: LoadedData, config: dict, out_dir: str | 
         meta["beta"] = model.beta.tolist()
 
     else:
-        seqs, stats = build_sequences(data.train, fcfg)
+        seqs, stats = build_sequences(data.train, feature_config(config))
         dims = resolve_embedding_dims(seqs, stats, config, family=family)
         net_cfg = _net_config(stats, dims, config)
         if family == "rnn":
             model = baselines.train_simple_rnn(seqs, net_cfg, stats, training_config(config, "rnn"))
         else:
-            meta["w"] = w = select_w(data.train, config, dims)
-            model = rnnsm.train_rnnsm(seqs, net_cfg, stats, w, training_config(config, "rnnsm"))
+            final = RnnsmFit(seqs, net_cfg, stats, training_config(config, "rnnsm"))
+            meta["w"], meta["w_grid_scores"], model = select_w(data.train, config, dims, final)
         rnnsm.save_model(out / "model.npz", model)
-        stats.save(out / "norm_stats.json")
         meta["embedding_dims"] = dims
         meta["loss_trace"] = model.loss_trace
         meta["diverged"] = model.diverged
-
-    (out / "meta.json").write_text(json.dumps(meta, sort_keys=True, indent=2))
-    return meta
 
 
 # ---------------------------------------------------------------------------

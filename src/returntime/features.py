@@ -8,9 +8,7 @@ z-scored with statistics frozen from the training split.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -187,13 +185,6 @@ class SequenceStats:
             max_steps=int(d["max_steps"]),
             per_session_steps=bool(d["per_session_steps"]),
         )
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), sort_keys=True, indent=2))
-
-    @classmethod
-    def load(cls, path: str | Path) -> "SequenceStats":
-        return cls.from_dict(json.loads(Path(path).read_text()))
 
 
 def _unit_sums(column: np.ndarray, heads: np.ndarray, lengths: np.ndarray) -> np.ndarray:

@@ -13,6 +13,7 @@ Gate order in the fused LSTM tensors is input, forget, candidate, output.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -367,7 +368,19 @@ def backward_batch(
 
 
 def global_grad_norm(grads: dict[str, np.ndarray]) -> float:
-    return float(np.sqrt(sum(float(np.sum(g * g)) for g in grads.values())))
+    """sqrt of the summed squares of every gradient entry.
+
+    Where the plain sum of squares overflows, the entries are first divided
+    by the largest |g|, so huge but finite gradients still clip instead of
+    being dropped. A non-finite gradient raises NumericalError."""
+    with np.errstate(over="ignore"):
+        total = sum(float(np.sum(g * g)) for g in grads.values())
+    if math.isfinite(total):
+        return math.sqrt(total)
+    if not all(np.isfinite(g).all() for g in grads.values()):
+        raise NumericalError("non-finite gradient")
+    peak = max(float(np.max(np.abs(g), initial=0.0)) for g in grads.values())
+    return peak * math.sqrt(sum(float(np.sum((g / peak) ** 2)) for g in grads.values()))
 
 
 @dataclass

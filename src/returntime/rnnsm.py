@@ -453,12 +453,14 @@ def save_model(path: str | Path, model: RecurrentModel) -> None:
 def load_model(path: str | Path, kind: str) -> RecurrentModel:
     """Read a checkpoint of the given kind ("rnn" or "rnnsm").
 
-    A file that is not a readable checkpoint raises DataModelMismatchError.
+    A file that is missing or not a readable checkpoint raises
+    DataModelMismatchError; a corrupt archive directory can make zipfile
+    raise OSError.
     """
     try:
         params, config, state, extra = net.load_checkpoint(path)
         stats = SequenceStats.from_dict(extra["stats"])
-    except (zipfile.BadZipFile, EOFError, KeyError, ValueError) as exc:
+    except (zipfile.BadZipFile, EOFError, KeyError, ValueError, OSError) as exc:
         raise DataModelMismatchError(f"checkpoint at {path} is unreadable: {exc}") from exc
     if extra.get("kind") != kind:
         raise DataModelMismatchError(

@@ -165,6 +165,8 @@ class TestTrainPredictEvaluate:
     @pytest.mark.parametrize("model,name,corrupt", [
         ("rnn", "model.npz", lambda raw: raw[:3000]),
         ("rnn", "model.npz", lambda raw: b"not a zip archive"),
+        # the archive directory's offset field: zipfile seeks before the file start
+        ("rnn", "model.npz", lambda raw: raw[:-4] + bytes([raw[-4] ^ 1]) + raw[-3:]),
         ("rnn", "meta.json", lambda raw: raw[:len(raw) // 2]),
         ("cph", "model.json", lambda raw: raw[:len(raw) // 2]),
         ("cph", "meta.json", lambda raw: b"[]"),
@@ -174,7 +176,7 @@ class TestTrainPredictEvaluate:
         ("cph", "model.json", edited(lambda d: d.update(baseline_times=d["baseline_times"][::-1]))),
         ("cph", "model.json", edited(
             lambda d: d.update(baseline_hazard=[-h for h in d["baseline_hazard"]]))),
-    ], ids=["npz-truncated", "npz-not-zip", "meta-truncated", "cox-json-truncated",
+    ], ids=["npz-truncated", "npz-not-zip", "npz-directory-offset", "meta-truncated", "cox-json-truncated",
             "meta-list", "cph-meta-without-standardization", "cox-empty-baseline",
             "cox-knots-descending", "cox-negative-hazard"])
     def test_corrupt_artifact_exit_3(self, generated, tmp_path, capsys, model, name, corrupt):

@@ -258,6 +258,26 @@ class TestUpdates:
             norms = np.linalg.norm(params[key], axis=1)
             np.testing.assert_allclose(norms, 1.0, rtol=0, atol=1e-6)
 
+    def test_huge_gradients_clip_to_clip_norm(self):
+        params, _, _ = random_instance(15)
+        grads = {k: np.full_like(p, 1e200) for k, p in params.items()}
+        norm = net.global_grad_norm(grads)  # the plain sum of squares overflows
+        assert 1e200 < norm < np.inf
+        clipped = {k: g * (5.0 / norm) for k, g in grads.items()}
+        assert abs(net.global_grad_norm(clipped) - 5.0) <= 2 * np.spacing(5.0)
+        before = {k: p.copy() for k, p in params.items()}
+        net.apply_update_with_norm_projection(params, grads, net.AdamState.for_params(params),
+                                              clip_norm=5.0)
+        assert not np.allclose(params["out_b"], before["out_b"])  # the step is not dropped
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_gradient_raises(self, bad):
+        params, _, _ = random_instance(16)
+        grads = {k: np.zeros_like(p) for k, p in params.items()}
+        grads["out_b"][0] = bad
+        with pytest.raises(NumericalError, match="non-finite gradient"):
+            net.apply_update_with_norm_projection(params, grads, net.AdamState.for_params(params))
+
     def test_ten_steps_bitwise_deterministic(self):
         def run():
             rng = np.random.default_rng(13)
