@@ -18,8 +18,8 @@ from pathlib import Path
 
 from . import experiment, metrics
 from .config import (
-    count, entries, finite, load_config, mapping, setting, text, validate_model_name,
-    write_manifest,
+    count, entries, finite, load_config, mapping, output_dir, setting, text,
+    validate_model_name, write_manifest,
 )
 from .errors import ConfigError, ReturnTimeError
 from .synth import CohortConfig, GeneratorConfig, generate_to_files
@@ -127,8 +127,11 @@ def cmd_predict(args: argparse.Namespace) -> int:
     split = None if args.split == "all" else experiment.split_identity(data)
     records = experiment.predict_model(model_name, args.checkpoint, subset, split=split)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    metrics.write_predictions_csv(out, model_name, records, epoch_iso=subset.epoch_iso)
+    output_dir(out.parent)
+    try:
+        metrics.write_predictions_csv(out, model_name, records, epoch_iso=subset.epoch_iso)
+    except OSError as exc:
+        raise ConfigError(f"cannot write predictions to {out}: {exc.strerror or exc}") from exc
     print(f"wrote {len(records)} predictions for {model_name} to {out}")
     return 0
 

@@ -163,11 +163,20 @@ def manifest_for(command: str, config: dict, **extra) -> dict:
     }
 
 
+def output_dir(path: str | Path) -> Path:
+    """path, made a directory with its parents; an OSError raises ConfigError."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: {exc.strerror or exc}") from exc
+    return out
+
+
 def write_manifest(out_dir: str | Path, command: str, config: dict, **extra) -> None:
     """manifest.json: command, config and its hash, seed, versions, and any
     extra entries (train adds its BLAS record)."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = output_dir(out_dir)
     (out / "manifest.json").write_text(
         json.dumps(manifest_for(command, config, **extra), sort_keys=True, indent=2)
     )

@@ -7,9 +7,10 @@ A user is censored when they have no session in the prediction window; their
 final gap is then only known to exceed horizon_end minus their last session
 end.
 
-Sessions travel as columns (SessionColumns) from the parse cache to the
-feature builders; a Dataset keeps each user's sessions as one contiguous run
-of rows. Session and UserHistory objects are built only on request.
+Sessions travel as columns (SessionColumns): from the generator to the
+JSONL writer, and from the parse cache to the feature builders. A Dataset
+keeps each user's sessions as one contiguous run of rows. Session and
+UserHistory objects are built only on request.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import tempfile
 import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -115,17 +116,6 @@ class SessionColumns:
              for key, (present, column) in self.continuous.items()},
         )
 
-    @classmethod
-    def from_sessions(cls, sessions: Iterable[Session]) -> "SessionColumns":
-        """Columns of Session objects, in their order."""
-        columns = _ColumnBuilder()
-        starts = []
-        for s in sessions:
-            columns.add(s.user_id, s.duration, s.discrete_markers.items(),
-                        s.continuous_markers.items())
-            starts.append(s.start_time)
-        return _session_columns(*columns.build(starts))
-
 
 class _ColumnBuilder:
     """Collects sessions row by row into a header of strings and (n,) columns.
@@ -177,16 +167,6 @@ class _ColumnBuilder:
                 present[rows] = True
                 column[rows] = values
         return header, arrays
-
-
-def _session_columns(header: dict, arrays: dict[str, np.ndarray]) -> SessionColumns:
-    return SessionColumns(
-        header["user_ids"], arrays["user"], arrays["start_time"], arrays["duration"],
-        {key: (values, arrays[f"discrete_present_{i}"], arrays[f"discrete_value_{i}"])
-         for i, (key, values) in enumerate(header["discrete"])},
-        {key: (arrays[f"continuous_present_{i}"], arrays[f"continuous_value_{i}"])
-         for i, key in enumerate(header["continuous"])},
-    )
 
 
 @dataclass(frozen=True)
@@ -354,7 +334,7 @@ def _merge_overlaps(s: SessionColumns, user: np.ndarray) -> SessionColumns:
     ).take(keep)
 
 
-def assign_windows(raw_sessions: SessionColumns | Iterable[Session], config: WindowConfig,
+def assign_windows(raw: SessionColumns, config: WindowConfig,
                    epoch_iso: str | None = None, epoch_weekday: int = 0) -> Dataset:
     """Window a raw session stream into labeled user histories.
 
@@ -362,8 +342,6 @@ def assign_windows(raw_sessions: SessionColumns | Iterable[Session], config: Win
     stores their observation-window sessions, and labels each user returning
     or censored from the prediction window.
     """
-    raw = (raw_sessions if isinstance(raw_sessions, SessionColumns)
-           else SessionColumns.from_sessions(raw_sessions))
     late = raw.start_time > config.horizon_end
     if late.any():
         row = int(np.argmax(late))
@@ -472,7 +450,13 @@ def read_sessions_jsonl(path: str | Path) -> SessionsRead:
         columns = _parse_jsonl(path, raw, digest)
         _write_cache(cache, *columns)
     header, arrays = columns
-    sessions = _session_columns(header, arrays)
+    sessions = SessionColumns(
+        header["user_ids"], arrays["user"], arrays["start_time"], arrays["duration"],
+        {key: (values, arrays[f"discrete_present_{i}"], arrays[f"discrete_value_{i}"])
+         for i, (key, values) in enumerate(header["discrete"])},
+        {key: (arrays[f"continuous_present_{i}"], arrays[f"continuous_value_{i}"])
+         for i, key in enumerate(header["continuous"])},
+    )
     return SessionsRead(sessions, header["epoch_iso"], header["epoch_weekday"], digest)
 
 
@@ -525,6 +509,13 @@ def _bad_times(arrays: dict[str, np.ndarray]) -> np.ndarray:
     return ~(np.isfinite(start) & (start >= 0) & np.isfinite(duration) & (duration >= 0))
 
 
+def check_times(s: SessionColumns) -> None:
+    """Session's check of every row at once: the first row with a bad
+    start_time or duration raises Session's ValidationError."""
+    for row in np.flatnonzero(_bad_times(vars(s)))[:1].tolist():
+        Session(s.user_ids[s.user[row]], float(s.start_time[row]), float(s.duration[row]))
+
+
 def _digest(members: dict[str, np.ndarray]) -> np.ndarray:
     """sha256 of each member's name, dtype, shape and bytes, as (32,) uint8."""
     h = hashlib.sha256()
@@ -572,28 +563,37 @@ def _write_cache(cache: Path, header: dict, arrays: dict[str, np.ndarray]) -> No
                 os.unlink(tmp)
 
 
-def write_sessions_jsonl(path: str | Path, sessions: Sequence[Session], epoch_iso: str) -> None:
-    """Write sessions in the ingestion format, timestamps relative to epoch_iso."""
+def write_sessions_jsonl(path: str | Path, sessions: SessionColumns, epoch_iso: str) -> None:
+    """Write sessions in the ingestion format, timestamps relative to epoch_iso:
+    per row, json.dumps(record, sort_keys=True) of its record, in which a key
+    both discrete and continuous on the row takes the continuous value."""
     epoch = _parse_ts(epoch_iso)
-    path = Path(path)
-    with path.open("w") as fh:
-        for s in sessions:
-            ts = epoch + dt.timedelta(days=s.start_time)
-            markers: dict = {}
-            markers.update(s.discrete_markers)
-            markers.update(s.continuous_markers)
-            fh.write(
-                json.dumps(
-                    {
-                        "user_id": s.user_id,
-                        "start_ts": ts.isoformat(),
-                        "duration_s": s.duration * SECONDS_PER_DAY,
-                        "markers": markers,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+    users = [json.dumps(u) for u in sessions.user_ids]
+    fields = [[None] * len(sessions)]  # per marker key and row '"key": value', or None
+    for key in sorted(set(sessions.discrete) | set(sessions.continuous)):
+        name, column = json.dumps(key), np.full(len(sessions), None, dtype=object)
+        if key in sessions.discrete:
+            values, present, codes = sessions.discrete[key]
+            encoded = np.array([f"{name}: {json.dumps(v)}" for v in values], dtype=object)
+            column[present] = encoded[codes[present]]
+        if key in sessions.continuous:
+            present, values = sessions.continuous[key]
+            column[present] = [f"{name}: {_json_float(x)}" for x in values[present].tolist()]
+        fields.append(column.tolist())
+    markers = (", ".join(filter(None, row)) for row in zip(*fields))
+    with Path(path).open("w") as fh:
+        fh.writelines(
+            f'{{"duration_s": {_json_float(duration)}, "markers": {{{marker}}}, '
+            f'"start_ts": "{(epoch + dt.timedelta(days=start)).isoformat()}", '
+            f'"user_id": {users[user]}}}\n'
+            for user, start, duration, marker in zip(
+                sessions.user.tolist(), sessions.start_time.tolist(),
+                (sessions.duration * SECONDS_PER_DAY).tolist(), markers)
+        )
+
+
+def _json_float(x: float) -> str:
+    return repr(x) if math.isfinite(x) else json.dumps(x)
 
 
 def resolve_window_days(window_cfg: dict, epoch_iso: str | None) -> WindowConfig:

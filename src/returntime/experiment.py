@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, blas, cox, metrics, net, rnnsm
-from .config import boolean, count, mapping, model_family, numbers, setting, text
+from .config import boolean, count, mapping, model_family, numbers, output_dir, setting, text
 from .data import (
     Dataset,
     assign_windows,
@@ -309,8 +309,7 @@ def train_model(model_name: str, data: LoadedData, config: dict, out_dir: str | 
     metadata dictionary that was written next to the artifact.
     """
     family = model_family(model_name)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = output_dir(out_dir)
     fcfg = feature_config(config)
     meta: dict = {
         "model_family": family,
@@ -472,8 +471,7 @@ def predict_model(
 # report emission
 
 def write_report(out_dir: str | Path, model_records: dict, auc_score_mode: str) -> dict:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = output_dir(out_dir)
     report = metrics.build_report(model_records, auc_score_mode=auc_score_mode)
     (out / "report.json").write_text(json.dumps(report, sort_keys=True, indent=2))
     for table in ("rmse_by_week", "mean_error_by_week", "rmse_by_active_days"):

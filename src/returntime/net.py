@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DataModelMismatchError, NumericalError
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2  # 2 dropped the Adam moments, which nothing read back
 
 
 @dataclass(frozen=True)
@@ -40,9 +40,6 @@ class NetConfig:
     @property
     def input_width(self) -> int:
         return int(sum(self.embedding_dims)) + self.n_continuous
-
-    def embedding_rows(self, k: int) -> int:
-        return self.cardinalities[k] + 1  # trailing row is the unknown slot
 
     def to_dict(self) -> dict:
         return {
@@ -443,41 +440,24 @@ def save_checkpoint(
     path: str | Path,
     params: dict[str, np.ndarray],
     config: NetConfig,
-    state: AdamState | None = None,
     extra: dict | None = None,
 ) -> None:
-    """Persist named tensors, optimizer state, and metadata to one .npz file."""
-    arrays: dict[str, np.ndarray] = {}
-    for k, p in params.items():
-        arrays[f"param::{k}"] = p
-    if state is not None:
-        for k in params:
-            arrays[f"adam_m::{k}"] = state.m[k]
-            arrays[f"adam_v::{k}"] = state.v[k]
-    meta = {
-        "version": CHECKPOINT_VERSION,
-        "net_config": config.to_dict(),
-        "adam_step": state.step if state is not None else None,
-        "extra": extra or {},
-    }
+    """Persist named tensors and metadata to one .npz file."""
+    arrays = {f"param::{k}": p for k, p in params.items()}
+    meta = {"version": CHECKPOINT_VERSION, "net_config": config.to_dict(), "extra": extra or {}}
     arrays["meta"] = np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8)
     np.savez(Path(path), **arrays)
 
 
-def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], NetConfig, AdamState | None, dict]:
+def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], NetConfig, dict]:
     with np.load(Path(path)) as data:
         meta = json.loads(bytes(data["meta"].tobytes()).decode())
         if meta["version"] != CHECKPOINT_VERSION:
-            raise DataModelMismatchError(f"unsupported checkpoint version {meta['version']}")
+            raise DataModelMismatchError(
+                f"unsupported checkpoint version {meta['version']} (this release reads "
+                f"version {CHECKPOINT_VERSION}); retrain the model"
+            )
         params = {
             k.split("::", 1)[1]: data[k].copy() for k in data.files if k.startswith("param::")
         }
-        state = None
-        if meta["adam_step"] is not None:
-            state = AdamState(
-                step=int(meta["adam_step"]),
-                m={k.split("::", 1)[1]: data[k].copy() for k in data.files if k.startswith("adam_m::")},
-                v={k.split("::", 1)[1]: data[k].copy() for k in data.files if k.startswith("adam_v::")},
-            )
-    config = NetConfig.from_dict(meta["net_config"])
-    return params, config, state, meta["extra"]
+    return params, NetConfig.from_dict(meta["net_config"]), meta["extra"]

@@ -267,7 +267,7 @@ class RecurrentModel:
     net_config: net.NetConfig
     stats: SequenceStats
     w: float | None = None
-    adam: net.AdamState | None = None
+    adam: net.AdamState | None = None  # after training; checkpoints do not keep it
     loss_trace: list[float] = field(default_factory=list)
     diverged: bool = False
 
@@ -439,7 +439,6 @@ def save_model(path: str | Path, model: RecurrentModel) -> None:
         path,
         model.params,
         model.net_config,
-        state=model.adam,
         extra={
             "kind": "rnn" if model.w is None else "rnnsm",
             "w": model.w,
@@ -458,7 +457,7 @@ def load_model(path: str | Path, kind: str) -> RecurrentModel:
     raise OSError.
     """
     try:
-        params, config, state, extra = net.load_checkpoint(path)
+        params, config, extra = net.load_checkpoint(path)
         stats = SequenceStats.from_dict(extra["stats"])
     except (zipfile.BadZipFile, EOFError, KeyError, ValueError, OSError) as exc:
         raise DataModelMismatchError(f"checkpoint at {path} is unreadable: {exc}") from exc
@@ -472,7 +471,6 @@ def load_model(path: str | Path, kind: str) -> RecurrentModel:
         net_config=config,
         stats=stats,
         w=None if w is None else float(w),
-        adam=state,
         loss_trace=list(extra.get("loss_trace", [])),
         diverged=bool(extra.get("diverged", False)),
     )

@@ -16,11 +16,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Session, WindowConfig, write_sessions_jsonl
+from .config import output_dir
+from .data import SessionColumns, WindowConfig, check_times, write_sessions_jsonl
 from .errors import ConfigError
 
 DEVICES = ("mobile", "desktop", "tablet")
 MINUTE = 1.0 / (24.0 * 60.0)
+_NORMAL_BLOCK = 256  # standard normals drawn at a time while walking a user's arrivals
 
 
 @dataclass(frozen=True)
@@ -118,17 +120,23 @@ class GroundTruthRow:
     returns_within_horizon: bool
 
 
-def _sample_hour(rng: np.random.Generator, night_owl: bool) -> float:
-    if night_owl:
-        h = rng.normal(1.5, 1.5)
-    else:
-        h = rng.normal(14.5, 3.0)
-    return float(h % 24.0)
+def _lognormal(mu: float, sigma: float, z: float) -> float:
+    """rng.lognormal(mu, sigma) whose standard normal draw was z: libm's exp
+    of mu + sigma * z, as numpy computes it, and inf where that overflows."""
+    try:
+        return math.exp(mu + sigma * z)
+    except OverflowError:
+        return math.inf
 
 
 def _simulate_user(
     user_id: str, cohort: CohortConfig, config: GeneratorConfig, rng: np.random.Generator
-) -> tuple[list[Session], GroundTruthRow | None]:
+) -> tuple[list[tuple[float, float, int, float]], GroundTruthRow | None]:
+    """(start, duration, device code, pages) of each session up to the
+    horizon, and the user's ground truth. The stream draws the arrivals out
+    to sim_end, two standard normals each (hour, gap), read here from blocks;
+    then the marks of each arrival, of which only those up to the horizon
+    are drawn, as no later draw is read."""
     horizon = config.horizon_days
     t_p = config.window.prediction_start
     sim_end = horizon + 10.0 * config.prediction_window_days
@@ -140,7 +148,7 @@ def _simulate_user(
     else:
         change_point = math.inf
 
-    def draw_gap(now: float) -> float:
+    def gap(now: float, z: float) -> float:
         mu = cohort.gap_log_mean
         if now >= change_point:
             if cohort.lapse_taper_days > 0:
@@ -148,53 +156,54 @@ def _simulate_user(
             else:
                 ramp = 1.0
             mu += math.log(cohort.lapse_multiplier) * ramp
-        return float(rng.lognormal(mu, cohort.gap_log_sigma))
+        return _lognormal(mu, cohort.gap_log_sigma, z)
 
     # renewal arrivals from the signup date onwards, remapped onto the
     # night/day hour mixture within each arrival's calendar day
     night_owl = rng.random() < cohort.night_owl_prob
-    first_gap = draw_gap(signup)
+    hour_mean, hour_sigma = (1.5, 1.5) if night_owl else (14.5, 3.0)
+    first_gap = gap(signup, rng.standard_normal())
     t = signup + (rng.uniform(0.0, first_gap) if first_gap > 0 else 0.0)
-    times: list[float] = []
-    while t <= sim_end and len(times) < config.session_cap:
-        mapped = math.floor(t) + _sample_hour(rng, night_owl) / 24.0
-        if times and mapped <= times[-1]:
-            mapped = times[-1] + MINUTE
-        times.append(mapped)
-        t += draw_gap(t)
-
-    times = [x for x in times if x <= sim_end]
+    times: list[float] = []  # up to the first arrival past the horizon; later ones are never read
+    arrivals = 0
+    state = rng.bit_generator.state
+    z: list[float] = []
+    while t <= sim_end and arrivals < config.session_cap:
+        if len(z) < 2 * arrivals + 2:
+            z.extend(rng.standard_normal(_NORMAL_BLOCK).tolist())
+        if not times or times[-1] <= horizon:
+            mapped = math.floor(t) + ((hour_mean + hour_sigma * z[2 * arrivals]) % 24.0) / 24.0
+            if times and mapped <= times[-1]:
+                mapped = times[-1] + MINUTE
+            times.append(mapped)
+        t += gap(t, z[2 * arrivals + 1])
+        arrivals += 1
     if not times or times[0] > horizon:
         return [], None
+    rng.bit_generator.state = state
+    rng.standard_normal(2 * arrivals)
 
+    after = times.pop() if times[-1] > horizon else math.inf
+    after = after if after <= sim_end else None  # arrivals past sim_end are never kept
     primary = int(rng.choice(len(DEVICES), p=cohort.device_probs))
-    sessions: list[Session] = []
+    rows: list[tuple[float, float, int, float]] = []
     last_obs_end: float | None = None
-    for j, start in enumerate(times):
-        duration = float(rng.lognormal(config.duration_log_mean, config.duration_log_sigma))
-        if j + 1 < len(times):
-            duration = min(duration, 0.8 * (times[j + 1] - start))
+    for start, following in zip(times, times[1:] + [after]):
+        duration = _lognormal(config.duration_log_mean, config.duration_log_sigma,
+                              rng.standard_normal())
+        if following is not None:
+            duration = min(duration, 0.8 * (following - start))
         if rng.random() < 0.8:
-            device = DEVICES[primary]
+            device = primary
         else:
-            device = DEVICES[(primary + 1 + int(rng.integers(0, len(DEVICES) - 1))) % len(DEVICES)]
-        # round(x, 0) rounds half to even like np.round, keeps an overflowed
-        # draw at inf, and costs a fraction of a numpy scalar call
-        pages = max(1.0, round(rng.lognormal(cohort.pages_log_mean, cohort.pages_log_sigma), 0))
-        if start <= horizon:
-            sessions.append(
-                Session(
-                    user_id=user_id,
-                    start_time=start,
-                    duration=duration,
-                    discrete_markers={"device": device},
-                    continuous_markers={"pages_viewed": pages},
-                )
-            )
+            device = (primary + 1 + int(rng.integers(0, len(DEVICES) - 1))) % len(DEVICES)
+        # round(x, 0) rounds half to even like np.round and keeps inf
+        pages = _lognormal(cohort.pages_log_mean, cohort.pages_log_sigma, rng.standard_normal())
+        rows.append((start, duration, device, max(1.0, round(pages, 0))))
         if start <= t_p:
             last_obs_end = min(start + duration, t_p)
 
-    first_post = next((x for x in times if x > t_p), None)
+    first_post = next((x for x in times if x > t_p), after)
     if last_obs_end is None:
         truth = None  # user never appears before the prediction window
     else:
@@ -204,29 +213,38 @@ def _simulate_user(
             true_return_days=(first_post - last_obs_end) if first_post is not None else None,
             returns_within_horizon=first_post is not None and first_post <= horizon,
         )
-    return sessions, truth
+    return rows, truth
 
 
-def generate(config: GeneratorConfig) -> tuple[list[Session], list[GroundTruthRow]]:
-    """All users' session streams plus per-user ground truth, deterministic
-    per seed and independent per user."""
+def generate(config: GeneratorConfig) -> tuple[SessionColumns, list[GroundTruthRow]]:
+    """All users' sessions as user-major columns plus per-user ground truth,
+    deterministic per seed and independent per user. Only users with a
+    session are in user_ids; a bad start or duration raises Session's
+    ValidationError."""
     config.validate()
     fractions = np.array([c.fraction for c in config.cohorts])
     children = np.random.SeedSequence(config.seed).spawn(config.user_count)
 
-    sessions: list[Session] = []
+    user_ids: list[str] = []
+    rows: list[tuple] = []  # (user code, start, duration, device code, pages)
     truths: list[GroundTruthRow] = []
-    n_empty = 0
     for i in range(config.user_count):
         rng = np.random.default_rng(children[i])
         cohort = config.cohorts[int(rng.choice(len(config.cohorts), p=fractions))]
-        user_sessions, truth = _simulate_user(f"u{i:05d}", cohort, config, rng)
-        if not user_sessions:
-            n_empty += 1
+        user_rows, truth = _simulate_user(f"u{i:05d}", cohort, config, rng)
+        if not user_rows:
             continue
-        sessions.extend(user_sessions)
+        rows.extend((len(user_ids), *row) for row in user_rows)
+        user_ids.append(f"u{i:05d}")
         if truth is not None:
             truths.append(truth)
+    user, start, duration, device, pages = np.array(rows, dtype=float).reshape(-1, 5).T.copy()
+    present = np.ones(len(start), dtype=bool)
+    sessions = SessionColumns(user_ids, user.astype(np.int64), start, duration,
+                              {"device": (list(DEVICES), present, device.astype(np.int64))},
+                              {"pages_viewed": (present, pages)})
+    check_times(sessions)
+    n_empty = config.user_count - len(user_ids)
     if n_empty > config.user_count / 2:
         raise ConfigError(
             f"{n_empty} of {config.user_count} users produced no sessions; "
@@ -250,14 +268,8 @@ def write_ground_truth_csv(path: str | Path, rows: list[GroundTruthRow]) -> None
 
 def generate_to_files(config: GeneratorConfig, out_dir: str | Path) -> dict:
     """Write sessions.jsonl and ground_truth.csv; returns summary counts."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = output_dir(out_dir)
     sessions, truths = generate(config)
     write_sessions_jsonl(out / "sessions.jsonl", sessions, config.epoch_iso)
     write_ground_truth_csv(out / "ground_truth.csv", truths)
-    return {
-        "sessions": len(sessions),
-        "users_with_sessions": len({s.user_id for s in sessions}),
-        "sessions_path": str(out / "sessions.jsonl"),
-        "ground_truth_path": str(out / "ground_truth.csv"),
-    }
+    return {"sessions": len(sessions), "users_with_sessions": len(sessions.user_ids)}

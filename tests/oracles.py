@@ -7,6 +7,8 @@ the package.
 
 from __future__ import annotations
 
+import datetime as dt
+import json
 import math
 
 import numpy as np
@@ -290,19 +292,18 @@ def cox_mean_residual(model, x, a):
     return total
 
 
+def parse_ts(value):
+    """An ISO-8601 timestamp as an aware UTC datetime; naive means UTC."""
+    ts = dt.datetime.fromisoformat(value.replace("Z", "+00:00"))
+    if ts.tzinfo is None:
+        ts = ts.replace(tzinfo=dt.timezone.utc)
+    return ts.astimezone(dt.timezone.utc)
+
+
 def read_sessions_plain(path):
     """Parse a sessions JSONL file record by record, without any cache:
     (sessions, epoch_iso, epoch_weekday), as returntime.data documents it."""
-    import datetime as dt
-    import json
-
     from returntime.data import Session
-
-    def parse_ts(value):
-        ts = dt.datetime.fromisoformat(value.replace("Z", "+00:00"))
-        if ts.tzinfo is None:
-            ts = ts.replace(tzinfo=dt.timezone.utc)
-        return ts.astimezone(dt.timezone.utc)
 
     with open(path, encoding="utf-8") as fh:
         records = [json.loads(line) for line in fh if line.strip()]
@@ -324,6 +325,141 @@ def read_sessions_plain(path):
             },
         ))
     return sessions, epoch.isoformat(), epoch.weekday()
+
+
+def session_columns(sessions):
+    """returntime.data.SessionColumns of Session objects, in their order,
+    with user ids, marker keys and discrete values coded by first appearance."""
+    from returntime.data import SessionColumns
+
+    sessions = list(sessions)
+    user_ids = list(dict.fromkeys(s.user_id for s in sessions))
+
+    def column(values, dtype):
+        return np.array(values, dtype=dtype).reshape(len(sessions))
+
+    discrete = {}
+    for key in dict.fromkeys(k for s in sessions for k in s.discrete_markers):
+        rows = [s.discrete_markers.get(key) for s in sessions]
+        present = [key in s.discrete_markers for s in sessions]
+        values = list(dict.fromkeys(v for v, p in zip(rows, present) if p))
+        discrete[key] = (values, column(present, bool),
+                         column([values.index(v) if p else 0 for v, p in zip(rows, present)],
+                                np.int64))
+    continuous = {}
+    for key in dict.fromkeys(k for s in sessions for k in s.continuous_markers):
+        continuous[key] = (column([key in s.continuous_markers for s in sessions], bool),
+                           column([s.continuous_markers.get(key, 0.0) for s in sessions], float))
+    return SessionColumns(
+        user_ids, column([user_ids.index(s.user_id) for s in sessions], np.int64),
+        column([s.start_time for s in sessions], float),
+        column([s.duration for s in sessions], float), discrete, continuous,
+    )
+
+
+def write_sessions_jsonl_objects(path, sessions, epoch_iso):
+    """returntime.data.write_sessions_jsonl over Session objects: one
+    json.dumps per session."""
+    epoch = parse_ts(epoch_iso)
+    with open(path, "w") as fh:
+        for s in sessions:
+            markers = {**s.discrete_markers, **s.continuous_markers}
+            fh.write(json.dumps({
+                "user_id": s.user_id,
+                "start_ts": (epoch + dt.timedelta(days=s.start_time)).isoformat(),
+                "duration_s": s.duration * 86400.0,
+                "markers": markers,
+            }, sort_keys=True) + "\n")
+
+
+def generate_objects(config):
+    """returntime.synth.generate as Session objects: every arrival out to
+    sim_end, then a scalar draw per mark of every arrival, kept or not."""
+    from returntime.data import Session
+    from returntime.errors import ConfigError
+    from returntime.synth import DEVICES, MINUTE, GroundTruthRow
+
+    def simulate_user(user_id, cohort, rng):
+        horizon = config.horizon_days
+        t_p = config.window.prediction_start
+        sim_end = horizon + 10.0 * config.prediction_window_days
+        signup = rng.uniform(0.0, config.signup_spread * horizon)
+        if cohort.lapse_multiplier > 1.0:
+            lo, hi = cohort.lapse_window
+            change_point = max(rng.uniform(lo, hi) * horizon, signup)
+        else:
+            change_point = math.inf
+
+        def draw_gap(now):
+            mu = cohort.gap_log_mean
+            if now >= change_point:
+                if cohort.lapse_taper_days > 0:
+                    ramp = min(1.0, (now - change_point) / cohort.lapse_taper_days)
+                else:
+                    ramp = 1.0
+                mu += math.log(cohort.lapse_multiplier) * ramp
+            return float(rng.lognormal(mu, cohort.gap_log_sigma))
+
+        night_owl = rng.random() < cohort.night_owl_prob
+        first_gap = draw_gap(signup)
+        t = signup + (rng.uniform(0.0, first_gap) if first_gap > 0 else 0.0)
+        times = []
+        while t <= sim_end and len(times) < config.session_cap:
+            hour = rng.normal(1.5, 1.5) if night_owl else rng.normal(14.5, 3.0)
+            mapped = math.floor(t) + float(hour % 24.0) / 24.0
+            if times and mapped <= times[-1]:
+                mapped = times[-1] + MINUTE
+            times.append(mapped)
+            t += draw_gap(t)
+        times = [x for x in times if x <= sim_end]
+        if not times or times[0] > horizon:
+            return [], None
+
+        primary = int(rng.choice(len(DEVICES), p=cohort.device_probs))
+        sessions = []
+        last_obs_end = None
+        for j, start in enumerate(times):
+            duration = float(rng.lognormal(config.duration_log_mean, config.duration_log_sigma))
+            if j + 1 < len(times):
+                duration = min(duration, 0.8 * (times[j + 1] - start))
+            if rng.random() < 0.8:
+                device = DEVICES[primary]
+            else:
+                device = DEVICES[(primary + 1 + int(rng.integers(0, len(DEVICES) - 1)))
+                                 % len(DEVICES)]
+            pages = max(1.0, float(np.round(rng.lognormal(cohort.pages_log_mean,
+                                                          cohort.pages_log_sigma))))
+            if start <= horizon:
+                sessions.append(Session(user_id, start, duration, {"device": device},
+                                        {"pages_viewed": pages}))
+            if start <= t_p:
+                last_obs_end = min(start + duration, t_p)
+        first_post = next((x for x in times if x > t_p), None)
+        if last_obs_end is None:
+            return sessions, None
+        return sessions, GroundTruthRow(
+            user_id, cohort.name,
+            (first_post - last_obs_end) if first_post is not None else None,
+            first_post is not None and first_post <= horizon,
+        )
+
+    config.validate()
+    fractions = np.array([c.fraction for c in config.cohorts])
+    children = np.random.SeedSequence(config.seed).spawn(config.user_count)
+    sessions, truths, n_empty = [], [], 0
+    for i in range(config.user_count):
+        rng = np.random.default_rng(children[i])
+        cohort = config.cohorts[int(rng.choice(len(config.cohorts), p=fractions))]
+        user_sessions, truth = simulate_user(f"u{i:05d}", cohort, rng)
+        if not user_sessions:
+            n_empty += 1
+            continue
+        sessions.extend(user_sessions)
+        if truth is not None:
+            truths.append(truth)
+    if n_empty > config.user_count / 2:
+        raise ConfigError(f"{n_empty} of {config.user_count} users produced no sessions")
+    return sessions, truths
 
 
 # ---------------------------------------------------------------------------

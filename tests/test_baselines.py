@@ -18,7 +18,7 @@ from returntime.metrics import nonreturning_recall
 from returntime.rnnsm import TrainingConfig, load_model, save_model
 from returntime.synth import GeneratorConfig, generate
 
-from oracles import finite_difference_grads, max_relative_error
+from oracles import finite_difference_grads, max_relative_error, session_columns
 
 WINDOW = WindowConfig(activity_start=30.0, prediction_start=100.0, horizon_end=160.0)
 
@@ -49,13 +49,13 @@ class TestBaseline:
             Session("a", 50.0, 0.5), Session("a", 120.0),
             Session("b", 90.0),
         ]
-        ds = assign_windows(raw, WINDOW)
+        ds = assign_windows(session_columns(raw), WINDOW)
         by_id = dict(zip((u.user_id for u in ds.users), baseline_predict(ds)))
         assert by_id["a"] == pytest.approx(100.0 - 50.5)
         assert by_id["b"] == pytest.approx(10.0)
 
     def test_last_session_at_window_start_predicts_zero(self):
-        ds = assign_windows([Session("a", 100.0)], WINDOW)
+        ds = assign_windows(session_columns([Session("a", 100.0)]), WINDOW)
         (predicted,) = baseline_predict(ds)
         assert predicted == 0.0
 

@@ -195,7 +195,7 @@ class TestTrainPredictEvaluate:
         assert "unreadable" in err and "Traceback" not in err
         assert not target.exists()
 
-    def test_unsupported_checkpoint_version_exit_3(self, generated, tmp_path):
+    def test_unsupported_checkpoint_version_exit_3(self, generated, tmp_path, capsys):
         cfg, out = generated
         cfgs = ["--config", cfg, "--config", str(out / "run_config.json")]
         assert main(["train", "--model", "rnn", *cfgs, "--out", str(tmp_path / "rnn")]) == 0
@@ -203,13 +203,51 @@ class TestTrainPredictEvaluate:
         path = tmp_path / "rnn" / "model.npz"
         with np.load(path) as data:
             arrays = {k: data[k] for k in data.files}
+        # the Adam moments are not persisted
+        assert all(k == "meta" or k.startswith("param::") for k in arrays)
         meta = json.loads(arrays["meta"].tobytes().decode())
-        meta["version"] = 99
-        arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
-        np.savez(path, **arrays)
-        rc = main(["predict", "--model", "rnn", "--checkpoint", str(tmp_path / "rnn"),
-                   *cfgs, "--out", str(tmp_path / "p.csv")])
-        assert rc == 3
+        assert sorted(meta) == ["extra", "net_config", "version"]
+        params = {k: a for k, a in arrays.items() if k != "meta"}
+        # a version 1 checkpoint also carried the Adam moments and step
+        moments = {f"adam_{m}::{k[len('param::'):]}": np.zeros_like(a)
+                   for k, a in params.items() for m in "mv"}
+        for version, extra, members in ((1, {"adam_step": 12}, {**params, **moments}),
+                                        (99, {}, params)):
+            header = json.dumps({**meta, "version": version, **extra}).encode()
+            np.savez(path, meta=np.frombuffer(header, dtype=np.uint8), **members)
+            capsys.readouterr()
+            rc = main(["predict", "--model", "rnn", "--checkpoint", str(tmp_path / "rnn"),
+                       *cfgs, "--out", str(tmp_path / "p.csv")])
+            err = capsys.readouterr().err
+            assert rc == 3
+            assert f"unsupported checkpoint version {version}" in err and "retrain" in err
+        assert not (tmp_path / "p.csv").exists()
+
+    @pytest.mark.parametrize("command,target", [
+        ("generate", "file/sub"), ("generate", "file"), ("train", "file/sub"), ("train", "file"),
+        ("evaluate", "file/sub"), ("evaluate", "file"), ("predict", "dir"),
+    ])
+    def test_bad_out_path_exit_2(self, generated, tmp_path, capsys, command, target):
+        cfg, out = generated
+        cfgs = ["--config", cfg, "--config", str(out / "run_config.json")]
+        if command in ("evaluate", "predict"):
+            assert main(["train", "--model", "baseline", *cfgs, "--out", str(tmp_path / "bl")]) == 0
+            assert main(["predict", "--model", "baseline", "--checkpoint", str(tmp_path / "bl"),
+                         *cfgs, "--out", str(tmp_path / "p.csv")]) == 0
+        (tmp_path / "file").write_text("in the way\n")
+        (tmp_path / "dir").mkdir()
+        argv = {
+            "generate": ["generate", "--config", cfg],
+            "train": ["train", "--model", "baseline", *cfgs],
+            "evaluate": ["evaluate", "--pred", str(tmp_path / "p.csv")],
+            "predict": ["predict", "--model", "baseline", "--checkpoint", str(tmp_path / "bl"),
+                        *cfgs],
+        }[command]
+        capsys.readouterr()
+        assert main([*argv, "--out", str(tmp_path / target)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(tmp_path / target) in err
+        assert (tmp_path / "file").read_text() == "in the way\n"
 
     def test_split_seed_zero_recorded_in_meta(self, generated, tmp_path):
         cfg, out = generated

@@ -23,7 +23,7 @@ from returntime.data import (
 )
 from returntime.errors import DataError, ValidationError
 
-from oracles import compute_return_targets, read_sessions_plain, to_raw_sessions
+from oracles import compute_return_targets, read_sessions_plain, session_columns, to_raw_sessions
 
 WINDOW = WindowConfig(activity_start=30.0, prediction_start=100.0, horizon_end=160.0)
 
@@ -44,7 +44,7 @@ class TestWindowConfig:
 class TestAssignWindows:
     def test_returning_user_final_gap_from_session_end(self):
         raw = [s("a", 10.0), s("a", 50.0, duration=0.5), s("a", 110.0)]
-        ds = assign_windows(raw, WINDOW)
+        ds = assign_windows(session_columns(raw), WINDOW)
         (user,) = ds.users
         assert not user.is_censored
         assert user.final_gap == pytest.approx(110.0 - 50.5)
@@ -52,29 +52,29 @@ class TestAssignWindows:
 
     def test_censored_user_gap_to_horizon(self):
         raw = [s("a", 10.0), s("a", 90.0)]
-        ds = assign_windows(raw, WINDOW)
+        ds = assign_windows(session_columns(raw), WINDOW)
         (user,) = ds.users
         assert user.is_censored
         assert user.final_gap == pytest.approx(160.0 - 90.0)
 
     def test_user_without_activity_window_session_excluded(self):
         raw = [s("a", 5.0), s("a", 25.0)]
-        assert len(assign_windows(raw, WINDOW)) == 0
+        assert len(assign_windows(session_columns(raw), WINDOW)) == 0
 
     def test_empty_input_is_empty_dataset(self):
-        ds = assign_windows([], WINDOW)
+        ds = assign_windows(session_columns([]), WINDOW)
         assert len(ds) == 0
 
     def test_session_after_horizon_rejected_naming_user(self):
         with pytest.raises(ValidationError, match="a"):
-            assign_windows([s("a", 50.0), s("a", 170.0)], WINDOW)
+            assign_windows(session_columns([s("a", 50.0), s("a", 170.0)]), WINDOW)
 
     def test_duplicate_timestamps_merged(self):
         raw = [
             Session("a", 50.0, 0.01, {"device": "mobile"}, {"pages": 3.0}),
             Session("a", 50.0, 0.02, {"device": "tablet"}, {"pages": 5.0}),
         ]
-        ds = assign_windows(raw, WINDOW)
+        ds = assign_windows(session_columns(raw), WINDOW)
         (user,) = ds.users
         (merged,) = user.sessions
         assert merged.continuous_markers["pages"] == 8.0
@@ -83,14 +83,14 @@ class TestAssignWindows:
 
     def test_overlapping_sessions_merged(self):
         raw = [s("a", 50.0, duration=2.0), s("a", 51.0, duration=0.5), s("a", 60.0)]
-        ds = assign_windows(raw, WINDOW)
+        ds = assign_windows(session_columns(raw), WINDOW)
         (user,) = ds.users
         assert len(user.sessions) == 2
         assert user.return_targets == (60.0 - 52.0,)
 
     def test_session_straddling_prediction_start_clamped(self):
         raw = [s("a", 99.5, duration=2.0)]
-        ds = assign_windows(raw, WINDOW)
+        ds = assign_windows(session_columns(raw), WINDOW)
         (user,) = ds.users
         assert user.last_session_end == 100.0
         assert user.final_gap == pytest.approx(60.0)
@@ -105,7 +105,7 @@ class TestAssignWindows:
                 if t > 160.0:
                     break
                 raw.append(s(f"u{i:03d}", t))
-        ds = assign_windows(raw, WINDOW)
+        ds = assign_windows(session_columns(raw), WINDOW)
         by_user = {}
         for sess in raw:
             by_user.setdefault(sess.user_id, []).append(sess.start_time)
@@ -123,8 +123,8 @@ class TestAssignWindows:
             while t <= 160.0:
                 raw.append(s(f"u{i:03d}", t, duration=rng.uniform(0, 0.05)))
                 t += rng.exponential(30.0)
-        ds = assign_windows(raw, WINDOW)
-        rebuilt = assign_windows(to_raw_sessions(ds.users), WINDOW)
+        ds = assign_windows(session_columns(raw), WINDOW)
+        rebuilt = assign_windows(session_columns(to_raw_sessions(ds.users)), WINDOW)
         assert rebuilt.users == ds.users
 
 
@@ -172,9 +172,9 @@ class TestWindowsFromAnyOrder:
         user_major = sorted(raw, key=lambda x: (x.user_id, x.start_time))
         time_ordered = sorted(raw, key=lambda x: x.start_time)
         with mock.patch.object(np, "lexsort", side_effect=AssertionError("re-sorted")):
-            want = dataset_columns(assign_windows(user_major, WINDOW))
-        assert dataset_columns(assign_windows(time_ordered, WINDOW)) == want
-        assert dataset_columns(assign_windows(raw, WINDOW)) == want
+            want = dataset_columns(assign_windows(session_columns(user_major), WINDOW))
+        assert dataset_columns(assign_windows(session_columns(time_ordered), WINDOW)) == want
+        assert dataset_columns(assign_windows(session_columns(raw), WINDOW)) == want
 
 
 class TestReturnTargets:
@@ -200,7 +200,7 @@ def _dataset_with(n_returning, n_censored):
         raw += [s(f"r{i:03d}", 50.0), s(f"r{i:03d}", 120.0)]
     for i in range(n_censored):
         raw += [s(f"c{i:03d}", 50.0)]
-    return assign_windows(raw, WINDOW)
+    return assign_windows(session_columns(raw), WINDOW)
 
 
 class TestStratifiedSplit:
@@ -246,7 +246,7 @@ class TestJsonlRoundTrip:
             Session("b", 99.9, 0.0, {}, {}),
         ]
         path = tmp_path / "sessions.jsonl"
-        write_sessions_jsonl(path, sessions, "2020-01-01T00:00:00+00:00")
+        write_sessions_jsonl(path, session_columns(sessions), "2020-01-01T00:00:00+00:00")
         loaded, epoch_iso, weekday = read_sessions_jsonl(path)
         assert epoch_iso.startswith("2020-01-01")
         assert weekday == 2  # 2020-01-01 is a Wednesday
@@ -258,7 +258,8 @@ class TestJsonlRoundTrip:
             assert back.continuous_markers == orig.continuous_markers
 
     def test_identical_writes_are_byte_identical(self, tmp_path):
-        sessions = [Session("a", 1.2345, 0.01, {"device": "mobile"}, {"pages_viewed": 2.0})]
+        sessions = session_columns(
+            [Session("a", 1.2345, 0.01, {"device": "mobile"}, {"pages_viewed": 2.0})])
         p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         write_sessions_jsonl(p1, sessions, "2020-01-01T00:00:00+00:00")
         write_sessions_jsonl(p2, sessions, "2020-01-01T00:00:00+00:00")

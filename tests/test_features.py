@@ -19,6 +19,7 @@ from oracles import (
     build_sequences_objects,
     count_active_days,
     read_sessions_plain,
+    session_columns,
 )
 from returntime.features import (
     FeatureConfig,
@@ -46,13 +47,13 @@ def small_dataset():
         s("b", 3.3), s("b", 3.5), s("b", 8.0), s("b", 12.0),  # returns at 12
         s("c", 6.0, device="tablet"),                  # single session, censored
     ]
-    return assign_windows(raw, WINDOW)
+    return assign_windows(session_columns(raw), WINDOW)
 
 
 class TestAggregates:
     def test_example_user(self):
         raw = [s("a", 0.0), s("a", 2.0), s("a", 4.0)]
-        ds = assign_windows(raw, WINDOW)
+        ds = assign_windows(session_columns(raw), WINDOW)
         agg = build_aggregates(ds)
         row = dict(zip(agg.feature_names, agg.X[0]))
         assert row["session_count"] == 3.0
@@ -62,7 +63,7 @@ class TestAggregates:
         assert row["missing_gap_flag"] == 0.0
 
     def test_single_session_user_flagged(self):
-        ds = assign_windows([s("c", 6.0)], WINDOW)
+        ds = assign_windows(session_columns([s("c", 6.0)]), WINDOW)
         agg = build_aggregates(ds)
         row = dict(zip(agg.feature_names, agg.X[0]))
         assert row["mean_gap"] == 0.0
@@ -113,7 +114,7 @@ class TestAggregatesAgainstPerUserCalls:
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(long_histories())
     def test_each_mean_and_std_equals_the_per_user_call(self, raw):
-        ds = assign_windows(raw, WINDOW)
+        ds = assign_windows(session_columns(raw), WINDOW)
         agg = build_aggregates(ds)
         gaps, offsets = ds.gaps, ds.offsets.tolist()
         columns = [ds.sessions.duration, ds.sessions.continuous["pages_viewed"][1]]
@@ -134,7 +135,7 @@ class TestSequences:
     def test_truncation_to_most_recent_days(self):
         raw = [s("u", float(d) + 0.3) for d in range(70)] + [s("u", 75.0)]
         window = WindowConfig(activity_start=1.0, prediction_start=72.0, horizon_end=100.0)
-        ds = assign_windows(raw, window)
+        ds = assign_windows(session_columns(raw), window)
         seqs, stats = build_sequences(ds, FeatureConfig(max_steps=64))
         (seq,) = seqs
         assert len(seq) == 64
@@ -144,7 +145,7 @@ class TestSequences:
         assert raw_elapsed == pytest.approx(1.0)
 
     def test_single_active_day_has_zero_elapsed(self):
-        ds = assign_windows([s("c", 6.0)], WINDOW)
+        ds = assign_windows(session_columns([s("c", 6.0)]), WINDOW)
         seqs, stats = build_sequences(ds, FeatureConfig(max_steps=8))
         (seq,) = seqs
         assert len(seq) == 1
@@ -153,7 +154,7 @@ class TestSequences:
         assert seq.targets[0] == pytest.approx(30.0 - 6.0)
 
     def test_same_day_sessions_grouped(self):
-        ds = assign_windows([s("b", 3.3), s("b", 3.5), s("b", 8.0)], WINDOW)
+        ds = assign_windows(session_columns([s("b", 3.3), s("b", 3.5), s("b", 8.0)]), WINDOW)
         seqs, stats = build_sequences(ds, FeatureConfig(max_steps=8))
         (seq,) = seqs
         assert len(seq) == 2
@@ -162,7 +163,7 @@ class TestSequences:
         assert raw_count == pytest.approx(2.0)
 
     def test_targets_are_day_gaps_then_final_gap(self):
-        ds = assign_windows([s("b", 3.3), s("b", 8.0), s("b", 12.0)], WINDOW)
+        ds = assign_windows(session_columns([s("b", 3.3), s("b", 8.0), s("b", 12.0)]), WINDOW)
         seqs, _ = build_sequences(ds, FeatureConfig(max_steps=8))
         (seq,) = seqs
         assert seq.targets[0] == pytest.approx(5.0)  # day 3 -> day 8
@@ -172,7 +173,7 @@ class TestSequences:
     def test_unknown_category_maps_to_reserved_slot(self):
         train = small_dataset()
         _, stats = build_sequences(train, FeatureConfig(max_steps=8))
-        test_ds = assign_windows([s("z", 5.0, device="smartwatch")], WINDOW)
+        test_ds = assign_windows(session_columns([s("z", 5.0, device="smartwatch")]), WINDOW)
         seqs, _ = build_sequences(test_ds, stats=stats)
         (seq,) = seqs
         device_col = stats.discrete_features.index("device")
@@ -192,7 +193,7 @@ class TestSequences:
         train = small_dataset()
         _, stats = build_sequences(train, FeatureConfig(max_steps=8))
         frozen = copy.deepcopy(stats.to_dict())
-        test_ds = assign_windows([s("z", 5.0, pages=99.0)], WINDOW)
+        test_ds = assign_windows(session_columns([s("z", 5.0, pages=99.0)]), WINDOW)
         build_sequences(test_ds, stats=stats)
         assert stats.to_dict() == frozen
 
@@ -204,7 +205,8 @@ class TestSequences:
             assert len(seq) == min(count_active_days(user), 2)
 
     def test_per_session_mode(self):
-        ds = assign_windows([s("b", 3.3, duration=0.1), s("b", 3.5), s("b", 8.0)], WINDOW)
+        raw = [s("b", 3.3, duration=0.1), s("b", 3.5), s("b", 8.0)]
+        ds = assign_windows(session_columns(raw), WINDOW)
         seqs, _ = build_sequences(ds, FeatureConfig(max_steps=8, per_session_steps=True))
         (seq,) = seqs
         assert len(seq) == 3
@@ -299,10 +301,10 @@ class TestObjectPathOracle:
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(session_streams(), session_streams(), st.integers(0, 6))
     def test_random_streams_match_object_path(self, raw, other, weekday):
-        dataset = assign_windows(raw, PROPERTY_WINDOW, epoch_weekday=weekday)
+        dataset = assign_windows(session_columns(raw), PROPERTY_WINDOW, epoch_weekday=weekday)
         users = assign_windows_objects(raw, PROPERTY_WINDOW)
         assert dataset.users == users
-        test = assign_windows(other, PROPERTY_WINDOW, epoch_weekday=weekday)
+        test = assign_windows(session_columns(other), PROPERTY_WINDOW, epoch_weekday=weekday)
         test_users = assign_windows_objects(other, PROPERTY_WINDOW)
         assert test.users == test_users
         if users and test_users:

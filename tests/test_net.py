@@ -301,14 +301,14 @@ class TestUpdates:
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         params, disc, cont = random_instance(14, T=2)
-        state = net.AdamState.for_params(params)
-        state.step = 3
         path = tmp_path / "model.npz"
-        net.save_checkpoint(path, params, CONFIG, state, extra={"w": 0.5})
-        loaded_params, loaded_config, loaded_state, extra = net.load_checkpoint(path)
+        net.save_checkpoint(path, params, CONFIG, extra={"w": 0.5})
+        loaded_params, loaded_config, extra = net.load_checkpoint(path)
         assert loaded_config == CONFIG
         assert extra == {"w": 0.5}
-        assert loaded_state.step == 3
+        assert loaded_params.keys() == params.keys()
+        with np.load(path) as data:
+            assert sorted(data.files) == sorted(["meta", *(f"param::{k}" for k in params)])
         for k in params:
             assert np.array_equal(loaded_params[k], params[k])
         o1, _, _ = net.forward(params, CONFIG, disc, cont)

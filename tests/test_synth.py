@@ -1,11 +1,13 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from returntime.data import assign_windows, read_sessions_jsonl
-from returntime.errors import ConfigError
+from returntime.data import Session, assign_windows, read_sessions_jsonl, write_sessions_jsonl
+from returntime.errors import ConfigError, ValidationError
 from returntime.synth import (
+    DEVICES,
     CohortConfig,
     GeneratorConfig,
     GroundTruthRow,
@@ -14,15 +16,29 @@ from returntime.synth import (
     write_ground_truth_csv,
 )
 
+from oracles import generate_objects, session_columns, write_sessions_jsonl_objects
+
 
 def single_cohort_config(**overrides):
     cohort = CohortConfig(
         name="only", fraction=1.0,
         gap_log_mean=overrides.pop("gap_log_mean", math.log(5.0)),
         gap_log_sigma=overrides.pop("gap_log_sigma", 0.5),
+        lapse_multiplier=overrides.pop("lapse_multiplier", 1.0),
+        lapse_window=overrides.pop("lapse_window", (0.3, 0.8)),
+        lapse_taper_days=overrides.pop("lapse_taper_days", 0.0),
         device_probs=(0.5, 0.3, 0.2),
     )
-    return GeneratorConfig(cohorts=(cohort,), signup_spread=0.0, **overrides)
+    return GeneratorConfig(cohorts=(cohort,), signup_spread=overrides.pop("signup_spread", 0.0),
+                           **overrides)
+
+
+def starts_by_user(sessions):
+    """Each user's start times, in row order."""
+    by_user = {}
+    for user, start in zip(sessions.user.tolist(), sessions.start_time.tolist()):
+        by_user.setdefault(sessions.user_ids[user], []).append(start)
+    return by_user
 
 
 class TestValidation:
@@ -49,37 +65,50 @@ class TestValidation:
         with pytest.raises(ConfigError, match="no sessions"):
             generate(cfg)
 
+    def test_infinite_duration_raises_sessions_validation_error(self):
+        # the cap ends each stream before the horizon, so the last session
+        # has no next start to cap its overflowed duration
+        cfg = single_cohort_config(user_count=5, seed=2, duration_log_mean=800.0,
+                                   session_cap=10)
+        with pytest.raises(ValidationError) as want:
+            generate_objects(cfg)
+        with pytest.raises(ValidationError) as got:
+            generate(cfg)
+        assert str(got.value) == str(want.value)
+        assert "invalid duration inf" in str(got.value)
+        assert got.value.exit_code == 2
+
 
 class TestDeterminismAndShape:
     def test_same_seed_same_stream(self):
         cfg = GeneratorConfig(user_count=50, seed=9)
         s1, t1 = generate(cfg)
         s2, t2 = generate(cfg)
-        assert s1 == s2
+        assert list(s1) == list(s2)
         assert t1 == t2
 
     def test_different_seed_differs(self):
         a, _ = generate(GeneratorConfig(user_count=50, seed=1))
         b, _ = generate(GeneratorConfig(user_count=50, seed=2))
-        assert a != b
+        assert list(a) != list(b)
 
     def test_session_times_in_range_and_increasing(self):
         sessions, _ = generate(GeneratorConfig(user_count=80, seed=3))
-        by_user = {}
-        for s in sessions:
-            by_user.setdefault(s.user_id, []).append(s.start_time)
-        for times in by_user.values():
+        for times in starts_by_user(sessions).values():
             assert all(0.0 <= t <= 540.0 for t in times)
             assert all(b > a for a, b in zip(times, times[1:]))
+
+    def test_rows_are_user_major_and_ids_name_users_with_sessions(self):
+        sessions, _ = generate(GeneratorConfig(user_count=80, seed=3))
+        assert np.array_equal(np.unique(sessions.user), np.arange(len(sessions.user_ids)))
+        assert np.all(np.diff(sessions.user) >= 0)
+        assert sessions.user_ids == sorted(sessions.user_ids)
 
     def test_degenerate_sigma_gives_constant_gaps(self):
         cfg = single_cohort_config(user_count=5, gap_log_mean=math.log(4.0),
                                    gap_log_sigma=0.0, seed=5)
         sessions, _ = generate(cfg)
-        by_user = {}
-        for s in sessions:
-            by_user.setdefault(s.user_id, []).append(s.start_time)
-        for times in by_user.values():
+        for times in starts_by_user(sessions).values():
             day_gaps = np.diff([math.floor(t) for t in times])
             # arrivals are 4 days apart exactly; the within-day hour remap
             # moves each session by less than a day
@@ -94,7 +123,12 @@ class TestDeterminismAndShape:
 
     def test_markers_present(self):
         sessions, _ = generate(GeneratorConfig(user_count=20, seed=6))
-        for s in sessions[:200]:
+        values, present, codes = sessions.discrete["device"]
+        assert values == list(DEVICES) and present.all()
+        assert set(codes.tolist()) <= {0, 1, 2}
+        present, pages = sessions.continuous["pages_viewed"]
+        assert present.all() and np.all(pages >= 1.0)
+        for s in list(sessions)[:200]:
             assert s.discrete_markers["device"] in ("mobile", "desktop", "tablet")
             assert s.continuous_markers["pages_viewed"] >= 1.0
 
@@ -116,6 +150,100 @@ class TestCensoringCalibration:
             assert user.is_censored == (not truth.returns_within_horizon)
             if not user.is_censored:
                 assert user.final_gap == pytest.approx(truth.true_return_days, abs=1e-9)
+
+
+def assert_files_match_objects(cfg, tmp_path):
+    """generate_to_files writes the bytes that the Session-object generator
+    and the json.dumps writer write; returns the object generator's output."""
+    generate_to_files(cfg, tmp_path / "columns")
+    sessions, truths = generate_objects(cfg)
+    write_sessions_jsonl_objects(tmp_path / "objects.jsonl", sessions, cfg.epoch_iso)
+    write_ground_truth_csv(tmp_path / "objects.csv", truths)
+    assert ((tmp_path / "columns" / "sessions.jsonl").read_bytes()
+            == (tmp_path / "objects.jsonl").read_bytes())
+    assert ((tmp_path / "columns" / "ground_truth.csv").read_bytes()
+            == (tmp_path / "objects.csv").read_bytes())
+    return sessions, truths
+
+
+class TestAgainstSessionObjects:
+    def test_default_cohorts(self, tmp_path):
+        sessions, truths = assert_files_match_objects(GeneratorConfig(user_count=150, seed=4),
+                                                      tmp_path)
+        assert len(sessions) > 1000 and len(truths) > 100
+
+    def test_zero_gap_sigma(self, tmp_path):
+        assert_files_match_objects(
+            single_cohort_config(user_count=40, seed=5, gap_log_sigma=0.0), tmp_path)
+
+    def test_taper_longer_than_the_horizon(self, tmp_path):
+        cfg = single_cohort_config(user_count=120, seed=6, signup_spread=0.5,
+                                   lapse_multiplier=30.0, lapse_taper_days=900.0)
+        assert cfg.cohorts[0].lapse_taper_days > cfg.horizon_days
+        assert_files_match_objects(cfg, tmp_path)
+
+    def test_session_cap_that_is_hit(self, tmp_path):
+        cfg = single_cohort_config(user_count=60, seed=7, gap_log_mean=0.0, session_cap=40)
+        sessions, _ = assert_files_match_objects(cfg, tmp_path)
+        counts = np.bincount(session_columns(sessions).user)
+        assert counts.max() == 40 and np.all(counts <= 40)
+
+    def test_lapse_gap_that_overflows(self, tmp_path):
+        # exp(log(8) + log(1e308)) overflows: after the change point the next
+        # gap is inf, which ends the stream
+        cfg = single_cohort_config(user_count=80, seed=8, gap_log_mean=math.log(8.0),
+                                   gap_log_sigma=0.1, lapse_multiplier=1e308,
+                                   lapse_window=(0.3, 0.5), signup_spread=0.2)
+        sessions, truths = assert_files_match_objects(cfg, tmp_path)
+        assert max(s.start_time for s in sessions) < 0.5 * cfg.horizon_days + 10.0
+        assert truths and not any(t.returns_within_horizon for t in truths)
+
+    @pytest.mark.parametrize("seed, sessions_sha256, ground_truth_sha256", [
+        (3, "8537bd5d458f68aded622895727ac95ca132fdd32780c6cfe08ef5a800db8698",
+         "c0a02048176582e43801100e5898faf5f92ff145e7d79f737276773d86230621"),
+        (7, "3771cde591ccc7812245f1cf9f3cb4da7d359443fe72c544e4dabf5c81ba10fe",
+         "c036ede0e0c629d4ae16228ae10d765895f49353e1aa70f8a9cdd8dd7b6e7650"),
+        (11, "8078537f82fd5e05059a63200e85709c26a902abf5b26a8f5e1faf72fb139db6",
+         "4e3647ca4e5ee911a738458db219101c9d734960956a2566c44e85a9d8f3ed10"),
+        (23, "0a1b967c5c1152238e70e9b0712e741e33636047ff3fc890a433bda6d7f82d84",
+         "3e3fa4902012eae10e6edf3adcd8b283a9fab3fad09b94fdcdd8b8be9d277edd"),
+    ])
+    def test_default_data_bytes_are_pinned(self, tmp_path, seed, sessions_sha256,
+                                           ground_truth_sha256):
+        # the digests of the Session-object generator's files for these seeds
+        generate_to_files(GeneratorConfig(seed=seed), tmp_path)
+        digest = lambda name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        assert digest("sessions.jsonl") == sessions_sha256
+        assert digest("ground_truth.csv") == ground_truth_sha256
+
+
+class TestWriter:
+    @pytest.mark.parametrize("epoch_iso", ["2020-01-01T00:00:00+00:00", "2021-06-30T22:00:00Z",
+                                           "2019-03-31T01:30:00+02:00"])
+    def test_matches_json_dumps_per_session(self, tmp_path, epoch_iso):
+        sessions = [
+            Session("ünïcode", 0.25, 0.01, {"device": "mobile", "plan": "pro"},
+                    {"pages_viewed": 4.0}),
+            Session("用户", 1.0 / 3.0, 0.0, {"plan": "frée"}, {"score": math.inf}),
+            Session('quote"back\\slash', 50.5, 1e-9, {}, {"score": -math.inf, "plan": 2.5}),
+            Session("ünïcode", 99.9, 0.02, {}, {}),
+            Session("b", 12.75, 0.5, {"kind": "x", "dup": "text"}, {"dup": 0.1, "nan": math.nan}),
+            Session("b", 1e-7, 2.0 / 7.0, {"device": "tablet"}, {"pages_viewed": -0.0}),
+        ]
+        write_sessions_jsonl(tmp_path / "columns.jsonl", session_columns(sessions), epoch_iso)
+        write_sessions_jsonl_objects(tmp_path / "objects.jsonl", sessions, epoch_iso)
+        written = (tmp_path / "columns.jsonl").read_bytes()
+        assert written == (tmp_path / "objects.jsonl").read_bytes()
+        assert written.isascii() and written.count(b"\n") == len(sessions)
+
+    def test_no_sessions_and_no_markers(self, tmp_path):
+        for name, sessions in (("empty", []), ("bare", [Session("a", 2.0), Session("b", 3.5)])):
+            write_sessions_jsonl(tmp_path / f"{name}.jsonl", session_columns(sessions),
+                                 "2020-01-01T00:00:00+00:00")
+            write_sessions_jsonl_objects(tmp_path / f"{name}.ref", sessions,
+                                         "2020-01-01T00:00:00+00:00")
+            assert ((tmp_path / f"{name}.jsonl").read_bytes()
+                    == (tmp_path / f"{name}.ref").read_bytes())
 
 
 class TestFiles:
