@@ -8,8 +8,8 @@ import numpy as np
 from . import net
 from .data import Dataset
 from .errors import DataError
-from .features import PaddedBatch, SequenceStats, UserSequence
-from .rnnsm import RecurrentModel, TrainingConfig, _fit, last_outputs
+from .features import PaddedBatch, SequenceStats, Sequences
+from .rnnsm import RecurrentModel, TrainingConfig, _fit
 
 
 def baseline_predict(dataset: Dataset) -> np.ndarray:
@@ -43,7 +43,7 @@ def mse_sequence_loss(o: np.ndarray, batch: PaddedBatch) -> tuple[float, np.ndar
 
 
 def train_simple_rnn(
-    sequences: list[UserSequence],
+    sequences: Sequences,
     net_config: net.NetConfig,
     stats: SequenceStats,
     config: TrainingConfig,
@@ -51,19 +51,20 @@ def train_simple_rnn(
     """Minibatch Adam on final-step squared error; censored users are dropped
     from training because their final gap has no target value. The trace
     holds each epoch's mean batch loss."""
-    train_seqs = [s for s in sequences if not s.is_censored]
-    if not train_seqs:
+    train_seqs = sequences.take(np.flatnonzero(~sequences.censored))
+    if not len(train_seqs):
         raise DataError("simple RNN training needs at least one returning user")
 
     rng = np.random.default_rng(config.seed)
     params = net.init_params(net_config, rng)
     # start at the marginal mean so the squared error begins at the variance
-    params["out_b"][0] = float(np.mean([s.targets[-1] for s in train_seqs]))
+    params["out_b"][0] = float(np.mean(train_seqs.targets[train_seqs.offsets[1:] - 1]))
     n_batches = -(-len(train_seqs) // config.batch_size)
     model = RecurrentModel(params=params, net_config=net_config, stats=stats)
     return _fit(model, train_seqs, config, rng, mse_sequence_loss, loss_divisor=n_batches)
 
 
-def predict_simple_rnn(model: RecurrentModel, sequences: list[UserSequence]) -> np.ndarray:
+def predict_simple_rnn(model: RecurrentModel, sequences: Sequences) -> np.ndarray:
     """Final-step output as the predicted gap (N,), clamped to non-negative."""
-    return np.maximum(last_outputs(model.params, model.net_config, sequences), 0.0)
+    return np.maximum(net.forward_last(model.params, model.net_config, sequences.disc,
+                                       sequences.cont, sequences.lengths), 0.0)

@@ -122,12 +122,14 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_predict(args: argparse.Namespace) -> int:
     config = load_config(args.config, _cli_overrides(args))
     model_name = validate_model_name(args.model)
+    out = Path(args.out)
+    output_dir(out.parent)  # a bad --out fails before any user is scored
+    if out.is_dir():
+        raise ConfigError(f"cannot write predictions to {out}: it is a directory")
     data = experiment.load_and_split(config)
     subset = {"train": data.train, "test": data.test, "all": data.dataset}[args.split]
     split = None if args.split == "all" else experiment.split_identity(data)
     records = experiment.predict_model(model_name, args.checkpoint, subset, split=split)
-    out = Path(args.out)
-    output_dir(out.parent)
     try:
         metrics.write_predictions_csv(out, model_name, records, epoch_iso=subset.epoch_iso)
     except OSError as exc:

@@ -8,9 +8,10 @@ final gap is then only known to exceed horizon_end minus their last session
 end.
 
 Sessions travel as columns (SessionColumns): from the generator to the
-JSONL writer, and from the parse cache to the feature builders. A Dataset
-keeps each user's sessions as one contiguous run of rows. Session and
-UserHistory objects are built only on request.
+JSONL writer, and from the parse cache to the feature builders, whose
+sequence table keeps the same layout up to the LSTM. A Dataset keeps each
+user's sessions as one contiguous run of rows. Session and UserHistory
+objects are built only on request.
 """
 
 from __future__ import annotations
@@ -169,6 +170,14 @@ class _ColumnBuilder:
         return header, arrays
 
 
+def gather_runs(offsets: np.ndarray, users) -> tuple[np.ndarray, np.ndarray]:
+    """Where user i owns rows offsets[i]:offsets[i + 1], the offsets and the
+    source rows of the given users' runs laid end to end in the given order."""
+    lengths = np.diff(offsets)[users]
+    gathered = np.append(0, np.cumsum(lengths))
+    return gathered, np.arange(gathered[-1]) + np.repeat(offsets[users] - gathered[:-1], lengths)
+
+
 @dataclass(frozen=True)
 class WindowConfig:
     """Activity / prediction window boundaries, in days since epoch."""
@@ -184,10 +193,6 @@ class WindowConfig:
                 f"prediction_start < horizon_end, got ({self.activity_start}, "
                 f"{self.prediction_start}, {self.horizon_end})"
             )
-
-    @property
-    def prediction_length(self) -> float:
-        return self.horizon_end - self.prediction_start
 
     def to_dict(self) -> dict:
         return {
@@ -288,12 +293,10 @@ class Dataset:
 
     def subset(self, users: np.ndarray) -> "Dataset":
         """The users at the given indices, which must be increasing."""
-        lengths = np.diff(self.offsets)[users]
-        offsets = np.append(0, np.cumsum(lengths))
-        rows = np.arange(offsets[-1]) + np.repeat(self.offsets[users] - offsets[:-1], lengths)
+        offsets, rows = gather_runs(self.offsets, users)
         sessions = dataclasses.replace(
             self.sessions.take(rows), user_ids=[self.user_ids[i] for i in users.tolist()],
-            user=np.repeat(np.arange(len(users)), lengths),
+            user=np.repeat(np.arange(len(users)), np.diff(offsets)),
         )
         return Dataset(sessions, offsets, self.final_gap[users], self.is_censored[users],
                        self.last_session_end[users], self.window, self.epoch_iso,

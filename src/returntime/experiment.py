@@ -27,14 +27,16 @@ from .errors import ConfigError, DataModelMismatchError
 from .features import (
     FeatureConfig,
     SequenceStats,
+    Sequences,
     Standardization,
-    UserSequence,
     build_aggregates,
     build_sequences,
     select_embedding_dims,
 )
 
 logger = logging.getLogger(__name__)
+
+PRELIMINARY_W = 0.1  # current-influence weight of the preliminary rnnsm model
 
 
 # ---------------------------------------------------------------------------
@@ -45,7 +47,6 @@ class LoadedData:
     dataset: Dataset
     train: Dataset
     test: Dataset
-    window_days: dict
     sessions_sha256: str  # of the sessions file's bytes
 
 
@@ -60,16 +61,12 @@ def load_and_split(config: dict) -> LoadedData:
         key: setting(config, f"window.{key}", text if key.endswith("_date") else float)
         for key in setting(config, "window", mapping)
     }
-    window = resolve_window_days(window_cfg, epoch_iso)
-    dataset = assign_windows(sessions, window, epoch_iso=epoch_iso,
-                             epoch_weekday=epoch_weekday)
+    dataset = assign_windows(sessions, resolve_window_days(window_cfg, epoch_iso),
+                             epoch_iso=epoch_iso, epoch_weekday=epoch_weekday)
     train, test = stratified_split(
         dataset, setting(config, "split.test_fraction", float), _split_seed(config)
     )
-    return LoadedData(
-        dataset=dataset, train=train, test=test,
-        window_days=window.to_dict(), sessions_sha256=read.sha256,
-    )
+    return LoadedData(dataset=dataset, train=train, test=test, sessions_sha256=read.sha256)
 
 
 def _split_seed(config: dict) -> int:
@@ -131,11 +128,12 @@ def _embedding_dims(value) -> str | dict[str, int]:
 
 
 def resolve_embedding_dims(
-    train_seqs, stats: SequenceStats, config: dict, family: str, w_hint: float = 0.1
+    train_seqs: Sequences, stats: SequenceStats, config: dict, family: str
 ) -> dict[str, int]:
     """Either take dims from the config or run the preliminary-model PCA
-    selection: train wide embeddings briefly with the family's own loss,
-    then keep the dimensions explaining more than the variance threshold."""
+    selection: train wide embeddings briefly with the family's own loss (at
+    w = PRELIMINARY_W for rnnsm), then keep the dimensions explaining more
+    than the variance threshold."""
     dims_option = setting(config, "network.embedding_dims", _embedding_dims)
     if isinstance(dims_option, dict):
         missing = set(stats.discrete_features) - set(dims_option)
@@ -152,7 +150,7 @@ def resolve_embedding_dims(
     if family == "rnn":
         prelim = baselines.train_simple_rnn(train_seqs, prelim_config, stats, prelim_train)
     else:
-        prelim = rnnsm.train_rnnsm(train_seqs, prelim_config, stats, w_hint, prelim_train)
+        prelim = rnnsm.train_rnnsm(train_seqs, prelim_config, stats, PRELIMINARY_W, prelim_train)
     threshold = feature_config(config).variance_threshold
     dims = {name: select_embedding_dims(prelim.params[f"emb_{name}"], threshold)
             for name in stats.discrete_features}
@@ -164,7 +162,7 @@ def resolve_embedding_dims(
 class RnnsmFit:
     """One rnnsm fit short of its w: train_rnnsm on these inputs."""
 
-    sequences: list[UserSequence]
+    sequences: Sequences
     net_config: net.NetConfig
     stats: SequenceStats
     training: rnnsm.TrainingConfig
@@ -179,7 +177,7 @@ class _Grid:
     task carries only its w."""
 
     candidate: RnnsmFit  # on the fit part of the train split
-    validation: list[UserSequence]
+    validation: Sequences
     final: RnnsmFit  # on the whole train split
 
     def validation_predictions(self, w: float) -> np.ndarray:
@@ -313,7 +311,7 @@ def train_model(model_name: str, data: LoadedData, config: dict, out_dir: str | 
     fcfg = feature_config(config)
     meta: dict = {
         "model_family": family,
-        "window_days": data.window_days,
+        "window_days": data.dataset.window.to_dict(),
         "split": {
             "test_fraction": setting(config, "split.test_fraction", float),
             "seed": _split_seed(config),
@@ -460,10 +458,8 @@ def predict_model(
         if family == "rnn":
             predicted = baselines.predict_simple_rnn(model, seqs)
         else:
-            predicted = rnnsm.predict(
-                model, seqs, condition_on_absence=conditioned,
-                horizon_hint=dataset.window.prediction_length,
-            )
+            predicted = rnnsm.predict(model, seqs, condition_on_absence=conditioned,
+                                      t_s=dataset.absence_times)
     return prediction_records(dataset, predicted)
 
 

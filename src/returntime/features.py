@@ -3,7 +3,10 @@ for the recurrent models.
 
 Sequence steps default to active days (calendar days with at least one
 session); a per-session mode is available. All continuous channels are
-z-scored with statistics frozen from the training split.
+z-scored with statistics frozen from the training split. The steps of all
+users form one table (Sequences) with per-user offsets, the layout of the
+Dataset's sessions, which training batches pad by index and the scoring
+pass reads as it is.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, gather_runs
 from .errors import DataError, ValidationError
 
 DERIVED_DISCRETE = ("day_of_week", "day_of_month", "hour_of_day")
@@ -130,19 +133,30 @@ class Standardization:
 # sequence features (recurrent models)
 
 @dataclass
-class UserSequence:
-    user_id: str
-    disc: np.ndarray  # (T, n_disc) int64
-    cont: np.ndarray  # (T, n_cont) float64, normalized
-    targets: np.ndarray  # (T,) raw gap after each step, in days
-    is_censored: bool
-    active_day_count: int  # full count, before truncation
-    last_session_end: float
-    absence_time: float
-    horizon_gap: float
+class Sequences:
+    """Every user's step rows, one user after another: user i owns rows
+    offsets[i]:offsets[i + 1] of disc, cont and targets, the layout of
+    Dataset and of net.forward_last's input."""
+
+    disc: np.ndarray  # (steps, n_disc) int64
+    cont: np.ndarray  # (steps, n_cont) float64, normalized
+    targets: np.ndarray  # (steps,) raw gap after each step, in days
+    offsets: np.ndarray  # (n_users + 1,)
+    censored: np.ndarray  # (n_users,) bool
 
     def __len__(self) -> int:
-        return self.disc.shape[0]
+        return len(self.censored)
+
+    @property
+    def lengths(self) -> np.ndarray:
+        return np.diff(self.offsets)
+
+    def take(self, users) -> "Sequences":
+        """The given users' sequences, in the given order."""
+        users = np.asarray(users, dtype=np.int64)
+        offsets, rows = gather_runs(self.offsets, users)
+        return Sequences(self.disc[rows], self.cont[rows], self.targets[rows], offsets,
+                         self.censored[users])
 
 
 @dataclass
@@ -220,8 +234,8 @@ def build_sequences(
     dataset: Dataset,
     config: FeatureConfig | None = None,
     stats: SequenceStats | None = None,
-) -> tuple[list[UserSequence], SequenceStats]:
-    """Build per-user step tensors.
+) -> tuple[Sequences, SequenceStats]:
+    """Build every user's step rows, in dataset order.
 
     With stats=None (training mode) the vocabularies and z-score statistics
     are fitted on this dataset and returned; otherwise the given stats are
@@ -299,15 +313,8 @@ def build_sequences(
         stats.mean, stats.std = scaling.mean, scaling.std
     cont = (cont - stats.mean) / stats.std
 
-    bounds = np.append(0, np.cumsum(np.minimum(per_user, stats.max_steps))).tolist()
-    sequences = [
-        UserSequence(user_id, disc[a:b], cont[a:b], targets[a:b], *labels)
-        for user_id, a, b, *labels in zip(
-            dataset.user_ids, bounds, bounds[1:], dataset.is_censored.tolist(),
-            dataset.active_day_counts.tolist(), dataset.last_session_end.tolist(),
-            dataset.absence_times.tolist(), dataset.horizon_gaps.tolist())
-    ]
-    return sequences, stats
+    offsets = np.append(0, np.cumsum(np.minimum(per_user, stats.max_steps)))
+    return Sequences(disc, cont, targets, offsets, dataset.is_censored), stats
 
 
 @dataclass
@@ -317,28 +324,19 @@ class PaddedBatch:
     targets: np.ndarray  # (B, T)
     lengths: np.ndarray  # (B,)
     censored: np.ndarray  # (B,) bool
-    user_ids: list[str]
 
 
-def pad_batch(sequences: Sequence[UserSequence]) -> PaddedBatch:
-    """Right-pad a list of user sequences into dense batch tensors."""
-    B = len(sequences)
-    T = max(len(s) for s in sequences)
-    n_disc = sequences[0].disc.shape[1]
-    n_cont = sequences[0].cont.shape[1]
-    disc = np.zeros((B, T, n_disc), dtype=np.int64)
-    cont = np.zeros((B, T, n_cont))
-    targets = np.ones((B, T))  # padded lanes carry a harmless positive gap
-    lengths = np.empty(B, dtype=np.int64)
-    censored = np.empty(B, dtype=bool)
-    for i, s in enumerate(sequences):
-        L = len(s)
-        disc[i, :L] = s.disc
-        cont[i, :L] = s.cont
-        targets[i, :L] = s.targets
-        lengths[i] = L
-        censored[i] = s.is_censored
-    return PaddedBatch(disc, cont, targets, lengths, censored, [s.user_id for s in sequences])
+def pad_batch(seqs: Sequences, users: np.ndarray) -> PaddedBatch:
+    """Right-pad the given users' sequences, in the given order, into dense
+    batch tensors."""
+    lengths = seqs.lengths[users]
+    real = np.arange(lengths.max()) < lengths[:, None]  # (B, T)
+    rows = (seqs.offsets[users][:, None] + np.arange(real.shape[1]))[real]
+    disc = np.zeros((*real.shape, seqs.disc.shape[1]), dtype=np.int64)
+    cont = np.zeros((*real.shape, seqs.cont.shape[1]))
+    targets = np.ones(real.shape)  # padded lanes carry a harmless positive gap
+    disc[real], cont[real], targets[real] = seqs.disc[rows], seqs.cont[rows], seqs.targets[rows]
+    return PaddedBatch(disc, cont, targets, lengths, seqs.censored[users])
 
 
 def select_embedding_dims(embedding: np.ndarray, variance_threshold: float = 0.9) -> int:

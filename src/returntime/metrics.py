@@ -114,11 +114,7 @@ def _midranks(values: np.ndarray) -> np.ndarray:
     return (0.5 * (2 * ends - counts + 1))[inverse]
 
 
-def nonreturning_auc(
-    records: Sequence[PredictionRecord],
-    horizon_gaps: Sequence[float] | None = None,
-    score_mode: str = "shifted",
-) -> float:
+def nonreturning_auc(records: Sequence[PredictionRecord], score_mode: str = "shifted") -> float:
     """AUC for classifying non-returning users.
 
     The default score is each user's predicted return gap minus their own
@@ -127,13 +123,9 @@ def nonreturning_auc(
     """
     if score_mode not in ("shifted", "raw"):
         raise ValidationError(f"unknown AUC score mode {score_mode!r}")
-    gaps = (
-        np.asarray(horizon_gaps, dtype=float)
-        if horizon_gaps is not None
-        else np.array([r.horizon_gap_days for r in records])
-    )
-    pred = np.array([r.predicted_return_days for r in records])
-    scores = pred - gaps if score_mode == "shifted" else pred
+    scores = np.array([r.predicted_return_days for r in records])
+    if score_mode == "shifted":
+        scores = scores - np.array([r.horizon_gap_days for r in records])
     positive = np.array([r.is_censored for r in records])
     n_pos = int(positive.sum())
     n_neg = len(records) - n_pos

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import net
 from .errors import DataError, DataModelMismatchError, NumericalError, ValidationError
-from .features import PaddedBatch, SequenceStats, UserSequence, pad_batch
+from .features import PaddedBatch, SequenceStats, Sequences, pad_batch
 from .quadrature import integrate
 
 logger = logging.getLogger(__name__)
@@ -161,12 +161,7 @@ def _batch_loss(
 # ---------------------------------------------------------------------------
 # expectations
 
-def expected_return_time(
-    o,
-    w: float,
-    horizon_hint: float | None = None,
-    abs_tol: float = 1e-8,
-):
+def expected_return_time(o, w: float, abs_tol: float = 1e-8):
     """E[gap] = integral of S over (0, inf) by adaptive quadrature, for a
     scalar o (returns a float) or an (N,) array of outputs in one pass.
 
@@ -186,11 +181,8 @@ def expected_return_time(
     # within ~e^-o
     saturated = o > 600.0
     o_q = o[~saturated]
-    if horizon_hint is not None and horizon_hint > 0:
-        upper = np.full(o_q.shape, 4.0 * horizon_hint)
-    else:
-        # closed-form start: S(U) = 1e-9  <=>  w*U = log1p(-log(1e-9)*w*e^-o)
-        upper = np.logaddexp(0.0, math.log(-_LOG_TAIL * w) - o_q) / w
+    # closed-form start: S(U) = 1e-9  <=>  w*U = log1p(-log(1e-9)*w*e^-o)
+    upper = np.logaddexp(0.0, math.log(-_LOG_TAIL * w) - o_q) / w
     for _ in range(200):
         log_s = -_integrated_hazard(o_q, w * upper, w)
         # tail bound: S(t) <= S(U) exp(-lambda(U)(t-U)) for t > U
@@ -210,12 +202,7 @@ def expected_return_time(
     return float(out[0]) if scalar else out
 
 
-def absence_conditioned_expectation(
-    o,
-    w: float,
-    t_s,
-    horizon_hint: float | None = None,
-):
+def absence_conditioned_expectation(o, w: float, t_s):
     """E[gap | gap > t_s]: expected return time given t_s days of absence,
     for scalars (returns a float) or (N,) arrays of outputs and absences.
 
@@ -238,8 +225,7 @@ def absence_conditioned_expectation(
             int(under.sum()), o.size, w,
         )
         out[under] = t_s[under] + np.exp(-np.minimum(shifted[under], EXP_LIMIT))
-    out[~under] = t_s[~under] + expected_return_time(shifted[~under], w,
-                                                     horizon_hint=horizon_hint)
+    out[~under] = t_s[~under] + expected_return_time(shifted[~under], w)
     return float(out[0]) if scalar else out
 
 
@@ -304,7 +290,7 @@ def initial_output_bias(mean_gap: float, w: float) -> float:
 
 def _fit(
     model: RecurrentModel,
-    sequences: list[UserSequence],
+    sequences: Sequences,
     config: TrainingConfig,
     rng: np.random.Generator,
     batch_loss: Callable[[np.ndarray, PaddedBatch], tuple[float, np.ndarray]],
@@ -327,7 +313,7 @@ def _fit(
         try:
             for start in range(0, len(order), config.batch_size):
                 idx = order[start:start + config.batch_size]
-                batch = pad_batch([sequences[i] for i in idx])
+                batch = pad_batch(sequences, idx)
                 o, _, cache = net.forward_batch(
                     params, model.net_config, batch.disc, batch.cont, batch.lengths
                 )
@@ -355,7 +341,7 @@ def _fit(
 
 
 def train_rnnsm(
-    sequences: list[UserSequence],
+    sequences: Sequences,
     net_config: net.NetConfig,
     stats: SequenceStats,
     w: float,
@@ -368,9 +354,9 @@ def train_rnnsm(
     """
     if w <= 0:
         raise ValidationError(f"current-influence weight w must be positive, got {w}")
-    if not sequences:
+    if not len(sequences):
         raise DataError("cannot train on an empty dataset")
-    n_censored = sum(s.is_censored for s in sequences)
+    n_censored = int(sequences.censored.sum())
     if n_censored == 0 or n_censored == len(sequences):
         raise DataError(
             "training needs both returning and censored users, got "
@@ -379,9 +365,9 @@ def train_rnnsm(
 
     rng = np.random.default_rng(config.seed)
     params = net.init_params(net_config, rng)
-    uncensored_gaps = np.concatenate([
-        s.targets if not s.is_censored else s.targets[:-1] for s in sequences
-    ])
+    observed = np.ones(len(sequences.targets), dtype=bool)
+    observed[sequences.offsets[1:][sequences.censored] - 1] = False  # censored final gaps
+    uncensored_gaps = sequences.targets[observed]
     if uncensored_gaps.size:
         params["out_b"][0] = initial_output_bias(float(uncensored_gaps.mean()), w)
 
@@ -396,39 +382,23 @@ def train_rnnsm(
 # ---------------------------------------------------------------------------
 # prediction
 
-def last_outputs(
-    params: dict[str, np.ndarray],
-    net_config: net.NetConfig,
-    sequences: list[UserSequence],
-) -> np.ndarray:
-    """Network output at each sequence's final step, (len(sequences),), from
-    one scoring pass over all of them."""
-    if not sequences:
-        return np.empty(0)
-    return net.forward_last(
-        params, net_config,
-        np.concatenate([s.disc for s in sequences]),
-        np.concatenate([s.cont for s in sequences]),
-        np.array([len(s) for s in sequences]),
-    )
-
-
 def predict(
     model: RecurrentModel,
-    sequences: list[UserSequence],
+    sequences: Sequences,
     condition_on_absence: bool = False,
-    horizon_hint: float | None = None,
+    t_s: float | np.ndarray = 0.0,
 ) -> np.ndarray:
     """Expected return gap per user (N,), measured from their last session end.
 
-    With condition_on_absence the expectation is conditioned on the user
-    having been absent since the prediction-window start.
+    With condition_on_absence the expectation is conditioned on each user
+    having been absent for t_s days (a scalar or one per user), their time
+    from last session end to the prediction-window start.
     """
-    o_last = last_outputs(model.params, model.net_config, sequences)
+    o_last = net.forward_last(model.params, model.net_config, sequences.disc, sequences.cont,
+                              sequences.lengths)
     if condition_on_absence:
-        t_s = np.array([seq.absence_time for seq in sequences], dtype=float)
-        return absence_conditioned_expectation(o_last, model.w, t_s, horizon_hint=horizon_hint)
-    return expected_return_time(o_last, model.w, horizon_hint=horizon_hint)
+        return absence_conditioned_expectation(o_last, model.w, t_s)
+    return expected_return_time(o_last, model.w)
 
 
 # ---------------------------------------------------------------------------

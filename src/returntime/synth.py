@@ -163,6 +163,11 @@ def _simulate_user(
     night_owl = rng.random() < cohort.night_owl_prob
     hour_mean, hour_sigma = (1.5, 1.5) if night_owl else (14.5, 3.0)
     first_gap = gap(signup, rng.standard_normal())
+    if math.isinf(first_gap):
+        raise ConfigError(
+            f"cohort {cohort.name!r}: a user's first gap overflows to infinity; lower its "
+            "gap_log_mean, gap_log_sigma or lapse_multiplier"
+        )
     t = signup + (rng.uniform(0.0, first_gap) if first_gap > 0 else 0.0)
     times: list[float] = []  # up to the first arrival past the horizon; later ones are never read
     arrivals = 0

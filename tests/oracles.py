@@ -630,13 +630,13 @@ def _user_steps(user, epoch_weekday, markers, marker_features, per_session):
     return steps_disc, steps_cont, targets
 
 
-def build_sequences_objects(users, window, epoch_weekday, config=None, stats=None):
+def build_sequences_objects(users, epoch_weekday, config=None, stats=None):
     """returntime.features.build_sequences, one user and one step at a time."""
     from returntime.features import (
         DERIVED_CARDINALITIES,
         DERIVED_DISCRETE,
+        Sequences,
         SequenceStats,
-        UserSequence,
     )
 
     if stats is None:
@@ -683,20 +683,18 @@ def build_sequences_objects(users, window, epoch_weekday, config=None, stats=Non
         card = stats.cardinalities[stats.discrete_features.index(name)]
         return vocab.get(str(value), card)
 
-    sequences = []
+    discs, conts, targets = [], [], []
     for user, d_rows, c_rows, t_rows in raw:
         disc = np.empty((len(d_rows), len(stats.discrete_features)), dtype=np.int64)
         for j, row in enumerate(d_rows):
             for k, name in enumerate(stats.discrete_features):
                 disc[j, k] = encode(name, row[k])
-        sequences.append(UserSequence(
-            user_id=user.user_id, disc=disc,
-            cont=(np.asarray(c_rows, dtype=float) - stats.mean) / stats.std,
-            targets=np.asarray(t_rows, dtype=float), is_censored=user.is_censored,
-            active_day_count=count_active_days(user), last_session_end=user.last_session_end,
-            absence_time=window.prediction_start - user.last_session_end,
-            horizon_gap=window.horizon_end - user.last_session_end,
-        ))
+        discs.append(disc)
+        conts.append((np.asarray(c_rows, dtype=float) - stats.mean) / stats.std)
+        targets.append(np.asarray(t_rows, dtype=float))
+    offsets = np.append(0, np.cumsum([len(t) for t in targets]))
+    sequences = Sequences(np.concatenate(discs), np.concatenate(conts), np.concatenate(targets),
+                          offsets, np.array([user.is_censored for user in users]))
     return sequences, stats
 
 
@@ -788,7 +786,7 @@ def _hazard_integral(o, z, w):
                         (np.exp(o + z) - e_o) / w)
 
 
-def expected_return_time_scalar(o, w, horizon_hint=None, abs_tol=1e-8):
+def expected_return_time_scalar(o, w, abs_tol=1e-8):
     """E[gap] for one network output: the survival integrated on [0, U], U
     doubled until S(U) < 1e-9 and the tail bound S(U)/hazard(U) is below
     abs_tol / 2; past o = 600 the value is e^-o."""
@@ -797,10 +795,7 @@ def expected_return_time_scalar(o, w, horizon_hint=None, abs_tol=1e-8):
     if o > 600.0:
         return math.exp(-o)
     log_level = math.log(1e-9)
-    if horizon_hint is not None and horizon_hint > 0:
-        upper = 4.0 * horizon_hint
-    else:
-        upper = float(np.logaddexp(0.0, math.log(-log_level * w) - o)) / w
+    upper = float(np.logaddexp(0.0, math.log(-log_level * w) - o)) / w
     for _ in range(200):
         log_s = -float(_hazard_integral(o, w * upper, w))
         if log_s < log_level and log_s - (o + w * upper) < math.log(0.5 * abs_tol):
@@ -812,10 +807,10 @@ def expected_return_time_scalar(o, w, horizon_hint=None, abs_tol=1e-8):
                           abs_tol=abs_tol)
 
 
-def absence_conditioned_expectation_scalar(o, w, t_s, horizon_hint=None):
+def absence_conditioned_expectation_scalar(o, w, t_s):
     """E[gap | gap > t_s] for one user: t_s plus the expectation at o + w*t_s,
     or t_s + e^-(o + w*t_s) (capped at 700) once that exceeds 600."""
     shifted = o + w * t_s
     if shifted > 600.0:
         return t_s + math.exp(-min(shifted, 700.0))
-    return t_s + expected_return_time_scalar(shifted, w, horizon_hint=horizon_hint)
+    return t_s + expected_return_time_scalar(shifted, w)

@@ -86,8 +86,7 @@ class TestSimpleRnn:
         params = net.init_params(config, rng)
         for k in params:
             params[k] = params[k] + rng.normal(scale=0.2, size=params[k].shape)
-        template = [s for s in seqs if not s.is_censored][:4]
-        batch = pad_batch(template)
+        batch = pad_batch(seqs, np.flatnonzero(~seqs.censored)[:4])
         batch.targets = rng.uniform(0.5, 4.0, size=batch.targets.shape)
 
         def loss_fn():
@@ -107,7 +106,7 @@ class TestSimpleRnn:
         cfg = TrainingConfig(epochs=2, batch_size=32, seed=5)
         mixed = train_simple_rnn(seqs, config, stats, cfg)
         returning_only = train_simple_rnn(
-            [s for s in seqs if not s.is_censored], config, stats, cfg
+            seqs.take(np.flatnonzero(~seqs.censored)), config, stats, cfg
         )
         assert mixed.loss_trace == returning_only.loss_trace
         for k in mixed.params:
@@ -129,7 +128,7 @@ class TestSimpleRnn:
         cfg = TrainingConfig(epochs=1, batch_size=32, seed=9)
         one_epoch = train_simple_rnn(seqs, config, stats, cfg)
         # diverge on the second batch of epoch 2, after one more Adam step
-        n_returning = sum(not s.is_censored for s in seqs)
+        n_returning = int(np.count_nonzero(~seqs.censored))
         fail_at = -(-n_returning // cfg.batch_size) + 2
         mse = baselines.mse_sequence_loss
         calls = []
@@ -152,7 +151,7 @@ class TestSimpleRnn:
 
     def test_requires_returning_users(self, small_data):
         _, seqs, stats = small_data
-        censored_only = [s for s in seqs if s.is_censored]
+        censored_only = seqs.take(np.flatnonzero(seqs.censored))
         with pytest.raises(DataError):
             train_simple_rnn(censored_only, small_net(stats), stats, TrainingConfig(epochs=1))
 
@@ -162,11 +161,11 @@ class TestSimpleRnn:
         params = net.init_params(config, np.random.default_rng(7))
         params["out_b"][0] = -50.0
         model_like = train_simple_rnn(
-            [s for s in seqs if not s.is_censored][:10], config, stats,
+            seqs.take(np.flatnonzero(~seqs.censored)[:10]), config, stats,
             TrainingConfig(epochs=0, seed=7),
         )
         model_like.params = params
-        predicted = predict_simple_rnn(model_like, seqs[:20])
+        predicted = predict_simple_rnn(model_like, seqs.take(np.arange(20)))
         assert predicted.shape == (20,)
         assert np.all(predicted >= 0.0)
         assert np.any(predicted == 0.0)
@@ -179,5 +178,5 @@ class TestSimpleRnn:
         save_model(path, model)
         loaded = load_model(path, "rnn")
         assert loaded.w is None
-        assert np.array_equal(predict_simple_rnn(loaded, seqs[:10]),
-                              predict_simple_rnn(model, seqs[:10]))
+        first = seqs.take(np.arange(10))
+        assert np.array_equal(predict_simple_rnn(loaded, first), predict_simple_rnn(model, first))

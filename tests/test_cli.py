@@ -105,6 +105,19 @@ class TestGenerate:
         cfg = write_cfg(tmp_path, {"generator": {"user_count": 10, "typo_field": 1}})
         assert main(["generate", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
 
+    def test_overflowing_first_gap_exit_2(self, tmp_path, capsys):
+        # a change point clamped to the signup puts the first gap on the
+        # lapsed scale at once, where 1e308 times the gap overflows
+        cfg = write_cfg(tmp_path, {"generator": {"user_count": 200, "cohorts": [
+            cohort(name="steady", fraction=0.5),
+            cohort(name="lapsing", fraction=0.5, lapse_multiplier=1e308, lapse_taper_days=0.0),
+        ]}})
+        capsys.readouterr()
+        assert main(["generate", "--config", cfg, "--out", str(tmp_path / "x"),
+                     "--seed", "8"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cohort 'lapsing'") and "overflows" in err
+
     def test_manifest_has_hash_and_versions(self, generated):
         _, out = generated
         manifest = json.loads((out / "manifest.json").read_text())
@@ -248,6 +261,26 @@ class TestTrainPredictEvaluate:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(tmp_path / target) in err
         assert (tmp_path / "file").read_text() == "in the way\n"
+
+    @pytest.mark.parametrize("target", ["file/p.csv", "dir"])
+    def test_bad_predict_out_fails_before_scoring(self, generated, tmp_path, capsys,
+                                                  monkeypatch, target):
+        cfg, out = generated
+        cfgs = ["--config", cfg, "--config", str(out / "run_config.json")]
+        assert main(["train", "--model", "baseline", *cfgs, "--out", str(tmp_path / "bl")]) == 0
+        (tmp_path / "file").write_text("in the way\n")
+        (tmp_path / "dir").mkdir()
+
+        def not_reached(*args, **kwargs):
+            raise AssertionError("predict read the data before checking --out")
+
+        monkeypatch.setattr(experiment, "load_and_split", not_reached)
+        monkeypatch.setattr(experiment, "predict_model", not_reached)
+        capsys.readouterr()
+        assert main(["predict", "--model", "baseline", "--checkpoint", str(tmp_path / "bl"),
+                     *cfgs, "--out", str(tmp_path / target)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(tmp_path / target.split("/")[0]) in err
 
     def test_split_seed_zero_recorded_in_meta(self, generated, tmp_path):
         cfg, out = generated

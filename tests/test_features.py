@@ -12,6 +12,7 @@ from returntime.cli import main
 from returntime.config import load_config
 from returntime.data import Session, WindowConfig, assign_windows, stratified_split
 from returntime.errors import ValidationError
+from returntime.synth import GeneratorConfig, generate
 
 from oracles import (
     assign_windows_objects,
@@ -131,63 +132,65 @@ class TestAggregatesAgainstPerUserCalls:
         assert_bitwise_equal(agg.X[:, 2:6], want)
 
 
+def rows_of(seqs, i):
+    """User i's (disc, cont, targets) rows of a sequence table."""
+    a, b = seqs.offsets[i], seqs.offsets[i + 1]
+    return seqs.disc[a:b], seqs.cont[a:b], seqs.targets[a:b]
+
+
 class TestSequences:
     def test_truncation_to_most_recent_days(self):
         raw = [s("u", float(d) + 0.3) for d in range(70)] + [s("u", 75.0)]
         window = WindowConfig(activity_start=1.0, prediction_start=72.0, horizon_end=100.0)
         ds = assign_windows(session_columns(raw), window)
         seqs, stats = build_sequences(ds, FeatureConfig(max_steps=64))
-        (seq,) = seqs
-        assert len(seq) == 64
-        assert seq.active_day_count == 70
+        assert seqs.lengths.tolist() == [64]
+        assert ds.active_day_counts.tolist() == [70]
         # elapsed input of the first retained step keeps the real gap
-        raw_elapsed = seq.cont[0, 0] * stats.std[0] + stats.mean[0]
+        raw_elapsed = seqs.cont[0, 0] * stats.std[0] + stats.mean[0]
         assert raw_elapsed == pytest.approx(1.0)
 
     def test_single_active_day_has_zero_elapsed(self):
         ds = assign_windows(session_columns([s("c", 6.0)]), WINDOW)
         seqs, stats = build_sequences(ds, FeatureConfig(max_steps=8))
-        (seq,) = seqs
-        assert len(seq) == 1
-        raw_elapsed = seq.cont[0, 0] * stats.std[0] + stats.mean[0]
+        assert seqs.lengths.tolist() == [1]
+        raw_elapsed = seqs.cont[0, 0] * stats.std[0] + stats.mean[0]
         assert raw_elapsed == pytest.approx(0.0)
-        assert seq.targets[0] == pytest.approx(30.0 - 6.0)
+        assert seqs.targets[0] == pytest.approx(30.0 - 6.0)
 
     def test_same_day_sessions_grouped(self):
         ds = assign_windows(session_columns([s("b", 3.3), s("b", 3.5), s("b", 8.0)]), WINDOW)
         seqs, stats = build_sequences(ds, FeatureConfig(max_steps=8))
-        (seq,) = seqs
-        assert len(seq) == 2
+        assert seqs.lengths.tolist() == [2]
         idx = stats.cont_channels.index("session_count")
-        raw_count = seq.cont[0, idx] * stats.std[idx] + stats.mean[idx]
+        raw_count = seqs.cont[0, idx] * stats.std[idx] + stats.mean[idx]
         assert raw_count == pytest.approx(2.0)
 
     def test_targets_are_day_gaps_then_final_gap(self):
         ds = assign_windows(session_columns([s("b", 3.3), s("b", 8.0), s("b", 12.0)]), WINDOW)
         seqs, _ = build_sequences(ds, FeatureConfig(max_steps=8))
-        (seq,) = seqs
-        assert seq.targets[0] == pytest.approx(5.0)  # day 3 -> day 8
-        assert seq.targets[-1] == pytest.approx(12.0 - 8.0)
-        assert not seq.is_censored
+        assert len(seqs) == 1
+        assert seqs.targets[0] == pytest.approx(5.0)  # day 3 -> day 8
+        assert seqs.targets[-1] == pytest.approx(12.0 - 8.0)
+        assert not seqs.censored[0]
 
     def test_unknown_category_maps_to_reserved_slot(self):
         train = small_dataset()
         _, stats = build_sequences(train, FeatureConfig(max_steps=8))
         test_ds = assign_windows(session_columns([s("z", 5.0, device="smartwatch")]), WINDOW)
         seqs, _ = build_sequences(test_ds, stats=stats)
-        (seq,) = seqs
+        assert len(seqs) == 1
         device_col = stats.discrete_features.index("device")
         card = stats.cardinalities[device_col]
-        assert seq.disc[0, device_col] == card
-        assert seq.disc[0, device_col] < card + 1
+        assert seqs.disc[0, device_col] == card
+        assert seqs.disc[0, device_col] < card + 1
 
     def test_all_indices_within_cardinality_plus_unknown(self):
         ds = small_dataset()
         seqs, stats = build_sequences(ds, FeatureConfig(max_steps=8))
         cards = np.asarray(stats.cardinalities)
-        for seq in seqs:
-            assert np.all(seq.disc < cards + 1)
-            assert np.all(seq.disc >= 0)
+        assert np.all(seqs.disc < cards + 1)
+        assert np.all(seqs.disc >= 0)
 
     def test_test_mode_does_not_mutate_stats(self):
         train = small_dataset()
@@ -201,24 +204,74 @@ class TestSequences:
         ds = small_dataset()
         config = FeatureConfig(max_steps=2)
         seqs, _ = build_sequences(ds, config)
-        for seq, user in zip(seqs, ds.users):
-            assert len(seq) == min(count_active_days(user), 2)
+        assert len(seqs) == len(ds)
+        for length, user in zip(seqs.lengths.tolist(), ds.users):
+            assert length == min(count_active_days(user), 2)
 
     def test_per_session_mode(self):
         raw = [s("b", 3.3, duration=0.1), s("b", 3.5), s("b", 8.0)]
         ds = assign_windows(session_columns(raw), WINDOW)
         seqs, _ = build_sequences(ds, FeatureConfig(max_steps=8, per_session_steps=True))
-        (seq,) = seqs
-        assert len(seq) == 3
-        assert seq.targets[0] == pytest.approx(3.5 - 3.4)
+        assert seqs.lengths.tolist() == [3]
+        assert seqs.targets[0] == pytest.approx(3.5 - 3.4)
 
     def test_pad_batch_masks(self):
         ds = small_dataset()
         seqs, _ = build_sequences(ds, FeatureConfig(max_steps=8))
-        batch = pad_batch(seqs)
+        batch = pad_batch(seqs, np.arange(len(seqs)))
         assert batch.disc.shape[0] == len(seqs)
-        assert batch.lengths.tolist() == [len(s_) for s_ in seqs]
+        assert batch.lengths.tolist() == seqs.lengths.tolist()
         assert np.all(batch.targets > 0)
+
+
+@pytest.fixture(scope="module")
+def generated_sequences():
+    cfg = GeneratorConfig(user_count=150, seed=13)
+    dataset = assign_windows(generate(cfg)[0], cfg.window)
+    seqs, stats = build_sequences(dataset, FeatureConfig(max_steps=16))
+    return dataset, seqs, stats
+
+
+class TestSequenceTable:
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_pad_batch_equals_per_user_padding(self, generated_sequences, data):
+        _, seqs, _ = generated_sequences
+        users = np.array(data.draw(st.lists(st.integers(0, len(seqs) - 1), min_size=1,
+                                            max_size=70)))
+        batch = pad_batch(seqs, users)
+        T = int(seqs.lengths[users].max())
+        assert batch.disc.shape == (len(users), T, seqs.disc.shape[1])
+        assert batch.disc.dtype == np.int64
+        for i, u in enumerate(users.tolist()):
+            disc, cont, targets = rows_of(seqs, u)
+            L = len(targets)
+            assert batch.lengths[i] == L and batch.censored[i] == seqs.censored[u]
+            assert_bitwise_equal(batch.disc[i, :L], disc)
+            assert_bitwise_equal(batch.cont[i, :L], cont)
+            assert_bitwise_equal(batch.targets[i, :L], targets)
+            assert np.all(batch.disc[i, L:] == 0) and np.all(batch.cont[i, L:] == 0.0)
+            assert np.all(batch.targets[i, L:] == 1.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_take_equals_building_on_the_subset(self, generated_sequences, data):
+        dataset, seqs, stats = generated_sequences
+        users = np.array(sorted(data.draw(st.sets(st.integers(0, len(seqs) - 1), max_size=70))),
+                         dtype=np.int64)
+        got = seqs.take(users)
+        want, _ = build_sequences(dataset.subset(users), stats=stats)
+        for name in ("disc", "cont", "targets", "offsets", "censored"):
+            assert_bitwise_equal(getattr(got, name), getattr(want, name))
+
+    def test_take_keeps_the_given_order(self, generated_sequences):
+        _, seqs, _ = generated_sequences
+        users = np.random.default_rng(3).permutation(len(seqs))[:40]
+        got = seqs.take(users)
+        assert_bitwise_equal(got.censored, seqs.censored[users])
+        for i, u in enumerate(users.tolist()):
+            for g, w in zip(rows_of(got, i), rows_of(seqs, u)):
+                assert_bitwise_equal(g, w)
 
 
 # ---------------------------------------------------------------------------
@@ -231,15 +284,13 @@ def assert_bitwise_equal(got, want):
 
 
 def assert_same_sequences(got, want):
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert (g.user_id, g.is_censored, g.active_day_count, g.last_session_end,
-                g.absence_time, g.horizon_gap) == (w.user_id, w.is_censored, w.active_day_count,
-                                                   w.last_session_end, w.absence_time,
-                                                   w.horizon_gap)
-        assert g.disc.dtype == np.int64
-        for name in ("disc", "cont", "targets"):
-            assert_bitwise_equal(getattr(g, name), getattr(w, name))
+    """Equal censoring flags and offsets, and each user's rows bit for bit."""
+    assert_bitwise_equal(got.censored, want.censored)
+    assert_bitwise_equal(got.offsets, want.offsets)
+    assert got.disc.dtype == np.int64
+    for i in range(len(want)):
+        for g, w in zip(rows_of(got, i), rows_of(want, i)):
+            assert_bitwise_equal(g, w)
 
 
 def assert_matches_object_path(train, test, train_users, test_users):
@@ -249,14 +300,13 @@ def assert_matches_object_path(train, test, train_users, test_users):
     for per_session in (False, True):
         config = FeatureConfig(max_steps=8 if per_session else 64, per_session_steps=per_session)
         seqs, stats = build_sequences(train, config)
-        want, want_stats = build_sequences_objects(train_users, window, weekday, config)
+        want, want_stats = build_sequences_objects(train_users, weekday, config)
         assert stats.to_dict() == want_stats.to_dict()
         assert_bitwise_equal(stats.mean, want_stats.mean)
         assert_bitwise_equal(stats.std, want_stats.std)
         assert_same_sequences(seqs, want)
         seqs, _ = build_sequences(test, stats=stats)
-        assert_same_sequences(seqs, build_sequences_objects(test_users, window, weekday,
-                                                            stats=stats)[0])
+        assert_same_sequences(seqs, build_sequences_objects(test_users, weekday, stats=stats)[0])
     agg = build_aggregates(train)
     X, names = build_aggregates_objects(train_users, window)
     assert (agg.feature_names, agg.user_ids) == (names, [u.user_id for u in train_users])

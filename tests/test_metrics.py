@@ -193,11 +193,6 @@ class TestNonReturningAuc:
                    rec("c", 10.0, true=5.0)]
         assert nonreturning_auc(records) == 0.75
 
-    def test_explicit_horizon_gaps_override(self):
-        records = [rec("a", 50.0, bound=100.0, horizon=100.0), rec("b", 50.0, true=5.0, horizon=100.0)]
-        flipped = nonreturning_auc(records, horizon_gaps=[10.0, 90.0])
-        assert flipped == 1.0
-
 
 class TestNonReturningRecall:
     def test_baseline_style_predictions_score_zero(self):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from returntime import net, rnnsm
+from returntime import net
 from returntime.errors import NumericalError
 
 from oracles import finite_difference_grads, max_relative_error, scalar_net_forward
@@ -219,7 +219,6 @@ class TestScoringPass:
     def test_empty_input_gives_empty_output(self):
         params, disc, cont, L, _ = scoring_instance(41, [])
         assert net.forward_last(params, CONFIG, disc, cont, L).shape == (0,)
-        assert rnnsm.last_outputs(params, CONFIG, []).shape == (0,)
 
     @pytest.mark.parametrize("name", ["lstm_wh", "out_v", "fusion_b"])
     def test_nan_parameter_raises(self, name):

@@ -42,12 +42,15 @@ def tiny_instance(seed, T=3):
 
 
 @pytest.fixture(scope="module")
-def small_sequences():
+def small_dataset():
     cfg = GeneratorConfig(user_count=260, seed=21)
     sessions, _ = generate(cfg)
-    dataset = assign_windows(sessions, cfg.window)
-    seqs, stats = build_sequences(dataset, FeatureConfig(max_steps=32))
-    return seqs, stats
+    return assign_windows(sessions, cfg.window)
+
+
+@pytest.fixture(scope="module")
+def small_sequences(small_dataset):
+    return build_sequences(small_dataset, FeatureConfig(max_steps=32))
 
 
 def small_net(stats, hidden=8, fusion=8):
@@ -86,16 +89,16 @@ class TestEndToEndGradient:
         seqs, stats = small_sequences
         config = small_net(stats)
         params = net.init_params(config, np.random.default_rng(0))
-        subset = seqs[:17]
-        batch = pad_batch(subset)
+        batch = pad_batch(seqs, np.arange(17))
         o, _, _ = net.forward_batch(params, config, batch.disc, batch.cont, batch.lengths)
         losses, grads = rnnsm._batch_loss(o, batch, w=0.1)
-        for i, seq in enumerate(subset):
-            o_i, _, _ = net.forward(params, config, seq.disc, seq.cont)
-            loss_i, grad_i = rnnsm.sequence_loss(o_i, seq.targets, seq.is_censored, 0.1)
+        for i in range(17):
+            a, b = seqs.offsets[i], seqs.offsets[i + 1]
+            o_i, _, _ = net.forward(params, config, seqs.disc[a:b], seqs.cont[a:b])
+            loss_i, grad_i = rnnsm.sequence_loss(o_i, seqs.targets[a:b], seqs.censored[i], 0.1)
             assert losses[i] == pytest.approx(loss_i, rel=1e-9)
-            np.testing.assert_allclose(grads[i, :len(seq)], grad_i, rtol=1e-9, atol=1e-12)
-            assert np.all(grads[i, len(seq):] == 0.0)
+            np.testing.assert_allclose(grads[i, :b - a], grad_i, rtol=1e-9, atol=1e-12)
+            assert np.all(grads[i, b - a:] == 0.0)
 
 
 class TestTraining:
@@ -134,7 +137,7 @@ class TestTraining:
     def test_needs_both_strata(self, small_sequences):
         seqs, stats = small_sequences
         config = small_net(stats)
-        returning_only = [s for s in seqs if not s.is_censored]
+        returning_only = seqs.take(np.flatnonzero(~seqs.censored))
         with pytest.raises(DataError):
             rnnsm.train_rnnsm(returning_only, config, stats, w=0.1,
                               config=rnnsm.TrainingConfig(epochs=1))
@@ -151,15 +154,8 @@ class TestTraining:
         config = small_net(stats)
         # a target far beyond the overflow guard trips the exponent check on
         # the first epoch that touches it
-        poisoned = list(seqs)
-        bad = poisoned[0]
-        poisoned[0] = type(bad)(
-            user_id=bad.user_id, disc=bad.disc, cont=bad.cont,
-            targets=np.append(bad.targets[:-1], 5000.0),
-            is_censored=bad.is_censored, active_day_count=bad.active_day_count,
-            last_session_end=bad.last_session_end, absence_time=bad.absence_time,
-            horizon_gap=bad.horizon_gap,
-        )
+        poisoned = dataclasses.replace(seqs, targets=seqs.targets.copy())
+        poisoned.targets[seqs.offsets[1] - 1] = 5000.0  # the first user's final gap
         model = rnnsm.train_rnnsm(
             poisoned, config, stats, w=1.0,
             config=rnnsm.TrainingConfig(epochs=2, batch_size=16, seed=3),
@@ -199,64 +195,55 @@ class TestTraining:
 
 
 @pytest.fixture(scope="module")
-def trained(small_sequences):
+def trained(small_dataset, small_sequences):
     seqs, stats = small_sequences
     config = small_net(stats)
     model = rnnsm.train_rnnsm(
         seqs, config, stats, w=0.1,
         config=rnnsm.TrainingConfig(epochs=4, batch_size=64, seed=4),
     )
-    return model, seqs
+    return model, seqs, small_dataset.absence_times
 
 
 class TestPrediction:
     def test_rnnsma_never_predicts_before_window_start(self, trained):
-        model, seqs = trained
-        predicted = rnnsm.predict(model, seqs, condition_on_absence=True)
+        model, seqs, t_s = trained
+        predicted = rnnsm.predict(model, seqs, condition_on_absence=True, t_s=t_s)
         assert predicted.shape == (len(seqs),)
-        for seq, value in zip(seqs, predicted):
-            assert value >= seq.absence_time
+        assert np.all(predicted >= t_s)
 
     def test_rnnsma_dominates_rnnsm_on_average(self, trained):
-        model, seqs = trained
+        model, seqs, t_s = trained
         p = rnnsm.predict(model, seqs, condition_on_absence=False)
-        c = rnnsm.predict(model, seqs, condition_on_absence=True)
+        c = rnnsm.predict(model, seqs, condition_on_absence=True, t_s=t_s)
         assert np.all(c >= p - 1e-9)
         assert c.mean() > p.mean()
 
     @pytest.mark.parametrize("conditioned", [False, True])
     def test_matches_per_user_oracle(self, trained, conditioned):
-        model, seqs = trained
-        o = rnnsm.last_outputs(model.params, model.net_config, seqs)
-        predicted = rnnsm.predict(model, seqs, condition_on_absence=conditioned,
-                                  horizon_hint=120.0)
-        for value, o_i, seq in zip(predicted, o.tolist(), seqs):
+        model, seqs, t_s = trained
+        o = net.forward_last(model.params, model.net_config, seqs.disc, seqs.cont, seqs.lengths)
+        predicted = rnnsm.predict(model, seqs, condition_on_absence=conditioned, t_s=t_s)
+        for value, o_i, t_i in zip(predicted, o.tolist(), t_s.tolist()):
             if conditioned:
-                oracle = absence_conditioned_expectation_scalar(o_i, model.w, seq.absence_time,
-                                                                120.0)
+                oracle = absence_conditioned_expectation_scalar(o_i, model.w, t_i)
             else:
-                oracle = expected_return_time_scalar(o_i, model.w, 120.0)
+                oracle = expected_return_time_scalar(o_i, model.w)
             assert math.isclose(value, oracle, rel_tol=1e-12)
 
     def test_zero_absence_gives_identical_prediction(self, trained):
-        model, seqs = trained
-        seq = seqs[0]
-        seq_zero = type(seq)(
-            user_id=seq.user_id, disc=seq.disc, cont=seq.cont, targets=seq.targets,
-            is_censored=seq.is_censored, active_day_count=seq.active_day_count,
-            last_session_end=seq.last_session_end, absence_time=0.0,
-            horizon_gap=seq.horizon_gap,
-        )
-        a = rnnsm.predict(model, [seq_zero], condition_on_absence=False)[0]
-        b = rnnsm.predict(model, [seq_zero], condition_on_absence=True)[0]
+        model, seqs, _ = trained
+        first = seqs.take([0])
+        a = rnnsm.predict(model, first, condition_on_absence=False)[0]
+        b = rnnsm.predict(model, first, condition_on_absence=True, t_s=np.zeros(1))[0]
         assert a == b
 
     def test_save_load_round_trip(self, trained, tmp_path):
-        model, seqs = trained
+        model, seqs, _ = trained
         path = tmp_path / "rnnsm.npz"
         rnnsm.save_model(path, model)
         loaded = rnnsm.load_model(path, "rnnsm")
         assert loaded.w == model.w
-        a = rnnsm.predict(model, seqs[:10])
-        b = rnnsm.predict(loaded, seqs[:10])
+        a = rnnsm.predict(model, seqs.take(np.arange(10)))
+        b = rnnsm.predict(loaded, seqs.take(np.arange(10)))
         assert np.array_equal(a, b)
