@@ -129,25 +129,25 @@ def cmd_predict(args: argparse.Namespace) -> int:
     data = experiment.load_and_split(config)
     subset = {"train": data.train, "test": data.test, "all": data.dataset}[args.split]
     split = None if args.split == "all" else experiment.split_identity(data)
-    records = experiment.predict_model(model_name, args.checkpoint, subset, split=split)
+    table = experiment.predict_model(model_name, args.checkpoint, subset, split=split)
     try:
-        metrics.write_predictions_csv(out, model_name, records, epoch_iso=subset.epoch_iso)
+        metrics.write_predictions_csv(out, model_name, table, epoch_iso=subset.epoch_iso)
     except OSError as exc:
         raise ConfigError(f"cannot write predictions to {out}: {exc.strerror or exc}") from exc
-    print(f"wrote {len(records)} predictions for {model_name} to {out}")
+    print(f"wrote {len(table)} predictions for {model_name} to {out}")
     return 0
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     config = load_config(args.config, _cli_overrides(args))
-    model_records: dict[str, list] = {}
+    model_predictions: dict[str, metrics.Predictions] = {}
     for path in args.pred:
-        name, records = metrics.read_predictions_csv(path)
-        if name in model_records:
+        name, table = metrics.read_predictions_csv(path)
+        if name in model_predictions:
             raise ConfigError(f"duplicate predictions for model {name!r}")
-        model_records[name] = records
+        model_predictions[name] = table
     report = experiment.write_report(
-        args.out, model_records,
+        args.out, model_predictions,
         auc_score_mode=setting(config, "evaluation.auc_score_mode", text),
     )
     write_manifest(args.out, "evaluate", config)

@@ -75,10 +75,12 @@ def load_config(
         paths = [paths]
     for path in paths:
         try:
-            file_cfg = json.loads(Path(path).read_text())
+            file_cfg = json.loads(Path(path).read_text(encoding="utf-8"))
         except FileNotFoundError as exc:
             raise ConfigError(f"config file not found: {path}") from exc
-        except json.JSONDecodeError as exc:
+        except OSError as exc:
+            raise ConfigError(f"cannot read config file {path}: {exc.strerror or exc}") from exc
+        except ValueError as exc:  # not UTF-8, or not JSON
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
         if not isinstance(file_cfg, dict):
             raise ConfigError(f"config file {path} must hold a JSON object")

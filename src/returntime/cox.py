@@ -271,7 +271,7 @@ class CoxModel:
         DataModelMismatchError."""
         try:
             return cls.from_dict(json.loads(Path(path).read_text()))
-        except (KeyError, TypeError, ValueError, ValidationError) as exc:
+        except (OSError, KeyError, TypeError, ValueError, ValidationError) as exc:
             raise DataModelMismatchError(f"Cox model at {path} is unreadable: {exc}") from exc
 
 

@@ -32,7 +32,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import DataError, ValidationError
+from .errors import DataError, DataModelMismatchError, ValidationError
 
 logger = logging.getLogger(__name__)
 
@@ -436,7 +436,8 @@ def read_sessions_jsonl(path: str | Path) -> SessionsRead:
     Returns (sessions as SessionColumns in file order, epoch_iso,
     epoch_weekday), with the sha256 of the file's bytes as ``.sha256``; a
     malformed record, or a negative or non-finite duration, raises
-    ValidationError naming path:lineno.
+    ValidationError naming path:lineno; a file that cannot be read, such as
+    a missing one or a directory, raises DataModelMismatchError.
 
     The parse is cached beside the file as ``<name>.parsed.npz``, keyed by
     the sha256 of the file's bytes and CACHE_FORMAT_VERSION. The file is
@@ -445,7 +446,11 @@ def read_sessions_jsonl(path: str | Path) -> SessionsRead:
     rewritten, and one that cannot be written is skipped.
     """
     path = Path(path)
-    raw = path.read_bytes()
+    try:
+        raw = path.read_bytes()
+    except OSError as exc:
+        raise DataModelMismatchError(
+            f"cannot read sessions file {path}: {exc.strerror or exc}") from exc
     digest = hashlib.sha256(raw).hexdigest()
     cache = path.with_name(path.name + CACHE_SUFFIX)
     columns = _load_cache(cache, digest)

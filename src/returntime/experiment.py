@@ -51,10 +51,7 @@ class LoadedData:
 
 
 def load_and_split(config: dict) -> LoadedData:
-    sessions_path = setting(config, "data.sessions", text)
-    if not Path(sessions_path).exists():
-        raise DataModelMismatchError(f"sessions file not found: {sessions_path}")
-    read = read_sessions_jsonl(sessions_path)
+    read = read_sessions_jsonl(setting(config, "data.sessions", text))
     sessions, epoch_iso, epoch_weekday = read
     # day offsets are numbers, *_date entries ISO strings
     window_cfg = {
@@ -281,7 +278,7 @@ def select_w(
                      val_seqs, final)
 
     def score(predicted: np.ndarray) -> float:
-        return metrics.concordance_index(prediction_records(val_ds, predicted))
+        return metrics.concordance_index(predictions(val_ds, predicted))
 
     workers = min(len(grid), _usable_cpus())
     if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
@@ -363,26 +360,14 @@ def _fit_and_save(family: str, data: LoadedData, config: dict, out: Path, meta: 
 # ---------------------------------------------------------------------------
 # prediction dispatch
 
-def prediction_records(
-    dataset: Dataset, predicted: np.ndarray
-) -> list[metrics.PredictionRecord]:
-    """One record per user of dataset, in order, from (N,) predicted gaps."""
-    return [
-        metrics.PredictionRecord(
-            user_id=user_id,
-            predicted_return_days=float(pred),
-            true_return_days=None if censored else final_gap,
-            censored_lower_bound_days=final_gap if censored else None,
-            horizon_gap_days=horizon_gap,
-            active_day_count=active_days,
-            last_session_end_days=last_end,
-        )
-        for user_id, pred, censored, final_gap, horizon_gap, active_days, last_end in zip(
-            dataset.user_ids, predicted, dataset.is_censored.tolist(),
-            dataset.final_gap.tolist(), dataset.horizon_gaps.tolist(),
-            dataset.active_day_counts.tolist(), dataset.last_session_end.tolist(),
-        )
-    ]
+def predictions(dataset: Dataset, predicted: np.ndarray) -> metrics.Predictions:
+    """The prediction table of dataset's users, in order, from (N,) predicted gaps."""
+    return metrics.Predictions(
+        user_ids=dataset.user_ids, predicted=np.asarray(predicted, dtype=float),
+        observed=dataset.final_gap, censored=dataset.is_censored,
+        horizon_gap=dataset.horizon_gaps, active_days=dataset.active_day_counts,
+        last_end=dataset.last_session_end,
+    )
 
 
 def predict_model(
@@ -390,7 +375,7 @@ def predict_model(
     artifact_dir: str | Path,
     dataset: Dataset,
     split: dict[str, str] | None = None,
-) -> list[metrics.PredictionRecord]:
+) -> metrics.Predictions:
     """Predict every user of dataset with the artifact in artifact_dir.
 
     When split is given (predicting one side of a split), it is this run's
@@ -410,7 +395,7 @@ def predict_model(
 
     try:
         meta = json.loads(meta_path.read_text())
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         raise unreadable(exc) from exc
     if not isinstance(meta, dict):
         raise unreadable(f"expected a JSON object, got {type(meta).__name__}")
@@ -460,15 +445,15 @@ def predict_model(
         else:
             predicted = rnnsm.predict(model, seqs, condition_on_absence=conditioned,
                                       t_s=dataset.absence_times)
-    return prediction_records(dataset, predicted)
+    return predictions(dataset, predicted)
 
 
 # ---------------------------------------------------------------------------
 # report emission
 
-def write_report(out_dir: str | Path, model_records: dict, auc_score_mode: str) -> dict:
+def write_report(out_dir: str | Path, model_predictions: dict, auc_score_mode: str) -> dict:
     out = output_dir(out_dir)
-    report = metrics.build_report(model_records, auc_score_mode=auc_score_mode)
+    report = metrics.build_report(model_predictions, auc_score_mode=auc_score_mode)
     (out / "report.json").write_text(json.dumps(report, sort_keys=True, indent=2))
     for table in ("rmse_by_week", "mean_error_by_week", "rmse_by_active_days"):
         lines = ["model,bucket,value"]

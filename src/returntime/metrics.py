@@ -25,72 +25,53 @@ ACTIVE_DAY_CAP = 64  # terminal bucket collects users with this many or more
 
 
 @dataclass(frozen=True)
-class PredictionRecord:
-    """One user's predicted and true return gap, both measured in days from
-    the end of their last observed session."""
+class Predictions:
+    """Predicted and true return gaps of n users as (n,) columns, in days from
+    the end of each user's last observed session.
 
-    user_id: str
-    predicted_return_days: float
-    true_return_days: float | None
-    censored_lower_bound_days: float | None
-    horizon_gap_days: float
-    active_day_count: int
-    last_session_end_days: float | None = None
+    ``observed`` is the true gap, or for a ``censored`` user the lower bound
+    the horizon puts on it. ``last_end`` is NaN where unknown.
+    """
 
-    def __post_init__(self) -> None:
-        if (self.true_return_days is None) == (self.censored_lower_bound_days is None):
-            raise ValidationError(
-                f"record for user {self.user_id!r} must carry exactly one of "
-                "true_return_days / censored_lower_bound_days"
-            )
+    user_ids: Sequence[str]
+    predicted: np.ndarray
+    observed: np.ndarray
+    censored: np.ndarray  # bool
+    horizon_gap: np.ndarray
+    active_days: np.ndarray  # int
+    last_end: np.ndarray
 
-    @property
-    def is_censored(self) -> bool:
-        return self.true_return_days is None
-
-    @property
-    def observed_days(self) -> float:
-        if self.true_return_days is not None:
-            return self.true_return_days
-        return self.censored_lower_bound_days  # type: ignore[return-value]
-
-    @property
-    def true_return_week(self) -> int | None:
-        if self.true_return_days is None:
-            return None
-        return int(math.floor(self.true_return_days / 7.0))
+    def __len__(self) -> int:
+        return len(self.predicted)
 
 
-def rmse_returning(records: Sequence[PredictionRecord]) -> float:
-    """Root mean squared error over uncensored records only."""
-    errs = [
-        r.predicted_return_days - r.true_return_days
-        for r in records
-        if r.true_return_days is not None
-    ]
-    if not errs:
+def rmse_returning(table: Predictions) -> float:
+    """Root mean squared error over uncensored users only."""
+    returning = ~table.censored
+    if not returning.any():
         raise DataError("RMSE needs at least one uncensored record")
+    errs = table.predicted[returning] - table.observed[returning]
     return float(np.sqrt(np.mean(np.square(errs))))
 
 
-def concordance_index(records: Sequence[PredictionRecord]) -> float:
+def concordance_index(table: Predictions) -> float:
     """Harrell's C under right censoring.
 
     A pair is comparable when the earlier time belongs to an uncensored
-    record and is strictly smaller than the other record's observed time or
+    user and is strictly smaller than the other user's observed time or
     censoring bound. Tied predictions count one half.
 
-    Records are walked from the latest observed time down, one group of
+    Users are walked from the latest observed time down, one group of
     equal times at a time: each event of a group is compared with the sorted
-    predictions of all strictly later records, and the group's own
+    predictions of all strictly later users, and the group's own
     predictions join them only after that. Pairs are counted as integers.
     """
-    obs = np.array([r.observed_days for r in records])
-    event = [not r.is_censored for r in records]
-    pred = [r.predicted_return_days for r in records]
+    obs = table.observed
+    event = (~table.censored).tolist()
+    pred = table.predicted.tolist()
     order = np.argsort(-obs, kind="stable")
     bounds = [0, *(np.flatnonzero(np.diff(obs[order])) + 1).tolist(), len(order)]
-    later: list[float] = []  # sorted predictions of the records already walked
+    later: list[float] = []  # sorted predictions of the users already walked
     concordant = tied = comparable = 0
     for start, end in zip(bounds, bounds[1:]):
         group = order[start:end].tolist()
@@ -114,7 +95,7 @@ def _midranks(values: np.ndarray) -> np.ndarray:
     return (0.5 * (2 * ends - counts + 1))[inverse]
 
 
-def nonreturning_auc(records: Sequence[PredictionRecord], score_mode: str = "shifted") -> float:
+def nonreturning_auc(table: Predictions, score_mode: str = "shifted") -> float:
     """AUC for classifying non-returning users.
 
     The default score is each user's predicted return gap minus their own
@@ -123,26 +104,24 @@ def nonreturning_auc(records: Sequence[PredictionRecord], score_mode: str = "shi
     """
     if score_mode not in ("shifted", "raw"):
         raise ValidationError(f"unknown AUC score mode {score_mode!r}")
-    scores = np.array([r.predicted_return_days for r in records])
+    scores = table.predicted
     if score_mode == "shifted":
-        scores = scores - np.array([r.horizon_gap_days for r in records])
-    positive = np.array([r.is_censored for r in records])
+        scores = scores - table.horizon_gap
+    positive = table.censored
     n_pos = int(positive.sum())
-    n_neg = len(records) - n_pos
+    n_neg = len(table) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise DataError("non-returning AUC needs both classes present")
     ranks = _midranks(scores)
     return float((ranks[positive].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
-def nonreturning_recall(records: Sequence[PredictionRecord]) -> float:
+def nonreturning_recall(table: Predictions) -> float:
     """Share of truly censored users predicted to return after the horizon."""
-    censored = np.array([r.is_censored for r in records])
+    censored = table.censored
     if not censored.any():
         raise DataError("non-returning recall needs at least one censored record")
-    predicted_nonret = np.array(
-        [r.predicted_return_days > r.horizon_gap_days for r in records]
-    )
+    predicted_nonret = table.predicted > table.horizon_gap
     return float((predicted_nonret & censored).sum() / censored.sum())
 
 
@@ -159,29 +138,23 @@ def _active_day_bucket(count: int) -> str:
     return f"{ACTIVE_DAY_CAP}+" if count >= ACTIVE_DAY_CAP else str(count)
 
 
-def error_breakdowns(records: Sequence[PredictionRecord]) -> Breakdowns:
+def error_breakdowns(table: Predictions) -> Breakdowns:
     """RMSE / mean error grouped by true return week, and RMSE grouped by
-    active-day count with a terminal >= 64 bucket. Uncensored records only;
-    empty buckets are omitted."""
-    week_sq: dict[int, list[float]] = {}
-    week_err: dict[int, list[float]] = {}
-    day_sq: dict[str, list[float]] = {}
-    for r in records:
-        if r.true_return_days is None:
-            continue
-        err = r.predicted_return_days - r.true_return_days
-        week = r.true_return_week
-        week_sq.setdefault(week, []).append(err * err)
-        week_err.setdefault(week, []).append(err)
-        bucket = _active_day_bucket(r.active_day_count)
-        day_sq.setdefault(bucket, []).append(err * err)
-    buckets = sorted(day_sq, key=lambda b: math.inf if b.endswith("+") else int(b))
+    active-day count with a terminal >= 64 bucket. Uncensored users only;
+    empty buckets are omitted. Each bucket keeps its users in table order."""
+    returning = ~table.censored
+    err = table.predicted[returning] - table.observed[returning]
+    sq = err * err
+    weeks = np.floor(table.observed[returning] / 7.0)
+    days = np.minimum(table.active_days[returning], ACTIVE_DAY_CAP)
+    by_week = [(int(week), weeks == week) for week in np.unique(weeks)]
+    by_days = [(_active_day_bucket(int(d)), days == d) for d in np.unique(days)]
     return Breakdowns(
-        rmse_by_week={k: float(np.sqrt(np.mean(v))) for k, v in sorted(week_sq.items())},
-        mean_error_by_week={k: float(np.mean(v)) for k, v in sorted(week_err.items())},
-        n_by_week={k: len(v) for k, v in sorted(week_sq.items())},
-        rmse_by_active_days={k: float(np.sqrt(np.mean(day_sq[k]))) for k in buckets},
-        n_by_active_days={k: len(day_sq[k]) for k in buckets},
+        rmse_by_week={k: float(np.sqrt(np.mean(sq[m]))) for k, m in by_week},
+        mean_error_by_week={k: float(np.mean(err[m])) for k, m in by_week},
+        n_by_week={k: int(m.sum()) for k, m in by_week},
+        rmse_by_active_days={k: float(np.sqrt(np.mean(sq[m]))) for k, m in by_days},
+        n_by_active_days={k: int(m.sum()) for k, m in by_days},
     )
 
 
@@ -193,7 +166,7 @@ def _model_sort_key(name: str) -> tuple[int, str]:
 
 
 def build_report(
-    model_records: dict[str, list[PredictionRecord]],
+    model_predictions: dict[str, Predictions],
     auc_score_mode: str = "shifted",
 ) -> dict:
     """Per-model metric table plus the week and active-day breakdowns, each
@@ -202,19 +175,19 @@ def build_report(
         "rmse_by_week": {}, "mean_error_by_week": {}, "n_by_week": {},
         "rmse_by_active_days": {}, "n_by_active_days": {},
     }, "n_users": {}}
-    for name in sorted(model_records, key=_model_sort_key):
-        records = model_records[name]
-        report["n_users"][name] = len(records)
+    for name in sorted(model_predictions, key=_model_sort_key):
+        table = model_predictions[name]
+        report["n_users"][name] = len(table)
         # errors beyond the float range (predictions near 1e154 days and up)
         # give an inf RMSE rather than a warning
         with np.errstate(over="ignore"):
             report["models"][name] = {
-                "rmse_days": rmse_returning(records),
-                "concordance": concordance_index(records),
-                "nonreturning_auc": nonreturning_auc(records, score_mode=auc_score_mode),
-                "nonreturning_recall": nonreturning_recall(records),
+                "rmse_days": rmse_returning(table),
+                "concordance": concordance_index(table),
+                "nonreturning_auc": nonreturning_auc(table, score_mode=auc_score_mode),
+                "nonreturning_recall": nonreturning_recall(table),
             }
-            b = error_breakdowns(records)
+            b = error_breakdowns(table)
         report["tables"]["rmse_by_week"][name] = {str(k): v for k, v in b.rmse_by_week.items()}
         report["tables"]["mean_error_by_week"][name] = {
             str(k): v for k, v in b.mean_error_by_week.items()
@@ -238,7 +211,7 @@ CSV_COLUMNS = (
 def write_predictions_csv(
     path: str | Path,
     model_name: str,
-    records: Sequence[PredictionRecord],
+    table: Predictions,
     epoch_iso: str | None = None,
 ) -> None:
     epoch = None
@@ -247,22 +220,26 @@ def write_predictions_csv(
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
-        for r in records:
+        for user_id, pred, observed, censored, horizon_gap, active_days, last_end in zip(
+            table.user_ids, table.predicted.tolist(), table.observed.tolist(),
+            table.censored.tolist(), table.horizon_gap.tolist(), table.active_days.tolist(),
+            table.last_end.tolist(),
+        ):
+            known_end = not math.isnan(last_end)
             date = ""
-            if epoch is not None and r.last_session_end_days is not None:
-                absolute = r.last_session_end_days + r.predicted_return_days
-                date = (epoch + dt.timedelta(days=absolute)).date().isoformat()
+            if epoch is not None and known_end:
+                date = (epoch + dt.timedelta(days=last_end + pred)).date().isoformat()
             writer.writerow([
                 model_name,
-                r.user_id,
-                repr(r.predicted_return_days),
+                user_id,
+                repr(pred),
                 date,
-                "1" if r.is_censored else "0",
-                "" if r.true_return_days is None else repr(r.true_return_days),
-                "" if r.censored_lower_bound_days is None else repr(r.censored_lower_bound_days),
-                repr(r.horizon_gap_days),
-                r.active_day_count,
-                "" if r.last_session_end_days is None else repr(r.last_session_end_days),
+                "1" if censored else "0",
+                "" if censored else repr(observed),
+                repr(observed) if censored else "",
+                repr(horizon_gap),
+                active_days,
+                repr(last_end) if known_end else "",
             ])
 
 
@@ -273,15 +250,23 @@ def _finite(value: str) -> float:
     return number
 
 
-def read_predictions_csv(path: str | Path) -> tuple[str, list[PredictionRecord]]:
+def read_predictions_csv(path: str | Path) -> tuple[str, Predictions]:
     """Read a prediction CSV written by write_predictions_csv.
 
     The file is decoded as UTF-8. A file that is not UTF-8 or not CSV, or a
-    row with a missing, non-numeric or non-finite value, raises
-    ValidationError naming path:line; a missing column names the path.
+    row with a missing, non-numeric or non-finite value, with both or
+    neither gap cell filled, with an is_censored_truth other than 1 for a
+    censoring bound or 0 for a true gap, or with a user_id of an earlier row,
+    raises ValidationError naming path:line; a missing column or a path
+    that cannot be read (other than a missing file) names the path.
     """
     path = Path(path)
-    raw = path.read_bytes()
+    try:
+        raw = path.read_bytes()
+    except FileNotFoundError:
+        raise  # a missing file exits 3, as at predict time
+    except OSError as exc:
+        raise ValidationError(f"{path}: cannot read prediction CSV: {exc.strerror or exc}") from exc
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -299,20 +284,33 @@ def read_predictions_csv(path: str | Path) -> tuple[str, list[PredictionRecord]]
     if not rows:
         raise ValidationError(f"{path}: prediction CSV is empty")
     model_name = rows[0][1]["model"]
-    records: list[PredictionRecord] = []
+    lines: dict[str, int] = {}  # user id -> its line, in file order
+    predicted, observed, censored, horizon_gap, active_days, last_end = [], [], [], [], [], []
     for line, row in rows:
         if row["model"] != model_name:
             raise ValidationError(f"{path}:{line}: mixed model names in one prediction CSV")
         try:
-            optional = {key: _finite(row[key]) if row[key] else None for key in (
-                "true_return_days", "censored_lower_bound_days", "last_session_end_days")}
-            records.append(PredictionRecord(
-                user_id=row["user_id"],
-                predicted_return_days=_finite(row["predicted_return_days"]),
-                horizon_gap_days=_finite(row["horizon_gap_days"]),
-                active_day_count=int(row["active_day_count"]),
-                **optional,
-            ))
-        except (TypeError, ValueError, ValidationError) as exc:
+            true, bound = row["true_return_days"], row["censored_lower_bound_days"]
+            if bool(true) == bool(bound):
+                raise ValueError(
+                    "needs exactly one of true_return_days / censored_lower_bound_days")
+            if row["is_censored_truth"] != ("1" if bound else "0"):
+                raise ValueError(f"is_censored_truth {row['is_censored_truth']!r} is not "
+                                 f"{'1' if bound else '0'}, as the filled gap cell says")
+            if row["user_id"] in lines:
+                raise ValueError(f"user {row['user_id']!r} repeats line {lines[row['user_id']]}")
+            predicted.append(_finite(row["predicted_return_days"]))
+            observed.append(_finite(true or bound))
+            horizon_gap.append(_finite(row["horizon_gap_days"]))
+            active_days.append(np.int64(int(row["active_day_count"])))
+            end = row["last_session_end_days"]
+            last_end.append(_finite(end) if end else math.nan)
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"{path}:{line}: bad prediction row: {exc}") from exc
-    return model_name, records
+        lines[row["user_id"]] = line
+        censored.append(bool(bound))
+    return model_name, Predictions(
+        user_ids=list(lines), predicted=np.array(predicted), observed=np.array(observed),
+        censored=np.array(censored), horizon_gap=np.array(horizon_gap),
+        active_days=np.array(active_days, dtype=np.int64), last_end=np.array(last_end),
+    )

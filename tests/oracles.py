@@ -10,6 +10,7 @@ from __future__ import annotations
 import datetime as dt
 import json
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -146,6 +147,87 @@ def nelson_aalen(times, events):
         out_t.append(t)
         out_h.append(d / at_risk)
     return np.asarray(out_t), np.cumsum(out_h)
+
+
+class Record(NamedTuple):
+    """One user's predicted and true return gap, both in days from the end of
+    their last observed session: exactly one of true_return_days and
+    censored_lower_bound_days is set."""
+
+    user_id: str
+    predicted_return_days: float
+    true_return_days: float | None
+    censored_lower_bound_days: float | None
+    horizon_gap_days: float
+    active_day_count: int
+    last_session_end_days: float | None = None
+
+    @property
+    def is_censored(self):
+        return self.true_return_days is None
+
+    @property
+    def observed_days(self):
+        if self.true_return_days is not None:
+            return self.true_return_days
+        return self.censored_lower_bound_days
+
+    @property
+    def true_return_week(self):
+        if self.true_return_days is None:
+            return None
+        return int(math.floor(self.true_return_days / 7.0))
+
+
+def table(records):
+    """returntime.metrics.Predictions of the records, in their order."""
+    from returntime.metrics import Predictions
+
+    return Predictions(
+        user_ids=[r.user_id for r in records],
+        predicted=np.array([r.predicted_return_days for r in records], dtype=float),
+        observed=np.array([r.observed_days for r in records], dtype=float),
+        censored=np.array([r.is_censored for r in records], dtype=bool),
+        horizon_gap=np.array([r.horizon_gap_days for r in records], dtype=float),
+        active_days=np.array([r.active_day_count for r in records], dtype=np.int64),
+        last_end=np.array([math.nan if r.last_session_end_days is None
+                           else r.last_session_end_days for r in records], dtype=float),
+    )
+
+
+def rmse_returning_records(records):
+    """Root mean squared error over the uncensored records, one record at a time."""
+    errs = [
+        r.predicted_return_days - r.true_return_days
+        for r in records
+        if r.true_return_days is not None
+    ]
+    return float(np.sqrt(np.mean(np.square(errs))))
+
+
+def error_breakdowns_records(records, cap=64):
+    """returntime.metrics.error_breakdowns, one record at a time: each
+    bucket's values are appended in record order."""
+    from returntime.metrics import Breakdowns
+
+    week_sq, week_err, day_sq = {}, {}, {}
+    for r in records:
+        if r.true_return_days is None:
+            continue
+        err = r.predicted_return_days - r.true_return_days
+        week = r.true_return_week
+        week_sq.setdefault(week, []).append(err * err)
+        week_err.setdefault(week, []).append(err)
+        bucket = f"{cap}+" if r.active_day_count >= cap else str(r.active_day_count)
+        day_sq.setdefault(bucket, []).append(err * err)
+    buckets = sorted(day_sq, key=lambda b: math.inf if b.endswith("+") else int(b))
+    return Breakdowns(
+        rmse_by_week={k: float(np.sqrt(np.mean(v))) for k, v in sorted(week_sq.items())},
+        mean_error_by_week={k: float(np.mean(v)) for k, v in sorted(week_err.items())},
+        n_by_week={k: len(v) for k, v in sorted(week_sq.items())},
+        rmse_by_active_days={k: float(np.sqrt(np.mean(day_sq[k]))) for k in buckets},
+        n_by_active_days={k: len(day_sq[k]) for k in buckets},
+    )
 
 
 def concordance_brute(records):

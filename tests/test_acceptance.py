@@ -33,6 +33,7 @@ from oracles import (
     recall_brute,
     safe_density,
     safe_survival,
+    table,
 )
 from test_metrics import random_records
 
@@ -219,10 +220,11 @@ def test_criterion_6_metric_oracles():
         has_neg = any(not r.is_censored for r in records)
         if not (has_pos and has_neg):
             continue
-        assert concordance_index(records) == concordance_brute(records)
+        assert concordance_index(table(records)) == concordance_brute(records)
         scores = [r.predicted_return_days - r.horizon_gap_days for r in records]
-        assert nonreturning_auc(records) == auc_brute(scores, [r.is_censored for r in records])
-        assert nonreturning_recall(records) == recall_brute(records)
+        assert nonreturning_auc(table(records)) == auc_brute(
+            scores, [r.is_censored for r in records])
+        assert nonreturning_recall(table(records)) == recall_brute(records)
         checked += 1
     assert checked >= 40
     ok(6, f"concordance, AUC, and recall equal brute-force enumeration exactly "
@@ -261,21 +263,20 @@ def test_criterion_7_qualitative_reproduction(default_pipeline):
 
 def test_criterion_8_active_day_trend(default_pipeline):
     base, _, _ = default_pipeline
-    _, records = read_predictions_csv(base / "preds" / "rnnsma.csv")
-    uncensored = [r for r in records if r.true_return_days is not None]
-    low = [r for r in uncensored if 1 <= r.active_day_count <= 4]
-    high = [r for r in uncensored if r.active_day_count >= 32]
-    assert low and high, "both bucket groups must be populated"
+    _, preds = read_predictions_csv(base / "preds" / "rnnsma.csv")
+    uncensored = ~preds.censored
+    low = uncensored & (1 <= preds.active_days) & (preds.active_days <= 4)
+    high = uncensored & (preds.active_days >= 32)
+    assert low.any() and high.any(), "both bucket groups must be populated"
 
-    def rmse(rs):
-        return math.sqrt(
-            sum((r.predicted_return_days - r.true_return_days) ** 2 for r in rs) / len(rs)
-        )
+    def rmse(users):
+        pairs = zip(preds.predicted[users].tolist(), preds.observed[users].tolist())
+        return math.sqrt(sum((pred - true) ** 2 for pred, true in pairs) / int(users.sum()))
 
     low_rmse, high_rmse = rmse(low), rmse(high)
     assert high_rmse < low_rmse
     ok(8, f"rnnsma rmse {high_rmse:.1f} on >=32 active days vs {low_rmse:.1f} "
-          f"on 1-4 active days (n={len(high)}/{len(low)})")
+          f"on 1-4 active days (n={high.sum()}/{low.sum()})")
 
 
 REDUCED = {

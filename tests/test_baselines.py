@@ -12,7 +12,7 @@ from returntime.baselines import (
 )
 from returntime.data import Session, WindowConfig, assign_windows
 from returntime.errors import DataError, NumericalError
-from returntime.experiment import prediction_records
+from returntime.experiment import predictions
 from returntime.features import FeatureConfig, build_sequences, pad_batch
 from returntime.metrics import nonreturning_recall
 from returntime.rnnsm import TrainingConfig, load_model, save_model
@@ -61,17 +61,14 @@ class TestBaseline:
 
     def test_nonreturning_recall_is_exactly_zero(self, small_data):
         dataset, _, _ = small_data
-        records = prediction_records(dataset, baseline_predict(dataset))
-        assert nonreturning_recall(records) == 0.0
+        table = predictions(dataset, baseline_predict(dataset))
+        assert nonreturning_recall(table) == 0.0
 
     def test_always_underestimates_returning_users(self, small_data):
         dataset, _, _ = small_data
-        records = prediction_records(dataset, baseline_predict(dataset))
-        errors = [
-            r.predicted_return_days - r.true_return_days
-            for r in records
-            if r.true_return_days is not None
-        ]
+        table = predictions(dataset, baseline_predict(dataset))
+        returning = ~table.censored
+        errors = table.predicted[returning] - table.observed[returning]
         assert all(e <= 1e-9 for e in errors)
         assert np.mean(errors) <= 0.0
 

@@ -20,6 +20,8 @@ from returntime import data, experiment, metrics
 from returntime.cli import main
 from returntime.config import load_config, model_family
 
+from oracles import Record, table
+
 TINY_GEN = {
     "generator": {"user_count": 60},
     "training": {"rnn": {"epochs": 2}},
@@ -207,6 +209,41 @@ class TestTrainPredictEvaluate:
         assert rc == 3
         assert "unreadable" in err and "Traceback" not in err
         assert not target.exists()
+
+    @pytest.mark.parametrize("case,code", [
+        ("config-dir", 2), ("config-not-utf-8", 2), ("data-dir", 3), ("pred-dir", 2),
+        ("meta-dir", 3), ("cox-model-dir", 3),
+    ])
+    def test_unreadable_input_path_exits_cleanly(self, generated, tmp_path, capsys, case, code):
+        cfg, out = generated
+        cfgs = ["--config", cfg, "--config", str(out / "run_config.json")]
+        bad = tmp_path / "bad"
+        if case == "config-not-utf-8":
+            bad.write_bytes(b'{"seed": "\xff"}')
+        elif case in ("meta-dir", "cox-model-dir"):
+            assert main(["train", "--model", "cph", *cfgs, "--out", str(tmp_path / "cox")]) == 0
+            bad = tmp_path / "cox" / ("meta.json" if case == "meta-dir" else "model.json")
+            bad.unlink()
+            bad.mkdir()
+        else:
+            bad.mkdir()
+        train = ["train", "--model", "baseline", "--out", str(tmp_path / "m")]
+        argv = {
+            "config-dir": [*train, "--config", str(bad)],
+            "config-not-utf-8": [*train, "--config", str(bad)],
+            "data-dir": [*train, *cfgs, "--data", str(bad)],
+            "pred-dir": ["evaluate", "--pred", str(bad), "--out", str(tmp_path / "report")],
+            "meta-dir": ["predict", "--model", "cph", "--checkpoint", str(tmp_path / "cox"),
+                         *cfgs, "--out", str(tmp_path / "p.csv")],
+        }
+        argv["cox-model-dir"] = argv["meta-dir"]
+        capsys.readouterr()
+        assert main(argv[case]) == code
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "Traceback" not in err
+        assert str(bad) in err
+        if code == 3 and case != "data-dir":
+            assert "unreadable" in err
 
     def test_unsupported_checkpoint_version_exit_3(self, generated, tmp_path, capsys):
         cfg, out = generated
@@ -615,13 +652,14 @@ def test_one_mutated_record_exits_0_or_2(fuzz_data, index, mutation):
 def prediction_csv(path):
     """A valid prediction CSV of six users, two of them censored."""
     records = [
-        metrics.PredictionRecord(f"u{i}", pred, true, bound, 120.0, days, 3.5)
+        Record(f"u{i}", pred, true, bound, 120.0, days, 3.5)
         for i, (pred, true, bound, days) in enumerate([
             (4.0, 2.5, None, 3), (30.0, None, 95.0, 1), (1.5, 1.0, None, 12),
             (200.0, None, 110.0, 2), (9.0, 14.0, None, 5), (6.0, 7.5, None, 64),
         ])
     ]
-    metrics.write_predictions_csv(path, "rnnsm", records, epoch_iso="2020-01-01T00:00:00+00:00")
+    metrics.write_predictions_csv(path, "rnnsm", table(records),
+                                  epoch_iso="2020-01-01T00:00:00+00:00")
     return path
 
 
@@ -639,8 +677,13 @@ def evaluate(path, out):
     ("active_day_count", b"2.5"),
     ("user_id", b"u\xff"),
     (None, None),
+    ("is_censored_truth", b"2"),
+    ("is_censored_truth", b"1"),
+    ("user_id", b"u0"),
+    ("censored_lower_bound_days", b"5.0"),
 ], ids=["prediction-text", "prediction-nan", "horizon-overflows", "active-days-float",
-        "not-utf-8", "short-row"])
+        "not-utf-8", "short-row", "censored-flag-not-0-or-1", "censored-flag-disagrees",
+        "repeated-user", "both-gap-cells"])
 def test_malformed_prediction_csv_exit_2(tmp_path, column, value):
     path = prediction_csv(tmp_path / "p.csv")
     lines = path.read_bytes().split(b"\r\n")
