@@ -221,9 +221,6 @@ def main(argv: list[str] | None = None) -> int:
     except ReturnTimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-    except FileNotFoundError as exc:
-        print(f"error: missing file: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

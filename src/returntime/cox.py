@@ -91,46 +91,28 @@ def efron_partial_log_likelihood(
     S1 = np.cumsum(rx[::-1], axis=0)[::-1]
     S2 = np.cumsum(rxx[::-1], axis=0)[::-1]
 
-    # first index of each row's tie group, and events in that group
-    sizes = np.diff(starts, append=n)
-    first_idx = np.repeat(starts, sizes)
-    d_per_row = np.repeat(group_events, sizes)
-
-    value = 0.0
-    grad = np.zeros(p)
-    hess = np.zeros((p, p))
-
-    # untied events vectorized; numerators and denominators both live in
-    # shifted coordinates, so the shifts cancel exactly
-    single = ev & (d_per_row == 1)
-    if single.any():
-        k = first_idx[single]
-        phi = S0[k]
-        mu = S1[k] / phi[:, None]
-        value += float(np.sum(eta[single] - shift - np.log(phi)))
-        grad += np.sum(Xs[single] - mu, axis=0)
-        hess -= np.einsum("mij,m->ij", S2[k], 1.0 / phi) - np.einsum("mi,mj->ij", mu, mu)
-
-    # tied event groups with the Efron correction; a group's first row need
-    # not itself be an event
-    tied = group_events > 1
-    for start, size in zip(starts[tied], sizes[tied]):
-        d_idx = np.flatnonzero(ev[start:start + size]) + start
-        d = len(d_idx)
-        s0d = r[d_idx].sum()
-        s1d = rx[d_idx].sum(axis=0)
-        s2d = rxx[d_idx].sum(axis=0)
-        value += float(eta[d_idx].sum() - shift * d)
-        grad += Xs[d_idx].sum(axis=0)
-        for l in range(d):
-            frac = l / d
-            phi = S0[start] - frac * s0d
-            nu = S1[start] - frac * s1d
-            M = S2[start] - frac * s2d
-            value -= math.log(phi)
-            mu = nu / phi
-            grad -= mu
-            hess -= M / phi - np.outer(mu, mu)
+    # the l-th of a tie group's d events (l = 0..d-1) sees the risk-set sums
+    # at the group's first sorted row, which need not be an event, less l/d
+    # of the group's event sums; an untied event has l = 0. Numerators and
+    # denominators both live in shifted coordinates, so the shifts cancel.
+    group = np.repeat(np.arange(starts.size), np.diff(starts, append=n))
+    idx = np.flatnonzero(ev)
+    g = group[idx]
+    frac = (np.arange(idx.size) - (np.cumsum(group_events) - group_events)[g]) / group_events[g]
+    tied = ev & (group_events > 1)[group]  # event rows of tied groups
+    s0d = np.bincount(group[tied], weights=r[tied], minlength=starts.size)
+    s1d = np.zeros((starts.size, p))
+    np.add.at(s1d, group[tied], rx[tied])
+    k = starts[g]
+    phi = S0[k] - frac * s0d[g]
+    mu = (S1[k] - frac[:, None] * s1d[g]) / phi[:, None]
+    value = float(np.sum(eta[idx] - shift - np.log(phi)))
+    grad = np.sum(Xs[idx] - mu, axis=0)
+    # the Hessian's tie term: each tied group's summed r x x^T, weighted by
+    # the sum of (l/d)/phi over its events
+    weight = np.bincount(g, weights=frac / phi, minlength=starts.size)
+    ties = np.einsum("m,mij->ij", weight[group[tied]], rxx[tied])
+    hess = np.einsum("mi,mj->ij", mu, mu) + ties - np.einsum("mij,m->ij", S2[k], 1.0 / phi)
     return value, grad, hess
 
 
@@ -365,16 +347,16 @@ def fit(
 def expected_survival_time(
     model: CoxModel,
     x: np.ndarray,
-    condition_on_absence: bool = False,
-    t_s: float | np.ndarray = 0.0,
+    t_s: float | np.ndarray,
     row_ids: Sequence[str] | None = None,
 ) -> float | np.ndarray:
-    """E[T | x], optionally conditioned on survival past the absence time t_s.
+    """E[T | T > t_s, x]: the expected survival time given survival past the
+    absence time t_s; t_s = 0 gives the unconditioned E[T | x].
 
     Batched: x is one covariate row (p,) or N rows (N, p), and t_s a scalar
     or one absence time per row (N,). One row gives a float, N rows an (N,)
-    array; both take the same array path. The conditional form equals t_s
-    plus the mean residual life, which never divides by an underflowing
+    array; both take the same array path. The expectation equals t_s plus
+    the mean residual life, which never divides by an underflowing
     survival value. A risk score exp(beta.x) that underflows to 0 would
     make the expectation infinite and raises NumericalError naming the
     first such row (by row_ids when given, else by index).
@@ -395,6 +377,5 @@ def expected_survival_time(
             f"Cox risk score exp(beta.x) underflows to 0 for {name} (linear predictor "
             f"{lin[k]:.6g}){more}; the expected return time is unbounded"
         )
-    a = t_s if condition_on_absence else np.zeros_like(t_s)
-    values = a + model.mean_residuals(lin, a)
+    values = t_s + model.mean_residuals(lin, t_s)
     return float(values[0]) if x.ndim == 1 else values

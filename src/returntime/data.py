@@ -536,7 +536,8 @@ def _digest(members: dict[str, np.ndarray]) -> np.ndarray:
 def _load_cache(cache: Path, digest: str) -> tuple[dict, dict[str, np.ndarray]] | None:
     """The cached (header, columns) for a file hashing to digest, else None."""
     try:
-        with np.load(cache, allow_pickle=False) as npz:
+        # np.load leaks a file it opened itself when the archive is corrupt
+        with open(cache, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
             arrays = {name: npz[name] for name in npz.files}
         if not np.array_equal(arrays.pop("digest"), _digest(arrays)):
             return None

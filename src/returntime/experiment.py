@@ -178,7 +178,7 @@ class _Grid:
     final: RnnsmFit  # on the whole train split
 
     def validation_predictions(self, w: float) -> np.ndarray:
-        return rnnsm.predict(self.candidate(w), self.validation)
+        return rnnsm.predict(self.candidate(w), self.validation, 0.0)
 
 
 _worker_grid: _Grid | None = None  # set in each pool worker by _start_worker
@@ -384,7 +384,8 @@ def predict_model(
     off as test users.
     """
     family = model_family(model_name)
-    conditioned = model_name != family
+    # cpha and rnnsma condition on each user's absence so far, cph and rnnsm on none
+    t_s = dataset.absence_times if model_name != family else np.zeros(len(dataset))
     artifact = Path(artifact_dir)
     meta_path = artifact / "meta.json"
     if not meta_path.exists():
@@ -433,18 +434,15 @@ def predict_model(
         if agg.feature_names != standardization.feature_names:
             raise DataModelMismatchError(
                 "aggregate feature schema does not match the trained model")
-        predicted = cox.expected_survival_time(
-            model, standardization.apply(agg.X), condition_on_absence=conditioned,
-            t_s=dataset.absence_times, row_ids=dataset.user_ids,
-        )
+        predicted = cox.expected_survival_time(model, standardization.apply(agg.X), t_s,
+                                               row_ids=dataset.user_ids)
     else:
         model = rnnsm.load_model(artifact / "model.npz", family)
         seqs, _ = build_sequences(dataset, stats=model.stats)
         if family == "rnn":
             predicted = baselines.predict_simple_rnn(model, seqs)
         else:
-            predicted = rnnsm.predict(model, seqs, condition_on_absence=conditioned,
-                                      t_s=dataset.absence_times)
+            predicted = rnnsm.predict(model, seqs, t_s)
     return predictions(dataset, predicted)
 
 

@@ -8,6 +8,7 @@ gap between their last session and the horizon.
 from __future__ import annotations
 
 import bisect
+import contextlib
 import csv
 import datetime as dt
 import io
@@ -226,9 +227,10 @@ def write_predictions_csv(
             table.last_end.tolist(),
         ):
             known_end = not math.isnan(last_end)
-            date = ""
+            date = ""  # where the last end is unknown or the date is past year 9999
             if epoch is not None and known_end:
-                date = (epoch + dt.timedelta(days=last_end + pred)).date().isoformat()
+                with contextlib.suppress(OverflowError):
+                    date = (epoch + dt.timedelta(days=last_end + pred)).date().isoformat()
             writer.writerow([
                 model_name,
                 user_id,
@@ -258,13 +260,11 @@ def read_predictions_csv(path: str | Path) -> tuple[str, Predictions]:
     neither gap cell filled, with an is_censored_truth other than 1 for a
     censoring bound or 0 for a true gap, or with a user_id of an earlier row,
     raises ValidationError naming path:line; a missing column or a path
-    that cannot be read (other than a missing file) names the path.
+    that cannot be read, such as a missing file, names the path.
     """
     path = Path(path)
     try:
         raw = path.read_bytes()
-    except FileNotFoundError:
-        raise  # a missing file exits 3, as at predict time
     except OSError as exc:
         raise ValidationError(f"{path}: cannot read prediction CSV: {exc.strerror or exc}") from exc
     try:

@@ -450,7 +450,8 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], NetConfig, dict]:
-    with np.load(Path(path)) as data:
+    # np.load leaks a file it opened itself when the archive is corrupt
+    with open(path, "rb") as fh, np.load(fh) as data:
         meta = json.loads(bytes(data["meta"].tobytes()).decode())
         if meta["version"] != CHECKPOINT_VERSION:
             raise DataModelMismatchError(

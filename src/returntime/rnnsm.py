@@ -385,20 +385,16 @@ def train_rnnsm(
 def predict(
     model: RecurrentModel,
     sequences: Sequences,
-    condition_on_absence: bool = False,
-    t_s: float | np.ndarray = 0.0,
+    t_s: float | np.ndarray,
 ) -> np.ndarray:
-    """Expected return gap per user (N,), measured from their last session end.
-
-    With condition_on_absence the expectation is conditioned on each user
-    having been absent for t_s days (a scalar or one per user), their time
-    from last session end to the prediction-window start.
+    """Expected return gap per user (N,), measured from their last session end,
+    given t_s days of absence (a scalar or one per user): for rnnsma each
+    user's time from last session end to the prediction-window start, for
+    rnnsm 0.
     """
     o_last = net.forward_last(model.params, model.net_config, sequences.disc, sequences.cont,
                               sequences.lengths)
-    if condition_on_absence:
-        return absence_conditioned_expectation(o_last, model.w, t_s)
-    return expected_return_time(o_last, model.w)
+    return absence_conditioned_expectation(o_last, model.w, t_s)
 
 
 # ---------------------------------------------------------------------------

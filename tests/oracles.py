@@ -311,6 +311,83 @@ def efron_by_group(beta, X, times, events, decimals=9):
     return value, grad, hess
 
 
+def efron_two_path(
+    beta: np.ndarray,
+    X: np.ndarray,
+    times: np.ndarray,
+    events: np.ndarray,
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Efron partial log-likelihood, gradient and Hessian in two paths:
+    untied events in one array pass, each tied group's events in a Python
+    loop. The array pass is the reference, bit for bit, for untied data."""
+    beta = np.asarray(beta, dtype=float)
+    X = np.asarray(X, dtype=float)
+    times = np.asarray(times, dtype=float)
+    events = np.asarray(events, dtype=bool)
+
+    n, p = X.shape
+    rounded = np.round(times, 9)
+    order = np.argsort(rounded, kind="mergesort")
+    ts = rounded[order]
+    starts = np.flatnonzero(np.append(True, ts[1:] != ts[:-1])[:ts.size])
+    group_events = np.add.reduceat(events[order].astype(np.int64), starts)
+    Xs = X[order]
+    ev = events[order]
+
+    eta = Xs @ beta
+    shift = eta.max()
+    r = np.exp(eta - shift)
+    rx = r[:, None] * Xs
+    rxx = rx[:, :, None] * Xs[:, None, :]
+
+    # suffix sums: risk set at time t is everyone with time >= t
+    S0 = np.cumsum(r[::-1])[::-1]
+    S1 = np.cumsum(rx[::-1], axis=0)[::-1]
+    S2 = np.cumsum(rxx[::-1], axis=0)[::-1]
+
+    # first index of each row's tie group, and events in that group
+    sizes = np.diff(starts, append=n)
+    first_idx = np.repeat(starts, sizes)
+    d_per_row = np.repeat(group_events, sizes)
+
+    value = 0.0
+    grad = np.zeros(p)
+    hess = np.zeros((p, p))
+
+    # untied events vectorized; numerators and denominators both live in
+    # shifted coordinates, so the shifts cancel exactly
+    single = ev & (d_per_row == 1)
+    if single.any():
+        k = first_idx[single]
+        phi = S0[k]
+        mu = S1[k] / phi[:, None]
+        value += float(np.sum(eta[single] - shift - np.log(phi)))
+        grad += np.sum(Xs[single] - mu, axis=0)
+        hess -= np.einsum("mij,m->ij", S2[k], 1.0 / phi) - np.einsum("mi,mj->ij", mu, mu)
+
+    # tied event groups with the Efron correction; a group's first row need
+    # not itself be an event
+    tied = group_events > 1
+    for start, size in zip(starts[tied], sizes[tied]):
+        d_idx = np.flatnonzero(ev[start:start + size]) + start
+        d = len(d_idx)
+        s0d = r[d_idx].sum()
+        s1d = rx[d_idx].sum(axis=0)
+        s2d = rxx[d_idx].sum(axis=0)
+        value += float(eta[d_idx].sum() - shift * d)
+        grad += Xs[d_idx].sum(axis=0)
+        for l in range(d):
+            frac = l / d
+            phi = S0[start] - frac * s0d
+            nu = S1[start] - frac * s1d
+            M = S2[start] - frac * s2d
+            value -= math.log(phi)
+            mu = nu / phi
+            grad -= mu
+            hess -= M / phi - np.outer(mu, mu)
+    return value, grad, hess
+
+
 def baseline_hazard_walk(times, events, risk_scores, decimals=9):
     """Hazard mass per distinct event time by walking the sorted rows group
     by group, summing the risk set from the right as a running suffix sum."""

@@ -245,6 +245,36 @@ class TestTrainPredictEvaluate:
         if code == 3 and case != "data-dir":
             assert "unreadable" in err
 
+    @pytest.mark.parametrize("case,code", [
+        ("config", 2), ("data", 3), ("checkpoint", 3), ("rnn-model-npz", 3),
+        ("cox-model-json", 3), ("pred", 2),
+    ])
+    def test_missing_input_exits_cleanly(self, generated, tmp_path, capsys, case, code):
+        cfg, out = generated
+        cfgs = ["--config", cfg, "--config", str(out / "run_config.json")]
+        missing = tmp_path / "missing"
+        model = {"rnn-model-npz": "rnn", "cox-model-json": "cph"}.get(case, "cph")
+        artifact = tmp_path / model
+        if case in ("rnn-model-npz", "cox-model-json"):
+            assert main(["train", "--model", model, *cfgs, "--out", str(artifact)]) == 0
+            missing = artifact / ("model.npz" if model == "rnn" else "model.json")
+            missing.unlink()
+        elif case == "checkpoint":
+            artifact = missing
+        train = ["train", "--model", "baseline", "--out", str(tmp_path / "m")]
+        predict = ["predict", "--model", model, "--checkpoint", str(artifact), *cfgs,
+                   "--out", str(tmp_path / "p.csv")]
+        argv = {
+            "config": [*train, "--config", str(missing)],
+            "data": [*train, *cfgs, "--data", str(missing)],
+            "pred": ["evaluate", "--pred", str(missing), "--out", str(tmp_path / "report")],
+        }.get(case, predict)
+        capsys.readouterr()
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "Traceback" not in err
+        assert str(missing) in err
+
     def test_unsupported_checkpoint_version_exit_3(self, generated, tmp_path, capsys):
         cfg, out = generated
         cfgs = ["--config", cfg, "--config", str(out / "run_config.json")]

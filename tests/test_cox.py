@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate as sp_integrate
 
@@ -16,6 +16,7 @@ from oracles import (
     cox_cumulative_hazard,
     cox_mean_residual,
     efron_by_group,
+    efron_two_path,
     nelson_aalen,
 )
 
@@ -126,16 +127,57 @@ def heavy_ties(draw):
     return beta, X, times, np.array(events)
 
 
+@st.composite
+def untied(draw):
+    """Distinct times on a 1/8-day grid, so no two round together, with
+    censored rows and signed zeros among the covariates."""
+    n = draw(st.integers(1, 24))
+    p = draw(st.integers(1, 3))
+    times = np.array(draw(st.lists(st.integers(1, 400), min_size=n, max_size=n, unique=True)))
+    events = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    events[draw(st.integers(0, n - 1))] = True
+    unit = st.sampled_from([0.0, -0.0]) | st.floats(-2.0, 2.0)
+    X = np.array(draw(st.lists(st.lists(unit, min_size=p, max_size=p), min_size=n, max_size=n)))
+    beta = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=p, max_size=p)))
+    return beta, X, times / 8.0, events
+
+
+def assert_efron_matches_by_group(beta, X, times, events):
+    value, grad, hess = cox.efron_partial_log_likelihood(beta, X, times, events)
+    ref_value, ref_grad, ref_hess = efron_by_group(beta, X, times, events)
+    assert value == pytest.approx(ref_value, rel=1e-12, abs=1e-12)
+    np.testing.assert_allclose(grad, ref_grad, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(hess, ref_hess, rtol=1e-12, atol=1e-12)
+
+
 class TestEfronTies:
     @settings(max_examples=150, deadline=None)
     @given(case=heavy_ties())
     def test_matches_per_group_oracle(self, case):
-        beta, X, times, events = case
-        value, grad, hess = cox.efron_partial_log_likelihood(beta, X, times, events)
-        ref_value, ref_grad, ref_hess = efron_by_group(beta, X, times, events)
-        assert value == pytest.approx(ref_value, rel=1e-12, abs=1e-12)
-        np.testing.assert_allclose(grad, ref_grad, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(hess, ref_hess, rtol=1e-12, atol=1e-12)
+        assert_efron_matches_by_group(*case)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=untied())
+    # a column of signed zeros: the Hessian holds +0.0 there, as the two-path form does
+    @example(case=(np.array([0.5, -1.0]), np.array([[-0.0, 0.0], [-0.0, 1.0], [0.0, -0.0]]),
+                   np.array([1.0, 2.0, 3.0]), np.array([True, True, False])))
+    def test_untied_equals_two_path_bitwise(self, case):
+        value, grad, hess = cox.efron_partial_log_likelihood(*case)
+        ref_value, ref_grad, ref_hess = efron_two_path(*case)
+        assert value.hex() == ref_value.hex()
+        assert grad.tobytes() == ref_grad.tobytes() and hess.tobytes() == ref_hess.tobytes()
+
+    @pytest.mark.parametrize("times,events", [
+        ([3.0] * 5, [True] * 5),
+        ([1.0, 1.0, 2.0, 2.0, 2.0, 3.0, 3.0], [True] * 7),
+        ([1.0, 2.0, 2.0, 2.0, 3.0], [True, False, True, True, True]),
+        ([1.0, 2.0, 3.0], [False, True, False]),
+    ], ids=["all-events-one-time", "every-group-tied", "tied-group-led-by-censored-row",
+            "single-event"])
+    def test_edge_cases_match_per_group_oracle(self, times, events):
+        rng = np.random.default_rng(len(times))
+        X = rng.normal(size=(len(times), 2))
+        assert_efron_matches_by_group(np.array([0.4, -0.7]), X, np.array(times), np.array(events))
 
     @settings(max_examples=150, deadline=None)
     @given(case=heavy_ties())
@@ -210,20 +252,20 @@ class TestExpectedSurvivalTime:
     def test_hand_built_two_step_baseline(self):
         model = self.hand_model()
         expected = (1 - math.exp(-0.5)) / 0.5 + math.exp(-0.5) / 1.0
-        value = cox.expected_survival_time(model, np.array([0.0]))
+        value = cox.expected_survival_time(model, np.array([0.0]), 0.0)
         assert value == pytest.approx(expected, rel=1e-12)
 
     def test_fine_grid_quadrature_cross_check(self):
         model = self.hand_model()
         x = np.array([0.4])
         ref, _ = sp_integrate.quad(lambda t: model.survival(x, t), 0, 200.0, limit=500)
-        assert cox.expected_survival_time(model, x) == pytest.approx(ref, abs=1e-7)
+        assert cox.expected_survival_time(model, x, 0.0) == pytest.approx(ref, abs=1e-7)
 
     def test_conditioning_at_zero_matches_unconditioned(self):
         model = self.hand_model()
         x = np.array([0.3])
-        a = cox.expected_survival_time(model, x, condition_on_absence=True, t_s=0.0)
-        b = cox.expected_survival_time(model, x)
+        a = cox.expected_survival_time(model, x, 0.0)
+        b = cox.expected_survival_time(model, x, 0.0)
         assert a == b
 
     def test_conditioned_always_at_least_absence_time(self):
@@ -232,7 +274,7 @@ class TestExpectedSurvivalTime:
         for _ in range(200):
             x = np.array([rng.normal()])
             t_s = rng.uniform(0, 10.0)
-            value = cox.expected_survival_time(model, x, condition_on_absence=True, t_s=t_s)
+            value = cox.expected_survival_time(model, x, t_s)
             assert value >= t_s
 
     def test_conditional_oracle_by_quadrature(self):
@@ -241,7 +283,7 @@ class TestExpectedSurvivalTime:
         t_s = 0.8
         num, _ = sp_integrate.quad(lambda t: model.survival(x, t), t_s, 300.0, limit=500)
         ref = t_s + num / model.survival(x, t_s)
-        value = cox.expected_survival_time(model, x, condition_on_absence=True, t_s=t_s)
+        value = cox.expected_survival_time(model, x, t_s)
         assert value == pytest.approx(ref, abs=1e-7)
 
     def test_expectation_vanishes_for_extreme_risk(self):
@@ -252,7 +294,7 @@ class TestExpectedSurvivalTime:
             baseline_hazard=np.array([0.5, 1.0]),
         )
         values = [
-            cox.expected_survival_time(model, np.array([k]))
+            cox.expected_survival_time(model, np.array([k]), 0.0)
             for k in (0.0, 2.0, 8.0, 32.0, 128.0, 1000.0)
         ]
         assert all(b < a for a, b in zip(values, values[1:]))
@@ -283,8 +325,7 @@ class TestExpectedSurvivalTime:
 
     def test_negative_absence_rejected(self):
         with pytest.raises(ValidationError):
-            cox.expected_survival_time(self.hand_model(), np.array([0.0]),
-                                       condition_on_absence=True, t_s=-1.0)
+            cox.expected_survival_time(self.hand_model(), np.array([0.0]), -1.0)
 
 
 class TestBatchedExpectation:
@@ -322,11 +363,10 @@ class TestBatchedExpectation:
     def test_array_equals_per_row_calls(self, fitted):
         model, x, t_s = fitted
         for condition in (False, True):
-            batched = cox.expected_survival_time(model, x, condition_on_absence=condition, t_s=t_s)
+            batched = cox.expected_survival_time(model, x, t_s if condition else 0.0)
             assert batched.shape == (len(x),)
             rows = [
-                cox.expected_survival_time(model, x[i], condition_on_absence=condition,
-                                           t_s=float(t_s[i]))
+                cox.expected_survival_time(model, x[i], float(t_s[i]) if condition else 0.0)
                 for i in range(len(x))
             ]
             assert all(isinstance(v, float) for v in rows)
@@ -334,10 +374,10 @@ class TestBatchedExpectation:
 
     def test_matches_per_piece_oracle(self, fitted):
         model, x, t_s = fitted
-        batched = cox.expected_survival_time(model, x, condition_on_absence=True, t_s=t_s)
+        batched = cox.expected_survival_time(model, x, t_s)
         oracle = [t + cox_mean_residual(model, row, t) for row, t in zip(x, t_s)]
         np.testing.assert_allclose(batched, oracle, rtol=1e-12, atol=0)
-        unconditioned = cox.expected_survival_time(model, x)
+        unconditioned = cox.expected_survival_time(model, x, 0.0)
         oracle = [cox_mean_residual(model, row, 0.0) for row in x]
         np.testing.assert_allclose(unconditioned, oracle, rtol=1e-12, atol=0)
 
@@ -345,14 +385,14 @@ class TestBatchedExpectation:
         model, x, t_s = fitted
         saturated = x @ model.beta > 700.0
         assert saturated.sum() == 3
-        batched = cox.expected_survival_time(model, x, condition_on_absence=True, t_s=t_s)
+        batched = cox.expected_survival_time(model, x, t_s)
         np.testing.assert_array_equal(batched[saturated], t_s[saturated])
-        assert np.all(cox.expected_survival_time(model, x)[saturated] == 0.0)
+        assert np.all(cox.expected_survival_time(model, x, 0.0)[saturated] == 0.0)
 
     def test_quadrature_oracle_on_a_sample(self, fitted):
         model, x, t_s = fitted
         knots = model.baseline_times
-        batched = cox.expected_survival_time(model, x, condition_on_absence=True, t_s=t_s)
+        batched = cox.expected_survival_time(model, x, t_s)
         for i in (0, 1, 2, 3, 300, 401, 502, 643):  # each absence-time case, all blocks
             a = float(t_s[i])
             end = max(a, knots[-1])
@@ -371,7 +411,7 @@ class TestBatchedExpectation:
         x[:, :] = model.beta * 12.0 / (model.beta @ model.beta)  # lin = 12
         late = np.full(len(x), model.baseline_times[-1])
         with caplog.at_level(logging.WARNING, logger="returntime.cox"):
-            values = cox.expected_survival_time(model, x, condition_on_absence=True, t_s=late)
+            values = cox.expected_survival_time(model, x, late)
         warnings = [r for r in caplog.records if "underflows" in r.getMessage()]
         assert len(warnings) == 1
         assert f"for {len(x)} of {len(x)} users" in warnings[0].getMessage()
@@ -388,7 +428,7 @@ class TestBatchedExpectation:
         )
         x = np.array([[0.0], [690.0], [690.0]])
         t_s = np.array([1.5, 1.5, 0.0])
-        values = cox.expected_survival_time(model, x, condition_on_absence=True, t_s=t_s)
+        values = cox.expected_survival_time(model, x, t_s)
         oracle = [t + cox_mean_residual(model, row, t) for row, t in zip(x, t_s)]
         assert np.all(np.isfinite(values))
         np.testing.assert_allclose(values, oracle, rtol=1e-12, atol=0)
@@ -398,9 +438,9 @@ class TestBatchedExpectation:
         x = x.copy()
         x[5] = -model.beta * 800.0 / (model.beta @ model.beta)  # lin = -800
         with pytest.raises(NumericalError, match=r"user u5 \(linear predictor -800\)"):
-            cox.expected_survival_time(model, x, row_ids=[f"u{i}" for i in range(len(x))])
+            cox.expected_survival_time(model, x, 0.0, row_ids=[f"u{i}" for i in range(len(x))])
         with pytest.raises(NumericalError, match="row 0"):
-            cox.expected_survival_time(model, x[5])
+            cox.expected_survival_time(model, x[5], 0.0)
 
 
 class TestPersistence:
@@ -414,7 +454,7 @@ class TestPersistence:
         np.testing.assert_array_equal(loaded.beta, model.beta)
         np.testing.assert_array_equal(loaded.baseline_times, model.baseline_times)
         x = np.array([1.0])
-        assert cox.expected_survival_time(loaded, x) == cox.expected_survival_time(model, x)
+        assert cox.expected_survival_time(loaded, x, 0.0) == cox.expected_survival_time(model, x, 0.0)
 
     @pytest.mark.parametrize("times,hazard", [([], []), ([1.0, 2.0], [0.5]), ([[1.0]], [[0.5]])],
                              ids=["empty", "unequal-lengths", "two-dimensional"])

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -353,6 +354,19 @@ class TestReportAndCsv:
         name, loaded = read_predictions_csv(path)
         assert name == "rnnsm"
         assert_same_table(loaded, table(records))
+
+    @pytest.mark.parametrize("predicted,date", [
+        # 2020-01-01 + 300 days + 2,914,334.5 days is noon of 9999-12-31
+        (2914334.5, "9999-12-31"), (1e7, ""),
+    ], ids=["last-day", "past-year-9999"])
+    def test_return_date_past_year_9999_is_empty(self, tmp_path, predicted, date):
+        written = table([rec("a", predicted, true=2.0, last_end=300.0)])
+        path = tmp_path / "preds.csv"
+        write_predictions_csv(path, "rnnsm", written, epoch_iso="2020-01-01T00:00:00+00:00")
+        with path.open(newline="", encoding="utf-8") as fh:
+            assert [row["predicted_return_date"] for row in csv.DictReader(fh)] == [date]
+        _, loaded = read_predictions_csv(path)
+        assert_same_table(loaded, written)
 
     @settings(max_examples=100, deadline=None)
     @given(written=prediction_tables())

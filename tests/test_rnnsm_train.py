@@ -208,14 +208,14 @@ def trained(small_dataset, small_sequences):
 class TestPrediction:
     def test_rnnsma_never_predicts_before_window_start(self, trained):
         model, seqs, t_s = trained
-        predicted = rnnsm.predict(model, seqs, condition_on_absence=True, t_s=t_s)
+        predicted = rnnsm.predict(model, seqs, t_s)
         assert predicted.shape == (len(seqs),)
         assert np.all(predicted >= t_s)
 
     def test_rnnsma_dominates_rnnsm_on_average(self, trained):
         model, seqs, t_s = trained
-        p = rnnsm.predict(model, seqs, condition_on_absence=False)
-        c = rnnsm.predict(model, seqs, condition_on_absence=True, t_s=t_s)
+        p = rnnsm.predict(model, seqs, 0.0)
+        c = rnnsm.predict(model, seqs, t_s)
         assert np.all(c >= p - 1e-9)
         assert c.mean() > p.mean()
 
@@ -223,7 +223,7 @@ class TestPrediction:
     def test_matches_per_user_oracle(self, trained, conditioned):
         model, seqs, t_s = trained
         o = net.forward_last(model.params, model.net_config, seqs.disc, seqs.cont, seqs.lengths)
-        predicted = rnnsm.predict(model, seqs, condition_on_absence=conditioned, t_s=t_s)
+        predicted = rnnsm.predict(model, seqs, t_s if conditioned else 0.0)
         for value, o_i, t_i in zip(predicted, o.tolist(), t_s.tolist()):
             if conditioned:
                 oracle = absence_conditioned_expectation_scalar(o_i, model.w, t_i)
@@ -231,11 +231,17 @@ class TestPrediction:
                 oracle = expected_return_time_scalar(o_i, model.w)
             assert math.isclose(value, oracle, rel_tol=1e-12)
 
+    def test_zero_absence_is_the_unconditioned_expectation_bitwise(self, trained):
+        model, seqs, _ = trained
+        o = net.forward_last(model.params, model.net_config, seqs.disc, seqs.cont, seqs.lengths)
+        predicted = rnnsm.predict(model, seqs, 0.0)
+        assert predicted.tobytes() == rnnsm.expected_return_time(o, model.w).tobytes()
+
     def test_zero_absence_gives_identical_prediction(self, trained):
         model, seqs, _ = trained
         first = seqs.take([0])
-        a = rnnsm.predict(model, first, condition_on_absence=False)[0]
-        b = rnnsm.predict(model, first, condition_on_absence=True, t_s=np.zeros(1))[0]
+        a = rnnsm.predict(model, first, 0.0)[0]
+        b = rnnsm.predict(model, first, np.zeros(1))[0]
         assert a == b
 
     def test_save_load_round_trip(self, trained, tmp_path):
@@ -244,6 +250,6 @@ class TestPrediction:
         rnnsm.save_model(path, model)
         loaded = rnnsm.load_model(path, "rnnsm")
         assert loaded.w == model.w
-        a = rnnsm.predict(model, seqs.take(np.arange(10)))
-        b = rnnsm.predict(loaded, seqs.take(np.arange(10)))
+        a = rnnsm.predict(model, seqs.take(np.arange(10)), 0.0)
+        b = rnnsm.predict(loaded, seqs.take(np.arange(10)), 0.0)
         assert np.array_equal(a, b)
