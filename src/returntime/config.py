@@ -127,15 +127,26 @@ mapping = _of_type(dict, "a mapping")
 text = _of_type(str, "a non-empty string")
 
 
-def numbers(value) -> list[float]:
-    return [float(v) for v in entries(value)]
-
-
 def finite(value) -> float:
     """A finite number."""
     if not math.isfinite(float(value)):
         raise ValueError("expected a finite number")
     return float(value)
+
+
+def positive(value) -> float:
+    """A positive finite number."""
+    if not 0 < float(value) < math.inf:
+        raise ValueError("expected a positive finite number")
+    return float(value)
+
+
+def positives(value) -> list[float]:
+    """A non-empty list of positive finite numbers."""
+    values = [positive(v) for v in entries(value)]
+    if not values:
+        raise ValueError("expected at least one value")
+    return values
 
 
 def count(value) -> int:

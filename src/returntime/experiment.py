@@ -3,6 +3,7 @@ dispatch, prediction dispatch, and report emission."""
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import logging
@@ -15,7 +16,9 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, blas, cox, metrics, net, rnnsm
-from .config import boolean, count, mapping, model_family, numbers, output_dir, setting, text
+from .config import (
+    boolean, count, mapping, model_family, output_dir, positive, positives, setting, text,
+)
 from .data import (
     Dataset,
     assign_windows,
@@ -96,10 +99,10 @@ def feature_config(config: dict) -> FeatureConfig:
 
 def training_config(config: dict, model: str, seed_offset: int = 0) -> rnnsm.TrainingConfig:
     return rnnsm.TrainingConfig(
-        epochs=setting(config, f"training.{model}.epochs", int),
+        epochs=setting(config, f"training.{model}.epochs", count),
         batch_size=setting(config, f"training.{model}.batch_size", count),
-        learning_rate=setting(config, f"training.{model}.learning_rate", float),
-        clip_norm=setting(config, f"training.{model}.clip_norm", float),
+        learning_rate=setting(config, f"training.{model}.learning_rate", positive),
+        clip_norm=setting(config, f"training.{model}.clip_norm", positive),
         seed=setting(config, "seed", int) + seed_offset,
     )
 
@@ -142,7 +145,7 @@ def resolve_embedding_dims(
     prelim_config = _net_config(stats, dict.fromkeys(stats.discrete_features, wide), config)
     prelim_train = replace(
         training_config(config, family, seed_offset=101),
-        epochs=setting(config, "network.preliminary_epochs", int),
+        epochs=setting(config, "network.preliminary_epochs", count),
     )
     if family == "rnn":
         prelim = baselines.train_simple_rnn(train_seqs, prelim_config, stats, prelim_train)
@@ -255,12 +258,10 @@ def select_w(
     candidates and the final fit run in forked worker processes, on one
     OpenBLAS thread each; otherwise they run here, one after another.
     """
-    w = setting(config, "rnnsm.w", float, optional=True)
+    w = setting(config, "rnnsm.w", positive, optional=True)
     if w is not None:
         return w, [], final(w)
-    grid = setting(config, "rnnsm.w_grid", numbers)
-    if not grid or any(w <= 0 for w in grid):
-        raise ConfigError("config key rnnsm.w_grid must list positive values")
+    grid = setting(config, "rnnsm.w_grid", positives)
     if len(grid) == 1:
         return grid[0], [], final(grid[0])
     fit_ds, val_ds = stratified_split(
@@ -271,7 +272,7 @@ def select_w(
     fit_seqs, stats = build_sequences(fit_ds, fcfg)
     val_seqs, _ = build_sequences(val_ds, stats=stats)
     tcfg = training_config(config, "rnnsm", seed_offset=31)
-    grid_epochs = setting(config, "rnnsm.grid_epochs", int, optional=True)
+    grid_epochs = setting(config, "rnnsm.grid_epochs", count, optional=True)
     if grid_epochs is not None:
         tcfg = replace(tcfg, epochs=grid_epochs)
     grid_job = _Grid(RnnsmFit(fit_seqs, _net_config(stats, dims, config), stats, tcfg),
@@ -454,9 +455,9 @@ def write_report(out_dir: str | Path, model_predictions: dict, auc_score_mode: s
     report = metrics.build_report(model_predictions, auc_score_mode=auc_score_mode)
     (out / "report.json").write_text(json.dumps(report, sort_keys=True, indent=2))
     for table in ("rmse_by_week", "mean_error_by_week", "rmse_by_active_days"):
-        lines = ["model,bucket,value"]
-        for model_name, row in report["tables"][table].items():
-            for bucket, value in row.items():
-                lines.append(f"{model_name},{bucket},{value!r}")
-        (out / f"{table}.csv").write_text("\n".join(lines) + "\n")
+        with open(out / f"{table}.csv", "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["model", "bucket", "value"])
+            for model_name, row in report["tables"][table].items():
+                writer.writerows([model_name, bucket, repr(value)] for bucket, value in row.items())
     return report

@@ -1,10 +1,12 @@
 """Sequence network built from scratch: embeddings with a unit-norm
 constraint, a dense fusion layer, an LSTM, and a single-neuron linear head.
 
-Forward and backward are exact, in 64-bit floats. Callers pass padded
-batches of shape (batch, steps, ...); internally only the real steps are
+Forward and backward are exact, in 64-bit floats. Training passes padded
+batches of shape (batch, steps, ...) to forward_batch, which also serves a
+single sequence as a one-row batch; internally only the real steps are
 computed, packed time-major with the rows sorted longest first, so the dense
 layers run once outside the time loop and padded steps cost nothing. The
+hidden states stay packed in the cache that backward_batch reads. The
 scoring pass, forward_last, runs any number of sequences in the same order
 but keeps only the running LSTM state, and returns each one's final output.
 Gate order in the fused LSTM tensors is input, forget, candidate, output.
@@ -164,13 +166,14 @@ def forward_batch(
     disc: np.ndarray,
     cont: np.ndarray,
     lengths: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, dict]:
+) -> tuple[np.ndarray, dict]:
     """Run the network over a padded batch.
 
     disc: (B, T, n_disc) int indices; cont: (B, T, n_cont); lengths: (B,).
-    Returns per-step scalar outputs (B, T), hidden states (B, T, H), and the
-    cache needed by backward_batch. Only the real steps are computed: outputs
-    and hidden states at padded steps are exactly 0.
+    Returns per-step scalar outputs (B, T) and the cache needed by
+    backward_batch, which holds the hidden states of the real steps packed
+    as (N, H) in cache["h"]. Only the real steps are computed: outputs at
+    padded steps are exactly 0.
 
     Internally the real steps are packed time-major (see _pack), so the
     embedding gather, the fusion layer, the LSTM input projection and the
@@ -212,14 +215,12 @@ def forward_batch(
         raise NumericalError(
             f"non-finite activation at step {int(bad[0][1])} of batch row {int(bad[0][0])}"
         )
-    h_out = np.zeros((B, T, H))
-    h_out[rows, times] = h
     cache = {
         "shape": (B, T), "rows": rows, "times": times, "sizes": sizes,
         "offsets": offsets, "prev": prev, "disc": disc_p, "u": u, "x": x,
         "gates": gates, "c": c, "tanh_c": tanh_c, "h": h,
     }
-    return o, h_out, cache
+    return o, cache
 
 
 def forward_last(
@@ -273,20 +274,6 @@ def forward_last(
             f"non-finite activation at the last step of sequence {int(np.argmax(~np.isfinite(o)))}"
         )
     return o
-
-
-def forward(
-    params: dict[str, np.ndarray],
-    config: NetConfig,
-    disc: np.ndarray,
-    cont: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, dict]:
-    """Single-sequence forward: disc (T, n_disc), cont (T, n_cont)."""
-    T = disc.shape[0]
-    o, h, cache = forward_batch(
-        params, config, disc[None], cont[None], np.array([T])
-    )
-    return o[0], h[0], cache
 
 
 def backward_batch(

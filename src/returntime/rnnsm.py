@@ -90,53 +90,21 @@ def log_density_return(o: float, w: float, gap: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# sequence loss
-
-def sequence_loss(
-    o_seq: np.ndarray,
-    targets: np.ndarray,
-    is_censored: bool,
-    w: float,
-) -> tuple[float, np.ndarray]:
-    """Negative log-likelihood of one user's gap sequence and d(loss)/d(o).
-
-    Every step's target is the observed gap to the next step; the final
-    step's target is the final gap, which contributes a survival term instead
-    of a density term when the user is censored.
-    """
-    if w <= 0:
-        raise ValidationError(f"current-influence weight w must be positive, got {w}")
-    o_seq = np.asarray(o_seq, dtype=float)
-    targets = np.asarray(targets, dtype=float)
-    if o_seq.shape != targets.shape or o_seq.ndim != 1 or o_seq.size == 0:
-        raise ValidationError(
-            f"outputs and targets must be equal-length 1-d sequences, got "
-            f"{o_seq.shape} and {targets.shape}"
-        )
-    uncensored_targets = targets[:-1] if is_censored else targets
-    if np.any(uncensored_targets <= 0):
-        raise ValidationError("return gaps must be positive")
-    if targets[-1] < 0:
-        raise ValidationError("final gap must be non-negative")
-
-    z = w * targets
-    worst = float(np.max(np.maximum(o_seq + z, o_seq)))
-    _check_exponent(worst, "sequence loss")
-    A = _integrated_hazard(o_seq, z, w)
-    ll = o_seq + z - A
-    grad = A - 1.0
-    if is_censored:
-        ll[-1] = -A[-1]
-        grad[-1] = A[-1]
-    return float(-np.sum(ll)), grad
-
+# batch loss
 
 def _batch_loss(
     o: np.ndarray,
     batch: PaddedBatch,
     w: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-user losses (B,) and grad_o (B, T) over a padded batch."""
+    """Per-user negative log-likelihoods (B,) and d(loss)/d(o) (B, T) over
+    a padded batch; a single sequence is a one-row batch.
+
+    Every step's target is the observed gap to the next step, and a step
+    contributes -log_density_return; a censored user's final gap contributes
+    -log_survival instead. Padded steps contribute nothing and get a zero
+    gradient.
+    """
     B, T = o.shape
     mask = np.arange(T)[None, :] < batch.lengths[:, None]
     z = w * batch.targets
@@ -314,7 +282,7 @@ def _fit(
             for start in range(0, len(order), config.batch_size):
                 idx = order[start:start + config.batch_size]
                 batch = pad_batch(sequences, idx)
-                o, _, cache = net.forward_batch(
+                o, cache = net.forward_batch(
                     params, model.net_config, batch.disc, batch.cont, batch.lengths
                 )
                 loss, grad_o = batch_loss(o, batch)
@@ -409,8 +377,6 @@ def save_model(path: str | Path, model: RecurrentModel) -> None:
             "kind": "rnn" if model.w is None else "rnnsm",
             "w": model.w,
             "stats": model.stats.to_dict(),
-            "loss_trace": model.loss_trace,
-            "diverged": model.diverged,
         },
     )
 
@@ -418,25 +384,31 @@ def save_model(path: str | Path, model: RecurrentModel) -> None:
 def load_model(path: str | Path, kind: str) -> RecurrentModel:
     """Read a checkpoint of the given kind ("rnn" or "rnnsm").
 
-    A file that is missing or not a readable checkpoint raises
-    DataModelMismatchError; a corrupt archive directory can make zipfile
-    raise OSError.
+    A file that is missing or not a readable checkpoint, or whose header
+    holds fields of the wrong type or a w that does not fit the kind (null
+    for rnn, a positive finite number for rnnsm), raises
+    DataModelMismatchError; so does a corrupt archive directory, on which
+    zipfile raises OSError. The training record is kept in meta.json; a
+    checkpoint that still carries one is read without it.
     """
     try:
         params, config, extra = net.load_checkpoint(path)
         stats = SequenceStats.from_dict(extra["stats"])
-    except (zipfile.BadZipFile, EOFError, KeyError, ValueError, OSError) as exc:
+        if extra.get("kind") != kind:
+            raise DataModelMismatchError(
+                f"checkpoint at {path} holds a {extra.get('kind')!r} model, expected {kind!r}"
+            )
+        w = extra.get("w")
+        if kind == "rnn" and w is not None:
+            raise ValueError(f"w = {w!r}, expected null")
+        if kind == "rnnsm" and not (type(w) in (int, float) and 0 < w < math.inf):
+            raise ValueError(f"w = {w!r}, expected a positive finite number")
+    except (zipfile.BadZipFile, EOFError, AttributeError, KeyError, TypeError, ValueError,
+            OSError) as exc:
         raise DataModelMismatchError(f"checkpoint at {path} is unreadable: {exc}") from exc
-    if extra.get("kind") != kind:
-        raise DataModelMismatchError(
-            f"checkpoint at {path} holds a {extra.get('kind')!r} model, expected {kind!r}"
-        )
-    w = extra.get("w")
     return RecurrentModel(
         params=params,
         net_config=config,
         stats=stats,
         w=None if w is None else float(w),
-        loss_trace=list(extra.get("loss_trace", [])),
-        diverged=bool(extra.get("diverged", False)),
     )

@@ -35,6 +35,7 @@ from oracles import (
     safe_survival,
     table,
 )
+from test_likelihood import one_user_batch
 from test_metrics import random_records
 
 
@@ -136,14 +137,15 @@ def test_criterion_3_gradient_correctness():
         targets = rng.uniform(0.5, 6.0, size=3)
         w = float(rng.uniform(0.05, 0.5))
 
-        def loss_fn():
-            o, _, _ = net.forward(params, config, disc, cont)
-            value, _ = rnnsm.sequence_loss(o, targets, True, w)
-            return value
+        batch = one_user_batch(targets, True, disc, cont)
 
-        o, _, cache = net.forward(params, config, disc, cont)
-        _, grad_o = rnnsm.sequence_loss(o, targets, True, w)
-        analytic = net.backward_batch(params, config, cache, grad_o[None])
+        def loss_fn():
+            o, _ = net.forward_batch(params, config, batch.disc, batch.cont, batch.lengths)
+            return float(rnnsm._batch_loss(o, batch, w)[0][0])
+
+        o, cache = net.forward_batch(params, config, batch.disc, batch.cont, batch.lengths)
+        _, grad_o = rnnsm._batch_loss(o, batch, w)
+        analytic = net.backward_batch(params, config, cache, grad_o)
         numeric = finite_difference_grads(loss_fn, params, h=1e-5)
         err = max_relative_error(analytic, numeric)
         assert err < 1e-4, f"instance {seed}: relative error {err:.3e}"

@@ -87,11 +87,11 @@ class TestSimpleRnn:
         batch.targets = rng.uniform(0.5, 4.0, size=batch.targets.shape)
 
         def loss_fn():
-            o, _, _ = net.forward_batch(params, config, batch.disc, batch.cont, batch.lengths)
+            o, _ = net.forward_batch(params, config, batch.disc, batch.cont, batch.lengths)
             value, _ = mse_sequence_loss(o, batch)
             return value
 
-        o, _, cache = net.forward_batch(params, config, batch.disc, batch.cont, batch.lengths)
+        o, cache = net.forward_batch(params, config, batch.disc, batch.cont, batch.lengths)
         _, grad_o = mse_sequence_loss(o, batch)
         analytic = net.backward_batch(params, config, cache, grad_o)
         numeric = finite_difference_grads(loss_fn, params, h=1e-5)

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -287,6 +288,8 @@ class TestTrainPredictEvaluate:
         assert all(k == "meta" or k.startswith("param::") for k in arrays)
         meta = json.loads(arrays["meta"].tobytes().decode())
         assert sorted(meta) == ["extra", "net_config", "version"]
+        # the training record lives in meta.json only
+        assert sorted(meta["extra"]) == ["kind", "stats", "w"]
         params = {k: a for k, a in arrays.items() if k != "meta"}
         # a version 1 checkpoint also carried the Adam moments and step
         moments = {f"adam_{m}::{k[len('param::'):]}": np.zeros_like(a)
@@ -529,6 +532,15 @@ class TestTrainPredictEvaluate:
         ("rnn", {"network": {"hidden_size": 0}}, "network.hidden_size"),
         ("rnn", {"network": {"embedding_dims": {"device": "x"}}}, "network.embedding_dims"),
         ("rnnsm", {"rnnsm": {"w_grid": "0.1"}}, "rnnsm.w_grid"),
+        ("rnnsm", {"rnnsm": {"w_grid": [0.05, float("nan")]}}, "rnnsm.w_grid"),
+        ("rnnsm", {"rnnsm": {"w": float("inf")}}, "rnnsm.w"),
+        ("rnnsm", {"rnnsm": {"w": float("nan")}}, "rnnsm.w"),
+        ("rnnsm", {"rnnsm": {"grid_epochs": -1}}, "rnnsm.grid_epochs"),
+        ("rnn", {"training": {"rnn": {"epochs": -3}}}, "training.rnn.epochs"),
+        ("rnnsm", {"training": {"rnnsm": {"learning_rate": float("nan")}}},
+         "training.rnnsm.learning_rate"),
+        ("rnn", {"training": {"rnn": {"clip_norm": -1}}}, "training.rnn.clip_norm"),
+        ("rnn", {"network": {"preliminary_epochs": 0}}, "network.preliminary_epochs"),
         ("generate", {"generator": {"user_count": "many"}}, "generator.user_count"),
         ("generate", {"generator": {"cohorts": {"name": "a"}}}, "generator.cohorts"),
         ("generate", {"generator": {"cohorts": [5]}}, "generator.cohorts"),
@@ -545,7 +557,9 @@ class TestTrainPredictEvaluate:
         ("generate", {"generator": {"cohorts": [cohort(typo=1)]}}, "generator.cohorts"),
     ], ids=["training-rnn-null", "max-steps-text", "max-steps-inf", "flag-text",
             "test-fraction-text", "seed-text", "window-date-number", "sessions-empty",
-            "hidden-size-zero", "embedding-dim-text", "w-grid-text", "user-count-text",
+            "hidden-size-zero", "embedding-dim-text", "w-grid-text", "w-grid-nan", "w-inf",
+            "w-nan", "grid-epochs-negative", "epochs-negative", "learning-rate-nan",
+            "clip-norm-negative", "preliminary-epochs-zero", "user-count-text",
             "cohorts-mapping", "cohort-entry-number", "cohort-fraction-text",
             "cohort-fraction-nan", "cohort-name-number", "cohort-sigma-null", "cohort-device-probs-short",
             "cohort-lapse-window-text", "cohort-unknown-field"])
@@ -642,6 +656,77 @@ mutations = st.one_of(
 
 
 @pytest.fixture(scope="module")
+def trained_recurrent(tmp_path_factory):
+    """Generated data and an rnn and an rnnsm artifact, shared read-only."""
+    base = tmp_path_factory.mktemp("recurrent")
+    cfg = write_cfg(base, {**TINY_GEN, "training": {"rnn": {"epochs": 2}, "rnnsm": {"epochs": 1}},
+                           "rnnsm": {"w": 0.1}})
+    assert main(["generate", "--config", cfg, "--out", str(base / "data"), "--seed", "3"]) == 0
+    cfgs = ["--config", cfg, "--config", str(base / "data" / "run_config.json")]
+    for model in ("rnn", "rnnsm"):
+        assert main(["train", "--model", model, *cfgs, "--out", str(base / model)]) == 0
+    return cfgs, base
+
+
+def predict_with_header(trained_recurrent, tmp_path, model, edit):
+    """Predict with a copy of the model's artifact whose model.npz header was
+    replaced by edit(header); returns the exit code, stderr and the CSV path."""
+    cfgs, base = trained_recurrent
+    artifact = tmp_path / model
+    shutil.copytree(base / model, artifact)
+    path = artifact / "model.npz"
+    with np.load(path) as data:
+        arrays = {k: data[k] for k in data.files}
+    header = edit(json.loads(arrays["meta"].tobytes().decode()))
+    arrays["meta"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
+    np.savez(path, **arrays)
+    target = tmp_path / "p.csv"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        rc = main(["predict", "--model", model, "--checkpoint", str(artifact), *cfgs,
+                   "--out", str(target)])
+    return rc, err.getvalue(), target
+
+
+def with_extra(**changes):
+    return lambda header: {**header, "extra": {**header["extra"], **changes}}
+
+
+@pytest.mark.parametrize("model,edit", [
+    ("rnnsm", with_extra(w="0.1")),
+    ("rnnsm", with_extra(w=None)),
+    ("rnnsm", with_extra(w=-1.0)),
+    ("rnnsm", with_extra(w=float("nan"))),
+    ("rnn", with_extra(w=0.5)),
+    ("rnnsm", lambda header: {**header, "extra": 5}),
+    ("rnnsm", lambda header: [header]),
+    ("rnnsm", with_extra(stats=[])),
+    ("rnnsm", lambda header: {**header, "extra": {
+        **header["extra"], "stats": {**header["extra"]["stats"], "vocabs": []}}}),
+    ("rnnsm", lambda header: {**header, "net_config": "abc"}),
+], ids=["w-text", "w-null", "w-negative", "w-nan", "rnn-w-number", "extra-number",
+        "header-list", "stats-list", "vocabs-list", "net-config-text"])
+def test_malformed_checkpoint_header_exit_3(trained_recurrent, tmp_path, model, edit):
+    rc, err, target = predict_with_header(trained_recurrent, tmp_path, model, edit)
+    assert rc == 3, err
+    assert err.count("error:") == 1 and "unreadable" in err
+    assert "Traceback" not in err
+    assert not target.exists()
+
+
+def test_checkpoint_with_a_training_record_still_loads(trained_recurrent, tmp_path):
+    # older version 2 checkpoints also carried the loss trace and the
+    # divergence flag, which meta.json keeps
+    rc, err, kept = predict_with_header(trained_recurrent, tmp_path / "a", "rnnsm",
+                                        lambda header: header)
+    assert rc == 0, err
+    rc, err, old = predict_with_header(trained_recurrent, tmp_path / "b", "rnnsm",
+                                       with_extra(loss_trace=5, diverged="no"))
+    assert rc == 0, err
+    assert old.read_bytes() == kept.read_bytes()
+
+
+@pytest.fixture(scope="module")
 def fuzz_data(tmp_path_factory):
     base = tmp_path_factory.mktemp("fuzz")
     cfg = write_cfg(base, TINY_GEN)
@@ -679,7 +764,7 @@ def test_one_mutated_record_exits_0_or_2(fuzz_data, index, mutation):
     assert "Traceback" not in err.getvalue()
 
 
-def prediction_csv(path):
+def prediction_csv(path, model="rnnsm"):
     """A valid prediction CSV of six users, two of them censored."""
     records = [
         Record(f"u{i}", pred, true, bound, 120.0, days, 3.5)
@@ -688,7 +773,7 @@ def prediction_csv(path):
             (200.0, None, 110.0, 2), (9.0, 14.0, None, 5), (6.0, 7.5, None, 64),
         ])
     ]
-    metrics.write_predictions_csv(path, "rnnsm", table(records),
+    metrics.write_predictions_csv(path, model, table(records),
                                   epoch_iso="2020-01-01T00:00:00+00:00")
     return path
 
@@ -698,6 +783,18 @@ def evaluate(path, out):
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
         rc = main(["evaluate", "--pred", str(path), "--out", str(out)])
     return rc, err.getvalue()
+
+
+def test_breakdown_csv_quotes_model_names(tmp_path):
+    name = 'my,"model'
+    rc, err = evaluate(prediction_csv(tmp_path / "p.csv", model=name), tmp_path / "report")
+    assert rc == 0, err
+    for table_name in ("rmse_by_week", "mean_error_by_week", "rmse_by_active_days"):
+        with open(tmp_path / "report" / f"{table_name}.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["model", "bucket", "value"]
+        assert len(rows) > 1
+        assert all(len(row) == 3 and row[0] == name for row in rows[1:])
 
 
 @pytest.mark.parametrize("column,value", [

@@ -9,6 +9,7 @@ from scipy import integrate as sp_integrate
 from scipy import special
 
 from returntime.errors import NumericalError, ValidationError
+from returntime.features import PaddedBatch
 from oracles import (
     absence_conditioned_expectation_scalar,
     expected_return_time_scalar,
@@ -17,15 +18,42 @@ from oracles import (
 )
 
 from returntime.rnnsm import (
+    _batch_loss,
     absence_conditioned_expectation,
     expected_return_time,
     hazard,
     log_density_return,
     log_survival,
-    sequence_loss,
 )
 
 PARAM_GRID = [(0.0, 1.0), (1.0, 0.5), (-1.0, 2.0), (2.0, 0.1)]
+
+
+def one_user_batch(targets, censored, disc=None, cont=None):
+    """One user's (T,) gaps as a one-row PaddedBatch. The features default
+    to zero channels, which the loss does not read."""
+    T = len(targets)
+    disc = np.zeros((T, 0), dtype=np.int64) if disc is None else disc
+    cont = np.zeros((T, 0)) if cont is None else cont
+    return PaddedBatch(disc[None], cont[None], np.asarray(targets, dtype=float)[None],
+                       np.array([T]), np.array([censored]))
+
+
+def one_user_loss(o, targets, censored, w):
+    """The batch loss of one user: its value and its (T,) gradient."""
+    losses, grad = _batch_loss(np.asarray(o, dtype=float)[None],
+                               one_user_batch(targets, censored), w)
+    return float(losses[0]), grad[0]
+
+
+def per_step_loss(o, targets, censored, w):
+    """The reference: -log_density_return summed step by step, with
+    -log_survival in place of the last term of a censored user."""
+    total = 0.0
+    for t, (o_t, gap) in enumerate(zip(o, targets)):
+        last_censored = censored and t == len(targets) - 1
+        total += log_survival(o_t, w, gap) if last_censored else log_density_return(o_t, w, gap)
+    return -total
 
 
 class TestHazard:
@@ -96,18 +124,18 @@ class TestLogSurvival:
 
 class TestSequenceLoss:
     def test_single_step_returning(self):
-        loss, grad = sequence_loss(np.array([0.3]), np.array([2.0]), False, 0.5)
+        loss, grad = one_user_loss(np.array([0.3]), np.array([2.0]), False, 0.5)
         assert loss == pytest.approx(-log_density_return(0.3, 0.5, 2.0))
         assert grad.shape == (1,)
 
     def test_single_step_censored(self):
-        loss, _ = sequence_loss(np.array([0.3]), np.array([2.0]), True, 0.5)
+        loss, _ = one_user_loss(np.array([0.3]), np.array([2.0]), True, 0.5)
         assert loss == pytest.approx(-log_survival(0.3, 0.5, 2.0))
 
     def test_censored_sequence_mixes_terms(self):
         o = np.array([0.1, -0.2, 0.4])
         g = np.array([1.0, 3.0, 12.0])
-        loss, _ = sequence_loss(o, g, True, 0.3)
+        loss, _ = one_user_loss(o, g, True, 0.3)
         expected = -(
             log_density_return(0.1, 0.3, 1.0)
             + log_density_return(-0.2, 0.3, 3.0)
@@ -122,24 +150,20 @@ class TestSequenceLoss:
             o = rng.uniform(-1.5, 1.5, size=4)
             g = rng.uniform(0.2, 10.0, size=4)
             w = rng.uniform(0.05, 1.0)
-            _, grad = sequence_loss(o, g, censored, w)
+            _, grad = one_user_loss(o, g, censored, w)
             h = 1e-6
             for j in range(4):
                 op = o.copy(); op[j] += h
                 om = o.copy(); om[j] -= h
-                num = (sequence_loss(op, g, censored, w)[0]
-                       - sequence_loss(om, g, censored, w)[0]) / (2 * h)
+                num = (one_user_loss(op, g, censored, w)[0]
+                       - one_user_loss(om, g, censored, w)[0]) / (2 * h)
                 assert grad[j] == pytest.approx(num, rel=1e-6, abs=1e-9)
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValidationError):
-            sequence_loss(np.array([0.1, 0.2]), np.array([1.0]), False, 0.5)
 
     @pytest.mark.parametrize("o,w,gap", [(0.3, 0.5, 2.0), (-0.5, 0.2, 12.0), (1.0, 1.0, 1.5)])
     def test_censored_term_equals_one_minus_cdf(self, o, w, gap):
         # the survival factor for a censored user's final gap must equal
         # 1 - CDF(final_gap) computed by integrating the density
-        loss, _ = sequence_loss(np.array([o]), np.array([gap]), True, w)
+        loss, _ = one_user_loss(np.array([o]), np.array([gap]), True, w)
         cdf, _ = sp_integrate.quad(lambda t: safe_density(o, w, t), 0, gap, limit=200)
         assert math.exp(-loss) == pytest.approx(1.0 - cdf, abs=1e-6)
 
@@ -147,9 +171,41 @@ class TestSequenceLoss:
         # with every step uncensored, the loss equals the pure density sum
         o = np.array([0.2, 0.1])
         g = np.array([1.5, 2.5])
-        loss, _ = sequence_loss(o, g, False, 0.4)
+        loss, _ = one_user_loss(o, g, False, 0.4)
         expected = -(log_density_return(0.2, 0.4, 1.5) + log_density_return(0.1, 0.4, 2.5))
         assert loss == pytest.approx(expected, rel=1e-12)
+
+
+@st.composite
+def padded_batches(draw):
+    """Outputs (B, T) and a PaddedBatch of B users with 1-7 steps each and
+    mixed censoring; padded lanes hold drawn values too."""
+    lengths = draw(st.lists(st.integers(1, 7), min_size=1, max_size=6))
+    B, T = len(lengths), max(lengths)
+
+    def grid(values):
+        return np.array(draw(st.lists(values, min_size=B * T, max_size=B * T))).reshape(B, T)
+
+    o, targets = grid(st.floats(-5.0, 5.0)), grid(st.floats(0.01, 40.0))
+    censored = np.array(draw(st.lists(st.booleans(), min_size=B, max_size=B)))
+    batch = PaddedBatch(np.zeros((B, T, 0), dtype=np.int64), np.zeros((B, T, 0)), targets,
+                        np.array(lengths), censored)
+    return o, batch
+
+
+class TestBatchLoss:
+    @settings(max_examples=100, deadline=None)
+    @given(case=padded_batches(), w=st.floats(0.01, 2.0))
+    def test_per_user_losses_equal_the_per_step_terms(self, case, w):
+        o, batch = case
+        losses, grad = _batch_loss(o, batch, w)
+        assert losses.shape == (len(o),)
+        for i, L in enumerate(batch.lengths):
+            ref = per_step_loss(o[i, :L].tolist(), batch.targets[i, :L].tolist(),
+                                bool(batch.censored[i]), w)
+            assert math.isclose(losses[i], ref, rel_tol=1e-12)
+        padded = np.arange(o.shape[1])[None, :] >= batch.lengths[:, None]
+        assert np.all(grad[padded] == 0.0)
 
 
 class TestExpectedReturnTime:

@@ -29,31 +29,37 @@ def random_instance(seed, T=3, config=CONFIG):
     return params, disc, cont
 
 
+def forward_one(params, disc, cont, config=CONFIG):
+    """forward_batch on one sequence as a one-row batch: outputs (T,), cache."""
+    o, cache = net.forward_batch(params, config, disc[None], cont[None], np.array([len(disc)]))
+    return o[0], cache
+
+
 class TestForward:
     def test_zero_params_give_zero_outputs(self):
         params = {k: np.zeros_like(p) for k, p in random_instance(0)[0].items()}
         _, disc, cont = random_instance(1, T=4)
-        o, h, _ = net.forward(params, CONFIG, disc, cont)
+        o, cache = forward_one(params, disc, cont)
         assert np.all(o == 0.0)
-        assert np.all(h == 0.0)
+        assert np.all(cache["h"] == 0.0)
 
     def test_causality_prefix_invariance(self):
         params, disc, cont = random_instance(2, T=2)
-        o_full, _, _ = net.forward(params, CONFIG, disc, cont)
-        o_prefix, _, _ = net.forward(params, CONFIG, disc[:1], cont[:1])
+        o_full, _ = forward_one(params, disc, cont)
+        o_prefix, _ = forward_one(params, disc[:1], cont[:1])
         assert o_prefix[0] == o_full[0]
 
     def test_truncation_reproduces_prefix_exactly(self):
         params, disc, cont = random_instance(3, T=7)
-        o_full, _, _ = net.forward(params, CONFIG, disc, cont)
+        o_full, _ = forward_one(params, disc, cont)
         for j in (1, 3, 5):
-            o_j, _, _ = net.forward(params, CONFIG, disc[:j], cont[:j])
+            o_j, _ = forward_one(params, disc[:j], cont[:j])
             assert np.array_equal(o_j, o_full[:j])
 
     def test_matches_scalar_reimplementation(self):
         for seed in range(5):
             params, disc, cont = random_instance(seed, T=4)
-            o, _, _ = net.forward(params, CONFIG, disc, cont)
+            o, _ = forward_one(params, disc, cont)
             ref = scalar_net_forward(params, CONFIG, disc.tolist(), cont.tolist())
             np.testing.assert_allclose(o, ref, rtol=0, atol=1e-12)
 
@@ -73,9 +79,9 @@ class TestForward:
         for i, L in enumerate(lengths):
             disc_b[i, :L] = discs[i]
             cont_b[i, :L] = conts[i]
-        o_b, _, _ = net.forward_batch(params, CONFIG, disc_b, cont_b, np.array(lengths))
+        o_b, _ = net.forward_batch(params, CONFIG, disc_b, cont_b, np.array(lengths))
         for i, L in enumerate(lengths):
-            o_s, _, _ = net.forward(params, CONFIG, discs[i], conts[i])
+            o_s, _ = forward_one(params, discs[i], conts[i])
             # BLAS reduction order differs between batch widths; agreement is
             # to the last couple of ulps, not bitwise
             np.testing.assert_allclose(o_b[i, :L], o_s, rtol=0, atol=1e-12)
@@ -84,13 +90,13 @@ class TestForward:
         params, disc, cont = random_instance(6, T=3)
         params["out_v"] = params["out_v"] * np.inf
         with pytest.raises(NumericalError, match="step"):
-            net.forward(params, CONFIG, disc, cont)
+            forward_one(params, disc, cont)
 
 
 class TestBackward:
     def test_zero_grad_o_gives_zero_grads(self):
         params, disc, cont = random_instance(7, T=3)
-        _, _, cache = net.forward(params, CONFIG, disc, cont)
+        _, cache = forward_one(params, disc, cont)
         grads = net.backward_batch(params, CONFIG, cache, np.zeros((1, 3)))
         assert all(np.all(g == 0.0) for g in grads.values())
 
@@ -98,7 +104,7 @@ class TestBackward:
         params, disc, cont = random_instance(8, T=3)
         disc = disc.copy()
         disc[:, 0] = 0  # device row 2 never used
-        _, _, cache = net.forward(params, CONFIG, disc, cont)
+        _, cache = forward_one(params, disc, cont)
         grads = net.backward_batch(params, CONFIG, cache, np.ones((1, 3)))
         assert np.all(grads["emb_device"][2] == 0.0)
         assert np.any(grads["emb_device"][0] != 0.0)
@@ -110,17 +116,17 @@ class TestBackward:
             grad_o = rng.normal(size=(1, 3))
 
             def loss():
-                o, _, _ = net.forward(params, CONFIG, disc, cont)
+                o, _ = forward_one(params, disc, cont)
                 return float((grad_o[0] * o).sum())
 
-            _, _, cache = net.forward(params, CONFIG, disc, cont)
+            _, cache = forward_one(params, disc, cont)
             analytic = net.backward_batch(params, CONFIG, cache, grad_o)
             numeric = finite_difference_grads(loss, params)
             assert max_relative_error(analytic, numeric) < 1e-4
 
     def test_mismatched_cache_rejected(self):
         params, disc, cont = random_instance(10, T=3)
-        _, _, cache = net.forward(params, CONFIG, disc, cont)
+        _, cache = forward_one(params, disc, cont)
         with pytest.raises(ValueError):
             net.backward_batch(params, CONFIG, cache, np.zeros((1, 5)))
 
@@ -146,17 +152,17 @@ class TestRaggedBatch:
         params, disc, cont, lengths, mask, grad_o = ragged_instance(30)
 
         def loss():
-            o, _, _ = net.forward_batch(params, CONFIG, disc, cont, lengths)
+            o, _ = net.forward_batch(params, CONFIG, disc, cont, lengths)
             return float((grad_o * o)[mask].sum())
 
-        _, _, cache = net.forward_batch(params, CONFIG, disc, cont, lengths)
+        _, cache = net.forward_batch(params, CONFIG, disc, cont, lengths)
         analytic = net.backward_batch(params, CONFIG, cache, grad_o)
         numeric = finite_difference_grads(loss, params)
         assert max_relative_error(analytic, numeric) < 1e-4
 
     def test_padded_grad_o_is_never_read(self):
         params, disc, cont, lengths, mask, grad_o = ragged_instance(31)
-        _, _, cache = net.forward_batch(params, CONFIG, disc, cont, lengths)
+        _, cache = net.forward_batch(params, CONFIG, disc, cont, lengths)
         noisy = np.where(mask, grad_o, np.random.default_rng(32).normal(size=grad_o.shape))
         clean = net.backward_batch(params, CONFIG, cache, grad_o)
         dirty = net.backward_batch(params, CONFIG, cache, noisy)
@@ -165,17 +171,17 @@ class TestRaggedBatch:
 
     def test_padded_steps_are_exactly_zero(self):
         params, disc, cont, lengths, mask, _ = ragged_instance(33)
-        o, h, _ = net.forward_batch(params, CONFIG, disc, cont, lengths)
+        o, cache = net.forward_batch(params, CONFIG, disc, cont, lengths)
         assert np.all(o[~mask] == 0.0)
-        assert np.all(h[~mask] == 0.0)
+        assert cache["h"].shape == (mask.sum(), CONFIG.hidden_size)  # real steps only
         assert np.all(o[mask] != 0.0)
 
     def test_row_permutation_permutes_outputs_only(self):
         params, disc, cont, lengths, _, grad_o = ragged_instance(34)
-        o, _, cache = net.forward_batch(params, CONFIG, disc, cont, lengths)
+        o, cache = net.forward_batch(params, CONFIG, disc, cont, lengths)
         grads = net.backward_batch(params, CONFIG, cache, grad_o)
         perm = np.array([2, 0, 3, 1])
-        o_p, _, cache_p = net.forward_batch(
+        o_p, cache_p = net.forward_batch(
             params, CONFIG, disc[perm], cont[perm], lengths[perm]
         )
         grads_p = net.backward_batch(params, CONFIG, cache_p, grad_o[perm])
@@ -210,7 +216,7 @@ class TestScoringPass:
     ], ids=["ragged", "one-user", "one-step", "max-steps"])
     def test_matches_forward_batch_last_steps(self, lengths):
         params, disc, cont, L, (disc_b, cont_b) = scoring_instance(40, lengths)
-        o_b, _, _ = net.forward_batch(params, CONFIG, disc_b, cont_b, L)
+        o_b, _ = net.forward_batch(params, CONFIG, disc_b, cont_b, L)
         want = o_b[np.arange(len(L)), L - 1]
         got = net.forward_last(params, CONFIG, disc, cont, L)
         assert got.shape == want.shape
@@ -249,7 +255,7 @@ class TestUpdates:
 
     def test_embedding_rows_unit_norm_after_update(self):
         params, disc, cont = random_instance(12, T=3)
-        _, _, cache = net.forward(params, CONFIG, disc, cont)
+        _, cache = forward_one(params, disc, cont)
         grads = net.backward_batch(params, CONFIG, cache, np.ones((1, 3)))
         state = net.AdamState.for_params(params)
         net.apply_update_with_norm_projection(params, grads, state, lr=0.1)
@@ -287,7 +293,7 @@ class TestUpdates:
             )
             cont = rng.normal(size=(4, CONFIG.n_continuous))
             for _ in range(10):
-                _, _, cache = net.forward(params, CONFIG, disc, cont)
+                _, cache = forward_one(params, disc, cont)
                 grads = net.backward_batch(params, CONFIG, cache, np.ones((1, 4)))
                 net.apply_update_with_norm_projection(params, grads, state)
             return params
@@ -310,6 +316,6 @@ class TestCheckpoint:
             assert sorted(data.files) == sorted(["meta", *(f"param::{k}" for k in params)])
         for k in params:
             assert np.array_equal(loaded_params[k], params[k])
-        o1, _, _ = net.forward(params, CONFIG, disc, cont)
-        o2, _, _ = net.forward(loaded_params, loaded_config, disc, cont)
+        o1, _ = forward_one(params, disc, cont)
+        o2, _ = forward_one(loaded_params, disc, cont, loaded_config)
         assert np.array_equal(o1, o2)

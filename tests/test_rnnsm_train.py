@@ -16,6 +16,7 @@ from oracles import (
     finite_difference_grads,
     max_relative_error,
 )
+from test_likelihood import one_user_batch, per_step_loss
 
 TINY = net.NetConfig(
     discrete_features=("device", "hour"),
@@ -70,15 +71,15 @@ class TestEndToEndGradient:
         failures = []
         for seed in range(20):
             params, disc, cont, targets, w = tiny_instance(seed)
+            batch = one_user_batch(targets, censored, disc, cont)
 
             def loss_fn():
-                o, _, _ = net.forward(params, TINY, disc, cont)
-                value, _ = rnnsm.sequence_loss(o, targets, censored, w)
-                return value
+                o, _ = net.forward_batch(params, TINY, batch.disc, batch.cont, batch.lengths)
+                return float(rnnsm._batch_loss(o, batch, w)[0][0])
 
-            o, _, cache = net.forward(params, TINY, disc, cont)
-            _, grad_o = rnnsm.sequence_loss(o, targets, censored, w)
-            analytic = net.backward_batch(params, TINY, cache, grad_o[None])
+            o, cache = net.forward_batch(params, TINY, batch.disc, batch.cont, batch.lengths)
+            _, grad_o = rnnsm._batch_loss(o, batch, w)
+            analytic = net.backward_batch(params, TINY, cache, grad_o)
             numeric = finite_difference_grads(loss_fn, params, h=1e-5)
             err = max_relative_error(analytic, numeric)
             if err >= 1e-4:
@@ -90,15 +91,17 @@ class TestEndToEndGradient:
         config = small_net(stats)
         params = net.init_params(config, np.random.default_rng(0))
         batch = pad_batch(seqs, np.arange(17))
-        o, _, _ = net.forward_batch(params, config, batch.disc, batch.cont, batch.lengths)
+        o, _ = net.forward_batch(params, config, batch.disc, batch.cont, batch.lengths)
         losses, grads = rnnsm._batch_loss(o, batch, w=0.1)
         for i in range(17):
-            a, b = seqs.offsets[i], seqs.offsets[i + 1]
-            o_i, _, _ = net.forward(params, config, seqs.disc[a:b], seqs.cont[a:b])
-            loss_i, grad_i = rnnsm.sequence_loss(o_i, seqs.targets[a:b], seqs.censored[i], 0.1)
+            one = pad_batch(seqs, np.array([i]))
+            o_i, _ = net.forward_batch(params, config, one.disc, one.cont, one.lengths)
+            loss_i = per_step_loss(o_i[0].tolist(), one.targets[0].tolist(), seqs.censored[i], 0.1)
+            _, grad_i = rnnsm._batch_loss(o_i, one, w=0.1)
+            L = one.lengths[0]
             assert losses[i] == pytest.approx(loss_i, rel=1e-9)
-            np.testing.assert_allclose(grads[i, :b - a], grad_i, rtol=1e-9, atol=1e-12)
-            assert np.all(grads[i, b - a:] == 0.0)
+            np.testing.assert_allclose(grads[i, :L], grad_i[0], rtol=1e-9, atol=1e-12)
+            assert np.all(grads[i, L:] == 0.0)
 
 
 class TestTraining:
