@@ -122,6 +122,7 @@ class CoxModel:
 
     feature_names: list[str]
     beta: np.ndarray
+    center: np.ndarray           # the linear predictor is beta.(x - center)
     baseline_times: np.ndarray   # strictly increasing distinct event times
     baseline_hazard: np.ndarray  # hazard mass at each event time
     n_train: int = 0
@@ -141,6 +142,12 @@ class CoxModel:
             raise ValidationError("baseline event times must be positive and strictly increasing")
         if np.any(h < 0):
             raise ValidationError("baseline hazard values must be non-negative")
+        self.beta = np.asarray(self.beta, dtype=float)
+        c = self.center = np.asarray(self.center, dtype=float)
+        p = len(self.feature_names)
+        if not (self.beta.shape == c.shape == (p,) and np.all(np.isfinite(c))):
+            raise ValidationError(f"{p} features need as many coefficients and finite center "
+                                  f"values, got {self.beta} and {c}")
         self.baseline_times = t
         self.baseline_hazard = h
         widths = np.diff(np.concatenate([[0.0], t]))
@@ -165,10 +172,10 @@ class CoxModel:
         return float(value) if value.ndim == 0 else value
 
     def risk_score(self, x: np.ndarray) -> float:
-        return float(np.asarray(x, dtype=float) @ self.beta)
+        return float(_linear_predictor(np.atleast_2d(x), self.beta, self.center)[0])
 
     def survival(self, x: np.ndarray, t: float) -> float:
-        """S(t | x) = exp(-exp(beta.x) * Lambda(t)), overflow-guarded."""
+        """S(t | x) = exp(-exp(beta.(x - center)) * Lambda(t)), overflow-guarded."""
         if t <= 0:
             return 1.0
         ch = self.cumulative_hazard(t)
@@ -181,7 +188,7 @@ class CoxModel:
 
     def mean_residuals(self, lin: np.ndarray, a: np.ndarray) -> np.ndarray:
         """integral_a^inf S(z|x)/S(a|x) dz for every row, from its linear
-        predictor lin = beta.x, via the piecewise-exponential form.
+        predictor lin = beta.(x - center), via the piecewise-exponential form.
 
         Rows are processed in blocks of EXPECTATION_BLOCK_ROWS. Rows with
         lin > 700 get 0; a zero risk score (exp underflow) is rejected by
@@ -229,6 +236,7 @@ class CoxModel:
         return {
             "feature_names": self.feature_names,
             "beta": self.beta.tolist(),
+            "center": self.center.tolist(),
             "baseline_times": self.baseline_times.tolist(),
             "baseline_hazard": self.baseline_hazard.tolist(),
             "n_train": self.n_train,
@@ -239,6 +247,7 @@ class CoxModel:
         return cls(
             feature_names=list(d["feature_names"]),
             beta=np.asarray(d["beta"], dtype=float),
+            center=np.asarray(d["center"], dtype=float),
             baseline_times=np.asarray(d["baseline_times"], dtype=float),
             baseline_hazard=np.asarray(d["baseline_hazard"], dtype=float),
             n_train=int(d.get("n_train", 0)),
@@ -255,6 +264,12 @@ class CoxModel:
             return cls.from_dict(json.loads(Path(path).read_text()))
         except (OSError, KeyError, TypeError, ValueError, ValidationError) as exc:
             raise DataModelMismatchError(f"Cox model at {path} is unreadable: {exc}") from exc
+
+
+def _linear_predictor(X: np.ndarray, beta: np.ndarray, center: np.ndarray) -> np.ndarray:
+    """beta.(x - center) for each row x of X, each row summed on its own: a
+    BLAS matrix-vector product rounds a row by its position in the batch."""
+    return ((np.asarray(X, dtype=float) - center) * beta).sum(axis=1)
 
 
 def baseline_hazard(
@@ -282,8 +297,8 @@ def fit(
     """Newton-Raphson with step halving on the Efron partial likelihood.
 
     Covariates are centered and scaled internally for conditioning; the
-    returned coefficients are on the input scale. A ridge term stabilizes the
-    Hessian when it is near-singular (collinear covariates).
+    returned beta is on the input scale and centered at the training means.
+    A ridge term stabilizes the Hessian when near-singular (collinear covariates).
     """
     X = np.asarray(X, dtype=float)
     times = np.asarray(times, dtype=float)
@@ -296,7 +311,7 @@ def fit(
     if len(names) != p:
         raise ValidationError(f"{len(names)} feature names for {p} columns")
 
-    scaling = Standardization.fit(X, names)
+    scaling = Standardization.fit(X)
     Xs = scaling.apply(X)
 
     beta = np.zeros(p)
@@ -330,16 +345,17 @@ def fit(
         )
 
     beta_raw = beta / scaling.std
-    # the hazard masses use the raw-scale risk exp(beta.x), as predictions do
-    lin = X @ beta_raw
+    # the hazard masses use the risk exp(beta.(x - center)) that predictions use
+    lin = _linear_predictor(X, beta_raw, scaling.mean)
     if np.max(np.abs(lin)) > 700.0:
-        raise NumericalError("risk scores overflow; standardize covariates before fitting")
+        raise NumericalError("risk scores overflow at the fitted coefficients")
     base_t, base_h = baseline_hazard(times, events, np.exp(lin))
     return CoxModel(
         feature_names=names,
         beta=beta_raw,
         baseline_times=base_t,
         baseline_hazard=base_h,
+        center=scaling.mean,
         n_train=n,
     )
 
@@ -357,9 +373,9 @@ def expected_survival_time(
     or one absence time per row (N,). One row gives a float, N rows an (N,)
     array; both take the same array path. The expectation equals t_s plus
     the mean residual life, which never divides by an underflowing
-    survival value. A risk score exp(beta.x) that underflows to 0 would
-    make the expectation infinite and raises NumericalError naming the
-    first such row (by row_ids when given, else by index).
+    survival value. A risk score exp(beta.(x - center)) that underflows to
+    0 would make the expectation infinite and raises NumericalError naming
+    the first such row (by row_ids when given, else by index).
     """
     x = np.asarray(x, dtype=float)
     X = np.atleast_2d(x)
@@ -367,15 +383,15 @@ def expected_survival_time(
     if np.any(t_s < 0):
         bad = t_s[np.argmax(t_s < 0)]
         raise ValidationError(f"absence time must be non-negative, got {bad}")
-    lin = X @ model.beta
+    lin = _linear_predictor(X, model.beta, model.center)
     underflow = np.flatnonzero(np.exp(np.minimum(lin, 0.0)) == 0.0)
     if underflow.size:
         k = int(underflow[0])
         name = f"user {row_ids[k]}" if row_ids is not None else f"row {k}"
         more = f" and {underflow.size - 1} more" if underflow.size > 1 else ""
         raise NumericalError(
-            f"Cox risk score exp(beta.x) underflows to 0 for {name} (linear predictor "
-            f"{lin[k]:.6g}){more}; the expected return time is unbounded"
+            f"Cox risk score exp(beta.(x - center)) underflows to 0 for {name} (linear "
+            f"predictor {lin[k]:.6g}){more}; the expected return time is unbounded"
         )
     values = t_s + model.mean_residuals(lin, t_s)
     return float(values[0]) if x.ndim == 1 else values

@@ -31,7 +31,6 @@ from .features import (
     FeatureConfig,
     SequenceStats,
     Sequences,
-    Standardization,
     build_aggregates,
     build_sequences,
     select_embedding_dims,
@@ -334,14 +333,10 @@ def _fit_and_save(family: str, data: LoadedData, config: dict, out: Path, meta: 
 
     elif family == "cph":
         agg = build_aggregates(data.train)
-        standardization = Standardization.fit(agg.X, agg.feature_names)
-        model = cox.fit(standardization.apply(agg.X), data.train.final_gap,
-                        ~data.train.is_censored,
+        model = cox.fit(agg.X, data.train.final_gap, ~data.train.is_censored,
                         feature_names=agg.feature_names)
         model.save(out / "model.json")
-        meta["standardization"] = standardization.to_dict()
         meta["continuous_markers"] = agg.continuous_markers
-        meta["beta"] = model.beta.tolist()
 
     else:
         seqs, stats = build_sequences(data.train, feature_config(config))
@@ -426,17 +421,14 @@ def predict_model(
         predicted = baselines.baseline_predict(dataset)
     elif family == "cph":
         model = cox.CoxModel.load(artifact / "model.json")
-        try:
-            standardization = Standardization.from_dict(meta["standardization"])
-            markers = list(meta["continuous_markers"])
-        except (KeyError, TypeError) as exc:
-            raise unreadable(f"{type(exc).__name__}: {exc}") from exc
+        markers = meta.get("continuous_markers")
+        if not (isinstance(markers, list) and all(isinstance(m, str) for m in markers)):
+            raise unreadable(f"continuous_markers = {markers!r}, expected a list of strings")
         agg = build_aggregates(dataset, continuous_markers=markers)
-        if agg.feature_names != standardization.feature_names:
+        if agg.feature_names != model.feature_names:
             raise DataModelMismatchError(
                 "aggregate feature schema does not match the trained model")
-        predicted = cox.expected_survival_time(model, standardization.apply(agg.X), t_s,
-                                               row_ids=dataset.user_ids)
+        predicted = cox.expected_survival_time(model, agg.X, t_s, row_ids=dataset.user_ids)
     else:
         model = rnnsm.load_model(artifact / "model.npz", family)
         seqs, _ = build_sequences(dataset, stats=model.stats)

@@ -103,30 +103,17 @@ def build_aggregates(dataset: Dataset, continuous_markers: Sequence[str] | None 
 
 @dataclass
 class Standardization:
-    feature_names: list[str]
     mean: np.ndarray
     std: np.ndarray
 
     @classmethod
-    def fit(cls, X: np.ndarray, feature_names: Sequence[str]) -> "Standardization":
+    def fit(cls, X: np.ndarray) -> "Standardization":
         mean = X.mean(axis=0)
         std = X.std(axis=0)
-        std = np.where(std == 0.0, 1.0, std)
-        return cls(list(feature_names), mean, std)
+        return cls(mean, np.where(std == 0.0, 1.0, std))
 
     def apply(self, X: np.ndarray) -> np.ndarray:
         return (X - self.mean) / self.std
-
-    def to_dict(self) -> dict:
-        return {
-            "feature_names": self.feature_names,
-            "mean": self.mean.tolist(),
-            "std": self.std.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Standardization":
-        return cls(list(d["feature_names"]), np.asarray(d["mean"]), np.asarray(d["std"]))
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +180,8 @@ class SequenceStats:
             cardinalities=[int(c) for c in d["cardinalities"]],
             vocabs={k: dict(v) for k, v in d["vocabs"].items()},
             cont_channels=list(d["cont_channels"]),
-            mean=np.asarray(d["mean"]),
-            std=np.asarray(d["std"]),
+            mean=np.asarray(d["mean"], dtype=float),
+            std=np.asarray(d["std"], dtype=float),
             continuous_markers=list(d["continuous_markers"]),
             max_steps=int(d["max_steps"]),
             per_session_steps=bool(d["per_session_steps"]),
@@ -309,7 +296,7 @@ def build_sequences(
     if fitting:
         if cont.shape[0] == 0:
             raise DataError("cannot fit sequence statistics on an empty dataset")
-        scaling = Standardization.fit(cont, stats.cont_channels)
+        scaling = Standardization.fit(cont)
         stats.mean, stats.std = scaling.mean, scaling.std
     cont = (cont - stats.mean) / stats.std
 

@@ -70,23 +70,26 @@ def _normalize_rows(mat: np.ndarray) -> np.ndarray:
     return mat / np.maximum(norms, 1e-12)
 
 
+def param_shapes(config: NetConfig) -> dict[str, tuple[int, ...]]:
+    """The shape of every parameter of a network with this config."""
+    H, F = config.hidden_size, config.fusion_size
+    shapes = {f"emb_{name}": (card + 1, dim) for name, card, dim
+              in zip(config.discrete_features, config.cardinalities, config.embedding_dims)}
+    shapes.update(fusion_w=(F, config.input_width), fusion_b=(F,), lstm_wx=(4 * H, F),
+                  lstm_wh=(4 * H, H), lstm_b=(4 * H,), out_v=(H,), out_b=(1,))
+    return shapes
+
+
 def init_params(config: NetConfig, rng: np.random.Generator) -> dict[str, np.ndarray]:
     """Uniform(-0.08, 0.08) weights, zero biases, forget-gate bias 1,
     embedding rows drawn then projected to unit norm."""
+    params = {name: np.zeros(shape) if name in ("fusion_b", "lstm_b", "out_b")
+              else rng.uniform(-0.08, 0.08, size=shape)
+              for name, shape in param_shapes(config).items()}
+    for name in config.discrete_features:
+        params[f"emb_{name}"] = _normalize_rows(params[f"emb_{name}"])
     H = config.hidden_size
-    u = lambda *shape: rng.uniform(-0.08, 0.08, size=shape)
-    params: dict[str, np.ndarray] = {}
-    for name, card, dim in zip(config.discrete_features, config.cardinalities, config.embedding_dims):
-        params[f"emb_{name}"] = _normalize_rows(u(card + 1, dim))
-    params["fusion_w"] = u(config.fusion_size, config.input_width)
-    params["fusion_b"] = np.zeros(config.fusion_size)
-    params["lstm_wx"] = u(4 * H, config.fusion_size)
-    params["lstm_wh"] = u(4 * H, H)
-    b = np.zeros(4 * H)
-    b[H:2 * H] = 1.0
-    params["lstm_b"] = b
-    params["out_v"] = u(H)
-    params["out_b"] = np.zeros(1)
+    params["lstm_b"][H:2 * H] = 1.0
     return params
 
 

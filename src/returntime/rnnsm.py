@@ -385,8 +385,9 @@ def load_model(path: str | Path, kind: str) -> RecurrentModel:
     """Read a checkpoint of the given kind ("rnn" or "rnnsm").
 
     A file that is missing or not a readable checkpoint, or whose header
-    holds fields of the wrong type or a w that does not fit the kind (null
-    for rnn, a positive finite number for rnnsm), raises
+    holds fields of the wrong type, a w that does not fit the kind (null
+    for rnn, a positive finite number for rnnsm) or a net_config that does
+    not fit the sequence statistics or the parameter shapes, raises
     DataModelMismatchError; so does a corrupt archive directory, on which
     zipfile raises OSError. The training record is kept in meta.json; a
     checkpoint that still carries one is read without it.
@@ -403,6 +404,18 @@ def load_model(path: str | Path, kind: str) -> RecurrentModel:
             raise ValueError(f"w = {w!r}, expected null")
         if kind == "rnnsm" and not (type(w) in (int, float) and 0 < w < math.inf):
             raise ValueError(f"w = {w!r}, expected a positive finite number")
+        n_cont = len(stats.cont_channels)
+        if stats.mean.shape != (n_cont,) or stats.std.shape != (n_cont,):
+            raise ValueError(f"{n_cont} continuous channels, normalization of shapes "
+                             f"{stats.mean.shape} and {stats.std.shape}")
+        inputs = (list(config.discrete_features), list(config.cardinalities), config.n_continuous)
+        if inputs != (stats.discrete_features, stats.cardinalities, n_cont):
+            raise ValueError(f"net_config inputs {inputs} do not match the sequence statistics")
+        shapes = net.param_shapes(config)
+        got = {name: value.shape for name, value in params.items()}
+        if got != shapes:
+            bad = sorted(k for k in shapes.keys() | got.keys() if shapes.get(k) != got.get(k))
+            raise ValueError(f"parameter shapes do not fit net_config: {', '.join(bad)}")
     except (zipfile.BadZipFile, EOFError, AttributeError, KeyError, TypeError, ValueError,
             OSError) as exc:
         raise DataModelMismatchError(f"checkpoint at {path} is unreadable: {exc}") from exc

@@ -429,7 +429,7 @@ def cox_mean_residual(model, x, a):
     the baseline at a time: hazard rate h_j / (t_j - t_{j-1}) on each
     inter-event interval, the last rate beyond the last event, and the
     cumulative hazard at each piece start from cox_cumulative_hazard."""
-    lin = float(np.dot(x, model.beta))
+    lin = model.risk_score(x)
     if lin > 700.0:
         return 0.0
     risk = math.exp(lin)

@@ -186,14 +186,17 @@ class TestTrainPredictEvaluate:
         ("rnn", "meta.json", lambda raw: raw[:len(raw) // 2]),
         ("cph", "model.json", lambda raw: raw[:len(raw) // 2]),
         ("cph", "meta.json", lambda raw: b"[]"),
-        ("cph", "meta.json", lambda raw: json.dumps(
-            {k: v for k, v in json.loads(raw).items() if k != "standardization"}).encode()),
+        ("cph", "meta.json", edited(lambda d: d.update(continuous_markers=[[1]]))),
+        ("cph", "model.json", edited(lambda d: d.pop("center"))),
+        ("cph", "model.json", edited(lambda d: d.update(center=d["center"][1:]))),
+        ("cph", "model.json", edited(lambda d: d.update(center=[None] * len(d["center"])))),
         ("cph", "model.json", edited(lambda d: d.update(baseline_times=[], baseline_hazard=[]))),
         ("cph", "model.json", edited(lambda d: d.update(baseline_times=d["baseline_times"][::-1]))),
         ("cph", "model.json", edited(
             lambda d: d.update(baseline_hazard=[-h for h in d["baseline_hazard"]]))),
     ], ids=["npz-truncated", "npz-not-zip", "npz-directory-offset", "meta-truncated", "cox-json-truncated",
-            "meta-list", "cph-meta-without-standardization", "cox-empty-baseline",
+            "meta-list", "cph-markers-not-strings", "cox-json-without-center",
+            "cox-center-wrong-length", "cox-center-non-finite", "cox-empty-baseline",
             "cox-knots-descending", "cox-negative-hazard"])
     def test_corrupt_artifact_exit_3(self, generated, tmp_path, capsys, model, name, corrupt):
         cfg, out = generated
@@ -704,8 +707,16 @@ def with_extra(**changes):
     ("rnnsm", lambda header: {**header, "extra": {
         **header["extra"], "stats": {**header["extra"]["stats"], "vocabs": []}}}),
     ("rnnsm", lambda header: {**header, "net_config": "abc"}),
+    ("rnnsm", lambda header: {**header, "net_config": {**header["net_config"], "hidden_size": 4}}),
+    ("rnn", lambda header: {**header, "net_config": {
+        **header["net_config"], "n_continuous": header["net_config"]["n_continuous"] + 1}}),
+    ("rnnsm", lambda header: {**header, "extra": {
+        **header["extra"], "stats": {**header["extra"]["stats"], "mean": [0.0]}}}),
+    ("rnn", lambda header: {**header, "extra": {**header["extra"], "stats": {
+        **header["extra"]["stats"], "std": ["a"] * len(header["extra"]["stats"]["std"])}}}),
 ], ids=["w-text", "w-null", "w-negative", "w-nan", "rnn-w-number", "extra-number",
-        "header-list", "stats-list", "vocabs-list", "net-config-text"])
+        "header-list", "stats-list", "vocabs-list", "net-config-text", "hidden-size-edited",
+        "n-continuous-edited", "stats-mean-short", "stats-std-text"])
 def test_malformed_checkpoint_header_exit_3(trained_recurrent, tmp_path, model, edit):
     rc, err, target = predict_with_header(trained_recurrent, tmp_path, model, edit)
     assert rc == 3, err

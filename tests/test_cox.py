@@ -1,3 +1,4 @@
+import json
 import logging
 import math
 
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from scipy import integrate as sp_integrate
 
 from returntime import cox
-from returntime.errors import DataError, NumericalError, ValidationError
+from returntime.errors import DataError, DataModelMismatchError, NumericalError, ValidationError
 
 from oracles import (
     baseline_hazard_walk,
@@ -215,6 +216,10 @@ class TestFit:
         m1 = cox.fit(X, times, events)
         m2 = cox.fit(X + 17.0, times, events)
         assert m1.beta[0] == pytest.approx(m2.beta[0], abs=1e-6)
+        assert m2.center[0] == pytest.approx(m1.center[0] + 17.0, rel=1e-12)
+        x = np.array([[0.0], [1.0]])
+        np.testing.assert_allclose(cox.expected_survival_time(m2, x + 17.0, 0.0),
+                                   cox.expected_survival_time(m1, x, 0.0), rtol=1e-6)
 
     def test_collinear_features_still_converge(self):
         X, times, events = simulate_ph(300, beta_true=0.4, seed=14)
@@ -245,6 +250,7 @@ class TestExpectedSurvivalTime:
         return cox.CoxModel(
             feature_names=["x"],
             beta=np.array([0.0]),
+            center=np.zeros(1),
             baseline_times=np.array([1.0, 2.0]),
             baseline_hazard=np.array([0.5, 1.0]),
         )
@@ -290,6 +296,7 @@ class TestExpectedSurvivalTime:
         model = cox.CoxModel(
             feature_names=["x"],
             beta=np.array([1.0]),
+            center=np.zeros(1),
             baseline_times=np.array([1.0, 2.0]),
             baseline_hazard=np.array([0.5, 1.0]),
         )
@@ -313,6 +320,7 @@ class TestExpectedSurvivalTime:
         model = cox.CoxModel(
             feature_names=["x"],
             beta=np.array([0.0]),
+            center=np.zeros(1),
             baseline_times=np.array([1.0, 2.5, 4.0]),
             baseline_hazard=np.array([0.5, 0.3, 0.9]),
         )
@@ -423,6 +431,7 @@ class TestBatchedExpectation:
         model = cox.CoxModel(
             feature_names=["x"],
             beta=np.array([1.0]),
+            center=np.zeros(1),
             baseline_times=np.array([1.0, 1.0 + 1e-9, 2.0]),
             baseline_hazard=np.array([0.5, 1.0, 1.0]),
         )
@@ -436,11 +445,38 @@ class TestBatchedExpectation:
     def test_risk_underflow_raises_naming_the_row(self, fitted):
         model, x, _ = fitted
         x = x.copy()
-        x[5] = -model.beta * 800.0 / (model.beta @ model.beta)  # lin = -800
+        x[5] = model.center - model.beta * 800.0 / (model.beta @ model.beta)  # lin = -800
         with pytest.raises(NumericalError, match=r"user u5 \(linear predictor -800\)"):
             cox.expected_survival_time(model, x, 0.0, row_ids=[f"u{i}" for i in range(len(x))])
         with pytest.raises(NumericalError, match="row 0"):
             cox.expected_survival_time(model, x[5], 0.0)
+
+
+class TestBatchIndependence:
+    """A user's prediction must not depend on which other users share the
+    call: every row equals the same row predicted within any permuted
+    subset of the rows."""
+
+    @pytest.fixture(scope="class")
+    def wide(self):
+        rng = np.random.default_rng(23)
+        p = 12
+        X = rng.normal(5.0, 2.0, size=(400, p))
+        t_event = rng.exponential(1.0 / (0.1 * np.exp((X - 5.0) @ rng.normal(0.0, 0.2, p))))
+        model = cox.fit(X, np.minimum(t_event, 40.0), t_event <= 40.0)
+        x = rng.normal(5.0, 2.0, size=(cox.EXPECTATION_BLOCK_ROWS + 44, p))
+        return model, x, rng.uniform(0.0, 20.0, size=len(x))
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_rows_bit_identical_in_any_permuted_subset(self, wide, data):
+        model, x, t_s = wide
+        order = data.draw(st.permutations(range(len(x))))
+        rows = np.array(order[:data.draw(st.integers(1, len(x)))])
+        for absence in (t_s, np.zeros(len(x))):
+            full = cox.expected_survival_time(model, x, absence)
+            part = cox.expected_survival_time(model, x[rows], absence[rows])
+            assert part.tobytes() == full[rows].tobytes()
 
 
 class TestPersistence:
@@ -452,13 +488,30 @@ class TestPersistence:
         loaded = cox.CoxModel.load(path)
         assert loaded.feature_names == model.feature_names
         np.testing.assert_array_equal(loaded.beta, model.beta)
+        np.testing.assert_array_equal(loaded.center, model.center)
         np.testing.assert_array_equal(loaded.baseline_times, model.baseline_times)
         x = np.array([1.0])
         assert cox.expected_survival_time(loaded, x, 0.0) == cox.expected_survival_time(model, x, 0.0)
+
+    @pytest.mark.parametrize("edit", [
+        lambda d: d.pop("center"),
+        lambda d: d.update(center=[]),
+        lambda d: d.update(center=[float("inf")]),
+        lambda d: d.update(center=None),
+        lambda d: d.update(beta=d["beta"] * 2, center=d["center"] * 2),
+    ], ids=["missing", "wrong-length", "non-finite", "null", "more-coefficients-than-features"])
+    def test_malformed_center_or_beta_unreadable(self, tmp_path, edit):
+        X, times, events = simulate_ph(200, beta_true=0.5, seed=18)
+        d = cox.fit(X, times, events).to_dict()
+        edit(d)
+        path = tmp_path / "cox.json"
+        path.write_text(json.dumps(d))
+        with pytest.raises(DataModelMismatchError, match="unreadable"):
+            cox.CoxModel.load(path)
 
     @pytest.mark.parametrize("times,hazard", [([], []), ([1.0, 2.0], [0.5]), ([[1.0]], [[0.5]])],
                              ids=["empty", "unequal-lengths", "two-dimensional"])
     def test_malformed_baseline_rejected(self, times, hazard):
         with pytest.raises(ValidationError, match="baseline"):
-            cox.CoxModel(feature_names=["x"], beta=np.array([0.0]),
+            cox.CoxModel(feature_names=["x"], beta=np.array([0.0]), center=np.zeros(1),
                          baseline_times=np.array(times), baseline_hazard=np.array(hazard))

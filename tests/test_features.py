@@ -74,14 +74,14 @@ class TestAggregates:
     def test_zscore_moments(self):
         rng = np.random.default_rng(0)
         X = rng.normal(3.0, 2.5, size=(500, 4))
-        std = Standardization.fit(X, ["a", "b", "c", "d"])
+        std = Standardization.fit(X)
         Z = std.apply(X)
         np.testing.assert_allclose(Z.mean(axis=0), 0.0, atol=1e-9)
         np.testing.assert_allclose(Z.std(axis=0), 1.0, atol=1e-9)
 
     def test_constant_column_left_at_zero(self):
         X = np.hstack([np.ones((10, 1)), np.arange(10.0)[:, None]])
-        std = Standardization.fit(X, ["const", "lin"])
+        std = Standardization.fit(X)
         Z = std.apply(X)
         assert np.all(Z[:, 0] == 0.0)
 
