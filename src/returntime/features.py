@@ -175,17 +175,43 @@ class SequenceStats:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SequenceStats":
+        """The statistics to_dict wrote. Names that are not strings, a vocab
+        code that is not an integer in [0, cardinality) of its feature, a
+        max_steps below 1 or a per_session_steps that is not a bool raise
+        TypeError or ValueError."""
+        discrete = _strings(d, "discrete_features")
+        cardinalities = [int(c) for c in d["cardinalities"]]
+        vocabs = {k: dict(v) for k, v in d["vocabs"].items()}
+        card = dict(zip(discrete, cardinalities))
+        for name, vocab in vocabs.items():
+            limit = card.get(name, 0)
+            bad = [c for c in vocab.values() if not (type(c) is int and 0 <= c < limit)]
+            if bad:
+                raise ValueError(f"vocab of {name!r} holds codes {bad[:3]} outside [0, {limit})")
+        max_steps, per_session = d["max_steps"], d["per_session_steps"]
+        if not (type(max_steps) is int and max_steps >= 1):
+            raise ValueError(f"max_steps = {max_steps!r}, expected an integer of at least 1")
+        if type(per_session) is not bool:
+            raise TypeError(f"per_session_steps = {per_session!r}, expected true or false")
         return cls(
-            discrete_features=list(d["discrete_features"]),
-            cardinalities=[int(c) for c in d["cardinalities"]],
-            vocabs={k: dict(v) for k, v in d["vocabs"].items()},
-            cont_channels=list(d["cont_channels"]),
+            discrete_features=discrete,
+            cardinalities=cardinalities,
+            vocabs=vocabs,
+            cont_channels=_strings(d, "cont_channels"),
             mean=np.asarray(d["mean"], dtype=float),
             std=np.asarray(d["std"], dtype=float),
-            continuous_markers=list(d["continuous_markers"]),
-            max_steps=int(d["max_steps"]),
-            per_session_steps=bool(d["per_session_steps"]),
+            continuous_markers=_strings(d, "continuous_markers"),
+            max_steps=max_steps,
+            per_session_steps=per_session,
         )
+
+
+def _strings(d: dict, key: str) -> list[str]:
+    """d[key], a list of strings; anything else raises TypeError."""
+    values = d[key]
+    if not (isinstance(values, list) and all(isinstance(v, str) for v in values)):
+        raise TypeError(f"{key} = {values!r}, expected a list of strings")
+    return list(values)
 
 
 def _unit_sums(column: np.ndarray, heads: np.ndarray, lengths: np.ndarray) -> np.ndarray:

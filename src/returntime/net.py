@@ -346,11 +346,14 @@ def backward_batch(
     grads["fusion_b"] = dpre.sum(axis=0)
     du = dpre @ params["fusion_w"]  # (N, D)
 
+    # each embedding column sums its rows' du by code, in row order as
+    # np.add.at would, but in one bincount pass
     offset = 0
     for k, name in enumerate(config.discrete_features):
-        dim = config.embedding_dims[k]
-        np.add.at(grads[f"emb_{name}"], cache["disc"][:, k], du[:, offset:offset + dim])
-        offset += dim
+        grad, codes = grads[f"emb_{name}"], cache["disc"][:, k]
+        for j in range(config.embedding_dims[k]):
+            grad[:, j] = np.bincount(codes, du[:, offset + j], minlength=len(grad))
+        offset += config.embedding_dims[k]
     return grads
 
 

@@ -385,9 +385,10 @@ def load_model(path: str | Path, kind: str) -> RecurrentModel:
     """Read a checkpoint of the given kind ("rnn" or "rnnsm").
 
     A file that is missing or not a readable checkpoint, or whose header
-    holds fields of the wrong type, a w that does not fit the kind (null
-    for rnn, a positive finite number for rnnsm) or a net_config that does
-    not fit the sequence statistics or the parameter shapes, raises
+    holds fields of the wrong type or out of range (see
+    SequenceStats.from_dict), a w that does not fit the kind (null for rnn,
+    a positive finite number for rnnsm) or a net_config that does not fit
+    the sequence statistics or the parameter shapes, raises
     DataModelMismatchError; so does a corrupt archive directory, on which
     zipfile raises OSError. The training record is kept in meta.json; a
     checkpoint that still carries one is read without it.

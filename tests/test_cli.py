@@ -695,6 +695,21 @@ def with_extra(**changes):
     return lambda header: {**header, "extra": {**header["extra"], **changes}}
 
 
+def with_stats(**changes):
+    return lambda header: with_extra(stats={**header["extra"]["stats"], **changes})(header)
+
+
+def with_vocab_code(code):
+    """The header with the first code of its first vocab replaced by code."""
+    def edit(header):
+        vocabs = header["extra"]["stats"]["vocabs"]
+        name = min(vocabs)
+        value = min(vocabs[name])
+        return with_stats(vocabs={**vocabs, name: {**vocabs[name], value: code}})(header)
+
+    return edit
+
+
 @pytest.mark.parametrize("model,edit", [
     ("rnnsm", with_extra(w="0.1")),
     ("rnnsm", with_extra(w=None)),
@@ -714,9 +729,20 @@ def with_extra(**changes):
         **header["extra"], "stats": {**header["extra"]["stats"], "mean": [0.0]}}}),
     ("rnn", lambda header: {**header, "extra": {**header["extra"], "stats": {
         **header["extra"]["stats"], "std": ["a"] * len(header["extra"]["stats"]["std"])}}}),
+    ("rnnsm", with_stats(continuous_markers=[[1]])),
+    ("rnn", lambda header: with_stats(
+        cont_channels=[1] * len(header["extra"]["stats"]["cont_channels"]))(header)),
+    ("rnnsm", with_vocab_code("x")),
+    ("rnnsm", with_vocab_code(10**6)),
+    ("rnn", with_vocab_code(-1)),
+    ("rnnsm", with_stats(max_steps=0)),
+    ("rnnsm", with_stats(max_steps=-3)),
+    ("rnn", with_stats(per_session_steps="false")),
 ], ids=["w-text", "w-null", "w-negative", "w-nan", "rnn-w-number", "extra-number",
         "header-list", "stats-list", "vocabs-list", "net-config-text", "hidden-size-edited",
-        "n-continuous-edited", "stats-mean-short", "stats-std-text"])
+        "n-continuous-edited", "stats-mean-short", "stats-std-text", "markers-not-strings",
+        "channels-not-strings", "vocab-code-text", "vocab-code-too-large",
+        "vocab-code-negative", "max-steps-zero", "max-steps-negative", "per-session-text"])
 def test_malformed_checkpoint_header_exit_3(trained_recurrent, tmp_path, model, edit):
     rc, err, target = predict_with_header(trained_recurrent, tmp_path, model, edit)
     assert rc == 3, err

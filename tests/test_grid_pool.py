@@ -161,3 +161,48 @@ def test_unguarded_caller_script_trains_rnnsm(small_data, tmp_path):
     assert done.returncode == 0, done.stderr
     assert "Traceback" not in done.stderr
     assert (tmp_path / "rnnsm" / "model.npz").exists()
+
+
+def test_final_fit_runs_beside_the_third_candidate(small_data, tmp_path_factory, tmp_path,
+                                                   monkeypatch):
+    """On 2 CPUs a three-point grid starts the final fit for the leader of the
+    first two candidates while the third is still running, and trains the
+    same bytes as the in-process loop."""
+    grid = [0.01, 0.05, 0.1]
+    cfg = tmp_path / "grid3.json"
+    cfg.write_text(json.dumps({"rnnsm": {"w_grid": grid}}))
+    cfgs = [*small_data, "--config", str(cfg)]
+    serial = tmp_path_factory.mktemp("serial3") / "rnnsm"
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(experiment, "_usable_cpus", lambda: 1)
+        m.setattr(experiment, "ProcessPoolExecutor", None)
+        assert train(cfgs, serial) == 0
+
+    candidate, fit = experiment._Grid.validation_predictions, experiment.RnnsmFit.__call__
+    scoring = []  # per process: the candidate being scored, if any
+
+    def scored(self, w):
+        scoring.append(w)
+        try:
+            if w == grid[2]:  # wait until a final fit has started, at most 60 s
+                deadline = time.monotonic() + 60
+                while not list(tmp_path.glob("final-*")) and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                (tmp_path / "third-saw").write_text(
+                    " ".join(p.name for p in tmp_path.glob("final-*")))
+            return candidate(self, w)
+        finally:
+            scoring.pop()
+
+    def fitted(self, w):
+        if not scoring:
+            (tmp_path / f"final-{w:g}").touch()
+        return fit(self, w)
+
+    monkeypatch.setattr(experiment, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(experiment._Grid, "validation_predictions", scored)
+    monkeypatch.setattr(experiment.RnnsmFit, "__call__", fitted)
+    assert train(cfgs, tmp_path / "rnnsm") == 0
+    early = (tmp_path / "third-saw").read_text().split()
+    assert len(early) == 1 and early[0] in {f"final-{w:g}" for w in grid[:2]}
+    assert artifact(tmp_path / "rnnsm") == artifact(serial)

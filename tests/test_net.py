@@ -124,6 +124,34 @@ class TestBackward:
             numeric = finite_difference_grads(loss, params)
             assert max_relative_error(analytic, numeric) < 1e-4
 
+    def test_embedding_scatter_bit_identical_to_add_at(self):
+        params, disc, cont, lengths, _, grad_o = ragged_instance(35, lengths=(9, 4, 9, 6))
+        _, cache = net.forward_batch(params, CONFIG, disc, cont, lengths)
+        grads = net.backward_batch(params, CONFIG, cache, grad_o)
+        codes = cache["disc"]  # (N, n_disc), packed order
+        N = len(codes)
+        assert all(len(np.unique(codes[:, k])) < N for k in range(codes.shape[1]))
+        # the same network with one embedding row per packed step: each row's
+        # gradient is then that step's du, the input of the scatter
+        unique = net.NetConfig(CONFIG.discrete_features, (N,) * len(CONFIG.cardinalities),
+                               CONFIG.embedding_dims, CONFIG.n_continuous,
+                               CONFIG.fusion_size, CONFIG.hidden_size)
+        spread = dict(params)
+        for k, name in enumerate(CONFIG.discrete_features):
+            table = params[f"emb_{name}"]
+            spread[f"emb_{name}"] = np.vstack([table[codes[:, k]], np.zeros(table.shape[1])])
+        ids = np.zeros(disc.shape[:2], dtype=np.int64)
+        ids[cache["rows"], cache["times"]] = np.arange(N)
+        _, cache_u = net.forward_batch(spread, unique, np.stack([ids] * disc.shape[2], axis=2),
+                                       cont, lengths)
+        grads_u = net.backward_batch(spread, unique, cache_u, grad_o)
+        for k, name in enumerate(CONFIG.discrete_features):
+            expected = np.zeros_like(params[f"emb_{name}"])
+            np.add.at(expected, codes[:, k], grads_u[f"emb_{name}"][:N])
+            assert grads[f"emb_{name}"].tobytes() == expected.tobytes()
+        for key in grads.keys() - {f"emb_{n}" for n in CONFIG.discrete_features}:
+            assert grads[key].tobytes() == grads_u[key].tobytes()
+
     def test_mismatched_cache_rejected(self):
         params, disc, cont = random_instance(10, T=3)
         _, cache = forward_one(params, disc, cont)
