@@ -19,6 +19,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import datetime as dt
+import functools
 import hashlib
 import json
 import logging
@@ -28,17 +29,23 @@ import tempfile
 import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
+from . import parallel
 from .errors import DataError, DataModelMismatchError, ValidationError
 
 logger = logging.getLogger(__name__)
 
 SECONDS_PER_DAY = 86400.0
 CACHE_SUFFIX = ".parsed.npz"  # the parse cache of <sessions file> is <sessions file>.parsed.npz
-CACHE_FORMAT_VERSION = 2  # bump when the cache layout or the parse result changes
+CACHE_FORMAT_VERSION = 3  # bump when the cache layout or the parse result changes
+_BYTES_PER_WORKER = 4 << 20  # a parse block holds at least this many bytes of the file
+_ROWS_PER_WORKER = 20_000  # a write block holds at least this many sessions
+_UNIX_EPOCH = dt.datetime(1970, 1, 1, tzinfo=dt.timezone.utc)
+_MICROSECOND = dt.timedelta(microseconds=1)
+_NUMBERS = (int, float)  # the types a JSON number decodes to; a JSON bool is neither
 
 
 @dataclass(frozen=True)
@@ -116,58 +123,6 @@ class SessionColumns:
             {key: (present[rows], column[rows])
              for key, (present, column) in self.continuous.items()},
         )
-
-
-class _ColumnBuilder:
-    """Collects sessions row by row into a header of strings and (n,) columns.
-
-    User ids and each discrete marker's values are coded by first
-    appearance. Each marker key gets a presence mask and a value column per
-    kind: codes into the header's value list for discrete markers, floats
-    for continuous ones.
-    """
-
-    def __init__(self) -> None:
-        self.user_codes: dict[str, int] = {}
-        self.users: list[int] = []
-        self.durations: list[float] = []
-        self.discrete: dict[str, tuple[dict, list[int], list[int]]] = {}
-        self.continuous: dict[str, tuple[list[int], list[float]]] = {}
-
-    def add(self, user: str, duration: float, discrete: Iterable, continuous: Iterable) -> None:
-        row = len(self.users)
-        for key, value in discrete:
-            codes, rows, values = self.discrete.setdefault(key, ({}, [], []))
-            rows.append(row)
-            values.append(codes.setdefault(value, len(codes)))
-        for key, value in continuous:
-            rows, values = self.continuous.setdefault(key, ([], []))
-            rows.append(row)
-            values.append(value)
-        self.users.append(self.user_codes.setdefault(user, len(self.user_codes)))
-        self.durations.append(duration)
-
-    def build(self, start_time: list[float]) -> tuple[dict, dict[str, np.ndarray]]:
-        header = {
-            "user_ids": list(self.user_codes),
-            "discrete": [[key, list(codes)] for key, (codes, _, _) in self.discrete.items()],
-            "continuous": list(self.continuous),
-        }
-        arrays = {
-            "user": np.array(self.users, dtype=np.int64),
-            "start_time": np.array(start_time, dtype=float),
-            "duration": np.array(self.durations, dtype=float),
-        }
-        n = len(self.users)
-        for kind, markers, dtype in (
-                ("discrete", [(r, c) for _, r, c in self.discrete.values()], np.int64),
-                ("continuous", self.continuous.values(), float)):
-            for i, (rows, values) in enumerate(markers):  # zero where the marker is absent
-                present = arrays[f"{kind}_present_{i}"] = np.zeros(n, dtype=bool)
-                column = arrays[f"{kind}_value_{i}"] = np.zeros(n, dtype=dtype)
-                present[rows] = True
-                column[rows] = values
-        return header, arrays
 
 
 def gather_runs(offsets: np.ndarray, users) -> tuple[np.ndarray, np.ndarray]:
@@ -456,7 +411,7 @@ def read_sessions_jsonl(path: str | Path) -> SessionsRead:
     columns = _load_cache(cache, digest)
     if columns is None:
         columns = _parse_jsonl(path, raw, digest)
-        _write_cache(cache, *columns)
+        _write_cache(cache, path, *columns)
     header, arrays = columns
     sessions = SessionColumns(
         header["user_ids"], arrays["user"], arrays["start_time"], arrays["duration"],
@@ -469,46 +424,161 @@ def read_sessions_jsonl(path: str | Path) -> SessionsRead:
 
 
 def _parse_jsonl(path: Path, raw: bytes, digest: str) -> tuple[dict, dict[str, np.ndarray]]:
-    """Decode the JSON lines into _ColumnBuilder's header and columns.
+    """Decode the JSON lines into the cache's header and columns.
 
-    Lines split like a text-mode file (\\n, \\r\\n or \\r).
+    Lines split like a text-mode file (\\n, \\r\\n or \\r). Blocks of at least
+    _BYTES_PER_WORKER bytes, cut right after a \\n, are parsed on every
+    usable CPU (parallel.map_blocks); user ids, marker keys and discrete
+    values are coded by first appearance in the file however it is cut.
     """
-    columns = _ColumnBuilder()
-    stamps: list[dt.datetime] = []
-    linenos: list[int] = []
-    for lineno, line in enumerate(raw.splitlines(), start=1):
+    blocks = parallel.map_blocks(functools.partial(_parse_block, path, raw), len(raw),
+                                 _BYTES_PER_WORKER)
+    bad = next((b.bad_duration for b in blocks if b.bad_duration is not None), None)
+    if bad is not None:
+        raise ValidationError(
+            f"{path}:{bad[0]}: bad session record: invalid duration {bad[1]} days")
+    micros = [us for b in blocks for us in b.micros]
+    epoch = _UNIX_EPOCH
+    if micros:
+        epoch += min(micros) * _MICROSECOND
+        epoch = epoch.replace(hour=0, minute=0, second=0, microsecond=0)
+    base = (epoch - _UNIX_EPOCH) // _MICROSECOND
+
+    user_codes: dict[str, int] = {}
+    users: list[np.ndarray] = []
+    discrete: dict[str, tuple[dict, list, list]] = {}  # key -> (value codes, rows, codes)
+    continuous: dict[str, tuple[list, list]] = {}  # key -> (rows, values)
+    n = 0
+    for b in blocks:
+        users.append(_recode(user_codes, b.user_ids)[b.user])
+        for key, (values, rows, codes) in b.discrete.items():
+            value_codes, key_rows, key_codes = discrete.setdefault(key, ({}, [], []))
+            key_rows.append(rows + n)
+            key_codes.append(_recode(value_codes, values)[codes])
+        for key, (rows, values) in b.continuous.items():
+            key_rows, key_values = continuous.setdefault(key, ([], []))
+            key_rows.append(rows + n)
+            key_values.append(values)
+        n += len(b.duration)
+    header = {
+        "user_ids": list(user_codes),
+        "discrete": [[key, list(codes)] for key, (codes, _, _) in discrete.items()],
+        "continuous": list(continuous),
+        "version": CACHE_FORMAT_VERSION, "sha256": digest, "epoch_iso": epoch.isoformat(),
+        "epoch_weekday": epoch.weekday(),
+    }
+    arrays = {
+        "user": np.concatenate(users),
+        # int / int rounds once, as timedelta.total_seconds does
+        "start_time": np.array([(us - base) / 1000000 / SECONDS_PER_DAY for us in micros],
+                               dtype=float),
+        "duration": np.concatenate([b.duration for b in blocks]),
+    }
+    for kind, markers, dtype in (
+            ("discrete", [(r, c) for _, r, c in discrete.values()], np.int64),
+            ("continuous", continuous.values(), float)):
+        for i, (rows, values) in enumerate(markers):  # zero where the marker is absent
+            present = arrays[f"{kind}_present_{i}"] = np.zeros(n, dtype=bool)
+            column = arrays[f"{kind}_value_{i}"] = np.zeros(n, dtype=dtype)
+            rows = np.concatenate(rows)
+            present[rows] = True
+            column[rows] = np.concatenate(values)
+    return header, arrays
+
+
+def _recode(codes: dict, keys: list) -> np.ndarray:
+    """The code of each key in codes, where a new key gets the next code."""
+    return np.array([codes.setdefault(key, len(codes)) for key in keys], dtype=np.int64)
+
+
+@dataclass(frozen=True, eq=False)
+class _ParsedBlock:
+    """The records of a block of lines. User ids and each discrete marker's
+    values are coded by first appearance in the block; each marker key maps
+    to the rows that carry it and their codes (discrete, after the values)
+    or values (continuous)."""
+
+    user_ids: list[str]
+    user: np.ndarray  # int64
+    micros: list[int]  # start, in microseconds since the Unix epoch
+    duration: np.ndarray  # days
+    discrete: dict[str, tuple[list, np.ndarray, np.ndarray]]  # key -> (values, rows, codes)
+    continuous: dict[str, tuple[np.ndarray, np.ndarray]]  # key -> (rows, values)
+    bad_duration: tuple[int, float] | None  # line and days of the first negative or non-finite
+
+
+def _line_start(raw: bytes, at: int) -> int:
+    """The first offset from `at` on where a line starts after a \\n: 0
+    for 0, else one past a \\n, or len(raw)."""
+    return 0 if at == 0 else raw.find(b"\n", at - 1) + 1 or len(raw)
+
+
+def _parse_block(path: Path, raw: bytes, lo: int, hi: int) -> _ParsedBlock:
+    """Parse the lines of raw that start in [lo, hi) after a \\n, or at 0.
+
+    A malformed record raises ValidationError naming path:line; a negative
+    or non-finite duration is only recorded, as a malformed record anywhere
+    in the file takes precedence.
+    """
+    start, end = _line_start(raw, lo), _line_start(raw, hi)
+    # the lines before the block: one per \n or \r, less one per \r\n
+    first = (1 + raw.count(b"\n", 0, start) + raw.count(b"\r", 0, start)
+             - raw.count(b"\r\n", 0, start))
+    scan_once = json.JSONDecoder().scan_once
+    user_codes: dict[str, int] = {}
+    users: list[int] = []
+    micros: list[int] = []
+    durations: list[float] = []
+    discrete: dict[str, tuple[dict, list[int], list[int]]] = {}
+    continuous: dict[str, tuple[list[int], list[float]]] = {}
+    bad_duration = None
+    for lineno, line in enumerate(raw[start:end].splitlines(), start=first):
         try:
             text = line.decode("utf-8").strip()
             if not text:
                 continue
-            rec = json.loads(text)
+            try:
+                rec, stop = scan_once(text, 0)
+            except StopIteration:
+                stop = None
+            if stop != len(text):
+                rec = json.loads(text)  # raises the error json.loads gives the line
             ts = _parse_ts(rec["start_ts"])
             user = str(rec["user_id"])
-            duration = float(rec.get("duration_s", 0.0)) / SECONDS_PER_DAY
-            markers = rec.get("markers") or {}
-            columns.add(
-                user, duration, [(k, v) for k, v in markers.items() if isinstance(v, str)],
-                [(k, float(v)) for k, v in markers.items()
-                 if isinstance(v, (int, float)) and not isinstance(v, bool)],
-            )
+            duration = rec.get("duration_s", 0.0)
+            if type(duration) not in _NUMBERS:
+                raise TypeError(f"duration_s must be a number, got {duration!r}")
+            duration = float(duration) / SECONDS_PER_DAY
+            row = len(durations)
+            for key, value in (rec.get("markers") or {}).items():
+                if type(value) is str:
+                    entry = discrete.get(key)
+                    if entry is None:
+                        entry = discrete[key] = ({}, [], [])
+                    entry[1].append(row)
+                    entry[2].append(entry[0].setdefault(value, len(entry[0])))
+                elif type(value) in _NUMBERS:
+                    entry = continuous.get(key)
+                    if entry is None:
+                        entry = continuous[key] = ([], [])
+                    entry[0].append(row)
+                    entry[1].append(float(value))
         except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             raise ValidationError(f"{path}:{lineno}: bad session record: {exc}") from exc
-        stamps.append(ts)
-        linenos.append(lineno)
-
-    if stamps:
-        epoch = min(stamps).replace(hour=0, minute=0, second=0, microsecond=0)
-    else:
-        epoch = dt.datetime(1970, 1, 1, tzinfo=dt.timezone.utc)
-    header, arrays = columns.build(
-        [(ts - epoch).total_seconds() / SECONDS_PER_DAY for ts in stamps])
-    header.update(version=CACHE_FORMAT_VERSION, sha256=digest, epoch_iso=epoch.isoformat(),
-                  epoch_weekday=epoch.weekday())
-    bad = np.flatnonzero(_bad_times(arrays))  # starts count from the earliest: only durations
-    if bad.size:
-        raise ValidationError(f"{path}:{linenos[bad[0]]}: bad session record: invalid duration "
-                              f"{float(arrays['duration'][bad[0]])} days")
-    return header, arrays
+        users.append(user_codes.setdefault(user, len(user_codes)))
+        micros.append((ts - _UNIX_EPOCH) // _MICROSECOND)
+        durations.append(duration)
+        if bad_duration is None and not 0.0 <= duration < math.inf:
+            bad_duration = (lineno, duration)
+    return _ParsedBlock(
+        list(user_codes), np.array(users, dtype=np.int64), micros,
+        np.array(durations, dtype=float),
+        {key: (list(codes), np.array(rows, dtype=np.int64), np.array(values, dtype=np.int64))
+         for key, (codes, rows, values) in discrete.items()},
+        {key: (np.array(rows, dtype=np.int64), np.array(values, dtype=float))
+         for key, (rows, values) in continuous.items()},
+        bad_duration,
+    )
 
 
 def _bad_times(arrays: dict[str, np.ndarray]) -> np.ndarray:
@@ -551,8 +621,9 @@ def _load_cache(cache: Path, digest: str) -> tuple[dict, dict[str, np.ndarray]] 
     return header, arrays
 
 
-def _write_cache(cache: Path, header: dict, arrays: dict[str, np.ndarray]) -> None:
-    """Write the cache to a temp file beside it, then rename it into place.
+def _write_cache(cache: Path, source: Path, header: dict, arrays: dict[str, np.ndarray]) -> None:
+    """Write the cache to a temp file beside it, then rename it into place
+    with the read and write permissions of the sessions file, source.
 
     An OSError, such as a read-only directory, leaves no file and only skips
     the cache.
@@ -564,6 +635,7 @@ def _write_cache(cache: Path, header: dict, arrays: dict[str, np.ndarray]) -> No
                    **arrays}
         with os.fdopen(fd, "wb") as fh:
             np.savez(fh, digest=_digest(members), **members)
+        os.chmod(tmp, os.stat(source).st_mode & 0o666)  # mkstemp's 0600 hides it from others
         os.replace(tmp, cache)
     except OSError as exc:
         logger.info("sessions cache %s not written: %s", cache, exc)
@@ -575,8 +647,26 @@ def _write_cache(cache: Path, header: dict, arrays: dict[str, np.ndarray]) -> No
 def write_sessions_jsonl(path: str | Path, sessions: SessionColumns, epoch_iso: str) -> None:
     """Write sessions in the ingestion format, timestamps relative to epoch_iso:
     per row, json.dumps(record, sort_keys=True) of its record, in which a key
-    both discrete and continuous on the row takes the continuous value."""
+    both discrete and continuous on the row takes the continuous value.
+
+    Blocks of at least _ROWS_PER_WORKER rows are formatted on every usable
+    CPU (parallel.map_blocks). This process writes the first block's lines
+    as it formats them, then the text of the others."""
     epoch = _parse_ts(epoch_iso)
+    with Path(path).open("w") as fh:
+
+        def block(lo: int, hi: int) -> str:
+            lines = _format_rows(sessions.take(slice(lo, hi)), epoch)
+            if lo == 0:  # map_blocks runs the first block in this process
+                fh.writelines(lines)
+                return ""
+            return "".join(lines)
+
+        fh.writelines(parallel.map_blocks(block, len(sessions), _ROWS_PER_WORKER))
+
+
+def _format_rows(sessions: SessionColumns, epoch: dt.datetime) -> Iterator[str]:
+    """write_sessions_jsonl's lines of the sessions."""
     users = [json.dumps(u) for u in sessions.user_ids]
     fields = [[None] * len(sessions)]  # per marker key and row '"key": value', or None
     for key in sorted(set(sessions.discrete) | set(sessions.continuous)):
@@ -590,15 +680,14 @@ def write_sessions_jsonl(path: str | Path, sessions: SessionColumns, epoch_iso: 
             column[present] = [f"{name}: {_json_float(x)}" for x in values[present].tolist()]
         fields.append(column.tolist())
     markers = (", ".join(filter(None, row)) for row in zip(*fields))
-    with Path(path).open("w") as fh:
-        fh.writelines(
-            f'{{"duration_s": {_json_float(duration)}, "markers": {{{marker}}}, '
-            f'"start_ts": "{(epoch + dt.timedelta(days=start)).isoformat()}", '
-            f'"user_id": {users[user]}}}\n'
-            for user, start, duration, marker in zip(
-                sessions.user.tolist(), sessions.start_time.tolist(),
-                (sessions.duration * SECONDS_PER_DAY).tolist(), markers)
-        )
+    return (
+        f'{{"duration_s": {_json_float(duration)}, "markers": {{{marker}}}, '
+        f'"start_ts": "{(epoch + dt.timedelta(days=start)).isoformat()}", '
+        f'"user_id": {users[user]}}}\n'
+        for user, start, duration, marker in zip(
+            sessions.user.tolist(), sessions.start_time.tolist(),
+            (sessions.duration * SECONDS_PER_DAY).tolist(), markers)
+    )
 
 
 def _json_float(x: float) -> str:

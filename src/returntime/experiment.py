@@ -8,14 +8,13 @@ import hashlib
 import json
 import logging
 import multiprocessing
-import os
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from . import baselines, blas, cox, metrics, net, rnnsm
+from . import baselines, blas, cox, metrics, net, parallel, rnnsm
 from .config import (
     boolean, count, mapping, model_family, output_dir, positive, positives, setting, text,
 )
@@ -196,13 +195,6 @@ def _in_worker(task: str, w: float):
     return getattr(_worker_grid, task)(w)
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def _leader(grid: list[float], concordances: list) -> int:
     """Index of the best scored candidate: highest concordance, then smallest w."""
     return max((i for i, c in enumerate(concordances) if c is not None),
@@ -217,9 +209,7 @@ def _grid_in_pool(grid_job: _Grid, grid: list[float], score, workers: int):
     candidate wins, its final fit starts once the grid ends, as it would
     without the early start, and the early model is discarded.
     """
-    # fork, not spawn: spawn re-imports the caller's __main__, so a script
-    # without a __main__ guard fails, pickles the sequences into every task,
-    # and takes 0.5-0.8 s to start a worker where fork takes 0.04 s
+    # fork, not spawn, for the reasons in returntime.parallel
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                                initializer=_start_worker, initargs=(grid_job,))
     try:
@@ -280,8 +270,8 @@ def select_w(
     def score(predicted: np.ndarray) -> float:
         return metrics.concordance_index(predictions(val_ds, predicted))
 
-    workers = min(len(grid), _usable_cpus())
-    if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
+    workers = parallel.worker_count(len(grid), 1)
+    if workers > 1:
         concordances, best, model = _grid_in_pool(grid_job, grid, score, workers)
     else:
         concordances = [score(grid_job.validation_predictions(w)) for w in grid]

@@ -10,12 +10,14 @@ mixture, and a pages-viewed count.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from . import parallel
 from .config import output_dir
 from .data import SessionColumns, WindowConfig, check_times, write_sessions_jsonl
 from .errors import ConfigError
@@ -23,6 +25,7 @@ from .errors import ConfigError
 DEVICES = ("mobile", "desktop", "tablet")
 MINUTE = 1.0 / (24.0 * 60.0)
 _NORMAL_BLOCK = 256  # standard normals drawn at a time while walking a user's arrivals
+_USERS_PER_WORKER = 500  # a generate block holds at least this many users
 
 
 @dataclass(frozen=True)
@@ -221,19 +224,17 @@ def _simulate_user(
     return rows, truth
 
 
-def generate(config: GeneratorConfig) -> tuple[SessionColumns, list[GroundTruthRow]]:
-    """All users' sessions as user-major columns plus per-user ground truth,
-    deterministic per seed and independent per user. Only users with a
-    session are in user_ids; a bad start or duration raises Session's
-    ValidationError."""
-    config.validate()
+def _simulate_users(config: GeneratorConfig, children: list[np.random.SeedSequence],
+                    lo: int, hi: int) -> tuple[list[str], np.ndarray, list[GroundTruthRow]]:
+    """Users lo to hi - 1, each from their own seed: the ids of those with a
+    session, their rows as an (n, 5) array of (user code counted from the
+    block's first id, start, duration, device code, pages), and the ground
+    truth."""
     fractions = np.array([c.fraction for c in config.cohorts])
-    children = np.random.SeedSequence(config.seed).spawn(config.user_count)
-
     user_ids: list[str] = []
-    rows: list[tuple] = []  # (user code, start, duration, device code, pages)
+    rows: list[tuple] = []
     truths: list[GroundTruthRow] = []
-    for i in range(config.user_count):
+    for i in range(lo, hi):
         rng = np.random.default_rng(children[i])
         cohort = config.cohorts[int(rng.choice(len(config.cohorts), p=fractions))]
         user_rows, truth = _simulate_user(f"u{i:05d}", cohort, config, rng)
@@ -243,7 +244,30 @@ def generate(config: GeneratorConfig) -> tuple[SessionColumns, list[GroundTruthR
         user_ids.append(f"u{i:05d}")
         if truth is not None:
             truths.append(truth)
-    user, start, duration, device, pages = np.array(rows, dtype=float).reshape(-1, 5).T.copy()
+    return user_ids, np.array(rows, dtype=float).reshape(-1, 5), truths
+
+
+def generate(config: GeneratorConfig) -> tuple[SessionColumns, list[GroundTruthRow]]:
+    """All users' sessions as user-major columns plus per-user ground truth,
+    deterministic per seed and independent per user. Only users with a
+    session are in user_ids; a bad start or duration raises Session's
+    ValidationError.
+
+    Blocks of at least _USERS_PER_WORKER users are simulated on every
+    usable CPU (parallel.map_blocks); the result does not depend on how
+    many."""
+    config.validate()
+    children = np.random.SeedSequence(config.seed).spawn(config.user_count)
+    blocks = parallel.map_blocks(functools.partial(_simulate_users, config, children),
+                                 config.user_count, _USERS_PER_WORKER)
+    user_ids: list[str] = []
+    truths: list[GroundTruthRow] = []
+    for block_ids, block_rows, block_truths in blocks:
+        block_rows[:, 0] += len(user_ids)
+        user_ids += block_ids
+        truths += block_truths
+    rows = np.concatenate([block_rows for _, block_rows, _ in blocks])
+    user, start, duration, device, pages = rows.T.copy()
     present = np.ones(len(start), dtype=bool)
     sessions = SessionColumns(user_ids, user.astype(np.int64), start, duration,
                               {"device": (list(DEVICES), present, device.astype(np.int64))},

@@ -121,6 +121,23 @@ class TestGenerate:
         err = capsys.readouterr().err
         assert err.startswith("error: cohort 'lapsing'") and "overflows" in err
 
+    def test_overflowing_first_gap_in_a_worker_exit_2(self, tmp_path, capsys, fan_out):
+        # with seed 8 the first user to overflow is user 24, in the second of two blocks
+        cfg = write_cfg(tmp_path, {"generator": {"user_count": 40, "cohorts": [
+            cohort(name="steady", fraction=0.5),
+            cohort(name="lapsing", fraction=0.5, lapse_multiplier=1e308, lapse_taper_days=0.0),
+        ]}})
+        errors = []
+        for cpus in (1, 2):
+            worker_blocks = fan_out(cpus)
+            capsys.readouterr()
+            assert main(["generate", "--config", cfg, "--out", str(tmp_path / "x"),
+                         "--seed", "8"]) == 2
+            errors.append(capsys.readouterr().err)
+        assert worker_blocks() == [(20, 40)]
+        assert errors[1] == errors[0]
+        assert errors[0].startswith("error: cohort 'lapsing'") and "Traceback" not in errors[0]
+
     def test_manifest_has_hash_and_versions(self, generated):
         _, out = generated
         manifest = json.loads((out / "manifest.json").read_text())
@@ -521,6 +538,27 @@ class TestTrainPredictEvaluate:
         assert rc == 2
         assert "Traceback" not in err
         assert f"{path}:1: bad session record" in err
+        assert not Path(str(path) + data.CACHE_SUFFIX).exists()
+
+    def test_malformed_last_line_exit_2_in_a_worker(self, generated, tmp_path, capsys,
+                                                    fan_out):
+        cfg, out = generated
+        path = tmp_path / "bad.jsonl"
+        sessions = (out / "sessions.jsonl").read_bytes()
+        path.write_bytes(sessions + b'{"user_id": "x", "start_ts": 123}\n')
+        errors = []
+        for cpus in (1, 2):
+            worker_blocks = fan_out(cpus)
+            capsys.readouterr()
+            rc = main(["train", "--model", "baseline", "--config", cfg,
+                       "--config", str(out / "run_config.json"), "--data", str(path),
+                       "--out", str(tmp_path / "m")])
+            assert rc == 2
+            errors.append(capsys.readouterr().err)
+        assert len(worker_blocks()) == 1
+        assert errors[1] == errors[0]
+        lineno = len(sessions.splitlines()) + 1
+        assert errors[0].startswith(f"error: {path}:{lineno}: bad session record")
         assert not Path(str(path) + data.CACHE_SUFFIX).exists()
 
     @pytest.mark.parametrize("command,payload,key", [

@@ -1,5 +1,6 @@
 import datetime as dt
 import json
+import stat
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -403,13 +404,112 @@ class TestSessionsCache:
     @pytest.mark.parametrize("bad,message", [
         ('{"user_id": "d", "start_ts": 123}', ":5: bad session record"),
         (record("d", 1.0, duration_s=-5.0), "invalid duration"),
-    ], ids=["parse-error", "invalid-session"])
+        (record("d", 1.0, duration_s="12"), ":5: bad session record: duration_s must be a number"),
+        (record("d", 1.0, duration_s=True), ":5: bad session record: duration_s must be a number"),
+    ], ids=["parse-error", "invalid-session", "duration-string", "duration-bool"])
     def test_bad_record_leaves_no_cache(self, tmp_path, bad, message):
         path = tmp_path / "sessions.jsonl"
         write_lines(path, SAMPLE + [bad])
         with pytest.raises(ValidationError, match=message):
             read_sessions_jsonl(path)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["sessions.jsonl"]
+
+    @pytest.mark.parametrize("mode", [0o644, 0o640, 0o600, 0o755])
+    def test_cache_takes_the_sessions_file_permissions(self, tmp_path, mode):
+        path = tmp_path / "sessions.jsonl"
+        write_lines(path, SAMPLE)
+        path.chmod(mode)
+        read_sessions_jsonl(path)
+        assert stat.S_IMODE(cache_of(path).stat().st_mode) == mode & 0o666
+
+
+def cache_contents(path):
+    """The cache a parse of path writes: each member's dtype, shape and bytes."""
+    cache_of(path).unlink(missing_ok=True)
+    read_sessions_jsonl(path)
+    with np.load(cache_of(path)) as npz:
+        return {name: (npz[name].dtype, npz[name].shape, npz[name].tobytes())
+                for name in npz.files}
+
+
+def parse_error(path):
+    """The ValidationError message of parsing path, which must leave no cache."""
+    cache_of(path).unlink(missing_ok=True)
+    with pytest.raises(ValidationError) as error:
+        read_sessions_jsonl(path)
+    assert error.value.exit_code == 2
+    assert not cache_of(path).exists()
+    return str(error.value)
+
+
+def cut_first_block(body: bytes, where: str, blocks: int) -> bytes:
+    """body after a blank line of spaces long enough that the first of the
+    given number of blocks would end where asked: just after a \\r\\n,
+    between its \\r and \\n, or inside a line."""
+    ends = {
+        "after-crlf": lambda raw, at: raw[at - 2:at] == b"\r\n",
+        "inside-crlf": lambda raw, at: raw[at - 1:at + 1] == b"\r\n",
+        "mid-line": lambda raw, at: not set(raw[at - 1:at + 1]) & set(b"\r\n"),
+    }[where]
+    return next(raw for raw in (b" " * k + b"\n" + body for k in range(400))
+                if ends(raw, len(raw) // blocks))
+
+
+class TestForkedParse:
+    """A parse split into blocks over forked workers gives the in-process parse."""
+
+    @pytest.mark.parametrize("newlines,where,cpus", [
+        ("\n", "mid-line", 2), ("\n", "mid-line", 3), ("\r\n", "after-crlf", 2),
+        ("\r\n", "inside-crlf", 2), ("\r\n", "mid-line", 3), ("\r", "mid-line", 2),
+        (("\n", "\r\n", "\r"), "mid-line", 2), (("\n", "\r\n", "\r"), "after-crlf", 3),
+    ], ids=["lf-2", "lf-3", "crlf-after-2", "crlf-inside-2", "crlf-3", "cr-2", "mixed-2",
+            "mixed-after-crlf-3"])
+    def test_line_endings_and_blank_lines(self, tmp_path, fan_out, newlines, where, cpus):
+        lines = SAMPLE + ["", "   ", "\t"] + [record("e", 3.0 + i, kind=str(i % 3))
+                                                for i in range(9)]
+        if isinstance(newlines, str):
+            newlines = (newlines,)
+        body = "".join(line + newlines[i % len(newlines)] for i, line in enumerate(lines))
+        raw = cut_first_block(body.encode(), where, cpus)
+        path = tmp_path / "sessions.jsonl"
+        path.write_bytes(raw)
+        fan_out(1)
+        expected = cache_contents(path)
+        worker_blocks = fan_out(cpus)
+        assert cache_contents(path) == expected
+        assert len(worker_blocks()) == cpus - 1
+        assert as_plain(read_sessions_jsonl(path)) == read_sessions_plain(path)
+
+        path.write_bytes(raw + b'{"user_id": "x"}\n')
+        fan_out(1)
+        expected = parse_error(path)
+        assert f":{len(lines) + 2}: bad session record" in expected
+        fan_out(cpus)
+        assert parse_error(path) == expected
+
+    @pytest.mark.parametrize("case", ["last", "first-and-last", "duration-then-malformed",
+                                      "duration-last", "duration-first-and-last"])
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_first_bad_line_is_reported_as_in_process(self, tmp_path, fan_out, case, cpus):
+        lines = SAMPLE * 6
+        malformed, negative = '{"user_id": "d", "start_ts": 123}', record("d", 1.0, -5.0)
+        lines, lineno = {
+            "last": (lines + [malformed], len(lines) + 1),
+            "first-and-last": ([malformed] + lines + [malformed], 1),
+            # a malformed record anywhere wins over a bad duration
+            "duration-then-malformed": ([negative] + lines + [malformed], len(lines) + 2),
+            "duration-last": (lines + [negative], len(lines) + 1),
+            "duration-first-and-last": ([negative] + lines + [negative], 1),
+        }[case]
+        path = tmp_path / "sessions.jsonl"
+        write_lines(path, lines)
+        fan_out(1)
+        expected = parse_error(path)
+        assert f"{path}:{lineno}: bad session record" in expected
+        worker_blocks = fan_out(cpus)
+        assert parse_error(path) == expected
+        if case != "first-and-last":  # else the workers may be stopped before they log
+            assert len(worker_blocks()) == cpus - 1
 
 
 def rewrite_cache(cache, version=None, header_edit=None, **edits):

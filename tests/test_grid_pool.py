@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import returntime
-from returntime import blas, experiment
+from returntime import blas, experiment, parallel
 from returntime.cli import main
 from returntime.errors import DataError
 
@@ -52,7 +52,7 @@ def in_process(small_data, tmp_path_factory):
     """The grid run as a loop in this process, as on a one-CPU host."""
     out = tmp_path_factory.mktemp("serial") / "rnnsm"
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(experiment, "_usable_cpus", lambda: 1)
+        m.setattr(parallel, "usable_cpus", lambda: 1)
         m.setattr(experiment, "ProcessPoolExecutor", None)  # any pool use fails
         assert train(small_data, out) == 0
     meta = json.loads((out / "meta.json").read_text())
@@ -86,7 +86,7 @@ def test_pooled_grid_equals_in_process_loop(small_data, in_process, tmp_path, mo
     assert scores[0][1] != scores[1][1], "the two candidates must not tie"
     loser = next(v for v, _ in scores if v != w)
     slow = loser if finishes_last == "loser" else w
-    monkeypatch.setattr(experiment, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
     monkeypatch.setattr(experiment._Grid, "validation_predictions",
                         finishing_last(slow, tmp_path / "first-done"))
     with caplog.at_level(logging.INFO, logger="returntime.experiment"):
@@ -107,7 +107,7 @@ def test_data_error_in_a_worker_exits_2(small_data, tmp_path, monkeypatch, capsy
     def failing(self, w):
         raise DataError(f"synthetic failure for w={w:g} in process {os.getpid()}")
 
-    monkeypatch.setattr(experiment, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
     monkeypatch.setattr(experiment._Grid, "validation_predictions", failing)
     capsys.readouterr()
     assert train(small_data, tmp_path / "rnnsm") == 2
@@ -174,7 +174,7 @@ def test_final_fit_runs_beside_the_third_candidate(small_data, tmp_path_factory,
     cfgs = [*small_data, "--config", str(cfg)]
     serial = tmp_path_factory.mktemp("serial3") / "rnnsm"
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(experiment, "_usable_cpus", lambda: 1)
+        m.setattr(parallel, "usable_cpus", lambda: 1)
         m.setattr(experiment, "ProcessPoolExecutor", None)
         assert train(cfgs, serial) == 0
 
@@ -199,7 +199,7 @@ def test_final_fit_runs_beside_the_third_candidate(small_data, tmp_path_factory,
             (tmp_path / f"final-{w:g}").touch()
         return fit(self, w)
 
-    monkeypatch.setattr(experiment, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
     monkeypatch.setattr(experiment._Grid, "validation_predictions", scored)
     monkeypatch.setattr(experiment.RnnsmFit, "__call__", fitted)
     assert train(cfgs, tmp_path / "rnnsm") == 0

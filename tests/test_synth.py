@@ -1,5 +1,6 @@
 import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -215,6 +216,46 @@ class TestAgainstSessionObjects:
         digest = lambda name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
         assert digest("sessions.jsonl") == sessions_sha256
         assert digest("ground_truth.csv") == ground_truth_sha256
+
+
+class TestForkedBlocks:
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_files_and_cache_equal_the_in_process_run(self, tmp_path, fan_out, cpus):
+        cfg = GeneratorConfig(user_count=90, seed=4)
+        runs = {}
+        for n in (1, cpus):
+            worker_blocks = fan_out(n)
+            out = tmp_path / f"cpus{n}"
+            generate_to_files(cfg, out)
+            read_sessions_jsonl(out / "sessions.jsonl")
+            # n - 1 worker blocks each of users, JSON lines and the parse
+            assert len(worker_blocks()) == 3 * (n - 1)
+            with np.load(out / "sessions.jsonl.parsed.npz") as npz:
+                cache = {name: (npz[name].dtype, npz[name].shape, npz[name].tobytes())
+                         for name in npz.files}
+            runs[n] = [(out / name).read_bytes() for name in ("sessions.jsonl",
+                                                              "ground_truth.csv")], cache
+        assert runs[cpus] == runs[1]
+        # and both equal the Session-object generator
+        assert_files_match_objects(cfg, tmp_path)
+
+    def test_overflowing_first_gap_in_a_worker_block(self, fan_out):
+        cohorts = (
+            CohortConfig(name="steady", fraction=0.5, gap_log_mean=1.0, gap_log_sigma=0.5),
+            CohortConfig(name="lapsing", fraction=0.5, gap_log_mean=1.0, gap_log_sigma=0.5,
+                         lapse_multiplier=1e308),
+        )
+        cfg = GeneratorConfig(user_count=40, seed=8, cohorts=cohorts)
+        fan_out(1)
+        with pytest.raises(ConfigError, match="first gap overflows") as want:
+            generate(cfg)
+        worker_blocks = fan_out(2)
+        # the first block, users 0-19, which this process runs, has no overflow
+        generate(replace(cfg, user_count=20))
+        with pytest.raises(ConfigError) as got:
+            generate(cfg)
+        assert worker_blocks() == [(10, 20), (20, 40)]
+        assert str(got.value) == str(want.value)
 
 
 class TestWriter:
