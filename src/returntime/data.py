@@ -428,8 +428,7 @@ def _parse_jsonl(path: Path, raw: bytes, digest: str) -> tuple[dict, dict[str, n
 
     Lines split like a text-mode file (\\n, \\r\\n or \\r). Blocks of at least
     _BYTES_PER_WORKER bytes, cut right after a \\n, are parsed on every
-    usable CPU (parallel.map_blocks); user ids, marker keys and discrete
-    values are coded by first appearance in the file however it is cut.
+    usable CPU (parallel.map_blocks), then merged by _merge_blocks.
     """
     blocks = parallel.map_blocks(functools.partial(_parse_block, path, raw), len(raw),
                                  _BYTES_PER_WORKER)
@@ -437,6 +436,14 @@ def _parse_jsonl(path: Path, raw: bytes, digest: str) -> tuple[dict, dict[str, n
     if bad is not None:
         raise ValidationError(
             f"{path}:{bad[0]}: bad session record: invalid duration {bad[1]} days")
+    return _merge_blocks(blocks, digest)
+
+
+def _merge_blocks(blocks: list[_ParsedBlock], digest: str) -> tuple[dict, dict[str, np.ndarray]]:
+    """The cache's header and columns of the blocks' records laid end to end,
+    for a file hashing to digest. User ids, marker keys and discrete values
+    are coded by first appearance however the records are cut into blocks;
+    start_time counts from the epoch, midnight UTC of the earliest start."""
     micros = [us for b in blocks for us in b.micros]
     epoch = _UNIX_EPOCH
     if micros:
@@ -493,10 +500,11 @@ def _recode(codes: dict, keys: list) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class _ParsedBlock:
-    """The records of a block of lines. User ids and each discrete marker's
-    values are coded by first appearance in the block; each marker key maps
-    to the rows that carry it and their codes (discrete, after the values)
-    or values (continuous)."""
+    """The records of a block of lines, parsed (_parse_block) or derived from
+    the columns written (_parsed_rows). User ids and each discrete marker's
+    values are coded by first appearance in the block, and marker keys are
+    in order of first appearance; each key maps to the rows that carry it
+    and their codes (discrete, after the values) or values (continuous)."""
 
     user_ids: list[str]
     user: np.ndarray  # int64
@@ -651,22 +659,42 @@ def write_sessions_jsonl(path: str | Path, sessions: SessionColumns, epoch_iso: 
 
     Blocks of at least _ROWS_PER_WORKER rows are formatted on every usable
     CPU (parallel.map_blocks). This process writes the first block's lines
-    as it formats them, then the text of the others."""
-    epoch = _parse_ts(epoch_iso)
-    with Path(path).open("w") as fh:
+    as it formats them, then the text of the others.
 
-        def block(lo: int, hi: int) -> str:
-            lines = _format_rows(sessions.take(slice(lo, hi)), epoch)
+    The parse cache of a regular file is written too, from the columns:
+    the one a first read_sessions_jsonl would parse and write, so that read
+    decodes no JSON. Where _parsed_rows cannot derive a block exactly, no
+    cache is written and the first read parses the file."""
+    path = Path(path)
+    epoch = _parse_ts(epoch_iso)
+    with path.open("w") as fh:
+
+        def block(lo: int, hi: int) -> tuple[str, _ParsedBlock | None]:
+            lines, parsed = _format_rows(sessions.take(slice(lo, hi)), epoch)
             if lo == 0:  # map_blocks runs the first block in this process
                 fh.writelines(lines)
-                return ""
-            return "".join(lines)
+                return "", parsed
+            return "".join(lines), parsed
 
-        fh.writelines(parallel.map_blocks(block, len(sessions), _ROWS_PER_WORKER))
+        blocks = parallel.map_blocks(block, len(sessions), _ROWS_PER_WORKER)
+        fh.writelines(text for text, _ in blocks)
+    if all(parsed is not None for _, parsed in blocks) and path.is_file():
+        digest = hashlib.sha256()
+        try:
+            with path.open("rb") as fh:  # in chunks: the whole file would add its size to peak RSS
+                for chunk in iter(functools.partial(fh.read, 1 << 20), b""):
+                    digest.update(chunk)
+        except OSError as exc:
+            logger.info("sessions cache of %s not written: %s", path, exc)
+            return
+        _write_cache(path.with_name(path.name + CACHE_SUFFIX), path,
+                     *_merge_blocks([parsed for _, parsed in blocks], digest.hexdigest()))
 
 
-def _format_rows(sessions: SessionColumns, epoch: dt.datetime) -> Iterator[str]:
-    """write_sessions_jsonl's lines of the sessions."""
+def _format_rows(sessions: SessionColumns,
+                 epoch: dt.datetime) -> tuple[Iterator[str], _ParsedBlock | None]:
+    """write_sessions_jsonl's lines of the sessions, and what _parse_block
+    makes of them (_parsed_rows)."""
     users = [json.dumps(u) for u in sessions.user_ids]
     fields = [[None] * len(sessions)]  # per marker key and row '"key": value', or None
     for key in sorted(set(sessions.discrete) | set(sessions.continuous)):
@@ -680,14 +708,76 @@ def _format_rows(sessions: SessionColumns, epoch: dt.datetime) -> Iterator[str]:
             column[present] = [f"{name}: {_json_float(x)}" for x in values[present].tolist()]
         fields.append(column.tolist())
     markers = (", ".join(filter(None, row)) for row in zip(*fields))
-    return (
+    stamps = [epoch + dt.timedelta(days=start) for start in sessions.start_time.tolist()]
+    seconds = sessions.duration * SECONDS_PER_DAY
+    lines = (
         f'{{"duration_s": {_json_float(duration)}, "markers": {{{marker}}}, '
-        f'"start_ts": "{(epoch + dt.timedelta(days=start)).isoformat()}", '
-        f'"user_id": {users[user]}}}\n'
-        for user, start, duration, marker in zip(
-            sessions.user.tolist(), sessions.start_time.tolist(),
-            (sessions.duration * SECONDS_PER_DAY).tolist(), markers)
+        f'"start_ts": "{stamp.isoformat()}", "user_id": {users[user]}}}\n'
+        for user, stamp, duration, marker in zip(
+            sessions.user.tolist(), stamps, seconds.tolist(), markers)
     )
+    micros = [(stamp - _UNIX_EPOCH) // _MICROSECOND for stamp in stamps]
+    return lines, _parsed_rows(sessions, micros, seconds)
+
+
+def _parsed_rows(sessions: SessionColumns, micros: list[int],
+                 seconds: np.ndarray) -> _ParsedBlock | None:
+    """The _ParsedBlock that _parse_block makes of _format_rows's lines of
+    the sessions, given each row's start in microseconds since the Unix
+    epoch and duration_s. None where that is not exact by construction: a
+    user id, marker key or discrete value written that is not a str, a
+    continuous value or duration_s that is not a finite float64, or a
+    duration the parse rejects."""
+    if seconds.dtype != np.float64:
+        return None
+    duration = seconds / SECONDS_PER_DAY  # as the parse divides duration_s
+    if not np.all((duration >= 0) & (duration < math.inf)):
+        return None
+    if not all(type(key) is str for key in (*sessions.discrete, *sessions.continuous)):
+        return None
+    users = _str_codes(sessions.user_ids, sessions.user)
+    if users is None:
+        return None
+    continuous = {}
+    for key, (present, column) in sessions.continuous.items():
+        rows = np.flatnonzero(present)
+        if column.dtype != np.float64 or not np.isfinite(column[rows]).all():
+            return None
+        if len(rows):
+            continuous[key] = (rows, column[rows])
+    discrete = {}
+    for key, (names, present, codes) in sessions.discrete.items():
+        if key in sessions.continuous:  # where the row has both, the continuous value is written
+            present = present & ~sessions.continuous[key][0]
+        rows = np.flatnonzero(present)
+        coded = _str_codes(names, codes[rows])
+        if coded is None:
+            return None
+        if len(rows):
+            discrete[key] = (coded[0], rows, coded[1])
+
+    def by_first_row(markers: dict, rows_at: int) -> dict:
+        # a line lists its markers by sorted key, so keys first appear by (first row, key)
+        return dict(sorted(markers.items(), key=lambda item: (item[1][rows_at][0], item[0])))
+
+    return _ParsedBlock(*users, micros, duration, by_first_row(discrete, 1),
+                        by_first_row(continuous, 0), None)
+
+
+def _str_codes(names: list, codes: np.ndarray) -> tuple[list[str], np.ndarray] | None:
+    """names[c] for each code c, as the distinct names in order of first
+    appearance and each row's index among them; None unless every name
+    used is a str."""
+    distinct, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    used = [names[c] for c in distinct[order].tolist()]
+    if not all(type(name) is str for name in used):
+        return None
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    index: dict[str, int] = {}  # two codes may name one str
+    recoded = _recode(index, used)[rank[inverse]]
+    return list(index), recoded
 
 
 def _json_float(x: float) -> str:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import datetime as dt
 import json
 import math
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -529,6 +530,49 @@ def write_sessions_jsonl_objects(path, sessions, epoch_iso):
                 "duration_s": s.duration * 86400.0,
                 "markers": markers,
             }, sort_keys=True) + "\n")
+
+
+def cache_members(path):
+    """The parse cache beside a sessions file: each member's dtype, shape and
+    bytes. The zip entries' write times are not members."""
+    from returntime.data import CACHE_SUFFIX
+
+    with np.load(str(path) + CACHE_SUFFIX) as npz:
+        return {name: (npz[name].dtype, npz[name].shape, npz[name].tobytes())
+                for name in npz.files}
+
+
+def cached_read(path):
+    """returntime.data.read_sessions_jsonl that fails unless it is served
+    from the cache."""
+    from unittest import mock
+
+    from returntime import data
+
+    with mock.patch.object(data, "_parse_jsonl", side_effect=AssertionError("parsed")):
+        return data.read_sessions_jsonl(path)
+
+
+def as_plain(read):
+    """A read's (sessions, epoch_iso, weekday) with the sessions as a list."""
+    sessions, epoch_iso, weekday = read
+    return list(sessions), epoch_iso, weekday
+
+
+def cold_read_equals_cached(path):
+    """Asserts that the parse cache beside path, which write_sessions_jsonl
+    wrote, reads as a cold parse of path reads, and has the members of the
+    cache that parse writes; returns the cold read."""
+    from returntime.data import CACHE_SUFFIX, read_sessions_jsonl
+
+    written = cache_members(path)
+    hit = cached_read(path)
+    Path(str(path) + CACHE_SUFFIX).unlink()
+    cold = read_sessions_jsonl(path)
+    assert cache_members(path) == written
+    assert as_plain(hit) == as_plain(cold)
+    assert hit.sha256 == cold.sha256
+    return cold
 
 
 def generate_objects(config):

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,7 +22,15 @@ from returntime import data, experiment, metrics
 from returntime.cli import main
 from returntime.config import load_config, model_family
 
-from oracles import Record, table
+from oracles import (
+    Record,
+    as_plain,
+    cache_members,
+    cached_read,
+    cold_read_equals_cached,
+    read_sessions_plain,
+    table,
+)
 
 TINY_GEN = {
     "generator": {"user_count": 60},
@@ -137,6 +146,49 @@ class TestGenerate:
         assert worker_blocks() == [(20, 40)]
         assert errors[1] == errors[0]
         assert errors[0].startswith("error: cohort 'lapsing'") and "Traceback" not in errors[0]
+
+    @pytest.mark.parametrize("failing", ["mkstemp", "savez", "replace"])
+    def test_failed_cache_write_exit_0(self, tmp_path, monkeypatch, failing):
+        cfg = write_cfg(tmp_path, TINY_GEN)
+        assert main(["generate", "--config", cfg, "--out", str(tmp_path / "a"), "--seed", "5"]) == 0
+
+        def fail(*args, **kwargs):
+            raise OSError(30, "Read-only file system")
+
+        target = {"mkstemp": data.tempfile, "savez": data.np, "replace": data.os}[failing]
+        with monkeypatch.context() as m:
+            m.setattr(target, failing, fail)
+            assert main(["generate", "--config", cfg, "--out", str(tmp_path / "b"),
+                         "--seed", "5"]) == 0
+        a, b = tmp_path / "a", tmp_path / "b"
+        cache = "sessions.jsonl" + data.CACHE_SUFFIX
+        assert sorted(p.name for p in b.iterdir()) == sorted(
+            p.name for p in a.iterdir() if p.name != cache)
+        for name in ("sessions.jsonl", "ground_truth.csv"):
+            assert (b / name).read_bytes() == (a / name).read_bytes()
+        with mock.patch.object(data, "_parse_jsonl", wraps=data._parse_jsonl) as parse:
+            data.read_sessions_jsonl(b / "sessions.jsonl")
+        assert parse.call_count == 1
+        assert cache_members(b / "sessions.jsonl") == cache_members(a / "sessions.jsonl")
+
+    def test_stale_cache_of_an_earlier_generate_is_replaced(self, tmp_path):
+        cfg = write_cfg(tmp_path, TINY_GEN)
+        out = tmp_path / "data"
+        for seed in ("3", "5"):
+            assert main(["generate", "--config", cfg, "--out", str(out), "--seed", seed]) == 0
+        assert as_plain(cold_read_equals_cached(out / "sessions.jsonl")) == read_sessions_plain(
+            out / "sessions.jsonl")
+
+    def test_sessions_edited_after_generate_are_parsed_again(self, generated):
+        _, out = generated
+        path = out / "sessions.jsonl"
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[1:]))
+        with mock.patch.object(data, "_parse_jsonl", wraps=data._parse_jsonl) as parse:
+            read = data.read_sessions_jsonl(path)
+        assert parse.call_count == 1
+        assert as_plain(read) == read_sessions_plain(path)
+        assert as_plain(cached_read(path)) == as_plain(read)
 
     def test_manifest_has_hash_and_versions(self, generated):
         _, out = generated

@@ -1,5 +1,6 @@
 import datetime as dt
 import json
+import math
 import stat
 import tempfile
 from pathlib import Path
@@ -24,7 +25,16 @@ from returntime.data import (
 )
 from returntime.errors import DataError, ValidationError
 
-from oracles import compute_return_targets, read_sessions_plain, session_columns, to_raw_sessions
+from oracles import (
+    as_plain,
+    cache_members,
+    cached_read,
+    cold_read_equals_cached,
+    compute_return_targets,
+    read_sessions_plain,
+    session_columns,
+    to_raw_sessions,
+)
 
 WINDOW = WindowConfig(activity_start=30.0, prediction_start=100.0, horizon_end=160.0)
 
@@ -248,7 +258,7 @@ class TestJsonlRoundTrip:
         ]
         path = tmp_path / "sessions.jsonl"
         write_sessions_jsonl(path, session_columns(sessions), "2020-01-01T00:00:00+00:00")
-        loaded, epoch_iso, weekday = read_sessions_jsonl(path)
+        loaded, epoch_iso, weekday = cold_read_equals_cached(path)
         assert epoch_iso.startswith("2020-01-01")
         assert weekday == 2  # 2020-01-01 is a Wednesday
         assert [x.user_id for x in loaded] == ["a", "a", "b"]
@@ -272,17 +282,6 @@ class TestJsonlRoundTrip:
 
 def cache_of(path):
     return Path(str(path) + CACHE_SUFFIX)
-
-
-def cached_read(path):
-    """read_sessions_jsonl that fails unless it is served from the cache."""
-    with mock.patch.object(data, "_parse_jsonl", side_effect=AssertionError("parsed")):
-        return read_sessions_jsonl(path)
-
-
-def as_plain(read):
-    sessions, epoch_iso, weekday = read
-    return list(sessions), epoch_iso, weekday
 
 
 def write_lines(path, lines):
@@ -427,9 +426,7 @@ def cache_contents(path):
     """The cache a parse of path writes: each member's dtype, shape and bytes."""
     cache_of(path).unlink(missing_ok=True)
     read_sessions_jsonl(path)
-    with np.load(cache_of(path)) as npz:
-        return {name: (npz[name].dtype, npz[name].shape, npz[name].tobytes())
-                for name in npz.files}
+    return cache_members(path)
 
 
 def parse_error(path):
@@ -536,7 +533,7 @@ COLUMN_EDITS = {
     "short": lambda a: a[:-1],
     "float32": lambda a: a.astype(np.float32),
 }
-cache_members = st.sampled_from([
+member_names = st.sampled_from([
     "user", "start_time", "duration", "discrete_present_0", "discrete_value_0",
     "continuous_present_0", "continuous_value_0", "header", "digest",
 ])
@@ -547,7 +544,7 @@ cache_spoils = st.one_of(
     st.tuples(st.just("other"), st.none()),
     st.tuples(st.just("version"), st.integers(-1, CACHE_FORMAT_VERSION + 2)),
     st.tuples(st.just("user-ids"), st.none()),
-    st.tuples(st.sampled_from(sorted(COLUMN_EDITS)), cache_members),
+    st.tuples(st.sampled_from(sorted(COLUMN_EDITS)), member_names),
 )
 
 
@@ -597,3 +594,101 @@ class TestFuzzedCache:
             plain = read_sessions_plain(path)
             assert as_plain(read_sessions_jsonl(path)) == plain
             assert as_plain(cached_read(path)) == plain
+
+
+# ---------------------------------------------------------------------------
+# the parse cache that write_sessions_jsonl writes
+
+EPOCHS = ["2020-01-01T00:00:00+00:00", "2021-06-30T22:00:00Z", "2019-03-31T01:30:00+02:00"]
+MARKER_KEYS = ["device", "plan", "ü key", "z"]
+written_values = st.one_of(texts, st.integers(-3, 3), st.floats(allow_nan=False), st.booleans())
+continuous_values = st.one_of(finite, st.sampled_from([0.0, -0.0, 2.5, math.inf, -math.inf]))
+
+
+@st.composite
+def columns_to_write(draw):
+    """Arbitrary SessionColumns: ids that may repeat, discrete values of any
+    JSON scalar type, keys that are discrete and continuous on one row or
+    first carried late, and zero durations."""
+    n = draw(st.integers(0, 8))
+
+    def column(elements, dtype):
+        return np.array(draw(st.lists(elements, min_size=n, max_size=n)), dtype=dtype)
+
+    user_ids = draw(st.lists(texts, min_size=1, max_size=4))
+    discrete = {}
+    for key in draw(st.lists(st.sampled_from(MARKER_KEYS), unique=True, max_size=3)):
+        values = draw(st.lists(written_values, min_size=1, max_size=3))
+        discrete[key] = (values, column(st.booleans(), bool),
+                         column(st.integers(0, len(values) - 1), np.int64))
+    continuous = {key: (column(st.booleans(), bool), column(continuous_values, float))
+                  for key in draw(st.lists(st.sampled_from(MARKER_KEYS), unique=True,
+                                           max_size=3))}
+    sessions = data.SessionColumns(
+        user_ids, column(st.integers(0, len(user_ids) - 1), np.int64),
+        column(st.one_of(st.sampled_from([0.0, 1.0 / 3.0, 2.5]), st.floats(0.0, 400.0)), float),
+        column(st.one_of(st.just(0.0), st.floats(0.0, 2.0)), float), discrete, continuous)
+    return sessions, draw(st.sampled_from(EPOCHS))
+
+
+def exactly_derivable(sessions):
+    """Whether every discrete value written is a str and every continuous
+    one finite: a key both discrete and continuous on a row is written with
+    its continuous value."""
+    for key, (values, present, codes) in sessions.discrete.items():
+        if key in sessions.continuous:
+            present = present & ~sessions.continuous[key][0]
+        if not all(type(values[c]) is str for c in codes[present].tolist()):
+            return False
+    return all(np.isfinite(column[present]).all()
+               for present, column in sessions.continuous.values())
+
+
+def columns(*sessions):
+    return session_columns(sessions)
+
+
+class TestWrittenCache:
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(columns_to_write())
+    def test_cache_written_reads_as_the_cold_parse(self, case):
+        sessions, epoch_iso = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "sessions.jsonl"
+            write_sessions_jsonl(path, sessions, epoch_iso)
+            plain = read_sessions_plain(path)
+            assert cache_of(path).exists() == exactly_derivable(sessions)
+            if cache_of(path).exists():
+                assert as_plain(cold_read_equals_cached(path)) == plain
+            else:
+                assert as_plain(read_sessions_jsonl(path)) == plain
+
+    @pytest.mark.parametrize("sessions,written", [
+        (columns(Session("a", 1.0, 0.0, {"device": 1})), False),
+        (columns(Session("a", 1.0, 0.0, {"device": True})), False),
+        (columns(Session("a", 1.0, 0.0, {}, {"score": math.inf})), False),
+        (data.SessionColumns([5], np.zeros(1, dtype=np.int64), np.ones(1), np.zeros(1), {}, {}),
+         False),
+        (data.SessionColumns(["a"], np.zeros(1, dtype=np.int64), np.ones(1), np.zeros(1), {},
+                             {"n": (np.ones(1, dtype=bool), np.array([3]))}), False),
+        # the int value is not written: the row's continuous value is
+        (columns(Session("a", 1.0, 0.0, {"x": 1}, {"x": 2.5})), True),
+        (columns(Session("a", 1.0, 0.0, {"x": 1}), Session("a", 2.0, 0.0, {"x": "b"})), False),
+    ], ids=["int-discrete", "bool-discrete", "inf-continuous", "int-user-id",
+            "int-continuous-column", "int-discrete-under-continuous", "int-discrete-on-one-row"])
+    def test_no_cache_unless_exact(self, tmp_path, sessions, written):
+        path = tmp_path / "sessions.jsonl"
+        write_sessions_jsonl(path, sessions, EPOCHS[0])
+        assert cache_of(path).exists() == written
+        assert as_plain(read_sessions_jsonl(path)) == read_sessions_plain(path)
+        assert cache_of(path).exists()  # where the writer left none, the read wrote it
+
+    def test_non_str_marker_key_leaves_no_cache(self, tmp_path):
+        sessions = data.SessionColumns(["a"], np.zeros(1, dtype=np.int64), np.ones(1),
+                                       np.zeros(1), {}, {1: (np.ones(1, dtype=bool), np.ones(1))})
+        path = tmp_path / "sessions.jsonl"
+        write_sessions_jsonl(path, sessions, EPOCHS[0])
+        assert not cache_of(path).exists()
+        with pytest.raises(ValidationError, match=":1: bad session record"):
+            read_sessions_jsonl(path)
+

@@ -17,7 +17,13 @@ from returntime.synth import (
     write_ground_truth_csv,
 )
 
-from oracles import generate_objects, session_columns, write_sessions_jsonl_objects
+from oracles import (
+    cache_members,
+    cold_read_equals_cached,
+    generate_objects,
+    session_columns,
+    write_sessions_jsonl_objects,
+)
 
 
 def single_cohort_config(**overrides):
@@ -155,8 +161,10 @@ class TestCensoringCalibration:
 
 def assert_files_match_objects(cfg, tmp_path):
     """generate_to_files writes the bytes that the Session-object generator
-    and the json.dumps writer write; returns the object generator's output."""
+    and the json.dumps writer write, and the cache that a cold parse of them
+    writes; returns the object generator's output."""
     generate_to_files(cfg, tmp_path / "columns")
+    cold_read_equals_cached(tmp_path / "columns" / "sessions.jsonl")
     sessions, truths = generate_objects(cfg)
     write_sessions_jsonl_objects(tmp_path / "objects.jsonl", sessions, cfg.epoch_iso)
     write_ground_truth_csv(tmp_path / "objects.csv", truths)
@@ -216,6 +224,7 @@ class TestAgainstSessionObjects:
         digest = lambda name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
         assert digest("sessions.jsonl") == sessions_sha256
         assert digest("ground_truth.csv") == ground_truth_sha256
+        cold_read_equals_cached(tmp_path / "sessions.jsonl")
 
 
 class TestForkedBlocks:
@@ -227,12 +236,12 @@ class TestForkedBlocks:
             worker_blocks = fan_out(n)
             out = tmp_path / f"cpus{n}"
             generate_to_files(cfg, out)
-            read_sessions_jsonl(out / "sessions.jsonl")
-            # n - 1 worker blocks each of users, JSON lines and the parse
-            assert len(worker_blocks()) == 3 * (n - 1)
-            with np.load(out / "sessions.jsonl.parsed.npz") as npz:
-                cache = {name: (npz[name].dtype, npz[name].shape, npz[name].tobytes())
-                         for name in npz.files}
+            # n - 1 worker blocks each of users and JSON lines, which write the cache
+            assert len(worker_blocks()) == 2 * (n - 1)
+            cache = cache_members(out / "sessions.jsonl")
+            worker_blocks = fan_out(n)
+            cold_read_equals_cached(out / "sessions.jsonl")
+            assert len(worker_blocks()) == n - 1  # of the cold parse
             runs[n] = [(out / name).read_bytes() for name in ("sessions.jsonl",
                                                               "ground_truth.csv")], cache
         assert runs[cpus] == runs[1]
@@ -256,6 +265,26 @@ class TestForkedBlocks:
             generate(cfg)
         assert worker_blocks() == [(10, 20), (20, 40)]
         assert str(got.value) == str(want.value)
+
+
+class TestGeneratedCache:
+    @pytest.mark.parametrize("cfg", [
+        GeneratorConfig(user_count=60, seed=1),
+        GeneratorConfig(user_count=60, seed=2),
+        single_cohort_config(user_count=40, seed=5, gap_log_sigma=0.0),
+        single_cohort_config(user_count=120, seed=6, signup_spread=0.5, lapse_multiplier=30.0,
+                             lapse_taper_days=900.0),
+        single_cohort_config(user_count=60, seed=7, gap_log_mean=0.0, session_cap=40),
+        single_cohort_config(user_count=80, seed=8, gap_log_mean=math.log(8.0),
+                             gap_log_sigma=0.1, lapse_multiplier=1e308,
+                             lapse_window=(0.3, 0.5), signup_spread=0.2),
+    ], ids=["default-1", "default-2", "zero-sigma", "long-taper", "session-cap",
+            "lapse-overflow"])
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_is_the_cache_a_cold_parse_writes(self, tmp_path, fan_out, cfg, cpus):
+        fan_out(cpus)
+        generate_to_files(cfg, tmp_path)
+        cold_read_equals_cached(tmp_path / "sessions.jsonl")
 
 
 class TestWriter:
@@ -285,6 +314,7 @@ class TestWriter:
                                          "2020-01-01T00:00:00+00:00")
             assert ((tmp_path / f"{name}.jsonl").read_bytes()
                     == (tmp_path / f"{name}.ref").read_bytes())
+            cold_read_equals_cached(tmp_path / f"{name}.jsonl")
 
 
 class TestFiles:
