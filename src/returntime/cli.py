@@ -4,7 +4,8 @@ Every run writes a manifest (config hash, seed, versions) into its output
 directory so identical configurations are verifiably identical runs.
 
 Exit codes: 0 success, 2 config or input validation error, 3 data/model
-mismatch (including missing files at predict time), 4 numerical failure.
+mismatch (including missing files at predict time), 4 numerical failure,
+1 any other ReturnTimeError (such as a worker process that died).
 """
 
 from __future__ import annotations

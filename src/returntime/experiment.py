@@ -4,11 +4,10 @@ dispatch, prediction dispatch, and report emission."""
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
 import logging
-import multiprocessing
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -169,69 +168,9 @@ class RnnsmFit:
         return rnnsm.train_rnnsm(self.sequences, self.net_config, self.stats, w, self.training)
 
 
-@dataclass(frozen=True)
-class _Grid:
-    """What the w grid's tasks read: forked pool workers inherit it, so a
-    task carries only its w."""
-
-    candidate: RnnsmFit  # on the fit part of the train split
-    validation: Sequences
-    final: RnnsmFit  # on the whole train split
-
-    def validation_predictions(self, w: float) -> np.ndarray:
-        return rnnsm.predict(self.candidate(w), self.validation, 0.0)
-
-
-_worker_grid: _Grid | None = None  # set in each pool worker by _start_worker
-
-
-def _start_worker(grid: _Grid) -> None:
-    global _worker_grid
-    blas.set_threads(1)
-    _worker_grid = grid
-
-
-def _in_worker(task: str, w: float):
-    return getattr(_worker_grid, task)(w)
-
-
-def _leader(grid: list[float], concordances: list) -> int:
+def _leader(grid: list[float], concordances: list[float]) -> int:
     """Index of the best scored candidate: highest concordance, then smallest w."""
-    return max((i for i, c in enumerate(concordances) if c is not None),
-               key=lambda i: (concordances[i], -grid[i]))
-
-
-def _grid_in_pool(grid_job: _Grid, grid: list[float], score, workers: int):
-    """Concordance per candidate and the final model, from forked workers.
-
-    The first time fewer candidates are unfinished than there are workers, the
-    idle worker starts the final fit for the current leader. If another
-    candidate wins, its final fit starts once the grid ends, as it would
-    without the early start, and the early model is discarded.
-    """
-    # fork, not spawn, for the reasons in returntime.parallel
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                               initializer=_start_worker, initargs=(grid_job,))
-    try:
-        pending = {pool.submit(_in_worker, "validation_predictions", w): i
-                   for i, w in enumerate(grid)}
-        concordances: list = [None] * len(grid)
-        early = None  # (candidate index, future of its final fit)
-        while pending:
-            done, _ = wait(pending, return_when=FIRST_COMPLETED)
-            for future in done:
-                concordances[pending.pop(future)] = score(future.result())
-            if early is None and len(pending) < workers:
-                leader = _leader(grid, concordances)
-                early = leader, pool.submit(_in_worker, "final", grid[leader])
-        best = _leader(grid, concordances)
-        if best == early[0]:
-            return concordances, best, early[1].result()
-        logger.info("w grid: w=%g overtook w=%g; fitting the final model again",
-                    grid[best], grid[early[0]])
-        return concordances, best, pool.submit(_in_worker, "final", grid[best]).result()
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
+    return max(range(len(concordances)), key=lambda i: (concordances[i], -grid[i]))
 
 
 def select_w(
@@ -243,9 +182,11 @@ def select_w(
 
     Each candidate trains a model with the final architecture and schedule on
     a held-out split of the train data, so the selection sees the same
-    capacity the final model will have. With more than one usable CPU the
-    candidates and the final fit run in forked worker processes, on one
-    OpenBLAS thread each; otherwise they run here, one after another.
+    capacity the final model will have. The candidates run in rounds of one
+    per usable CPU (parallel.run), on the one OpenBLAS thread that training
+    holds. When the last round leaves a process free, that process fits the
+    final model for the leader so far; if a later candidate wins, the final
+    model is fitted again for it.
     """
     w = setting(config, "rnnsm.w", positive, optional=True)
     if w is not None:
@@ -264,21 +205,33 @@ def select_w(
     grid_epochs = setting(config, "rnnsm.grid_epochs", count, optional=True)
     if grid_epochs is not None:
         tcfg = replace(tcfg, epochs=grid_epochs)
-    grid_job = _Grid(RnnsmFit(fit_seqs, _net_config(stats, dims, config), stats, tcfg),
-                     val_seqs, final)
+    candidate = RnnsmFit(fit_seqs, _net_config(stats, dims, config), stats, tcfg)
 
-    def score(predicted: np.ndarray) -> float:
-        return metrics.concordance_index(predictions(val_ds, predicted))
+    def validation_predictions(w: float) -> np.ndarray:
+        return rnnsm.predict(candidate(w), val_seqs, 0.0)
 
     workers = parallel.worker_count(len(grid), 1)
-    if workers > 1:
-        concordances, best, model = _grid_in_pool(grid_job, grid, score, workers)
-    else:
-        concordances = [score(grid_job.validation_predictions(w)) for w in grid]
-        best = _leader(grid, concordances)
-        model = final(grid[best])
+    concordances: list[float] = []
+    early = None  # index of the leader whose final model the last round fits
+    for lo in range(0, len(grid), workers):
+        ws = grid[lo:lo + workers]
+        tasks = [functools.partial(validation_predictions, w) for w in ws]
+        if len(ws) < workers:  # the last round has a free process
+            early = _leader(grid, concordances)
+            tasks.append(functools.partial(final, grid[early]))
+        results = parallel.run(tasks)
+        concordances += [metrics.concordance_index(predictions(val_ds, predicted))
+                         for predicted in results[:len(ws)]]
     for w, c in zip(grid, concordances):
         logger.info("w grid: w=%g validation concordance %.4f", w, c)
+    best = _leader(grid, concordances)
+    if best == early:
+        model = results[-1]
+    else:
+        if early is not None:
+            logger.info("w grid: w=%g overtook w=%g; fitting the final model again",
+                        grid[best], grid[early])
+        model = final(grid[best])
     return grid[best], [[w, c] for w, c in zip(grid, concordances)], model
 
 

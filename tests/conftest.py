@@ -27,14 +27,15 @@ def fan_out(monkeypatch, tmp_path_factory):
                          (synth, "_USERS_PER_WORKER")):
         monkeypatch.setattr(module, name, 1)
     log = tmp_path_factory.mktemp("fan-out") / "blocks"
-    send_block = parallel._send_block
+    send_result = parallel._send_result
 
-    def logged(conn, fn, lo, hi):  # runs in the worker
+    def logged(conn, task):  # runs in the worker; a block's task is partial(fn, lo, hi)
+        *_, lo, hi = task.args
         with open(log, "a") as fh:
             fh.write(f"{os.getpid()} {lo} {hi}\n")
-        send_block(conn, fn, lo, hi)
+        send_result(conn, task)
 
-    monkeypatch.setattr(parallel, "_send_block", logged)
+    monkeypatch.setattr(parallel, "_send_result", logged)
 
     def worker_blocks() -> list[tuple[int, int]]:
         rows = [line.split() for line in log.read_text().splitlines()]

@@ -1,9 +1,12 @@
-"""Training on one OpenBLAS thread, and the w grid in forked worker processes."""
+"""Training on one OpenBLAS thread, and the w grid in rounds over forked
+worker processes."""
 
 import json
 import logging
 import multiprocessing
 import os
+import re
+import signal
 import subprocess
 import sys
 import time
@@ -18,12 +21,13 @@ from returntime.errors import DataError
 
 PACKAGE_ROOT = str(Path(returntime.__file__).resolve().parents[1])
 
+GRID = [0.01, 0.05, 0.1]
 # default network sizes, whose matrix products OpenBLAS splits across threads
 SMALL = {
     "generator": {"user_count": 200},
     "training": {"rnn": {"epochs": 2}, "rnnsm": {"epochs": 2}},
     "network": {"preliminary_epochs": 1},
-    "rnnsm": {"w_grid": [0.05, 0.5], "grid_epochs": 1},
+    "rnnsm": {"w_grid": GRID, "grid_epochs": 1},
 }
 
 
@@ -53,67 +57,106 @@ def in_process(small_data, tmp_path_factory):
     out = tmp_path_factory.mktemp("serial") / "rnnsm"
     with pytest.MonkeyPatch.context() as m:
         m.setattr(parallel, "usable_cpus", lambda: 1)
-        m.setattr(experiment, "ProcessPoolExecutor", None)  # any pool use fails
         assert train(small_data, out) == 0
     meta = json.loads((out / "meta.json").read_text())
-    return artifact(out), meta["w_grid_scores"], meta["w"]
+    assert [w for w, _ in meta["w_grid_scores"]] == GRID
+    assert len({c for _, c in meta["w_grid_scores"]}) == 3, "the candidates must not tie"
+    return out
 
 
-def finishing_last(slow_w, marker):
-    """validation_predictions where the candidate slow_w starts only once the
-    other candidate has finished, so the pool sees a known completion order."""
-    original = experiment._Grid.validation_predictions
+def test_one_cpu_grid_forks_nothing(small_data, in_process, tmp_path, monkeypatch):
+    def no_fork(*args, **kwargs):
+        raise AssertionError("a process was started")
 
-    def ordered(self, w):
-        if w != slow_w:
-            predicted = original(self, w)
-            marker.touch()
-            return predicted
-        deadline = time.monotonic() + 120
-        while not marker.exists() and time.monotonic() < deadline:
-            time.sleep(0.01)
-        time.sleep(0.2)
-        return original(self, w)
-
-    return ordered
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
+    monkeypatch.setattr(parallel.multiprocessing, "get_context", no_fork)
+    assert train(small_data, tmp_path / "rnnsm") == 0
+    assert artifact(tmp_path / "rnnsm") == artifact(in_process)
 
 
-@pytest.mark.parametrize("finishes_last", ["loser", "winner"])
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_grid_trains_the_same_bytes_on_any_cpu_count(small_data, in_process, tmp_path,
+                                                     monkeypatch, cpus):
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
+    assert train(small_data, tmp_path / "rnnsm") == 0
+    assert artifact(tmp_path / "rnnsm") == artifact(in_process)
+
+
+def order_grid(serial, third, tmp_path):
+    """GRID reordered so that on 2 CPUs the third candidate, which runs beside
+    the final fit for the leader of the first two, is the winner or the loser
+    of the grid; and the config file that sets it."""
+    scores = json.loads((serial / "meta.json").read_text())["w_grid_scores"]
+    ranked = [w for w, _ in sorted(scores, key=lambda s: s[1])]  # worst first
+    grid = ranked if third == "winner" else ranked[::-1]
+    cfg = tmp_path / "grid.json"
+    cfg.write_text(json.dumps({"rnnsm": {"w_grid": grid}}))
+    return grid, str(cfg)
+
+
+@pytest.mark.parametrize("third", ["loser", "winner"])
 def test_pooled_grid_equals_in_process_loop(small_data, in_process, tmp_path, monkeypatch,
-                                            caplog, finishes_last):
-    expected, scores, w = in_process
-    assert [s[0] for s in scores] == SMALL["rnnsm"]["w_grid"]
-    assert scores[0][1] != scores[1][1], "the two candidates must not tie"
-    loser = next(v for v, _ in scores if v != w)
-    slow = loser if finishes_last == "loser" else w
+                                            caplog, third):
+    """The final fit started for the early leader is kept when it wins, and
+    fitted again, once, for a third candidate that overtakes it."""
+    grid, cfg = order_grid(in_process, third, tmp_path)
     monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
-    monkeypatch.setattr(experiment._Grid, "validation_predictions",
-                        finishing_last(slow, tmp_path / "first-done"))
     with caplog.at_level(logging.INFO, logger="returntime.experiment"):
-        assert train(small_data, tmp_path / "rnnsm") == 0
-    assert artifact(tmp_path / "rnnsm") == expected
+        assert train([*small_data, "--config", cfg], tmp_path / "rnnsm") == 0
+    out = tmp_path / "rnnsm"
+    assert (out / "model.npz").read_bytes() == (in_process / "model.npz").read_bytes()
+    meta, expected = (json.loads((d / "meta.json").read_text()) for d in (out, in_process))
+    scores = meta.pop("w_grid_scores")
+    assert [w for w, _ in scores] == grid
+    assert sorted(scores) == sorted(expected.pop("w_grid_scores"))
+    assert meta == expected
     messages = [r.getMessage() for r in caplog.records]
-    # the parent logs every score, in grid order
+    # every score is logged, in grid order
     assert [m for m in messages if "validation concordance" in m] == [
-        f"w grid: w={v:g} validation concordance {c:.4f}" for v, c in scores]
-    # the final fit started for the early leader is discarded only when it loses
+        f"w grid: w={w:g} validation concordance {c:.4f}" for w, c in scores]
     overtaken = [m for m in messages if "overtook" in m]
-    assert len(overtaken) == (finishes_last == "winner")
+    assert overtaken == ([f"w grid: w={grid[2]:g} overtook w={grid[1]:g}; "
+                          "fitting the final model again"] if third == "winner" else [])
 
 
 def test_data_error_in_a_worker_exits_2(small_data, tmp_path, monkeypatch, capsys):
     parent = os.getpid()
+    fit = experiment.RnnsmFit.__call__
 
-    def failing(self, w):
-        raise DataError(f"synthetic failure for w={w:g} in process {os.getpid()}")
+    def failing(self, w):  # only in a forked worker
+        if os.getpid() != parent:
+            raise DataError(f"synthetic failure for w={w:g} in process {os.getpid()}")
+        return fit(self, w)
 
     monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
-    monkeypatch.setattr(experiment._Grid, "validation_predictions", failing)
+    monkeypatch.setattr(experiment.RnnsmFit, "__call__", failing)
     capsys.readouterr()
     assert train(small_data, tmp_path / "rnnsm") == 2
     err = capsys.readouterr().err
-    assert "error: synthetic failure" in err and "Traceback" not in err
-    assert f"in process {parent}\n" not in err
+    assert "Traceback" not in err
+    named = re.search(r"^error: synthetic failure for w=\S+ in process (\d+)$", err, re.M)
+    assert named and int(named[1]) != parent
+
+
+def test_killed_worker_exits_1(small_data, tmp_path, monkeypatch, capsys):
+    parent = os.getpid()
+    fit = experiment.RnnsmFit.__call__
+
+    def killed(self, w):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return fit(self, w)
+
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(experiment.RnnsmFit, "__call__", killed)
+    capsys.readouterr()
+    assert train(small_data, tmp_path / "rnnsm") == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and re.fullmatch(
+        r"error: worker process \d+ ended with exit code -9 before sending its result",
+        errors[0]), err
 
 
 def test_one_thread_restores_the_previous_count():
@@ -163,46 +206,33 @@ def test_unguarded_caller_script_trains_rnnsm(small_data, tmp_path):
     assert (tmp_path / "rnnsm" / "model.npz").exists()
 
 
-def test_final_fit_runs_beside_the_third_candidate(small_data, tmp_path_factory, tmp_path,
+def test_final_fit_runs_beside_the_third_candidate(small_data, in_process, tmp_path,
                                                    monkeypatch):
     """On 2 CPUs a three-point grid starts the final fit for the leader of the
     first two candidates while the third is still running, and trains the
     same bytes as the in-process loop."""
-    grid = [0.01, 0.05, 0.1]
-    cfg = tmp_path / "grid3.json"
-    cfg.write_text(json.dumps({"rnnsm": {"w_grid": grid}}))
-    cfgs = [*small_data, "--config", str(cfg)]
-    serial = tmp_path_factory.mktemp("serial3") / "rnnsm"
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(parallel, "usable_cpus", lambda: 1)
-        m.setattr(experiment, "ProcessPoolExecutor", None)
-        assert train(cfgs, serial) == 0
+    select, fit = experiment.select_w, experiment.RnnsmFit.__call__
+    finals = []  # the final fit select_w was given
 
-    candidate, fit = experiment._Grid.validation_predictions, experiment.RnnsmFit.__call__
-    scoring = []  # per process: the candidate being scored, if any
-
-    def scored(self, w):
-        scoring.append(w)
-        try:
-            if w == grid[2]:  # wait until a final fit has started, at most 60 s
-                deadline = time.monotonic() + 60
-                while not list(tmp_path.glob("final-*")) and time.monotonic() < deadline:
-                    time.sleep(0.01)
-                (tmp_path / "third-saw").write_text(
-                    " ".join(p.name for p in tmp_path.glob("final-*")))
-            return candidate(self, w)
-        finally:
-            scoring.pop()
+    def selecting(train, config, dims, final):
+        finals.append(final)
+        return select(train, config, dims, final)
 
     def fitted(self, w):
-        if not scoring:
+        if self is finals[0]:
             (tmp_path / f"final-{w:g}").touch()
+        elif w == GRID[2]:  # wait until a final fit has started, at most 60 s
+            deadline = time.monotonic() + 60
+            while not list(tmp_path.glob("final-*")) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            (tmp_path / "third-saw").write_text(
+                " ".join(p.name for p in tmp_path.glob("final-*")))
         return fit(self, w)
 
     monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
-    monkeypatch.setattr(experiment._Grid, "validation_predictions", scored)
+    monkeypatch.setattr(experiment, "select_w", selecting)
     monkeypatch.setattr(experiment.RnnsmFit, "__call__", fitted)
-    assert train(cfgs, tmp_path / "rnnsm") == 0
+    assert train(small_data, tmp_path / "rnnsm") == 0
     early = (tmp_path / "third-saw").read_text().split()
-    assert len(early) == 1 and early[0] in {f"final-{w:g}" for w in grid[:2]}
-    assert artifact(tmp_path / "rnnsm") == artifact(serial)
+    assert len(early) == 1 and early[0] in {f"final-{w:g}" for w in GRID[:2]}
+    assert artifact(tmp_path / "rnnsm") == artifact(in_process)
