@@ -436,20 +436,29 @@ def _parse_jsonl(path: Path, raw: bytes, digest: str) -> tuple[dict, dict[str, n
     if bad is not None:
         raise ValidationError(
             f"{path}:{bad[0]}: bad session record: invalid duration {bad[1]} days")
-    return _merge_blocks(blocks, digest)
+    return _merge_blocks(path, blocks, digest)
 
 
-def _merge_blocks(blocks: list[_ParsedBlock], digest: str) -> tuple[dict, dict[str, np.ndarray]]:
+def _merge_blocks(path: Path, blocks: list[_ParsedBlock],
+                  digest: str) -> tuple[dict, dict[str, np.ndarray]]:
     """The cache's header and columns of the blocks' records laid end to end,
-    for a file hashing to digest. User ids, marker keys and discrete values
-    are coded by first appearance however the records are cut into blocks;
-    start_time counts from the epoch, midnight UTC of the earliest start."""
-    micros = [us for b in blocks for us in b.micros]
+    for the file at path, hashing to digest. User ids, marker keys and
+    discrete values are coded by first appearance however the records are
+    cut into blocks; start_time counts from the epoch, midnight UTC of the
+    earliest start. Starts that span 2^53 microseconds (about 285 years) or
+    more from the epoch raise ValidationError: start_time would not be
+    exact to the microsecond."""
+    micros = np.concatenate([b.micros for b in blocks])
     epoch = _UNIX_EPOCH
-    if micros:
-        epoch += min(micros) * _MICROSECOND
+    if micros.size:
+        epoch += int(micros.min()) * _MICROSECOND
         epoch = epoch.replace(hour=0, minute=0, second=0, microsecond=0)
     base = (epoch - _UNIX_EPOCH) // _MICROSECOND
+    since = micros - base
+    span = int(since.max(initial=0))
+    if span >= 2 ** 53:
+        raise ValidationError(f"{path}: session starts span {span} microseconds from "
+                              f"{epoch.isoformat()}, 2^53 or more (about 285 years)")
 
     user_codes: dict[str, int] = {}
     users: list[np.ndarray] = []
@@ -476,9 +485,9 @@ def _merge_blocks(blocks: list[_ParsedBlock], digest: str) -> tuple[dict, dict[s
     }
     arrays = {
         "user": np.concatenate(users),
-        # int / int rounds once, as timedelta.total_seconds does
-        "start_time": np.array([(us - base) / 1000000 / SECONDS_PER_DAY for us in micros],
-                               dtype=float),
+        # exact below 2^53, so the division rounds once, as
+        # timedelta.total_seconds does
+        "start_time": since.astype(float) / 1e6 / SECONDS_PER_DAY,
         "duration": np.concatenate([b.duration for b in blocks]),
     }
     for kind, markers, dtype in (
@@ -508,7 +517,7 @@ class _ParsedBlock:
 
     user_ids: list[str]
     user: np.ndarray  # int64
-    micros: list[int]  # start, in microseconds since the Unix epoch
+    micros: np.ndarray  # int64 start, in microseconds since the Unix epoch
     duration: np.ndarray  # days
     discrete: dict[str, tuple[list, np.ndarray, np.ndarray]]  # key -> (values, rows, codes)
     continuous: dict[str, tuple[np.ndarray, np.ndarray]]  # key -> (rows, values)
@@ -579,7 +588,7 @@ def _parse_block(path: Path, raw: bytes, lo: int, hi: int) -> _ParsedBlock:
         if bad_duration is None and not 0.0 <= duration < math.inf:
             bad_duration = (lineno, duration)
     return _ParsedBlock(
-        list(user_codes), np.array(users, dtype=np.int64), micros,
+        list(user_codes), np.array(users, dtype=np.int64), np.array(micros, dtype=np.int64),
         np.array(durations, dtype=float),
         {key: (list(codes), np.array(rows, dtype=np.int64), np.array(values, dtype=np.int64))
          for key, (codes, rows, values) in discrete.items()},
@@ -688,7 +697,7 @@ def write_sessions_jsonl(path: str | Path, sessions: SessionColumns, epoch_iso: 
             logger.info("sessions cache of %s not written: %s", path, exc)
             return
         _write_cache(path.with_name(path.name + CACHE_SUFFIX), path,
-                     *_merge_blocks([parsed for _, parsed in blocks], digest.hexdigest()))
+                     *_merge_blocks(path, [parsed for _, parsed in blocks], digest.hexdigest()))
 
 
 def _format_rows(sessions: SessionColumns,
@@ -716,11 +725,12 @@ def _format_rows(sessions: SessionColumns,
         for user, stamp, duration, marker in zip(
             sessions.user.tolist(), stamps, seconds.tolist(), markers)
     )
-    micros = [(stamp - _UNIX_EPOCH) // _MICROSECOND for stamp in stamps]
+    micros = np.array([(stamp - _UNIX_EPOCH) // _MICROSECOND for stamp in stamps],
+                      dtype=np.int64)
     return lines, _parsed_rows(sessions, micros, seconds)
 
 
-def _parsed_rows(sessions: SessionColumns, micros: list[int],
+def _parsed_rows(sessions: SessionColumns, micros: np.ndarray,
                  seconds: np.ndarray) -> _ParsedBlock | None:
     """The _ParsedBlock that _parse_block makes of _format_rows's lines of
     the sessions, given each row's start in microseconds since the Unix

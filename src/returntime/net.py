@@ -1,8 +1,9 @@
 """Sequence network built from scratch: embeddings with a unit-norm
 constraint, a dense fusion layer, an LSTM, and a single-neuron linear head.
 
-Forward and backward are exact, in 64-bit floats. Training passes padded
-batches of shape (batch, steps, ...) to forward_batch, which also serves a
+Forward and backward are exact and follow the params' dtype; training runs
+float32, the oracles float64. Training passes padded batches of shape
+(batch, steps, ...) to forward_batch, which also serves a
 single sequence as a one-row batch; internally only the real steps are
 computed, packed time-major with the rows sorted longest first, so the dense
 layers run once outside the time loop and padded steps cost nothing. The
@@ -122,7 +123,7 @@ def _fused_inputs(params: dict[str, np.ndarray], config: NetConfig, disc: np.nda
     """Fusion-layer input u (N, D) and output x (N, F) of N steps given as
     disc (N, n_disc) indices and cont (N, n_cont) values."""
     parts = [params[f"emb_{name}"][disc[:, k]] for k, name in enumerate(config.discrete_features)]
-    parts.append(cont)
+    parts.append(cont.astype(params["fusion_w"].dtype, copy=False))
     u = np.concatenate(parts, axis=1)
     return u, np.tanh(u @ params["fusion_w"].T + params["fusion_b"])
 
@@ -135,7 +136,7 @@ def _lstm_weights(params: dict[str, np.ndarray], H: int) -> tuple[np.ndarray, ..
     per step serves all four gates (see _lstm_cell).
     """
     rows_g = _gate_rows(H)
-    scale = np.repeat([0.5, 1.0], [3 * H, H])
+    scale = np.repeat(np.array([0.5, 1.0], dtype=params["lstm_wx"].dtype), [3 * H, H])
     wx = params["lstm_wx"][rows_g] * scale[:, None]
     wh_t = (params["lstm_wh"][rows_g] * scale[:, None]).T
     return wx, wh_t, params["lstm_b"][rows_g] * scale
@@ -196,7 +197,7 @@ def forward_batch(
     wx, wh_t, b = _lstm_weights(params, H)
     # pre-activations, turned into gate activations in place step by step
     gates = x @ wx.T + b  # (N, 4H)
-    c = np.empty((len(rows), H))
+    c = np.empty((len(rows), H), dtype=gates.dtype)
     tanh_c = np.empty_like(c)
     h = np.empty_like(c)
     for t, n in enumerate(sizes):
@@ -257,9 +258,10 @@ def forward_last(
 
     wx, wh_t, b = _lstm_weights(params, H)
     w = np.concatenate([wx.T, wh_t])  # (F + H, 4H)
-    xh = np.zeros((B, F + H))  # [x_t | h_{t-1}] per sorted row, h = 0 before step 0
-    tanh_c = np.empty((B, H))
-    c, c_next = np.empty((B, H)), np.empty((B, H))
+    # [x_t | h_{t-1}] per sorted row, h = 0 before step 0
+    xh = np.zeros((B, F + H), dtype=w.dtype)
+    tanh_c = np.empty((B, H), dtype=w.dtype)
+    c, c_next = np.empty_like(tanh_c), np.empty_like(tanh_c)
     bounds = offsets.tolist()
     for t, (a, e) in enumerate(zip(bounds, bounds[1:])):
         n = e - a
@@ -287,7 +289,8 @@ def backward_batch(
 ) -> dict[str, np.ndarray]:
     """Exact gradients of sum(grad_o * o) with respect to every parameter.
 
-    grad_o must be (B, T); its entries at padded steps are never read.
+    grad_o must be (B, T); its entries at padded steps are never read, and
+    the others are cast to the dtype of the cache, the params' dtype.
     """
     B, T = cache["shape"]
     if grad_o.shape != (B, T):
@@ -299,16 +302,17 @@ def backward_batch(
     )
     N = len(h)
     n0 = N - len(prev)
-    g_o = grad_o[cache["rows"], cache["times"]]  # (N,)
+    dtype = h.dtype
+    g_o = grad_o[cache["rows"], cache["times"]].astype(dtype, copy=False)  # (N,)
     o_gate, i, f, g = (gates[:, k * H:(k + 1) * H] for k in range(4))
 
     # Local derivatives need no recurrence, so they are formed over all packed
     # rows at once. With dc = dh*o_gate*(1 - tanh_c^2) + dc_next:
     #   dz_o = dh * tanh_c*o_gate(1-o_gate),  dz_i = dc * g*i(1-i),
     #   dz_f = dc * c_prev*f(1-f),            dz_g = dc * i(1-g^2).
-    c_prev = np.zeros((N, H))
+    c_prev = np.zeros((N, H), dtype=dtype)
     c_prev[n0:] = c[prev]
-    coef = np.empty((N, 4, H))
+    coef = np.empty((N, 4, H), dtype=dtype)
     coef[:, 0] = tanh_c * o_gate * (1.0 - o_gate)
     coef[:, 1] = g * i * (1.0 - i)
     coef[:, 2] = c_prev * f * (1.0 - f)
@@ -318,9 +322,9 @@ def backward_batch(
     rows_g = _gate_rows(H)
     wx, wh = params["lstm_wx"][rows_g], params["lstm_wh"][rows_g]
     dh = np.outer(g_o, params["out_v"])  # (N, H); recurrent terms added below
-    dz = np.empty((N, 4, H))  # pre-activation gradients, internal gate order
+    dz = np.empty((N, 4, H), dtype=dtype)  # pre-activation gradients, internal gate order
     # gradients flowing back from step t + 1, whose rows are step t's first rows
-    dh_next = dc_next = np.zeros((0, H))
+    dh_next = dc_next = np.zeros((0, H), dtype=dtype)
     for t in range(len(sizes) - 1, -1, -1):
         cur = slice(offsets[t], offsets[t + 1])
         m = len(dh_next)
@@ -337,7 +341,7 @@ def backward_batch(
 
     grads = {k: np.zeros_like(p) for k, p in params.items()}
     grads["out_v"] = g_o @ h
-    grads["out_b"] = np.array([g_o.sum()])
+    grads["out_b"] = np.array([g_o.sum()], dtype=dtype)
     grads["lstm_wx"][rows_g] = dz.T @ x
     grads["lstm_wh"][rows_g] = dz[n0:].T @ h[prev]
     grads["lstm_b"][rows_g] = dz.sum(axis=0)
@@ -404,14 +408,20 @@ def apply_update_with_norm_projection(
     beta2: float = 0.999,
     eps: float = 1e-8,
     clip_norm: float | None = 5.0,
+    grad_scale: float = 1.0,
 ) -> dict[str, np.ndarray]:
     """Adam step with global-norm clipping; embedding rows re-projected to
-    unit norm afterwards. Updates params in place and returns them."""
+    unit norm afterwards. Updates params in place and returns them.
+
+    grads are the true gradients divided by grad_scale, a power of two that
+    keeps them in range of the params' dtype; clipping acts on the true
+    norm. With grad_scale 1 the gradients are used as they are."""
     scale = 1.0
     if clip_norm is not None:
-        norm = global_grad_norm(grads)
+        norm = global_grad_norm(grads) * grad_scale
         if norm > clip_norm:
             scale = clip_norm / norm
+    scale *= grad_scale
     state.step += 1
     bc1 = 1.0 - beta1 ** state.step
     bc2 = 1.0 - beta2 ** state.step

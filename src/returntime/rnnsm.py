@@ -34,6 +34,9 @@ logger = logging.getLogger(__name__)
 
 EXP_LIMIT = 700.0  # exp() overflow guard; training clipping should keep us far below
 _LOG_TAIL = math.log(1e-9)  # survival level that bounds the quadrature interval
+# grad_o enters the float32 backward pass below 2^64, so the sums of
+# backward_batch stay a factor 2^64 clear of float32's 3.4e38 (2^128)
+_GRAD_O_BITS = 64
 
 
 def _check_exponent(value: float, what: str) -> None:
@@ -256,6 +259,13 @@ def initial_output_bias(mean_gap: float, w: float) -> float:
     return 0.5 * (lo + hi)
 
 
+def _grad_scale(grad_o: np.ndarray) -> float:
+    """The least power of two s >= 1 with max|grad_o| / s < 2^_GRAD_O_BITS.
+    Dividing by it is exact."""
+    peak = float(np.max(np.abs(grad_o), initial=0.0))
+    return math.ldexp(1.0, max(math.frexp(peak)[1] - _GRAD_O_BITS, 0))  # peak < 2^frexp[1]
+
+
 def _fit(
     model: RecurrentModel,
     sequences: Sequences,
@@ -270,8 +280,13 @@ def _fit(
     backward; an epoch's trace entry is its summed loss over loss_divisor.
     On divergence (non-finite loss or a tripped overflow guard) the last
     epoch-end parameters and Adam state are restored and training stops early.
+
+    The network and Adam run in float32 on a rounded copy of the params; the
+    loss sees the outputs in float64, and its grad_o is divided by a power of
+    two (_grad_scale) on the way back into float32. model.params are handed
+    back upcast, float64 again.
     """
-    params = model.params
+    params = {k: p.astype(np.float32) for k, p in model.params.items()}
     state = net.AdamState.for_params(params)
     snapshot = ({k: p.copy() for k, p in params.items()}, state.copy())
 
@@ -287,10 +302,11 @@ def _fit(
                 )
                 loss, grad_o = batch_loss(o, batch)
                 total += loss
-                grads = net.backward_batch(params, model.net_config, cache, grad_o)
+                grad_scale = _grad_scale(grad_o)
+                grads = net.backward_batch(params, model.net_config, cache, grad_o / grad_scale)
                 net.apply_update_with_norm_projection(
                     params, grads, state,
-                    lr=config.learning_rate, clip_norm=config.clip_norm,
+                    lr=config.learning_rate, clip_norm=config.clip_norm, grad_scale=grad_scale,
                 )
             epoch_loss = total / loss_divisor
             if not math.isfinite(epoch_loss):
@@ -304,7 +320,8 @@ def _fit(
         model.loss_trace.append(epoch_loss)
         snapshot = ({k: p.copy() for k, p in params.items()}, state.copy())
 
-    model.params, model.adam = params, state
+    model.params = {k: p.astype(np.float64) for k, p in params.items()}
+    model.adam = state
     return model
 
 

@@ -268,6 +268,14 @@ class TestJsonlRoundTrip:
             assert back.discrete_markers == orig.discrete_markers
             assert back.continuous_markers == orig.continuous_markers
 
+    def test_starts_spanning_2_pow_53_microseconds_leave_no_cache(self, tmp_path):
+        sessions = session_columns([Session("a", 0.5, 0.01, {}, {}),
+                                    Session("b", 110000.0, 0.01, {}, {})])  # about 301 years
+        path = tmp_path / "sessions.jsonl"
+        with pytest.raises(ValidationError, match=r"2\^53 or more"):
+            write_sessions_jsonl(path, sessions, "2000-01-01T00:00:00+00:00")
+        assert not cache_of(path).exists()
+
     def test_identical_writes_are_byte_identical(self, tmp_path):
         sessions = session_columns(
             [Session("a", 1.2345, 0.01, {"device": "mobile"}, {"pages_viewed": 2.0})])
@@ -411,6 +419,26 @@ class TestSessionsCache:
         write_lines(path, SAMPLE + [bad])
         with pytest.raises(ValidationError, match=message):
             read_sessions_jsonl(path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["sessions.jsonl"]
+
+    def test_starts_up_to_2_pow_53_microseconds_apart_read_exactly(self, tmp_path):
+        # SAMPLE's epoch is 2021-03-01T00:00Z; 2^53 us is about 285 years
+        last = dt.datetime(2021, 3, 1, tzinfo=dt.timezone.utc) + dt.timedelta(
+            microseconds=2 ** 53 - 1)
+        path = tmp_path / "sessions.jsonl"
+        write_lines(path, SAMPLE + [json.dumps({"user_id": "d", "start_ts": last.isoformat()})])
+        assert as_plain(read_sessions_jsonl(path)) == read_sessions_plain(path)
+        assert as_plain(cached_read(path)) == read_sessions_plain(path)
+
+    def test_starts_2_pow_53_microseconds_apart_exit_2(self, tmp_path):
+        last = dt.datetime(2021, 3, 1, tzinfo=dt.timezone.utc) + dt.timedelta(
+            microseconds=2 ** 53)
+        path = tmp_path / "sessions.jsonl"
+        write_lines(path, SAMPLE + [json.dumps({"user_id": "d", "start_ts": last.isoformat()})])
+        with pytest.raises(ValidationError, match=r"sessions.jsonl: session starts span "
+                           r"9007199254740992 microseconds .* 2\^53") as info:
+            read_sessions_jsonl(path)
+        assert info.value.exit_code == 2
         assert sorted(p.name for p in tmp_path.iterdir()) == ["sessions.jsonl"]
 
     @pytest.mark.parametrize("mode", [0o644, 0o640, 0o600, 0o755])

@@ -331,6 +331,56 @@ class TestUpdates:
             assert np.array_equal(a[k], b[k])
 
 
+def as_float32(params):
+    return {k: p.astype(np.float32) for k, p in params.items()}
+
+
+class TestFloat32:
+    """net follows the params' dtype: training runs it in float32."""
+
+    def test_float32_params_keep_every_array_float32(self):
+        params, disc, cont, lengths, _, grad_o = ragged_instance(50)
+        params = as_float32(params)
+        assert cont.dtype == grad_o.dtype == np.float64  # cast on the way in
+        o, cache = net.forward_batch(params, CONFIG, disc, cont, lengths)
+        for key in ("u", "x", "gates", "c", "tanh_c", "h"):
+            assert cache[key].dtype == np.float32, key
+        grads = net.backward_batch(params, CONFIG, cache, grad_o)
+        assert {k: g.dtype for k, g in grads.items()} == dict.fromkeys(params, np.float32)
+        state = net.AdamState.for_params(params)
+        net.apply_update_with_norm_projection(params, grads, state, lr=0.1)
+        for arrays in (params, state.m, state.v):
+            assert {k: a.dtype for k, a in arrays.items()} == dict.fromkeys(params, np.float32)
+        assert net.forward_last(params, CONFIG, disc[0, :lengths[0]], cont[0, :lengths[0]],
+                                lengths[:1]).dtype == np.float64
+
+    # float32 carries about 7 significant digits: on these instances the
+    # outputs agree to 5e-8 absolute and each gradient to 1.5e-6 of its
+    # largest entry; the tolerances leave a margin of about 7x or more
+    OUTPUT_ATOL = 1e-6
+    GRAD_TOL = 1e-5  # relative to the largest |entry| of each float64 gradient
+
+    def assert_close(self, params, disc, cont, lengths, grad_o):
+        o64, cache64 = net.forward_batch(params, CONFIG, disc, cont, lengths)
+        o32, cache32 = net.forward_batch(as_float32(params), CONFIG, disc, cont, lengths)
+        np.testing.assert_allclose(o32, o64, rtol=0, atol=self.OUTPUT_ATOL)
+        g64 = net.backward_batch(params, CONFIG, cache64, grad_o)
+        g32 = net.backward_batch(as_float32(params), CONFIG, cache32, grad_o)
+        for k in g64:
+            assert np.max(np.abs(g32[k] - g64[k])) <= self.GRAD_TOL * np.max(np.abs(g64[k])), k
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_one_sequence_matches_float64(self, seed):
+        params, disc, cont = random_instance(seed, T=4)
+        grad_o = np.random.default_rng(seed).normal(size=(1, 4))
+        self.assert_close(params, disc[None], cont[None], np.array([4]), grad_o)
+
+    @pytest.mark.parametrize("seed", range(30, 36))
+    def test_ragged_batch_matches_float64(self, seed):
+        params, disc, cont, lengths, _, grad_o = ragged_instance(seed)
+        self.assert_close(params, disc, cont, lengths, grad_o)
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         params, disc, cont = random_instance(14, T=2)

@@ -197,6 +197,76 @@ class TestTraining:
             assert np.array_equal(model.adam.v[k], one_epoch.adam.v[k])
 
 
+def float64_reference(seqs, config, stats, w, training):
+    """train_rnnsm's loss trace and peak |grad_o| with _fit's loop run on
+    float64 params and no gradient scaling, from the float32-rounded params
+    that train_rnnsm starts from."""
+    params = rnnsm.train_rnnsm(seqs, config, stats, w,
+                               dataclasses.replace(training, epochs=0)).params
+    rng = np.random.default_rng(training.seed)
+    net.init_params(config, rng)  # the draws train_rnnsm makes before the first epoch
+    state = net.AdamState.for_params(params)
+    trace, peak = [], 0.0
+    for _ in range(training.epochs):
+        order = rng.permutation(len(seqs))
+        total = 0.0
+        for start in range(0, len(order), training.batch_size):
+            batch = pad_batch(seqs, order[start:start + training.batch_size])
+            o, cache = net.forward_batch(params, config, batch.disc, batch.cont, batch.lengths)
+            losses, grad_o = rnnsm._batch_loss(o, batch, w)
+            grad_o = grad_o / len(o)
+            total += float(losses.sum())
+            peak = max(peak, float(np.max(np.abs(grad_o))))
+            grads = net.backward_batch(params, config, cache, grad_o)
+            net.apply_update_with_norm_projection(params, grads, state, lr=training.learning_rate,
+                                                  clip_norm=training.clip_norm, grad_scale=1.0)
+        trace.append(total / len(seqs))
+    return trace, peak
+
+
+class TestFloat32Training:
+    @pytest.mark.parametrize("w", [0.5, 1.0])
+    def test_large_w_trains_as_in_float64(self, small_sequences, w):
+        seqs, stats = small_sequences
+        config = small_net(stats)
+        training = rnnsm.TrainingConfig(epochs=3, batch_size=64, seed=1)
+        want, peak = float64_reference(seqs, config, stats, w, training)
+        # unscaled, these gradients would overflow float32 and end training
+        assert peak > float(np.finfo(np.float32).max)
+        model = rnnsm.train_rnnsm(seqs, config, stats, w, training)
+        assert not model.diverged
+        assert all(p.dtype == np.float64 for p in model.params.values())
+        assert all(m.dtype == np.float32 for m in model.adam.m.values())
+        np.testing.assert_allclose(model.loss_trace, want, rtol=1e-5, atol=0)
+
+    @pytest.mark.parametrize("grad", [1e-3, 1e200], ids=["unclipped", "clipped"])
+    def test_unit_grad_scale_is_the_unscaled_adam_step(self, grad):
+        params = net.init_params(TINY, np.random.default_rng(5))
+        grads = {k: np.random.default_rng(6).normal(size=p.shape) * grad
+                 for k, p in params.items()}
+        # the Adam step with global-norm clipping as it was before grad_scale
+        want = {k: p.copy() for k, p in params.items()}
+        norm = net.global_grad_norm(grads)
+        scale = 5.0 / norm if norm > 5.0 else 1.0
+        beta1, beta2 = 0.9, 0.999
+        for key in sorted(want):
+            g = grads[key] * scale
+            m, v = (1.0 - beta1) * g, (1.0 - beta2) * g * g
+            want[key] -= 1e-3 * (m / (1.0 - beta1)) / (np.sqrt(v / (1.0 - beta2)) + 1e-8)
+            if key.startswith("emb_"):
+                want[key] = net._normalize_rows(want[key])
+        for kwargs in ({}, {"grad_scale": 1.0}):
+            got = {k: p.copy() for k, p in params.items()}
+            net.apply_update_with_norm_projection(got, grads, net.AdamState.for_params(got),
+                                                  **kwargs)
+            assert all(got[k].tobytes() == want[k].tobytes() for k in want)
+        # dividing by a power of two and scaling back is exact
+        got = {k: p.copy() for k, p in params.items()}
+        net.apply_update_with_norm_projection(got, {k: g / 2.0 ** 90 for k, g in grads.items()},
+                                              net.AdamState.for_params(got), grad_scale=2.0 ** 90)
+        assert all(got[k].tobytes() == want[k].tobytes() for k in want)
+
+
 @pytest.fixture(scope="module")
 def trained(small_dataset, small_sequences):
     seqs, stats = small_sequences
