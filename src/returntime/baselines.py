@@ -9,7 +9,7 @@ from . import net
 from .data import Dataset
 from .errors import DataError
 from .features import PaddedBatch, SequenceStats, Sequences
-from .rnnsm import RecurrentModel, TrainingConfig, _fit
+from .rnnsm import RecurrentModel, TrainingConfig, _fit, final_outputs
 
 
 def baseline_predict(dataset: Dataset) -> np.ndarray:
@@ -65,6 +65,6 @@ def train_simple_rnn(
 
 
 def predict_simple_rnn(model: RecurrentModel, sequences: Sequences) -> np.ndarray:
-    """Final-step output as the predicted gap (N,), clamped to non-negative."""
-    return np.maximum(net.forward_last(model.params, model.net_config, sequences.disc,
-                                       sequences.cont, sequences.lengths), 0.0)
+    """Final-step output as the predicted gap (N,), clamped to non-negative;
+    the output comes from the float32 scoring pass (rnnsm.final_outputs)."""
+    return np.maximum(final_outputs(model, sequences), 0.0)

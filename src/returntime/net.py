@@ -1,9 +1,9 @@
 """Sequence network built from scratch: embeddings with a unit-norm
 constraint, a dense fusion layer, an LSTM, and a single-neuron linear head.
 
-Forward and backward are exact and follow the params' dtype; training runs
-float32, the oracles float64. Training passes padded batches of shape
-(batch, steps, ...) to forward_batch, which also serves a
+Forward and backward are exact and follow the params' dtype; training and
+scoring run float32, the oracles float64. Training passes padded batches of
+shape (batch, steps, ...) to forward_batch, which also serves a
 single sequence as a one-row batch; internally only the real steps are
 computed, packed time-major with the rows sorted longest first, so the dense
 layers run once outside the time loop and padded steps cost nothing. The
@@ -118,14 +118,22 @@ def _pack(lengths: np.ndarray) -> tuple[np.ndarray, ...]:
     return order, sizes, offsets, times, slots
 
 
-def _fused_inputs(params: dict[str, np.ndarray], config: NetConfig, disc: np.ndarray,
-                  cont: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Fusion-layer input u (N, D) and output x (N, F) of N steps given as
-    disc (N, n_disc) indices and cont (N, n_cont) values."""
+def _fusion_input(params: dict[str, np.ndarray], config: NetConfig, disc: np.ndarray,
+                  cont: np.ndarray) -> np.ndarray:
+    """Fusion-layer input u (N, D) of N steps given as disc (N, n_disc)
+    indices and cont (N, n_cont) values."""
     parts = [params[f"emb_{name}"][disc[:, k]] for k, name in enumerate(config.discrete_features)]
     parts.append(cont.astype(params["fusion_w"].dtype, copy=False))
-    u = np.concatenate(parts, axis=1)
-    return u, np.tanh(u @ params["fusion_w"].T + params["fusion_b"])
+    return np.concatenate(parts, axis=1)
+
+
+def _row_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for a C-contiguous b, such that each row of the result depends
+    only on that row of a. OpenBLAS's gemm gives this from two rows up (with
+    a transposed b it does not, on small products); numpy hands a one-row
+    product to gemv, which rounds differently, so one row is multiplied as
+    two."""
+    return a @ b if len(a) != 1 else (np.concatenate([a, a]) @ b)[:1]
 
 
 def _lstm_weights(params: dict[str, np.ndarray], H: int) -> tuple[np.ndarray, ...]:
@@ -193,7 +201,8 @@ def forward_batch(
     prev = offsets[times[n0:] - 1] + slots[n0:]
 
     disc_p = disc[rows, times]
-    u, x = _fused_inputs(params, config, disc_p, cont[rows, times])  # (N, D), (N, F)
+    u = _fusion_input(params, config, disc_p, cont[rows, times])  # (N, D)
+    x = np.tanh(u @ params["fusion_w"].T + params["fusion_b"])  # (N, F)
     wx, wh_t, b = _lstm_weights(params, H)
     # pre-activations, turned into gate activations in place step by step
     gates = x @ wx.T + b  # (N, 4H)
@@ -246,7 +255,9 @@ def forward_last(
     step's fusion output in one (B, F + H) buffer, so the input and
     recurrent products are one matmul; a sequence's h stops changing at its
     last step, and the output head then runs once over all B rows. Each
-    output equals forward_batch's at that step up to rounding.
+    output equals forward_batch's at that step up to rounding, and depends
+    only on its sequence and the params: not on the other sequences in the
+    call or the BLAS thread count (_row_matmul, and row sums for the head).
     """
     lengths = np.asarray(lengths, dtype=np.int64)
     if lengths.size and lengths.min() < 1:
@@ -257,7 +268,9 @@ def forward_last(
     disc, cont = disc[rows], cont[rows]
 
     wx, wh_t, b = _lstm_weights(params, H)
-    w = np.concatenate([wx.T, wh_t])  # (F + H, 4H)
+    # C-contiguous weights for _row_matmul
+    w = np.ascontiguousarray(np.concatenate([wx.T, wh_t]))  # (F + H, 4H)
+    fusion_w = np.ascontiguousarray(params["fusion_w"].T)  # (D, F)
     # [x_t | h_{t-1}] per sorted row, h = 0 before step 0
     xh = np.zeros((B, F + H), dtype=w.dtype)
     tanh_c = np.empty((B, H), dtype=w.dtype)
@@ -265,13 +278,14 @@ def forward_last(
     bounds = offsets.tolist()
     for t, (a, e) in enumerate(zip(bounds, bounds[1:])):
         n = e - a
-        xh[:n, :F] = _fused_inputs(params, config, disc[a:e], cont[a:e])[1]
-        z = xh[:n] @ w
+        u = _fusion_input(params, config, disc[a:e], cont[a:e])
+        xh[:n, :F] = np.tanh(_row_matmul(u, fusion_w) + params["fusion_b"])
+        z = _row_matmul(xh[:n], w)
         z += b
         _lstm_cell(z, c[:n] if t else None, c_next[:n], tanh_c[:n], xh[:n, F:])
         c, c_next = c_next, c
     with np.errstate(invalid="ignore", over="ignore"):
-        o_sorted = xh[:, F:] @ params["out_v"] + params["out_b"][0]
+        o_sorted = (xh[:, F:] * params["out_v"]).sum(axis=1) + params["out_b"][0]
     o = np.empty(B)
     o[order] = o_sorted
     if not np.all(np.isfinite(o)):

@@ -259,6 +259,10 @@ def initial_output_bias(mean_gap: float, w: float) -> float:
     return 0.5 * (lo + hi)
 
 
+def _as_float32(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    return {k: p.astype(np.float32) for k, p in params.items()}
+
+
 def _grad_scale(grad_o: np.ndarray) -> float:
     """The least power of two s >= 1 with max|grad_o| / s < 2^_GRAD_O_BITS.
     Dividing by it is exact."""
@@ -286,7 +290,7 @@ def _fit(
     two (_grad_scale) on the way back into float32. model.params are handed
     back upcast, float64 again.
     """
-    params = {k: p.astype(np.float32) for k, p in model.params.items()}
+    params = _as_float32(model.params)
     state = net.AdamState.for_params(params)
     snapshot = ({k: p.copy() for k, p in params.items()}, state.copy())
 
@@ -367,6 +371,15 @@ def train_rnnsm(
 # ---------------------------------------------------------------------------
 # prediction
 
+def final_outputs(model: RecurrentModel, sequences: Sequences) -> np.ndarray:
+    """The network output at each user's last step (N,), as float64: the
+    scoring pass, run in float32 like training. A model trained here holds
+    float32 values upcast, so the cast back is exact. A user's output does
+    not depend on the other users in the call or on the BLAS thread count."""
+    return net.forward_last(_as_float32(model.params), model.net_config, sequences.disc,
+                            sequences.cont, sequences.lengths)
+
+
 def predict(
     model: RecurrentModel,
     sequences: Sequences,
@@ -375,11 +388,10 @@ def predict(
     """Expected return gap per user (N,), measured from their last session end,
     given t_s days of absence (a scalar or one per user): for rnnsma each
     user's time from last session end to the prediction-window start, for
-    rnnsm 0.
+    rnnsm 0. The outputs come from the float32 scoring pass (final_outputs);
+    the expectations run in float64.
     """
-    o_last = net.forward_last(model.params, model.net_config, sequences.disc, sequences.cont,
-                              sequences.lengths)
-    return absence_conditioned_expectation(o_last, model.w, t_s)
+    return absence_conditioned_expectation(final_outputs(model, sequences), model.w, t_s)
 
 
 # ---------------------------------------------------------------------------
@@ -404,10 +416,11 @@ def load_model(path: str | Path, kind: str) -> RecurrentModel:
     A file that is missing or not a readable checkpoint, or whose header
     holds fields of the wrong type or out of range (see
     SequenceStats.from_dict), a w that does not fit the kind (null for rnn,
-    a positive finite number for rnnsm) or a net_config that does not fit
-    the sequence statistics or the parameter shapes, raises
-    DataModelMismatchError; so does a corrupt archive directory, on which
-    zipfile raises OSError. The training record is kept in meta.json; a
+    a positive finite number for rnnsm), a net_config that does not fit
+    the sequence statistics or the parameter shapes, or a parameter that is
+    not a float32 or float64 array of finite values within float32's range,
+    raises DataModelMismatchError; so does a corrupt archive directory, on
+    which zipfile raises OSError. The training record is kept in meta.json; a
     checkpoint that still carries one is read without it.
     """
     try:
@@ -434,6 +447,13 @@ def load_model(path: str | Path, kind: str) -> RecurrentModel:
         if got != shapes:
             bad = sorted(k for k in shapes.keys() | got.keys() if shapes.get(k) != got.get(k))
             raise ValueError(f"parameter shapes do not fit net_config: {', '.join(bad)}")
+        # scoring casts to float32, where a larger value would become inf
+        limit = np.finfo(np.float32).max
+        bad = sorted(k for k, p in params.items()
+                     if p.dtype not in (np.float32, np.float64) or not (np.abs(p) <= limit).all())
+        if bad:
+            raise ValueError(f"parameters are not real floats within float32's range: "
+                             f"{', '.join(bad)}")
     except (zipfile.BadZipFile, EOFError, AttributeError, KeyError, TypeError, ValueError,
             OSError) as exc:
         raise DataModelMismatchError(f"checkpoint at {path} is unreadable: {exc}") from exc

@@ -54,6 +54,29 @@ def edited(edit):
     return corrupt
 
 
+def edited_param(edit, name="lstm_wh"):
+    """A corruption that replaces one parameter array of a model.npz by
+    edit(array)."""
+    def corrupt(raw):
+        with np.load(io.BytesIO(raw)) as npz:
+            arrays = dict(npz)
+        arrays[f"param::{name}"] = edit(arrays[f"param::{name}"])
+        out = io.BytesIO()
+        np.savez(out, **arrays)
+        return out.getvalue()
+
+    return corrupt
+
+
+def first_entry(value):
+    def edit(array):
+        array = array.copy()
+        array.flat[0] = value
+        return array
+
+    return edit
+
+
 def write_cfg(tmp_path, payload, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -252,6 +275,11 @@ class TestTrainPredictEvaluate:
         ("rnn", "model.npz", lambda raw: b"not a zip archive"),
         # the archive directory's offset field: zipfile seeks before the file start
         ("rnn", "model.npz", lambda raw: raw[:-4] + bytes([raw[-4] ^ 1]) + raw[-3:]),
+        ("rnn", "model.npz", edited_param(first_entry(np.nan))),
+        ("rnn", "model.npz", edited_param(first_entry(-np.inf))),
+        ("rnn", "model.npz", edited_param(first_entry(1e39), name="fusion_b")),  # inf in float32
+        ("rnn", "model.npz", edited_param(lambda a: a.astype(np.int64))),
+        ("rnn", "model.npz", edited_param(lambda a: a + 1j)),
         ("rnn", "meta.json", lambda raw: raw[:len(raw) // 2]),
         ("cph", "model.json", lambda raw: raw[:len(raw) // 2]),
         ("cph", "meta.json", lambda raw: b"[]"),
@@ -263,7 +291,9 @@ class TestTrainPredictEvaluate:
         ("cph", "model.json", edited(lambda d: d.update(baseline_times=d["baseline_times"][::-1]))),
         ("cph", "model.json", edited(
             lambda d: d.update(baseline_hazard=[-h for h in d["baseline_hazard"]]))),
-    ], ids=["npz-truncated", "npz-not-zip", "npz-directory-offset", "meta-truncated", "cox-json-truncated",
+    ], ids=["npz-truncated", "npz-not-zip", "npz-directory-offset", "npz-param-nan",
+            "npz-param-inf", "npz-param-beyond-float32", "npz-param-int64", "npz-param-complex", "meta-truncated",
+            "cox-json-truncated",
             "meta-list", "cph-markers-not-strings", "cox-json-without-center",
             "cox-center-wrong-length", "cox-center-non-finite", "cox-empty-baseline",
             "cox-knots-descending", "cox-negative-hazard"])
@@ -462,14 +492,19 @@ class TestTrainPredictEvaluate:
         (model / "meta.json").write_text(json.dumps(meta))
         assert predict(7, "test") == (3, False)
 
-    def test_nan_parameter_exit_4(self, generated, tmp_path, capsys):
+    def test_non_finite_activation_exit_4(self, generated, tmp_path, capsys):
         cfg, out = generated
         cfgs = ["--config", cfg, "--config", str(out / "run_config.json")]
         assert main(["train", "--model", "rnn", *cfgs, "--out", str(tmp_path / "rnn")]) == 0
         path = tmp_path / "rnn" / "model.npz"
         with np.load(path) as data:
             arrays = {k: data[k] for k in data.files}
-        arrays["param::lstm_wh"][0, 0] = np.nan
+        # every parameter is finite (a NaN one is unreadable, exit 3), but each
+        # h entry is tanh(c) with c >= 1, so the output head's sum passes
+        # float32's 3.4e38
+        arrays["param::lstm_wx"][:] = arrays["param::lstm_wh"][:] = 0.0
+        arrays["param::lstm_b"][:] = 20.0
+        arrays["param::out_v"][:] = 3e38
         np.savez(path, **arrays)
         capsys.readouterr()
         target = tmp_path / "p.csv"

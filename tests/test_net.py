@@ -336,7 +336,7 @@ def as_float32(params):
 
 
 class TestFloat32:
-    """net follows the params' dtype: training runs it in float32."""
+    """net follows the params' dtype: training and scoring run it in float32."""
 
     def test_float32_params_keep_every_array_float32(self):
         params, disc, cont, lengths, _, grad_o = ragged_instance(50)
@@ -379,6 +379,14 @@ class TestFloat32:
     def test_ragged_batch_matches_float64(self, seed):
         params, disc, cont, lengths, _, grad_o = ragged_instance(seed)
         self.assert_close(params, disc, cont, lengths, grad_o)
+
+    @pytest.mark.parametrize("seed", range(30, 36))
+    def test_scoring_pass_matches_float64(self, seed):
+        params, disc, cont, lengths, mask, _ = ragged_instance(seed)
+        steps = disc[mask], cont[mask]  # one sequence after another
+        o64 = net.forward_last(params, CONFIG, *steps, lengths)
+        o32 = net.forward_last(as_float32(params), CONFIG, *steps, lengths)
+        np.testing.assert_allclose(o32, o64, rtol=0, atol=self.OUTPUT_ATOL)
 
 
 class TestCheckpoint:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from returntime import net, rnnsm
+from returntime import blas, net, rnnsm
 from returntime.data import assign_windows
 from returntime.errors import DataError, NumericalError
 from returntime.features import FeatureConfig, build_sequences, pad_batch
@@ -295,7 +295,7 @@ class TestPrediction:
     @pytest.mark.parametrize("conditioned", [False, True])
     def test_matches_per_user_oracle(self, trained, conditioned):
         model, seqs, t_s = trained
-        o = net.forward_last(model.params, model.net_config, seqs.disc, seqs.cont, seqs.lengths)
+        o = rnnsm.final_outputs(model, seqs)
         predicted = rnnsm.predict(model, seqs, t_s if conditioned else 0.0)
         for value, o_i, t_i in zip(predicted, o.tolist(), t_s.tolist()):
             if conditioned:
@@ -306,9 +306,34 @@ class TestPrediction:
 
     def test_zero_absence_is_the_unconditioned_expectation_bitwise(self, trained):
         model, seqs, _ = trained
-        o = net.forward_last(model.params, model.net_config, seqs.disc, seqs.cont, seqs.lengths)
+        o = rnnsm.final_outputs(model, seqs)
         predicted = rnnsm.predict(model, seqs, 0.0)
         assert predicted.tobytes() == rnnsm.expected_return_time(o, model.w).tobytes()
+
+    def test_params_survive_the_float32_cast(self, trained):
+        # the premise of scoring a trained model in float32 without rounding it
+        model, _, _ = trained
+        for p in model.params.values():
+            assert p.astype(np.float32).astype(np.float64).tobytes() == p.tobytes()
+
+    def test_score_depends_only_on_the_user_and_the_model(self, small_sequences):
+        seqs, stats = small_sequences
+        config = small_net(stats, hidden=32, fusion=32)  # wide enough for OpenBLAS to thread
+        params = net.init_params(config, np.random.default_rng(9))
+        model = rnnsm.RecurrentModel(params=params, net_config=config, stats=stats, w=0.1)
+        every = rnnsm.final_outputs(model, seqs)
+        subset = np.arange(0, len(seqs), 7)
+        assert rnnsm.final_outputs(model, seqs.take(subset)).tobytes() == every[subset].tobytes()
+        alone = [rnnsm.final_outputs(model, seqs.take([i]))[0] for i in subset]
+        assert np.array(alone).tobytes() == every[subset].tobytes()
+        previous = blas.threads()
+        try:
+            for count in (1, 2):
+                blas.set_threads(count)
+                assert rnnsm.final_outputs(model, seqs).tobytes() == every.tobytes(), count
+        finally:
+            if previous is not None:
+                blas.set_threads(previous)
 
     def test_zero_absence_gives_identical_prediction(self, trained):
         model, seqs, _ = trained
