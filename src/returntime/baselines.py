@@ -66,5 +66,6 @@ def train_simple_rnn(
 
 def predict_simple_rnn(model: RecurrentModel, sequences: Sequences) -> np.ndarray:
     """Final-step output as the predicted gap (N,), clamped to non-negative;
-    the output comes from the float32 scoring pass (rnnsm.final_outputs)."""
+    the output comes from the scoring pass on the model's float32 params
+    (rnnsm.final_outputs)."""
     return np.maximum(final_outputs(model, sequences), 0.0)

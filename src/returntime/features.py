@@ -354,11 +354,12 @@ def pad_batch(seqs: Sequences, users: np.ndarray) -> PaddedBatch:
 
 def select_embedding_dims(embedding: np.ndarray, variance_threshold: float = 0.9) -> int:
     """Smallest dimension whose principal components explain more than the
-    threshold share of the embedding matrix's variance."""
+    threshold share of the embedding matrix's variance, computed in float64."""
     if not (0 < variance_threshold < 1):
         raise ValidationError(
             f"variance_threshold must lie in (0, 1), got {variance_threshold}"
         )
+    embedding = np.asarray(embedding, dtype=np.float64)
     centered = embedding - embedding.mean(axis=0, keepdims=True)
     s = np.linalg.svd(centered, compute_uv=False)
     var = s ** 2

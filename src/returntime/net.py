@@ -2,7 +2,8 @@
 constraint, a dense fusion layer, an LSTM, and a single-neuron linear head.
 
 Forward and backward are exact and follow the params' dtype; training and
-scoring run float32, the oracles float64. Training passes padded batches of
+scoring run float32, the oracles float64. A checkpoint holds the params as
+float32 arrays (CHECKPOINT_VERSION 3). Training passes padded batches of
 shape (batch, steps, ...) to forward_batch, which also serves a
 single sequence as a one-row batch; internally only the real steps are
 computed, packed time-major with the rows sorted longest first, so the dense
@@ -24,7 +25,9 @@ import numpy as np
 
 from .errors import DataModelMismatchError, NumericalError
 
-CHECKPOINT_VERSION = 2  # 2 dropped the Adam moments, which nothing read back
+# 2 dropped the Adam moments, which nothing read back; 3 stores the params
+# in float32, the precision they are trained and scored in
+CHECKPOINT_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -405,13 +408,6 @@ class AdamState:
             v={k: np.zeros_like(p) for k, p in params.items()},
         )
 
-    def copy(self) -> "AdamState":
-        return AdamState(
-            step=self.step,
-            m={k: a.copy() for k, a in self.m.items()},
-            v={k: a.copy() for k, a in self.v.items()},
-        )
-
 
 def apply_update_with_norm_projection(
     params: dict[str, np.ndarray],
@@ -421,7 +417,7 @@ def apply_update_with_norm_projection(
     beta1: float = 0.9,
     beta2: float = 0.999,
     eps: float = 1e-8,
-    clip_norm: float | None = 5.0,
+    clip_norm: float = 5.0,
     grad_scale: float = 1.0,
 ) -> dict[str, np.ndarray]:
     """Adam step with global-norm clipping; embedding rows re-projected to
@@ -430,12 +426,8 @@ def apply_update_with_norm_projection(
     grads are the true gradients divided by grad_scale, a power of two that
     keeps them in range of the params' dtype; clipping acts on the true
     norm. With grad_scale 1 the gradients are used as they are."""
-    scale = 1.0
-    if clip_norm is not None:
-        norm = global_grad_norm(grads) * grad_scale
-        if norm > clip_norm:
-            scale = clip_norm / norm
-    scale *= grad_scale
+    norm = global_grad_norm(grads) * grad_scale
+    scale = (clip_norm / norm if norm > clip_norm else 1.0) * grad_scale
     state.step += 1
     bc1 = 1.0 - beta1 ** state.step
     bc2 = 1.0 - beta2 ** state.step

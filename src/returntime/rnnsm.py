@@ -214,7 +214,8 @@ class TrainingConfig:
 
 @dataclass
 class RecurrentModel:
-    """The shared LSTM with its sequence statistics and training record.
+    """The shared LSTM as model.npz holds it (float32 params, net_config,
+    stats, w), with the training record that meta.json keeps.
 
     w is the current-influence weight of the censored point-process loss
     (RNNSM), or None for the plain RNN trained with squared error.
@@ -224,7 +225,6 @@ class RecurrentModel:
     net_config: net.NetConfig
     stats: SequenceStats
     w: float | None = None
-    adam: net.AdamState | None = None  # after training; checkpoints do not keep it
     loss_trace: list[float] = field(default_factory=list)
     diverged: bool = False
 
@@ -259,10 +259,6 @@ def initial_output_bias(mean_gap: float, w: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _as_float32(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    return {k: p.astype(np.float32) for k, p in params.items()}
-
-
 def _grad_scale(grad_o: np.ndarray) -> float:
     """The least power of two s >= 1 with max|grad_o| / s < 2^_GRAD_O_BITS.
     Dividing by it is exact."""
@@ -283,16 +279,16 @@ def _fit(
     batch_loss(o, batch) returns the batch's loss and the grad_o handed to
     backward; an epoch's trace entry is its summed loss over loss_divisor.
     On divergence (non-finite loss or a tripped overflow guard) the last
-    epoch-end parameters and Adam state are restored and training stops early.
+    epoch-end parameters are restored and training stops early.
 
-    The network and Adam run in float32 on a rounded copy of the params; the
-    loss sees the outputs in float64, and its grad_o is divided by a power of
-    two (_grad_scale) on the way back into float32. model.params are handed
-    back upcast, float64 again.
+    The params are rounded to float32 first, and the network and Adam run in
+    float32; the loss sees the outputs in float64, and its grad_o is divided
+    by a power of two (_grad_scale) on the way back into float32.
+    model.params are the float32 params training ends with.
     """
-    params = _as_float32(model.params)
+    params = {k: p.astype(np.float32) for k, p in model.params.items()}
     state = net.AdamState.for_params(params)
-    snapshot = ({k: p.copy() for k, p in params.items()}, state.copy())
+    snapshot = {k: p.copy() for k, p in params.items()}
 
     for epoch in range(config.epochs):
         order = rng.permutation(len(sequences))
@@ -317,15 +313,14 @@ def _fit(
                 raise NumericalError(f"epoch {epoch} mean loss is {epoch_loss}")
         except NumericalError as exc:
             logger.warning("training diverged at epoch %d (%s); restoring last good "
-                           "parameters and optimizer state", epoch, exc)
-            params, state = snapshot
+                           "parameters", epoch, exc)
+            params = snapshot
             model.diverged = True
             break
         model.loss_trace.append(epoch_loss)
-        snapshot = ({k: p.copy() for k, p in params.items()}, state.copy())
+        snapshot = {k: p.copy() for k, p in params.items()}
 
-    model.params = {k: p.astype(np.float64) for k, p in params.items()}
-    model.adam = state
+    model.params = params
     return model
 
 
@@ -339,7 +334,7 @@ def train_rnnsm(
     """Minibatch Adam on the censored sequence loss; deterministic per seed.
 
     The trace holds each epoch's mean loss per user; on divergence the last
-    epoch-end parameters and Adam state are kept (see _fit).
+    epoch-end parameters are kept (see _fit).
     """
     if w <= 0:
         raise ValidationError(f"current-influence weight w must be positive, got {w}")
@@ -373,10 +368,10 @@ def train_rnnsm(
 
 def final_outputs(model: RecurrentModel, sequences: Sequences) -> np.ndarray:
     """The network output at each user's last step (N,), as float64: the
-    scoring pass, run in float32 like training. A model trained here holds
-    float32 values upcast, so the cast back is exact. A user's output does
-    not depend on the other users in the call or on the BLAS thread count."""
-    return net.forward_last(_as_float32(model.params), model.net_config, sequences.disc,
+    scoring pass, in the dtype of model.params, which is float32 for a
+    trained or loaded model. A user's output does not depend on the other
+    users in the call or on the BLAS thread count."""
+    return net.forward_last(model.params, model.net_config, sequences.disc,
                             sequences.cont, sequences.lengths)
 
 
@@ -418,10 +413,11 @@ def load_model(path: str | Path, kind: str) -> RecurrentModel:
     SequenceStats.from_dict), a w that does not fit the kind (null for rnn,
     a positive finite number for rnnsm), a net_config that does not fit
     the sequence statistics or the parameter shapes, or a parameter that is
-    not a float32 or float64 array of finite values within float32's range,
-    raises DataModelMismatchError; so does a corrupt archive directory, on
-    which zipfile raises OSError. The training record is kept in meta.json; a
-    checkpoint that still carries one is read without it.
+    not a float32 array of finite values, raises DataModelMismatchError; so
+    does a corrupt archive directory, on which zipfile raises OSError, and a
+    checkpoint of another version, such as the float64 version 2 of earlier
+    releases. The training record is kept in meta.json; a checkpoint that
+    still carries one is read without it.
     """
     try:
         params, config, extra = net.load_checkpoint(path)
@@ -447,13 +443,10 @@ def load_model(path: str | Path, kind: str) -> RecurrentModel:
         if got != shapes:
             bad = sorted(k for k in shapes.keys() | got.keys() if shapes.get(k) != got.get(k))
             raise ValueError(f"parameter shapes do not fit net_config: {', '.join(bad)}")
-        # scoring casts to float32, where a larger value would become inf
-        limit = np.finfo(np.float32).max
         bad = sorted(k for k, p in params.items()
-                     if p.dtype not in (np.float32, np.float64) or not (np.abs(p) <= limit).all())
+                     if p.dtype != np.float32 or not np.isfinite(p).all())
         if bad:
-            raise ValueError(f"parameters are not real floats within float32's range: "
-                             f"{', '.join(bad)}")
+            raise ValueError(f"parameters are not finite float32 arrays: {', '.join(bad)}")
     except (zipfile.BadZipFile, EOFError, AttributeError, KeyError, TypeError, ValueError,
             OSError) as exc:
         raise DataModelMismatchError(f"checkpoint at {path} is unreadable: {exc}") from exc

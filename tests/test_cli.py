@@ -277,7 +277,7 @@ class TestTrainPredictEvaluate:
         ("rnn", "model.npz", lambda raw: raw[:-4] + bytes([raw[-4] ^ 1]) + raw[-3:]),
         ("rnn", "model.npz", edited_param(first_entry(np.nan))),
         ("rnn", "model.npz", edited_param(first_entry(-np.inf))),
-        ("rnn", "model.npz", edited_param(first_entry(1e39), name="fusion_b")),  # inf in float32
+        ("rnn", "model.npz", edited_param(lambda a: a.astype(np.float64))),
         ("rnn", "model.npz", edited_param(lambda a: a.astype(np.int64))),
         ("rnn", "model.npz", edited_param(lambda a: a + 1j)),
         ("rnn", "meta.json", lambda raw: raw[:len(raw) // 2]),
@@ -292,7 +292,7 @@ class TestTrainPredictEvaluate:
         ("cph", "model.json", edited(
             lambda d: d.update(baseline_hazard=[-h for h in d["baseline_hazard"]]))),
     ], ids=["npz-truncated", "npz-not-zip", "npz-directory-offset", "npz-param-nan",
-            "npz-param-inf", "npz-param-beyond-float32", "npz-param-int64", "npz-param-complex", "meta-truncated",
+            "npz-param-inf", "npz-param-float64", "npz-param-int64", "npz-param-complex", "meta-truncated",
             "cox-json-truncated",
             "meta-list", "cph-markers-not-strings", "cox-json-without-center",
             "cox-center-wrong-length", "cox-center-non-finite", "cox-empty-baseline",
@@ -393,11 +393,13 @@ class TestTrainPredictEvaluate:
         # the training record lives in meta.json only
         assert sorted(meta["extra"]) == ["kind", "stats", "w"]
         params = {k: a for k, a in arrays.items() if k != "meta"}
-        # a version 1 checkpoint also carried the Adam moments and step
+        # a version 1 checkpoint also carried the Adam moments and step, and
+        # versions 1 and 2 held float64 params
+        float64 = {k: a.astype(np.float64) for k, a in params.items()}
         moments = {f"adam_{m}::{k[len('param::'):]}": np.zeros_like(a)
-                   for k, a in params.items() for m in "mv"}
-        for version, extra, members in ((1, {"adam_step": 12}, {**params, **moments}),
-                                        (99, {}, params)):
+                   for k, a in float64.items() for m in "mv"}
+        for version, extra, members in ((1, {"adam_step": 12}, {**float64, **moments}),
+                                        (2, {}, float64), (99, {}, params)):
             header = json.dumps({**meta, "version": version, **extra}).encode()
             np.savez(path, meta=np.frombuffer(header, dtype=np.uint8), **members)
             capsys.readouterr()
@@ -877,8 +879,9 @@ def test_malformed_checkpoint_header_exit_3(trained_recurrent, tmp_path, model, 
 
 
 def test_checkpoint_with_a_training_record_still_loads(trained_recurrent, tmp_path):
-    # older version 2 checkpoints also carried the loss trace and the
-    # divergence flag, which meta.json keeps
+    # extra header keys are ignored, such as the loss trace and the
+    # divergence flag that meta.json keeps and that some version 2
+    # checkpoints also carried
     rc, err, kept = predict_with_header(trained_recurrent, tmp_path / "a", "rnnsm",
                                         lambda header: header)
     assert rc == 0, err
