@@ -417,7 +417,8 @@ def apply_update_with_norm_projection(
     beta1: float = 0.9,
     beta2: float = 0.999,
     eps: float = 1e-8,
-    clip_norm: float = 5.0,
+    *,
+    clip_norm: float,
     grad_scale: float = 1.0,
 ) -> dict[str, np.ndarray]:
     """Adam step with global-norm clipping; embedding rows re-projected to

@@ -277,7 +277,7 @@ class TestUpdates:
         before = {k: p.copy() for k, p in params.items()}
         grads = {k: np.zeros_like(p) for k, p in params.items()}
         state = net.AdamState.for_params(params)
-        net.apply_update_with_norm_projection(params, grads, state)
+        net.apply_update_with_norm_projection(params, grads, state, clip_norm=5.0)
         for k in params:
             np.testing.assert_allclose(params[k], before[k], rtol=0, atol=1e-15)
 
@@ -286,7 +286,7 @@ class TestUpdates:
         _, cache = forward_one(params, disc, cont)
         grads = net.backward_batch(params, CONFIG, cache, np.ones((1, 3)))
         state = net.AdamState.for_params(params)
-        net.apply_update_with_norm_projection(params, grads, state, lr=0.1)
+        net.apply_update_with_norm_projection(params, grads, state, lr=0.1, clip_norm=5.0)
         for key in ("emb_device", "emb_day_of_week"):
             norms = np.linalg.norm(params[key], axis=1)
             np.testing.assert_allclose(norms, 1.0, rtol=0, atol=1e-6)
@@ -309,7 +309,8 @@ class TestUpdates:
         grads = {k: np.zeros_like(p) for k, p in params.items()}
         grads["out_b"][0] = bad
         with pytest.raises(NumericalError, match="non-finite gradient"):
-            net.apply_update_with_norm_projection(params, grads, net.AdamState.for_params(params))
+            net.apply_update_with_norm_projection(params, grads, net.AdamState.for_params(params),
+                                                  clip_norm=5.0)
 
     def test_ten_steps_bitwise_deterministic(self):
         def run():
@@ -323,7 +324,7 @@ class TestUpdates:
             for _ in range(10):
                 _, cache = forward_one(params, disc, cont)
                 grads = net.backward_batch(params, CONFIG, cache, np.ones((1, 4)))
-                net.apply_update_with_norm_projection(params, grads, state)
+                net.apply_update_with_norm_projection(params, grads, state, clip_norm=5.0)
             return params
 
         a, b = run(), run()
@@ -348,7 +349,7 @@ class TestFloat32:
         grads = net.backward_batch(params, CONFIG, cache, grad_o)
         assert {k: g.dtype for k, g in grads.items()} == dict.fromkeys(params, np.float32)
         state = net.AdamState.for_params(params)
-        net.apply_update_with_norm_projection(params, grads, state, lr=0.1)
+        net.apply_update_with_norm_projection(params, grads, state, lr=0.1, clip_norm=5.0)
         for arrays in (params, state.m, state.v):
             assert {k: a.dtype for k, a in arrays.items()} == dict.fromkeys(params, np.float32)
         assert net.forward_last(params, CONFIG, disc[0, :lengths[0]], cont[0, :lengths[0]],

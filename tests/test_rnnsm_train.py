@@ -254,12 +254,13 @@ class TestFloat32Training:
         for kwargs in ({}, {"grad_scale": 1.0}):
             got = {k: p.copy() for k, p in params.items()}
             net.apply_update_with_norm_projection(got, grads, net.AdamState.for_params(got),
-                                                  **kwargs)
+                                                  clip_norm=5.0, **kwargs)
             assert all(got[k].tobytes() == want[k].tobytes() for k in want)
         # dividing by a power of two and scaling back is exact
         got = {k: p.copy() for k, p in params.items()}
         net.apply_update_with_norm_projection(got, {k: g / 2.0 ** 90 for k, g in grads.items()},
-                                              net.AdamState.for_params(got), grad_scale=2.0 ** 90)
+                                              net.AdamState.for_params(got), clip_norm=5.0,
+                                              grad_scale=2.0 ** 90)
         assert all(got[k].tobytes() == want[k].tobytes() for k in want)
 
 
@@ -309,7 +310,9 @@ class TestPrediction:
     def test_score_depends_only_on_the_user_and_the_model(self, small_sequences):
         seqs, stats = small_sequences
         config = small_net(stats, hidden=32, fusion=32)  # wide enough for OpenBLAS to thread
-        params = net.init_params(config, np.random.default_rng(9))
+        # float32, as a trained or loaded model holds them: this is the pass predict runs
+        params = {k: p.astype(np.float32)
+                  for k, p in net.init_params(config, np.random.default_rng(9)).items()}
         model = rnnsm.RecurrentModel(params=params, net_config=config, stats=stats, w=0.1)
         every = rnnsm.final_outputs(model, seqs)
         subset = np.arange(0, len(seqs), 7)
