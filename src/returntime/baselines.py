@@ -9,7 +9,7 @@ from . import net
 from .data import Dataset
 from .errors import DataError
 from .features import PaddedBatch, SequenceStats, Sequences
-from .rnnsm import RecurrentModel, TrainingConfig, _fit, final_outputs
+from .rnnsm import RecurrentModel, TrainingConfig, _fit
 
 
 def baseline_predict(dataset: Dataset) -> np.ndarray:
@@ -67,5 +67,7 @@ def train_simple_rnn(
 def predict_simple_rnn(model: RecurrentModel, sequences: Sequences) -> np.ndarray:
     """Final-step output as the predicted gap (N,), clamped to non-negative;
     the output comes from the scoring pass on the model's float32 params
-    (rnnsm.final_outputs)."""
-    return np.maximum(final_outputs(model, sequences), 0.0)
+    (net.forward_last)."""
+    o = net.forward_last(model.params, model.net_config, sequences.disc, sequences.cont,
+                         sequences.lengths)
+    return np.maximum(o, 0.0)

@@ -127,9 +127,11 @@ def cmd_predict(args: argparse.Namespace) -> int:
     output_dir(out.parent)  # a bad --out fails before any user is scored
     if out.is_dir():
         raise ConfigError(f"cannot write predictions to {out}: it is a directory")
-    data = experiment.load_and_split(config)
-    subset = {"train": data.train, "test": data.test, "all": data.dataset}[args.split]
-    split = None if args.split == "all" else experiment.split_identity(data)
+    if args.split == "all":  # reads no split, so a file too small to split still scores
+        subset, split = experiment.load_dataset(config)[0], None
+    else:
+        data = experiment.load_and_split(config)
+        subset, split = getattr(data, args.split), experiment.split_identity(data)
     table = experiment.predict_model(model_name, args.checkpoint, subset, split=split)
     try:
         metrics.write_predictions_csv(out, model_name, table, epoch_iso=subset.epoch_iso)

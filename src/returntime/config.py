@@ -21,7 +21,7 @@ DEFAULTS: dict = {
     "seed": 7,
     "data": {"sessions": None},
     "window": None,  # day offsets or *_date ISO strings; generate fills this in
-    "split": {"test_fraction": 0.2},
+    "split": {"test_fraction": 0.2, "seed": None},  # None draws the split with the run seed
     "features": {
         "max_steps": 64,
         "per_session_steps": False,
@@ -65,10 +65,27 @@ def _deep_merge(base: dict, override: dict) -> dict:
     return out
 
 
+def _unknown_keys(config: dict, defaults: dict, prefix: str = "") -> list[str]:
+    """The dotted paths in config that DEFAULTS does not hold. Keys under a
+    setting whose default is not a mapping (window, network.embedding_dims)
+    are the setting's own, and the generator's are checked by
+    cli.generator_from_config."""
+    unknown = []
+    for key, value in config.items():
+        path = prefix + key
+        if key not in defaults:
+            unknown.append(path)
+        elif isinstance(value, dict) and isinstance(defaults[key], dict) and path != "generator":
+            unknown += _unknown_keys(value, defaults[key], path + ".")
+    return unknown
+
+
 def load_config(
     paths: str | Path | list[str] | None = None, overrides: dict | None = None
 ) -> dict:
-    """Defaults, overlaid with config files in order, then CLI overrides."""
+    """Defaults, overlaid with config files in order, then CLI overrides.
+
+    A key in a file that no setting reads raises ConfigError."""
     config = copy.deepcopy(DEFAULTS)
     if paths is None:
         paths = []
@@ -85,6 +102,9 @@ def load_config(
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
         if not isinstance(file_cfg, dict):
             raise ConfigError(f"config file {path} must hold a JSON object")
+        unknown = _unknown_keys(file_cfg, DEFAULTS)
+        if unknown:
+            raise ConfigError(f"config file {path}: unknown key(s) {', '.join(unknown)}")
         config = _deep_merge(config, file_cfg)
     if overrides:
         config = _deep_merge(config, overrides)

@@ -50,7 +50,8 @@ class LoadedData:
     sessions_sha256: str  # of the sessions file's bytes
 
 
-def load_and_split(config: dict) -> LoadedData:
+def load_dataset(config: dict) -> tuple[Dataset, str]:
+    """The windowed users of data.sessions, and the sha256 of the file's bytes."""
     read = read_sessions_jsonl(setting(config, "data.sessions", text))
     sessions, epoch_iso, epoch_weekday = read
     # day offsets are numbers, *_date entries ISO strings
@@ -60,10 +61,15 @@ def load_and_split(config: dict) -> LoadedData:
     }
     dataset = assign_windows(sessions, resolve_window_days(window_cfg, epoch_iso),
                              epoch_iso=epoch_iso, epoch_weekday=epoch_weekday)
+    return dataset, read.sha256
+
+
+def load_and_split(config: dict) -> LoadedData:
+    dataset, sessions_sha256 = load_dataset(config)
     train, test = stratified_split(
         dataset, setting(config, "split.test_fraction", float), _split_seed(config)
     )
-    return LoadedData(dataset=dataset, train=train, test=test, sessions_sha256=read.sha256)
+    return LoadedData(dataset=dataset, train=train, test=test, sessions_sha256=sessions_sha256)
 
 
 def _split_seed(config: dict) -> int:

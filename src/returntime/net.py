@@ -2,32 +2,26 @@
 constraint, a dense fusion layer, an LSTM, and a single-neuron linear head.
 
 Forward and backward are exact and follow the params' dtype; training and
-scoring run float32, the oracles float64. A checkpoint holds the params as
-float32 arrays (CHECKPOINT_VERSION 3). Training passes padded batches of
-shape (batch, steps, ...) to forward_batch, which also serves a
-single sequence as a one-row batch; internally only the real steps are
-computed, packed time-major with the rows sorted longest first, so the dense
-layers run once outside the time loop and padded steps cost nothing. The
-hidden states stay packed in the cache that backward_batch reads. The
-scoring pass, forward_last, runs any number of sequences in the same order
-but keeps only the running LSTM state, and returns each one's final output.
+scoring run float32, the oracles float64; the module does no file I/O.
+Training passes padded batches of shape (batch, steps, ...) to
+forward_batch, which also serves a single sequence as a one-row batch;
+internally only the real steps are computed, packed time-major with the
+rows sorted longest first, so the dense layers run once outside the time
+loop and padded steps cost nothing. The hidden states stay packed in the
+cache that backward_batch reads. The scoring pass, forward_last, runs any
+number of sequences in the same order but keeps only the running LSTM
+state, and returns each one's final output.
 Gate order in the fused LSTM tensors is input, forget, candidate, output.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .errors import DataModelMismatchError, NumericalError
-
-# 2 dropped the Adam moments, which nothing read back; 3 stores the params
-# in float32, the precision they are trained and scored in
-CHECKPOINT_VERSION = 3
+from .errors import NumericalError
 
 
 @dataclass(frozen=True)
@@ -445,30 +439,3 @@ def apply_update_with_norm_projection(
             params[key] = _normalize_rows(params[key])
     return params
 
-
-def save_checkpoint(
-    path: str | Path,
-    params: dict[str, np.ndarray],
-    config: NetConfig,
-    extra: dict | None = None,
-) -> None:
-    """Persist named tensors and metadata to one .npz file."""
-    arrays = {f"param::{k}": p for k, p in params.items()}
-    meta = {"version": CHECKPOINT_VERSION, "net_config": config.to_dict(), "extra": extra or {}}
-    arrays["meta"] = np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8)
-    np.savez(Path(path), **arrays)
-
-
-def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], NetConfig, dict]:
-    # np.load leaks a file it opened itself when the archive is corrupt
-    with open(path, "rb") as fh, np.load(fh) as data:
-        meta = json.loads(bytes(data["meta"].tobytes()).decode())
-        if meta["version"] != CHECKPOINT_VERSION:
-            raise DataModelMismatchError(
-                f"unsupported checkpoint version {meta['version']} (this release reads "
-                f"version {CHECKPOINT_VERSION}); retrain the model"
-            )
-        params = {
-            k.split("::", 1)[1]: data[k].copy() for k in data.files if k.startswith("param::")
-        }
-    return params, NetConfig.from_dict(meta["net_config"]), meta["extra"]

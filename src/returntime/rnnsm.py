@@ -16,6 +16,7 @@ the same form with o' = o + w*t_s.
 
 from __future__ import annotations
 
+import json
 import logging
 import math
 import zipfile
@@ -37,6 +38,9 @@ _LOG_TAIL = math.log(1e-9)  # survival level that bounds the quadrature interval
 # grad_o enters the float32 backward pass below 2^64, so the sums of
 # backward_batch stay a factor 2^64 clear of float32's 3.4e38 (2^128)
 _GRAD_O_BITS = 64
+# model.npz: 2 dropped the Adam moments, which nothing read back; 3 stores
+# the params in float32, the precision they are trained and scored in
+CHECKPOINT_VERSION = 3
 
 
 def _check_exponent(value: float, what: str) -> None:
@@ -366,15 +370,6 @@ def train_rnnsm(
 # ---------------------------------------------------------------------------
 # prediction
 
-def final_outputs(model: RecurrentModel, sequences: Sequences) -> np.ndarray:
-    """The network output at each user's last step (N,), as float64: the
-    scoring pass, in the dtype of model.params, which is float32 for a
-    trained or loaded model. A user's output does not depend on the other
-    users in the call or on the BLAS thread count."""
-    return net.forward_last(model.params, model.net_config, sequences.disc,
-                            sequences.cont, sequences.lengths)
-
-
 def predict(
     model: RecurrentModel,
     sequences: Sequences,
@@ -383,26 +378,27 @@ def predict(
     """Expected return gap per user (N,), measured from their last session end,
     given t_s days of absence (a scalar or one per user): for rnnsma each
     user's time from last session end to the prediction-window start, for
-    rnnsm 0. The outputs come from the float32 scoring pass (final_outputs);
-    the expectations run in float64.
+    rnnsm 0. The outputs come from the float32 scoring pass
+    (net.forward_last); the expectations run in float64.
     """
-    return absence_conditioned_expectation(final_outputs(model, sequences), model.w, t_s)
+    o = net.forward_last(model.params, model.net_config, sequences.disc, sequences.cont,
+                         sequences.lengths)
+    return absence_conditioned_expectation(o, model.w, t_s)
 
 
 # ---------------------------------------------------------------------------
 # persistence
 
 def save_model(path: str | Path, model: RecurrentModel) -> None:
-    net.save_checkpoint(
-        path,
-        model.params,
-        model.net_config,
-        extra={
-            "kind": "rnn" if model.w is None else "rnnsm",
-            "w": model.w,
-            "stats": model.stats.to_dict(),
-        },
-    )
+    """Write model.npz: each param as the float32 array "param::<name>", and
+    "meta", the uint8 bytes of the JSON header {version, net_config, extra:
+    {kind, w, stats}}."""
+    extra = {"kind": "rnn" if model.w is None else "rnnsm", "w": model.w,
+             "stats": model.stats.to_dict()}
+    meta = {"version": CHECKPOINT_VERSION, "net_config": model.net_config.to_dict(), "extra": extra}
+    arrays = {f"param::{k}": p for k, p in model.params.items()}
+    arrays["meta"] = np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8)
+    np.savez(Path(path), **arrays)
 
 
 def load_model(path: str | Path, kind: str) -> RecurrentModel:
@@ -420,7 +416,17 @@ def load_model(path: str | Path, kind: str) -> RecurrentModel:
     still carries one is read without it.
     """
     try:
-        params, config, extra = net.load_checkpoint(path)
+        # np.load leaks a file it opened itself when the archive is corrupt
+        with open(path, "rb") as fh, np.load(fh) as data:
+            meta = json.loads(bytes(data["meta"].tobytes()).decode())
+            if meta["version"] != CHECKPOINT_VERSION:
+                raise DataModelMismatchError(
+                    f"unsupported checkpoint version {meta['version']} (this release reads "
+                    f"version {CHECKPOINT_VERSION}); retrain the model"
+                )
+            params = {k.split("::", 1)[1]: data[k].copy()
+                      for k in data.files if k.startswith("param::")}
+        config, extra = net.NetConfig.from_dict(meta["net_config"]), meta["extra"]
         stats = SequenceStats.from_dict(extra["stats"])
         if extra.get("kind") != kind:
             raise DataModelMismatchError(

@@ -21,6 +21,7 @@ import returntime
 from returntime import data, experiment, metrics
 from returntime.cli import main
 from returntime.config import load_config, model_family
+from returntime.errors import DataError
 
 from oracles import (
     Record,
@@ -233,6 +234,22 @@ class TestTrainPredictEvaluate:
         rc = main(["train", "--model", "baseline", "--config", str(tmp_path / "nope.json"),
                    "--out", str(tmp_path / "m")])
         assert rc == 2
+
+    @pytest.mark.parametrize("payload, key", [
+        ({"trainig": {"rnnsm": {"epochs": 1}}}, "trainig"),
+        ({"features": {"max_step": 8}}, "features.max_step"),
+    ])
+    def test_unknown_config_key_exit_2(self, generated, tmp_path, capsys, payload, key):
+        cfg, out = generated
+        typo = write_cfg(tmp_path, payload, name="typo.json")
+        capsys.readouterr()
+        assert main(["train", "--model", "baseline", "--config", cfg,
+                     "--config", str(out / "run_config.json"), "--config", typo,
+                     "--out", str(tmp_path / "m")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("error:") == 1
+        assert key in err and "Traceback" not in err
+        assert not (tmp_path / "m").exists()
 
     def test_missing_sessions_file_exit_3(self, tmp_path):
         cfg = write_cfg(tmp_path, {
@@ -493,6 +510,30 @@ class TestTrainPredictEvaluate:
         del meta["split"]["train_users_sha256"]
         (model / "meta.json").write_text(json.dumps(meta))
         assert predict(7, "test") == (3, False)
+
+    def test_predict_all_draws_no_split(self, generated, tmp_path):
+        # four users are too few to split, but --split all needs no split
+        cfg, out = generated
+        cfgs = ["--config", cfg, "--config", str(out / "run_config.json")]
+        assert main(["train", "--model", "baseline", *cfgs, "--out", str(tmp_path / "bl")]) == 0
+        records = [json.loads(line) for line in (out / "sessions.jsonl").read_text().splitlines()]
+        # the user of the earliest session keeps the epoch, and so the windows
+        first = min(records, key=lambda rec: dt.datetime.fromisoformat(rec["start_ts"]))
+        others = sorted({rec["user_id"] for rec in records} - {first["user_id"]})
+        keep = {first["user_id"], *others[:3]}
+        few = tmp_path / "few.jsonl"
+        few.write_text("".join(json.dumps(rec) + "\n" for rec in records if rec["user_id"] in keep))
+        config = load_config([cfg, str(out / "run_config.json")], {"data": {"sessions": str(few)}})
+        with pytest.raises(DataError, match="stratified_split needs at least 2 users"):
+            experiment.load_and_split(config)
+        target = tmp_path / "p.csv"
+        assert main(["predict", "--model", "baseline", "--checkpoint", str(tmp_path / "bl"),
+                     *cfgs, "--data", str(few), "--split", "all", "--out", str(target)]) == 0
+        with target.open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        windowed, _ = experiment.load_dataset(config)
+        assert [row["user_id"] for row in rows] == list(windowed.user_ids)
+        assert len(rows) > 0
 
     def test_non_finite_activation_exit_4(self, generated, tmp_path, capsys):
         cfg, out = generated

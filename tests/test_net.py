@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from returntime import net
+from returntime import net, rnnsm
 from returntime.errors import NumericalError
+from returntime.features import SequenceStats
 
 from oracles import finite_difference_grads, max_relative_error, scalar_net_forward
 
@@ -393,16 +394,23 @@ class TestFloat32:
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         params, disc, cont = random_instance(14, T=2)
+        params = as_float32(params)  # a model.npz holds float32 params
+        stats = SequenceStats(
+            discrete_features=list(CONFIG.discrete_features),
+            cardinalities=list(CONFIG.cardinalities), vocabs={}, cont_channels=["a", "b"],
+            mean=np.zeros(2), std=np.ones(2), continuous_markers=[], max_steps=8,
+            per_session_steps=False,
+        )
         path = tmp_path / "model.npz"
-        net.save_checkpoint(path, params, CONFIG, extra={"w": 0.5})
-        loaded_params, loaded_config, extra = net.load_checkpoint(path)
-        assert loaded_config == CONFIG
-        assert extra == {"w": 0.5}
-        assert loaded_params.keys() == params.keys()
+        rnnsm.save_model(path, rnnsm.RecurrentModel(params, CONFIG, stats, w=0.5))
+        loaded = rnnsm.load_model(path, "rnnsm")
+        assert loaded.net_config == CONFIG
+        assert loaded.w == 0.5
+        assert loaded.params.keys() == params.keys()
         with np.load(path) as data:
             assert sorted(data.files) == sorted(["meta", *(f"param::{k}" for k in params)])
         for k in params:
-            assert np.array_equal(loaded_params[k], params[k])
+            assert np.array_equal(loaded.params[k], params[k])
         o1, _ = forward_one(params, disc, cont)
-        o2, _ = forward_one(loaded_params, disc, cont, loaded_config)
+        o2, _ = forward_one(loaded.params, disc, cont, loaded.net_config)
         assert np.array_equal(o1, o2)

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -292,7 +293,7 @@ class TestPrediction:
     @pytest.mark.parametrize("conditioned", [False, True])
     def test_matches_per_user_oracle(self, trained, conditioned):
         model, seqs, t_s = trained
-        o = rnnsm.final_outputs(model, seqs)
+        o = net.forward_last(model.params, model.net_config, seqs.disc, seqs.cont, seqs.lengths)
         predicted = rnnsm.predict(model, seqs, t_s if conditioned else 0.0)
         for value, o_i, t_i in zip(predicted, o.tolist(), t_s.tolist()):
             if conditioned:
@@ -303,7 +304,7 @@ class TestPrediction:
 
     def test_zero_absence_is_the_unconditioned_expectation_bitwise(self, trained):
         model, seqs, _ = trained
-        o = rnnsm.final_outputs(model, seqs)
+        o = net.forward_last(model.params, model.net_config, seqs.disc, seqs.cont, seqs.lengths)
         predicted = rnnsm.predict(model, seqs, 0.0)
         assert predicted.tobytes() == rnnsm.expected_return_time(o, model.w).tobytes()
 
@@ -313,17 +314,20 @@ class TestPrediction:
         # float32, as a trained or loaded model holds them: this is the pass predict runs
         params = {k: p.astype(np.float32)
                   for k, p in net.init_params(config, np.random.default_rng(9)).items()}
-        model = rnnsm.RecurrentModel(params=params, net_config=config, stats=stats, w=0.1)
-        every = rnnsm.final_outputs(model, seqs)
+
+        def outputs(s):
+            return net.forward_last(params, config, s.disc, s.cont, s.lengths)
+
+        every = outputs(seqs)
         subset = np.arange(0, len(seqs), 7)
-        assert rnnsm.final_outputs(model, seqs.take(subset)).tobytes() == every[subset].tobytes()
-        alone = [rnnsm.final_outputs(model, seqs.take([i]))[0] for i in subset]
+        assert outputs(seqs.take(subset)).tobytes() == every[subset].tobytes()
+        alone = [outputs(seqs.take([i]))[0] for i in subset]
         assert np.array(alone).tobytes() == every[subset].tobytes()
         previous = blas.threads()
         try:
             for count in (1, 2):
                 blas.set_threads(count)
-                assert rnnsm.final_outputs(model, seqs).tobytes() == every.tobytes(), count
+                assert outputs(seqs).tobytes() == every.tobytes(), count
         finally:
             if previous is not None:
                 blas.set_threads(previous)
@@ -348,3 +352,26 @@ class TestPrediction:
         a = rnnsm.predict(model, seqs.take(np.arange(10)), 0.0)
         b = rnnsm.predict(loaded, seqs.take(np.arange(10)), 0.0)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("kind, w", [("rnn", None), ("rnnsm", 0.25)])
+    def test_hand_written_version_3_file_loads(self, small_sequences, tmp_path, kind, w):
+        # the model.npz layout, written without save_model: renaming a member
+        # or a header key breaks every trained model unless the version moves
+        _, stats = small_sequences
+        config = small_net(stats)
+        rng = np.random.default_rng(5)
+        params = {name: rng.uniform(-1.0, 1.0, size=shape).astype(np.float32)
+                  for name, shape in net.param_shapes(config).items()}
+        header = {"version": 3, "net_config": config.to_dict(),
+                  "extra": {"kind": kind, "w": w, "stats": stats.to_dict()}}
+        path = tmp_path / "model.npz"
+        np.savez(path, meta=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8),
+                 **{f"param::{name}": p for name, p in params.items()})
+        model = rnnsm.load_model(path, kind)
+        assert model.net_config == config
+        assert model.w == w
+        assert model.stats.to_dict() == stats.to_dict()
+        assert model.params.keys() == params.keys()
+        for name, p in params.items():
+            assert model.params[name].dtype == np.float32
+            assert model.params[name].tobytes() == p.tobytes()
