@@ -1,7 +1,9 @@
 """Command-line entry point: generate, train, predict, evaluate.
 
 Every run writes a manifest (config hash, seed, versions) into its output
-directory so identical configurations are verifiably identical runs.
+directory so identical configurations are verifiably identical runs. The
+commands read their settings where they are used: generate's from
+synth.GeneratorConfig.from_config, the others' through experiment.
 
 Exit codes: 0 success, 2 config or input validation error, 3 data/model
 mismatch (including missing files at predict time), 4 numerical failure,
@@ -11,92 +13,27 @@ mismatch (including missing files at predict time), 4 numerical failure,
 from __future__ import annotations
 
 import argparse
-import datetime as dt
 import json
 import logging
 import sys
 from pathlib import Path
 
 from . import experiment, metrics
-from .config import (
-    count, entries, finite, load_config, mapping, output_dir, setting, text,
-    validate_model_name, write_manifest,
-)
+from .config import load_config, output_dir, setting, text, validate_model_name, write_manifest
 from .errors import ConfigError, ReturnTimeError
-from .synth import CohortConfig, GeneratorConfig, generate_to_files
+from .synth import GeneratorConfig, generate_to_files
 
 logger = logging.getLogger(__name__)
 
-_GENERATOR_SCALARS = {
-    "user_count": count, "horizon_days": float, "activity_window_days": float,
-    "prediction_window_days": float, "signup_spread": float, "duration_log_mean": float,
-    "duration_log_sigma": float, "session_cap": count, "epoch_iso": text,
-}
-
-
-def _finites(length: int):
-    def convert(value) -> tuple[float, ...]:
-        values = tuple(finite(v) for v in entries(value))
-        if len(values) != length:
-            raise ValueError(f"expected {length} numbers")
-        return values
-
-    return convert
-
-
-_COHORT_FIELDS = {
-    "name": text, "fraction": finite, "gap_log_mean": finite, "gap_log_sigma": finite,
-    "lapse_multiplier": finite, "lapse_window": _finites(2), "lapse_taper_days": finite,
-    "device_probs": _finites(3), "night_owl_prob": finite, "pages_log_mean": finite,
-    "pages_log_sigma": finite,
-}
-
-
-def generator_from_config(config: dict) -> GeneratorConfig:
-    unknown = (set(setting(config, "generator", mapping, optional=True) or ())
-               - set(_GENERATOR_SCALARS) - {"cohorts"})
-    if unknown:
-        raise ConfigError(f"unknown generator option(s): {sorted(unknown)}")
-    kwargs = {name: setting(config, f"generator.{name}", convert, optional=True)
-              for name, convert in _GENERATOR_SCALARS.items()}
-    kwargs = {name: value for name, value in kwargs.items() if value is not None}
-    cohorts = setting(config, "generator.cohorts", entries, optional=True)
-    if cohorts is not None:
-        parsed = []
-        for c in cohorts:
-            try:
-                unknown = set(mapping(c)) - set(_COHORT_FIELDS)
-                if unknown:
-                    raise ValueError(f"unknown field(s) {sorted(unknown)}")
-                parsed.append(CohortConfig(**{k: _COHORT_FIELDS[k](v) for k, v in c.items()}))
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ConfigError(f"config key generator.cohorts: bad entry {c!r}: {exc}") from exc
-        kwargs["cohorts"] = tuple(parsed)
-    gen = GeneratorConfig(seed=setting(config, "seed", int), **kwargs)
-    gen.validate()
-    return gen
-
-
-def _window_dates(gen: GeneratorConfig) -> dict:
-    epoch = dt.datetime.fromisoformat(gen.epoch_iso)
-    window = gen.window
-    as_date = lambda days: (epoch + dt.timedelta(days=days)).isoformat()
-    return {
-        "activity_start_date": as_date(window.activity_start),
-        "prediction_start_date": as_date(window.prediction_start),
-        "horizon_end_date": as_date(window.horizon_end),
-    }
-
-
 def cmd_generate(args: argparse.Namespace) -> int:
     config = load_config(args.config, _cli_overrides(args))
-    gen = generator_from_config(config)
+    gen = GeneratorConfig.from_config(config)
     out = Path(args.out)
     summary = generate_to_files(gen, out)
     run_config = {
-        "seed": setting(config, "seed", int),
+        "seed": gen.seed,
         "data": {"sessions": str(out / "sessions.jsonl")},
-        "window": _window_dates(gen),
+        "window": gen.window_dates(),
     }
     (out / "run_config.json").write_text(json.dumps(run_config, sort_keys=True, indent=2))
     write_manifest(out, "generate", config)

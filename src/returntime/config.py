@@ -6,6 +6,7 @@ import copy
 import hashlib
 import json
 import math
+import numbers
 import platform
 from pathlib import Path
 from typing import Any, Callable
@@ -46,12 +47,7 @@ DEFAULTS: dict = {
         "validation_fraction": 0.2,
     },
     "evaluation": {"auc_score_mode": "shifted"},
-    "generator": {
-        "user_count": 2000,
-        "horizon_days": 540.0,
-        "activity_window_days": 60.0,
-        "prediction_window_days": 120.0,
-    },
+    "generator": None,  # synth.GeneratorConfig's fields; it holds their defaults
 }
 
 
@@ -67,15 +63,15 @@ def _deep_merge(base: dict, override: dict) -> dict:
 
 def _unknown_keys(config: dict, defaults: dict, prefix: str = "") -> list[str]:
     """The dotted paths in config that DEFAULTS does not hold. Keys under a
-    setting whose default is not a mapping (window, network.embedding_dims)
-    are the setting's own, and the generator's are checked by
-    cli.generator_from_config."""
+    setting whose default is not a mapping (window, network.embedding_dims,
+    generator) are the setting's own; GeneratorConfig.from_config checks the
+    generator's."""
     unknown = []
     for key, value in config.items():
         path = prefix + key
         if key not in defaults:
             unknown.append(path)
-        elif isinstance(value, dict) and isinstance(defaults[key], dict) and path != "generator":
+        elif isinstance(value, dict) and isinstance(defaults[key], dict):
             unknown += _unknown_keys(value, defaults[key], path + ".")
     return unknown
 
@@ -149,15 +145,17 @@ text = _of_type(str, "a non-empty string")
 
 
 def finite(value) -> float:
-    """A finite number."""
-    if not math.isfinite(float(value)):
+    """A finite number; a bool or a string is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError("expected a number")
+    if not math.isfinite(value):
         raise ValueError("expected a finite number")
     return float(value)
 
 
 def positive(value) -> float:
     """A positive finite number."""
-    if not 0 < float(value) < math.inf:
+    if finite(value) <= 0:
         raise ValueError("expected a positive finite number")
     return float(value)
 
@@ -170,11 +168,21 @@ def positives(value) -> list[float]:
     return values
 
 
-def count(value) -> int:
-    """An integer of at least 1."""
-    if int(value) < 1:
-        raise ValueError("expected an integer of at least 1")
-    return int(value)
+def _integer(least: int) -> Callable[[Any], int]:
+    """A converter to integers of at least least; a number with a fraction
+    is not one."""
+
+    def convert(value) -> int:
+        finite(value)
+        if value != int(value) or value < least:
+            raise ValueError(f"expected an integer of at least {least}")
+        return int(value)
+
+    return convert
+
+
+count = _integer(1)
+natural = _integer(0)  # a seed
 
 
 def config_hash(config: dict) -> str:

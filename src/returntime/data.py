@@ -149,17 +149,6 @@ class WindowConfig:
                 f"{self.prediction_start}, {self.horizon_end})"
             )
 
-    def to_dict(self) -> dict:
-        return {
-            "activity_start": self.activity_start,
-            "prediction_start": self.prediction_start,
-            "horizon_end": self.horizon_end,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "WindowConfig":
-        return cls(d["activity_start"], d["prediction_start"], d["horizon_end"])
-
 
 @dataclass(frozen=True)
 class UserHistory:

@@ -8,14 +8,15 @@ import functools
 import hashlib
 import json
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import baselines, blas, cox, metrics, net, parallel, rnnsm
 from .config import (
-    boolean, count, mapping, model_family, output_dir, positive, positives, setting, text,
+    boolean, count, finite, mapping, model_family, natural, output_dir, positive, positives,
+    setting, text,
 )
 from .data import (
     Dataset,
@@ -56,7 +57,7 @@ def load_dataset(config: dict) -> tuple[Dataset, str]:
     sessions, epoch_iso, epoch_weekday = read
     # day offsets are numbers, *_date entries ISO strings
     window_cfg = {
-        key: setting(config, f"window.{key}", text if key.endswith("_date") else float)
+        key: setting(config, f"window.{key}", text if key.endswith("_date") else finite)
         for key in setting(config, "window", mapping)
     }
     dataset = assign_windows(sessions, resolve_window_days(window_cfg, epoch_iso),
@@ -67,15 +68,15 @@ def load_dataset(config: dict) -> tuple[Dataset, str]:
 def load_and_split(config: dict) -> LoadedData:
     dataset, sessions_sha256 = load_dataset(config)
     train, test = stratified_split(
-        dataset, setting(config, "split.test_fraction", float), _split_seed(config)
+        dataset, setting(config, "split.test_fraction", finite), _split_seed(config)
     )
     return LoadedData(dataset=dataset, train=train, test=test, sessions_sha256=sessions_sha256)
 
 
 def _split_seed(config: dict) -> int:
     """split.seed when set (0 included), else the run seed."""
-    seed = setting(config, "split.seed", int, optional=True)
-    return seed if seed is not None else setting(config, "seed", int)
+    seed = setting(config, "split.seed", natural, optional=True)
+    return seed if seed is not None else setting(config, "seed", natural)
 
 
 def train_users_sha256(train: Dataset) -> str:
@@ -94,9 +95,9 @@ def split_identity(data: LoadedData) -> dict[str, str]:
 
 def feature_config(config: dict) -> FeatureConfig:
     return FeatureConfig(
-        max_steps=setting(config, "features.max_steps", int),
+        max_steps=setting(config, "features.max_steps", count),
         per_session_steps=setting(config, "features.per_session_steps", boolean),
-        variance_threshold=setting(config, "features.variance_threshold", float),
+        variance_threshold=setting(config, "features.variance_threshold", finite),
     )
 
 
@@ -106,7 +107,7 @@ def training_config(config: dict, model: str, seed_offset: int = 0) -> rnnsm.Tra
         batch_size=setting(config, f"training.{model}.batch_size", count),
         learning_rate=setting(config, f"training.{model}.learning_rate", positive),
         clip_norm=setting(config, f"training.{model}.clip_norm", positive),
-        seed=setting(config, "seed", int) + seed_offset,
+        seed=setting(config, "seed", natural) + seed_offset,
     )
 
 
@@ -201,8 +202,8 @@ def select_w(
     if len(grid) == 1:
         return grid[0], [], final(grid[0])
     fit_ds, val_ds = stratified_split(
-        train, setting(config, "rnnsm.validation_fraction", float),
-        setting(config, "seed", int) + 17,
+        train, setting(config, "rnnsm.validation_fraction", finite),
+        setting(config, "seed", natural) + 17,
     )
     fcfg = feature_config(config)
     fit_seqs, stats = build_sequences(fit_ds, fcfg)
@@ -257,9 +258,9 @@ def train_model(model_name: str, data: LoadedData, config: dict, out_dir: str | 
     fcfg = feature_config(config)
     meta: dict = {
         "model_family": family,
-        "window_days": data.dataset.window.to_dict(),
+        "window_days": asdict(data.dataset.window),
         "split": {
-            "test_fraction": setting(config, "split.test_fraction", float),
+            "test_fraction": setting(config, "split.test_fraction", finite),
             "seed": _split_seed(config),
             **split_identity(data),
         },
@@ -267,7 +268,7 @@ def train_model(model_name: str, data: LoadedData, config: dict, out_dir: str | 
             "max_steps": fcfg.max_steps,
             "per_session_steps": fcfg.per_session_steps,
         },
-        "seed": setting(config, "seed", int),
+        "seed": setting(config, "seed", natural),
     }
     with blas.one_thread() as meta["blas"]:
         _fit_and_save(family, data, config, out, meta)
@@ -350,7 +351,7 @@ def predict_model(
             f"artifact at {artifact} holds a {meta.get('model_family')!r} model, "
             f"cannot predict with {model_name!r}"
         )
-    if meta.get("window_days") != dataset.window.to_dict():
+    if meta.get("window_days") != asdict(dataset.window):
         raise DataModelMismatchError(
             "dataset windows do not match the windows the model was trained with"
         )

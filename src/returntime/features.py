@@ -11,7 +11,7 @@ pass reads as it is.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -161,17 +161,8 @@ class SequenceStats:
     per_session_steps: bool
 
     def to_dict(self) -> dict:
-        return {
-            "discrete_features": self.discrete_features,
-            "cardinalities": self.cardinalities,
-            "vocabs": self.vocabs,
-            "cont_channels": self.cont_channels,
-            "mean": self.mean.tolist(),
-            "std": self.std.tolist(),
-            "continuous_markers": self.continuous_markers,
-            "max_steps": self.max_steps,
-            "per_session_steps": self.per_session_steps,
-        }
+        """The fields, with mean and std as lists."""
+        return {**asdict(self), "mean": self.mean.tolist(), "std": self.std.tolist()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "SequenceStats":

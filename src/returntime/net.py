@@ -41,16 +41,6 @@ class NetConfig:
     def input_width(self) -> int:
         return int(sum(self.embedding_dims)) + self.n_continuous
 
-    def to_dict(self) -> dict:
-        return {
-            "discrete_features": list(self.discrete_features),
-            "cardinalities": list(self.cardinalities),
-            "embedding_dims": list(self.embedding_dims),
-            "n_continuous": self.n_continuous,
-            "fusion_size": self.fusion_size,
-            "hidden_size": self.hidden_size,
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "NetConfig":
         return cls(

@@ -20,7 +20,7 @@ import json
 import logging
 import math
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable
 
@@ -395,7 +395,7 @@ def save_model(path: str | Path, model: RecurrentModel) -> None:
     {kind, w, stats}}."""
     extra = {"kind": "rnn" if model.w is None else "rnnsm", "w": model.w,
              "stats": model.stats.to_dict()}
-    meta = {"version": CHECKPOINT_VERSION, "net_config": model.net_config.to_dict(), "extra": extra}
+    meta = {"version": CHECKPOINT_VERSION, "net_config": asdict(model.net_config), "extra": extra}
     arrays = {f"param::{k}": p for k, p in model.params.items()}
     arrays["meta"] = np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8)
     np.savez(Path(path), **arrays)

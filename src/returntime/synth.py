@@ -5,20 +5,25 @@ renewal process; lapsing cohorts switch to longer gaps after a random change
 point, which is what produces non-returning users at realistic rates. Each
 session carries a device marker, a time-of-day drawn from a night/day
 mixture, and a pages-viewed count.
+
+The run configuration's generator section names fields of GeneratorConfig,
+which holds their defaults (GeneratorConfig.from_config).
 """
 
 from __future__ import annotations
 
 import csv
+import datetime as dt
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
+from typing import Any, Callable, get_args, get_type_hints
 
 import numpy as np
 
 from . import parallel
-from .config import output_dir
+from .config import count, entries, finite, mapping, natural, output_dir, setting, text
 from .data import SessionColumns, WindowConfig, check_times, write_sessions_jsonl
 from .errors import ConfigError
 
@@ -104,6 +109,29 @@ class GeneratorConfig:
             raise ConfigError("windows must fit inside the horizon")
         if not (0 <= self.signup_spread < 1):
             raise ConfigError(f"signup_spread must lie in [0, 1), got {self.signup_spread}")
+        try:
+            dt.datetime.fromisoformat(self.epoch_iso)
+        except ValueError as exc:
+            raise ConfigError(f"epoch_iso must be an ISO date, got {self.epoch_iso!r}") from exc
+
+    @classmethod
+    def from_config(cls, config: dict) -> "GeneratorConfig":
+        """The run configuration's generator section, seeded with its seed.
+
+        A key that names no field, or a value that its field's type
+        rejects, raises ConfigError naming generator.<key> (a cohorts
+        entry: generator.cohorts); a null value keeps the default."""
+        convert = _converters(cls)
+        del convert["seed"]  # the run seed
+        section = setting(config, "generator", mapping, optional=True) or {}
+        unknown = set(section) - set(convert)
+        if unknown:
+            raise ConfigError(f"unknown generator option(s): {sorted(unknown)}")
+        gen = cls(seed=setting(config, "seed", natural),
+                  **{name: setting(config, f"generator.{name}", convert[name])
+                     for name, value in section.items() if value is not None})
+        gen.validate()
+        return gen
 
     @property
     def window(self) -> WindowConfig:
@@ -113,6 +141,55 @@ class GeneratorConfig:
             prediction_start=t_p,
             horizon_end=self.horizon_days,
         )
+
+    def window_dates(self) -> dict[str, str]:
+        """The window as the *_date settings of a run configuration."""
+        epoch = dt.datetime.fromisoformat(self.epoch_iso)
+        return {f"{name}_date": (epoch + dt.timedelta(days=days)).isoformat()
+                for name, days in asdict(self.window).items()}
+
+
+_SCALARS = {int: count, float: finite, str: text}
+
+
+def _converters(cls) -> dict[str, Callable[[Any], Any]]:
+    """The config converter of each field of the dataclass cls, by its
+    declared type: int, float, str, a tuple of a fixed number of floats, or
+    the cohorts."""
+    hints = get_type_hints(cls)
+    return {f.name: _SCALARS.get(hints[f.name]) or _tuple(get_args(hints[f.name]))
+            for f in fields(cls)}
+
+
+def _tuple(kinds: tuple) -> Callable[[Any], tuple]:
+    """The converter of a tuple[*kinds] field: from a list of len(kinds)
+    finite numbers, or for tuple[CohortConfig, ...] the cohorts."""
+    if kinds == (CohortConfig, ...):
+        return _cohorts
+
+    def convert(value) -> tuple[float, ...]:
+        values = tuple(finite(v) for v in entries(value))
+        if len(values) != len(kinds):
+            raise ValueError(f"expected {len(kinds)} numbers")
+        return values
+
+    return convert
+
+
+def _cohorts(value) -> tuple[CohortConfig, ...]:
+    """A list of mappings of CohortConfig fields; a bad entry raises
+    ValueError naming its index."""
+    convert = _converters(CohortConfig)
+    cohorts = []
+    for i, entry in enumerate(entries(value)):
+        try:
+            unknown = set(mapping(entry)) - set(convert)
+            if unknown:
+                raise ValueError(f"unknown field(s) {sorted(unknown)}")
+            cohorts.append(CohortConfig(**{name: convert[name](v) for name, v in entry.items()}))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"entry {i}: {exc}") from exc
+    return tuple(cohorts)
 
 
 @dataclass(frozen=True)

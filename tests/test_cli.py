@@ -137,6 +137,14 @@ class TestGenerate:
         })
         assert main(["generate", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
 
+    def test_epoch_iso_not_a_date_exit_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, {"generator": {"user_count": 10, "epoch_iso": "not a date"}})
+        capsys.readouterr()
+        assert main(["generate", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("error:") == 1
+        assert "epoch_iso" in err and "Traceback" not in err
+
     def test_unknown_generator_option_exit_2(self, tmp_path):
         cfg = write_cfg(tmp_path, {"generator": {"user_count": 10, "typo_field": 1}})
         assert main(["generate", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
@@ -726,6 +734,30 @@ class TestTrainPredictEvaluate:
         ("generate", {"generator": {"cohorts": [cohort(lapse_window="ab")]}},
          "generator.cohorts"),
         ("generate", {"generator": {"cohorts": [cohort(typo=1)]}}, "generator.cohorts"),
+        # a list payload is passed as command-line arguments
+        ("generate", ["--seed", "-1"], "seed"),
+        ("generate", {"seed": -5}, "seed"),
+        ("baseline", ["--seed", "-3"], "seed"),
+        ("rnnsm", ["--seed", "-3"], "seed"),
+        ("baseline", {"split": {"seed": -2}}, "split.seed"),
+        ("baseline", {"seed": 7.9}, "seed"),
+        ("rnn", {"training": {"rnn": {"epochs": 2.9}}}, "training.rnn.epochs"),
+        ("rnn", {"network": {"hidden_size": True}}, "network.hidden_size"),
+        ("rnn", {"training": {"rnn": {"batch_size": "7"}}}, "training.rnn.batch_size"),
+        ("rnn", {"training": {"rnn": {"learning_rate": "0.5"}}}, "training.rnn.learning_rate"),
+        ("rnnsm", {"rnnsm": {"w": True}}, "rnnsm.w"),
+        ("baseline", {"features": {"max_steps": 2.5}}, "features.max_steps"),
+        ("baseline", {"features": {"max_steps": True}}, "features.max_steps"),
+        ("baseline", {"split": {"test_fraction": True}}, "split.test_fraction"),
+        ("baseline", {"split": {"test_fraction": "0.2"}}, "split.test_fraction"),
+        ("rnnsm", {"rnnsm": {"validation_fraction": "0.2"}}, "rnnsm.validation_fraction"),
+        ("rnn", {"features": {"variance_threshold": "0.9"}}, "features.variance_threshold"),
+        ("baseline", {"window": {"activity_start": "360", "prediction_start": 420,
+                                 "horizon_end": 540}}, "window.activity_start"),
+        ("generate", {"generator": {"user_count": True}}, "generator.user_count"),
+        ("generate", {"generator": {"user_count": 60.5}}, "generator.user_count"),
+        ("generate", {"generator": {"horizon_days": "540"}}, "generator.horizon_days"),
+        ("generate", {"generator": {"cohorts": [cohort(fraction=True)]}}, "generator.cohorts"),
     ], ids=["training-rnn-null", "max-steps-text", "max-steps-inf", "flag-text",
             "test-fraction-text", "seed-text", "window-date-number", "sessions-empty",
             "hidden-size-zero", "embedding-dim-text", "w-grid-text", "w-grid-nan", "w-inf",
@@ -733,11 +765,18 @@ class TestTrainPredictEvaluate:
             "clip-norm-negative", "preliminary-epochs-zero", "user-count-text",
             "cohorts-mapping", "cohort-entry-number", "cohort-fraction-text",
             "cohort-fraction-nan", "cohort-name-number", "cohort-sigma-null", "cohort-device-probs-short",
-            "cohort-lapse-window-text", "cohort-unknown-field"])
+            "cohort-lapse-window-text", "cohort-unknown-field", "seed-flag-negative-generate",
+            "seed-negative-generate", "seed-flag-negative-baseline", "seed-flag-negative-rnnsm",
+            "split-seed-negative", "seed-fraction", "epochs-fraction", "hidden-size-bool",
+            "batch-size-text", "learning-rate-text", "w-bool", "max-steps-fraction",
+            "max-steps-bool", "test-fraction-bool", "test-fraction-numeric-text",
+            "validation-fraction-text", "variance-threshold-text", "window-offset-text",
+            "user-count-bool", "user-count-fraction", "horizon-text", "cohort-fraction-bool"])
     def test_wrong_typed_setting_exit_2(self, generated, tmp_path, capsys, command, payload,
                                         key):
         cfg, out = generated
-        bad = write_cfg(tmp_path, payload, name="bad.json")
+        flags = payload if isinstance(payload, list) else []
+        bad = write_cfg(tmp_path, {} if flags else payload, name="bad.json")
         if command == "generate":
             argv = ["generate", "--config", cfg, "--config", bad, "--out", str(tmp_path / "g")]
         else:
@@ -745,7 +784,7 @@ class TestTrainPredictEvaluate:
                     "--config", str(out / "run_config.json"), "--config", bad,
                     "--out", str(tmp_path / "m")]
         capsys.readouterr()
-        rc = main(argv)
+        rc = main(argv + flags)
         err = capsys.readouterr().err
         assert rc == 2
         assert f"config key {key}" in err

@@ -362,12 +362,36 @@ class TestPrediction:
         rng = np.random.default_rng(5)
         params = {name: rng.uniform(-1.0, 1.0, size=shape).astype(np.float32)
                   for name, shape in net.param_shapes(config).items()}
-        header = {"version": 3, "net_config": config.to_dict(),
-                  "extra": {"kind": kind, "w": w, "stats": stats.to_dict()}}
+        net_config = {
+            "discrete_features": list(config.discrete_features),
+            "cardinalities": list(config.cardinalities),
+            "embedding_dims": list(config.embedding_dims),
+            "n_continuous": config.n_continuous,
+            "fusion_size": config.fusion_size,
+            "hidden_size": config.hidden_size,
+        }
+        stats_header = {
+            "discrete_features": stats.discrete_features,
+            "cardinalities": stats.cardinalities,
+            "vocabs": stats.vocabs,
+            "cont_channels": stats.cont_channels,
+            "mean": stats.mean.tolist(),
+            "std": stats.std.tolist(),
+            "continuous_markers": stats.continuous_markers,
+            "max_steps": stats.max_steps,
+            "per_session_steps": stats.per_session_steps,
+        }
+        header = {"version": 3, "net_config": net_config,
+                  "extra": {"kind": kind, "w": w, "stats": stats_header}}
+        meta = json.dumps(header, sort_keys=True).encode()
         path = tmp_path / "model.npz"
-        np.savez(path, meta=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8),
+        np.savez(path, meta=np.frombuffer(meta, dtype=np.uint8),
                  **{f"param::{name}": p for name, p in params.items()})
         model = rnnsm.load_model(path, kind)
+        # and save_model writes the same header bytes
+        rnnsm.save_model(tmp_path / "saved.npz", model)
+        with np.load(tmp_path / "saved.npz") as saved:
+            assert saved["meta"].tobytes() == meta
         assert model.net_config == config
         assert model.w == w
         assert model.stats.to_dict() == stats.to_dict()

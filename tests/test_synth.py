@@ -1,6 +1,7 @@
 import hashlib
+import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -46,6 +47,36 @@ def starts_by_user(sessions):
     for user, start in zip(sessions.user.tolist(), sessions.start_time.tolist()):
         by_user.setdefault(sessions.user_ids[user], []).append(start)
     return by_user
+
+
+class TestFromConfig:
+    def test_every_field_is_read(self):
+        cohort = CohortConfig(
+            name="c", fraction=1.0, gap_log_mean=1.5, gap_log_sigma=0.4, lapse_multiplier=3.0,
+            lapse_window=(0.4, 0.9), lapse_taper_days=7.0, device_probs=(0.5, 0.3, 0.2),
+            night_owl_prob=0.3, pages_log_mean=2.0, pages_log_sigma=0.7,
+        )
+        want = GeneratorConfig(
+            user_count=50, horizon_days=400.0, activity_window_days=50.0,
+            prediction_window_days=100.0, cohorts=(cohort,), signup_spread=0.5,
+            duration_log_mean=-4.0, duration_log_sigma=0.4, seed=11,
+            epoch_iso="2021-03-01T00:00:00+00:00", session_cap=900,
+        )
+        # every value differs from its default, so a field that is not read fails
+        bare_cohort = CohortConfig(name="", fraction=0.0, gap_log_mean=0.0, gap_log_sigma=0.0)
+        for have, default, cls in ((want, GeneratorConfig(), GeneratorConfig),
+                                   (cohort, bare_cohort, CohortConfig)):
+            assert all(getattr(have, f.name) != getattr(default, f.name) for f in fields(cls))
+        section = {f.name: getattr(want, f.name) for f in fields(GeneratorConfig)
+                   if f.name != "seed"}
+        section["cohorts"] = [{f.name: getattr(cohort, f.name) for f in fields(CohortConfig)}]
+        config = json.loads(json.dumps({"seed": 11, "generator": section}))
+        assert GeneratorConfig.from_config(config) == want
+
+    def test_generator_seed_is_the_run_seed(self):
+        with pytest.raises(ConfigError, match="unknown generator option"):
+            GeneratorConfig.from_config({"seed": 1, "generator": {"seed": 2}})
+        assert GeneratorConfig.from_config({"seed": 1, "generator": None}) == GeneratorConfig(seed=1)
 
 
 class TestValidation:
