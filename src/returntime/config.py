@@ -23,11 +23,7 @@ DEFAULTS: dict = {
     "data": {"sessions": None},
     "window": None,  # day offsets or *_date ISO strings; generate fills this in
     "split": {"test_fraction": 0.2, "seed": None},  # None draws the split with the run seed
-    "features": {
-        "max_steps": 64,
-        "per_session_steps": False,
-        "variance_threshold": 0.9,
-    },
+    "features": {"max_steps": 64, "variance_threshold": 0.9},
     "network": {
         "hidden_size": 32,
         "fusion_size": 32,
@@ -138,7 +134,6 @@ def _of_type(kind: type, name: str) -> Callable[[Any], Any]:
     return check
 
 
-boolean = _of_type(bool, "true or false")
 entries = _of_type(list, "a list")
 mapping = _of_type(dict, "a mapping")
 text = _of_type(str, "a non-empty string")

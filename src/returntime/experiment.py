@@ -15,8 +15,7 @@ import numpy as np
 
 from . import baselines, blas, cox, metrics, net, parallel, rnnsm
 from .config import (
-    boolean, count, finite, mapping, model_family, natural, output_dir, positive, positives,
-    setting, text,
+    count, finite, mapping, model_family, natural, output_dir, positive, positives, setting, text,
 )
 from .data import (
     Dataset,
@@ -96,7 +95,6 @@ def split_identity(data: LoadedData) -> dict[str, str]:
 def feature_config(config: dict) -> FeatureConfig:
     return FeatureConfig(
         max_steps=setting(config, "features.max_steps", count),
-        per_session_steps=setting(config, "features.per_session_steps", boolean),
         variance_threshold=setting(config, "features.variance_threshold", finite),
     )
 
@@ -112,14 +110,9 @@ def training_config(config: dict, model: str, seed_offset: int = 0) -> rnnsm.Tra
 
 
 def _net_config(stats: SequenceStats, dims: dict[str, int], config: dict) -> net.NetConfig:
-    return net.NetConfig(
-        discrete_features=tuple(stats.discrete_features),
-        cardinalities=tuple(stats.cardinalities),
-        embedding_dims=tuple(dims[name] for name in stats.discrete_features),
-        n_continuous=len(stats.cont_channels),
-        fusion_size=setting(config, "network.fusion_size", count),
-        hidden_size=setting(config, "network.hidden_size", count),
-    )
+    return rnnsm.network_config(stats, [dims[name] for name in stats.discrete_features],
+                                setting(config, "network.fusion_size", count),
+                                setting(config, "network.hidden_size", count))
 
 
 def _embedding_dims(value) -> str | dict[str, int]:
@@ -264,10 +257,7 @@ def train_model(model_name: str, data: LoadedData, config: dict, out_dir: str | 
             "seed": _split_seed(config),
             **split_identity(data),
         },
-        "features": {
-            "max_steps": fcfg.max_steps,
-            "per_session_steps": fcfg.per_session_steps,
-        },
+        "features": {"max_steps": fcfg.max_steps},
         "seed": setting(config, "seed", natural),
     }
     with blas.one_thread() as meta["blas"]:

@@ -1,12 +1,11 @@
 """Aggregate covariates for the Cox models and per-step sequence tensors
 for the recurrent models.
 
-Sequence steps default to active days (calendar days with at least one
-session); a per-session mode is available. All continuous channels are
-z-scored with statistics frozen from the training split. The steps of all
-users form one table (Sequences) with per-user offsets, the layout of the
-Dataset's sessions, which training batches pad by index and the scoring
-pass reads as it is.
+Sequence steps are active days (calendar days with at least one session).
+All continuous channels are z-scored with statistics frozen from the
+training split. The steps of all users form one table (Sequences) with
+per-user offsets, the layout of the Dataset's sessions, which training
+batches pad by index and the scoring pass reads as it is.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ DERIVED_CARDINALITIES = {"day_of_week": 7, "day_of_month": 31, "hour_of_day": 24
 @dataclass(frozen=True)
 class FeatureConfig:
     max_steps: int = 64
-    per_session_steps: bool = False
     variance_threshold: float = 0.9
 
     def __post_init__(self) -> None:
@@ -158,7 +156,6 @@ class SequenceStats:
     std: np.ndarray
     continuous_markers: list[str]
     max_steps: int
-    per_session_steps: bool
 
     def to_dict(self) -> dict:
         """The fields, with mean and std as lists."""
@@ -166,12 +163,14 @@ class SequenceStats:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SequenceStats":
-        """The statistics to_dict wrote. Names that are not strings, a vocab
-        code that is not an integer in [0, cardinality) of its feature, a
-        max_steps below 1 or a per_session_steps that is not a bool raise
-        TypeError or ValueError."""
+        """The statistics to_dict wrote. Names that are not strings, a
+        cardinality or max_steps that is not an integer of at least 1, or a
+        vocab code that is not an integer in [0, cardinality) of its feature
+        raise TypeError or ValueError."""
         discrete = _strings(d, "discrete_features")
-        cardinalities = [int(c) for c in d["cardinalities"]]
+        cardinalities = list(d["cardinalities"])
+        if not all(type(c) is int and c >= 1 for c in cardinalities):
+            raise ValueError(f"cardinalities = {cardinalities!r}, expected integers of at least 1")
         vocabs = {k: dict(v) for k, v in d["vocabs"].items()}
         card = dict(zip(discrete, cardinalities))
         for name, vocab in vocabs.items():
@@ -179,11 +178,9 @@ class SequenceStats:
             bad = [c for c in vocab.values() if not (type(c) is int and 0 <= c < limit)]
             if bad:
                 raise ValueError(f"vocab of {name!r} holds codes {bad[:3]} outside [0, {limit})")
-        max_steps, per_session = d["max_steps"], d["per_session_steps"]
+        max_steps = d["max_steps"]
         if not (type(max_steps) is int and max_steps >= 1):
             raise ValueError(f"max_steps = {max_steps!r}, expected an integer of at least 1")
-        if type(per_session) is not bool:
-            raise TypeError(f"per_session_steps = {per_session!r}, expected true or false")
         return cls(
             discrete_features=discrete,
             cardinalities=cardinalities,
@@ -193,7 +190,6 @@ class SequenceStats:
             std=np.asarray(d["std"], dtype=float),
             continuous_markers=_strings(d, "continuous_markers"),
             max_steps=max_steps,
-            per_session_steps=per_session,
         )
 
 
@@ -268,24 +264,22 @@ def build_sequences(
             std=np.ones(len(cont_channels)),
             continuous_markers=markers,
             max_steps=config.max_steps,
-            per_session_steps=config.per_session_steps,
         )
     markers = stats.continuous_markers
 
-    # one unit per step: an active day, or a session in per-session mode
+    # one unit per step: an active day
     sessions = dataset.sessions
-    heads = (np.arange(len(sessions)) if stats.per_session_steps
-             else np.flatnonzero(dataset.day_heads))
+    heads = np.flatnonzero(dataset.day_heads)
     lengths = np.diff(heads, append=len(sessions))
     per_user = np.bincount(sessions.user[heads], minlength=len(dataset))
     firsts = np.cumsum(per_user) - per_user
     start = sessions.start_time[heads]
     day = np.floor(start)
 
-    # gap after each unit: to the next unit's day, or end to start per
-    # session; the user's final gap after their last unit
+    # gap after each unit: to the next unit's day; the user's final gap
+    # after their last unit
     after = np.zeros(len(heads))
-    after[:-1] = dataset.gaps if stats.per_session_steps else np.diff(day)
+    after[:-1] = np.diff(day)
     targets = after.copy()
     targets[firsts + per_user - 1] = dataset.final_gap
     elapsed = np.zeros(len(heads))

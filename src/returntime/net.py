@@ -36,21 +36,13 @@ class NetConfig:
     def __post_init__(self) -> None:
         if not (len(self.discrete_features) == len(self.cardinalities) == len(self.embedding_dims)):
             raise ValueError("discrete feature names, cardinalities, and dims must align")
+        sizes = (*self.embedding_dims, self.fusion_size, self.hidden_size)
+        if not all(type(n) is int and n >= 1 for n in sizes):
+            raise ValueError(f"layer sizes {sizes} must be integers of at least 1")
 
     @property
     def input_width(self) -> int:
         return int(sum(self.embedding_dims)) + self.n_continuous
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "NetConfig":
-        return cls(
-            discrete_features=tuple(d["discrete_features"]),
-            cardinalities=tuple(int(c) for c in d["cardinalities"]),
-            embedding_dims=tuple(int(c) for c in d["embedding_dims"]),
-            n_continuous=int(d["n_continuous"]),
-            fusion_size=int(d["fusion_size"]),
-            hidden_size=int(d["hidden_size"]),
-        )
 
 
 def _normalize_rows(mat: np.ndarray) -> np.ndarray:

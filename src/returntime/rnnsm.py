@@ -20,7 +20,7 @@ import json
 import logging
 import math
 import zipfile
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
@@ -39,8 +39,9 @@ _LOG_TAIL = math.log(1e-9)  # survival level that bounds the quadrature interval
 # backward_batch stay a factor 2^64 clear of float32's 3.4e38 (2^128)
 _GRAD_O_BITS = 64
 # model.npz: 2 dropped the Adam moments, which nothing read back; 3 stores
-# the params in float32, the precision they are trained and scored in
-CHECKPOINT_VERSION = 3
+# the params in float32, the precision they are trained and scored in; 4
+# states the network's inputs once, by the sequence statistics
+CHECKPOINT_VERSION = 4
 
 
 def _check_exponent(value: float, what: str) -> None:
@@ -218,8 +219,9 @@ class TrainingConfig:
 
 @dataclass
 class RecurrentModel:
-    """The shared LSTM as model.npz holds it (float32 params, net_config,
-    stats, w), with the training record that meta.json keeps.
+    """The shared LSTM as model.npz holds it (float32 params, stats, w, and
+    the layer sizes of net_config), with the training record that meta.json
+    keeps.
 
     w is the current-influence weight of the censored point-process loss
     (RNNSM), or None for the plain RNN trained with squared error.
@@ -389,13 +391,30 @@ def predict(
 # ---------------------------------------------------------------------------
 # persistence
 
+def network_config(stats: SequenceStats, embedding_dims, fusion_size: int,
+                   hidden_size: int) -> net.NetConfig:
+    """The network over stats' inputs: an embedding per discrete feature, of
+    the given dims in stats' order, and one input per continuous channel."""
+    return net.NetConfig(
+        discrete_features=tuple(stats.discrete_features),
+        cardinalities=tuple(stats.cardinalities),
+        embedding_dims=tuple(embedding_dims),
+        n_continuous=len(stats.cont_channels),
+        fusion_size=fusion_size,
+        hidden_size=hidden_size,
+    )
+
+
 def save_model(path: str | Path, model: RecurrentModel) -> None:
     """Write model.npz: each param as the float32 array "param::<name>", and
-    "meta", the uint8 bytes of the JSON header {version, net_config, extra:
-    {kind, w, stats}}."""
-    extra = {"kind": "rnn" if model.w is None else "rnnsm", "w": model.w,
-             "stats": model.stats.to_dict()}
-    meta = {"version": CHECKPOINT_VERSION, "net_config": asdict(model.net_config), "extra": extra}
+    "meta", the uint8 bytes of the JSON header {version, kind, w, stats,
+    embedding_dims, fusion_size, hidden_size}; the network's inputs are
+    those of stats (see network_config)."""
+    config = model.net_config
+    meta = {"version": CHECKPOINT_VERSION, "kind": "rnn" if model.w is None else "rnnsm",
+            "w": model.w, "stats": model.stats.to_dict(),
+            "embedding_dims": list(config.embedding_dims), "fusion_size": config.fusion_size,
+            "hidden_size": config.hidden_size}
     arrays = {f"param::{k}": p for k, p in model.params.items()}
     arrays["meta"] = np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8)
     np.savez(Path(path), **arrays)
@@ -406,12 +425,13 @@ def load_model(path: str | Path, kind: str) -> RecurrentModel:
 
     A file that is missing or not a readable checkpoint, or whose header
     holds fields of the wrong type or out of range (see
-    SequenceStats.from_dict), a w that does not fit the kind (null for rnn,
-    a positive finite number for rnnsm), a net_config that does not fit
-    the sequence statistics or the parameter shapes, or a parameter that is
-    not a float32 array of finite values, raises DataModelMismatchError; so
-    does a corrupt archive directory, on which zipfile raises OSError, and a
-    checkpoint of another version, such as the float64 version 2 of earlier
+    SequenceStats.from_dict and net.NetConfig), a w that does not fit the
+    kind (null for rnn, a positive finite number for rnnsm), embedding dims
+    that do not align with the discrete features, parameter shapes that do
+    not fit the network, or a parameter that is not a float32 array of
+    finite values, raises DataModelMismatchError; so does a corrupt archive
+    directory, on which zipfile raises OSError, and a checkpoint of another
+    version, such as the float64 version 2 or the version 3 of earlier
     releases. The training record is kept in meta.json; a checkpoint that
     still carries one is read without it.
     """
@@ -426,13 +446,12 @@ def load_model(path: str | Path, kind: str) -> RecurrentModel:
                 )
             params = {k.split("::", 1)[1]: data[k].copy()
                       for k in data.files if k.startswith("param::")}
-        config, extra = net.NetConfig.from_dict(meta["net_config"]), meta["extra"]
-        stats = SequenceStats.from_dict(extra["stats"])
-        if extra.get("kind") != kind:
+        stats = SequenceStats.from_dict(meta["stats"])
+        if meta.get("kind") != kind:
             raise DataModelMismatchError(
-                f"checkpoint at {path} holds a {extra.get('kind')!r} model, expected {kind!r}"
+                f"checkpoint at {path} holds a {meta.get('kind')!r} model, expected {kind!r}"
             )
-        w = extra.get("w")
+        w = meta.get("w")
         if kind == "rnn" and w is not None:
             raise ValueError(f"w = {w!r}, expected null")
         if kind == "rnnsm" and not (type(w) in (int, float) and 0 < w < math.inf):
@@ -441,14 +460,13 @@ def load_model(path: str | Path, kind: str) -> RecurrentModel:
         if stats.mean.shape != (n_cont,) or stats.std.shape != (n_cont,):
             raise ValueError(f"{n_cont} continuous channels, normalization of shapes "
                              f"{stats.mean.shape} and {stats.std.shape}")
-        inputs = (list(config.discrete_features), list(config.cardinalities), config.n_continuous)
-        if inputs != (stats.discrete_features, stats.cardinalities, n_cont):
-            raise ValueError(f"net_config inputs {inputs} do not match the sequence statistics")
+        config = network_config(stats, meta["embedding_dims"], meta["fusion_size"],
+                                meta["hidden_size"])
         shapes = net.param_shapes(config)
         got = {name: value.shape for name, value in params.items()}
         if got != shapes:
             bad = sorted(k for k in shapes.keys() | got.keys() if shapes.get(k) != got.get(k))
-            raise ValueError(f"parameter shapes do not fit net_config: {', '.join(bad)}")
+            raise ValueError(f"parameter shapes do not fit the network: {', '.join(bad)}")
         bad = sorted(k for k, p in params.items()
                      if p.dtype != np.float32 or not np.isfinite(p).all())
         if bad:
@@ -456,9 +474,5 @@ def load_model(path: str | Path, kind: str) -> RecurrentModel:
     except (zipfile.BadZipFile, EOFError, AttributeError, KeyError, TypeError, ValueError,
             OSError) as exc:
         raise DataModelMismatchError(f"checkpoint at {path} is unreadable: {exc}") from exc
-    return RecurrentModel(
-        params=params,
-        net_config=config,
-        stats=stats,
-        w=None if w is None else float(w),
-    )
+    return RecurrentModel(params=params, net_config=config, stats=stats,
+                          w=None if w is None else float(w))

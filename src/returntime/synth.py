@@ -97,6 +97,10 @@ class GeneratorConfig:
         if abs(total - 1.0) > 1e-9:
             raise ConfigError(f"cohort fractions must sum to 1, got {total}")
         for c in self.cohorts:
+            if c.fraction < 0 or min(c.device_probs) < 0:
+                raise ConfigError(f"cohort {c.name!r}: fraction and device_probs must be >= 0")
+            if not (0 <= c.night_owl_prob <= 1):
+                raise ConfigError(f"cohort {c.name!r}: night_owl_prob must lie in [0, 1]")
             if c.gap_log_sigma < 0:
                 raise ConfigError(f"cohort {c.name!r}: gap_log_sigma must be >= 0")
             if c.lapse_multiplier < 1.0:

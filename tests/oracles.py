@@ -802,21 +802,18 @@ def build_aggregates_objects(users, window, continuous_markers=None):
     return np.asarray(rows, dtype=float).reshape(len(rows), len(names)), names
 
 
-def _user_steps(user, epoch_weekday, markers, marker_features, per_session):
-    """Raw (discrete values, continuous values, target) step rows of one user."""
-    if per_session:
-        units = [[s] for s in user.sessions]
-        gaps = list(user.return_targets)
-    else:
-        units, days = [], []
-        for s in user.sessions:
-            day = math.floor(s.start_time)
-            if days and day == days[-1]:
-                units[-1].append(s)
-            else:
-                units.append([s])
-                days.append(day)
-        gaps = [float(days[i + 1] - days[i]) for i in range(len(days) - 1)]
+def _user_steps(user, epoch_weekday, markers, marker_features):
+    """Raw (discrete values, continuous values, target) step rows of one user,
+    one step per active day."""
+    units, days = [], []
+    for s in user.sessions:
+        day = math.floor(s.start_time)
+        if days and day == days[-1]:
+            units[-1].append(s)
+        else:
+            units.append([s])
+            days.append(day)
+    gaps = [float(days[i + 1] - days[i]) for i in range(len(days) - 1)]
     steps_disc, steps_cont, targets = [], [], []
     for j, unit in enumerate(units):
         first = unit[0]
@@ -859,7 +856,6 @@ def build_sequences_objects(users, epoch_weekday, config=None, stats=None):
             vocabs=vocabs, cont_channels=cont_channels,
             mean=np.zeros(len(cont_channels)), std=np.ones(len(cont_channels)),
             continuous_markers=markers, max_steps=config.max_steps,
-            per_session_steps=config.per_session_steps,
         )
         fitting = True
     else:
@@ -869,8 +865,7 @@ def build_sequences_objects(users, epoch_weekday, config=None, stats=None):
 
     raw = []
     for user in users:
-        d, c, t = _user_steps(user, epoch_weekday, markers, marker_features,
-                              stats.per_session_steps)
+        d, c, t = _user_steps(user, epoch_weekday, markers, marker_features)
         keep = stats.max_steps
         raw.append((user, d[-keep:], c[-keep:], t[-keep:]))
     if fitting:

@@ -15,7 +15,7 @@ from returntime.errors import DataError, NumericalError
 from returntime.experiment import predictions
 from returntime.features import FeatureConfig, build_sequences, pad_batch
 from returntime.metrics import nonreturning_recall
-from returntime.rnnsm import TrainingConfig, load_model, save_model
+from returntime.rnnsm import TrainingConfig, load_model, network_config, save_model
 from returntime.synth import GeneratorConfig, generate
 
 from oracles import finite_difference_grads, max_relative_error, session_columns
@@ -33,14 +33,7 @@ def small_data():
 
 
 def small_net(stats):
-    return net.NetConfig(
-        discrete_features=tuple(stats.discrete_features),
-        cardinalities=tuple(stats.cardinalities),
-        embedding_dims=tuple(2 for _ in stats.discrete_features),
-        n_continuous=len(stats.cont_channels),
-        fusion_size=8,
-        hidden_size=8,
-    )
+    return network_config(stats, [2] * len(stats.discrete_features), 8, 8)
 
 
 class TestBaseline:

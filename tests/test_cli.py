@@ -246,6 +246,8 @@ class TestTrainPredictEvaluate:
     @pytest.mark.parametrize("payload, key", [
         ({"trainig": {"rnnsm": {"epochs": 1}}}, "trainig"),
         ({"features": {"max_step": 8}}, "features.max_step"),
+        # the removed per-session step mode left no setting
+        ({"features": {"per_session_steps": False}}, "features.per_session_steps"),
     ])
     def test_unknown_config_key_exit_2(self, generated, tmp_path, capsys, payload, key):
         cfg, out = generated
@@ -414,17 +416,18 @@ class TestTrainPredictEvaluate:
         # the Adam moments are not persisted
         assert all(k == "meta" or k.startswith("param::") for k in arrays)
         meta = json.loads(arrays["meta"].tobytes().decode())
-        assert sorted(meta) == ["extra", "net_config", "version"]
         # the training record lives in meta.json only
-        assert sorted(meta["extra"]) == ["kind", "stats", "w"]
+        assert sorted(meta) == ["embedding_dims", "fusion_size", "hidden_size", "kind", "stats",
+                                "version", "w"]
         params = {k: a for k, a in arrays.items() if k != "meta"}
-        # a version 1 checkpoint also carried the Adam moments and step, and
-        # versions 1 and 2 held float64 params
+        # a version 1 checkpoint also carried the Adam moments and step,
+        # versions 1 and 2 held float64 params, and version 3 held float32
+        # params under a header that stated the network's inputs twice
         float64 = {k: a.astype(np.float64) for k, a in params.items()}
         moments = {f"adam_{m}::{k[len('param::'):]}": np.zeros_like(a)
                    for k, a in float64.items() for m in "mv"}
         for version, extra, members in ((1, {"adam_step": 12}, {**float64, **moments}),
-                                        (2, {}, float64), (99, {}, params)):
+                                        (2, {}, float64), (3, {}, params), (99, {}, params)):
             header = json.dumps({**meta, "version": version, **extra}).encode()
             np.savez(path, meta=np.frombuffer(header, dtype=np.uint8), **members)
             capsys.readouterr()
@@ -703,7 +706,6 @@ class TestTrainPredictEvaluate:
         ("rnn", {"training": {"rnn": None}}, "training.rnn"),
         ("baseline", {"features": {"max_steps": "abc"}}, "features.max_steps"),
         ("baseline", {"features": {"max_steps": float("inf")}}, "features.max_steps"),
-        ("baseline", {"features": {"per_session_steps": "false"}}, "features.per_session_steps"),
         ("baseline", {"split": {"test_fraction": "x"}}, "split.test_fraction"),
         ("baseline", {"seed": "x"}, "seed"),
         ("baseline", {"window": {"activity_start_date": 5}}, "window.activity_start_date"),
@@ -758,7 +760,7 @@ class TestTrainPredictEvaluate:
         ("generate", {"generator": {"user_count": 60.5}}, "generator.user_count"),
         ("generate", {"generator": {"horizon_days": "540"}}, "generator.horizon_days"),
         ("generate", {"generator": {"cohorts": [cohort(fraction=True)]}}, "generator.cohorts"),
-    ], ids=["training-rnn-null", "max-steps-text", "max-steps-inf", "flag-text",
+    ], ids=["training-rnn-null", "max-steps-text", "max-steps-inf",
             "test-fraction-text", "seed-text", "window-date-number", "sessions-empty",
             "hidden-size-zero", "embedding-dim-text", "w-grid-text", "w-grid-nan", "w-inf",
             "w-nan", "grid-epochs-negative", "epochs-negative", "learning-rate-nan",
@@ -898,18 +900,18 @@ def predict_with_header(trained_recurrent, tmp_path, model, edit):
     return rc, err.getvalue(), target
 
 
-def with_extra(**changes):
-    return lambda header: {**header, "extra": {**header["extra"], **changes}}
+def with_header(**changes):
+    return lambda header: {**header, **changes}
 
 
 def with_stats(**changes):
-    return lambda header: with_extra(stats={**header["extra"]["stats"], **changes})(header)
+    return lambda header: with_header(stats={**header["stats"], **changes})(header)
 
 
 def with_vocab_code(code):
     """The header with the first code of its first vocab replaced by code."""
     def edit(header):
-        vocabs = header["extra"]["stats"]["vocabs"]
+        vocabs = header["stats"]["vocabs"]
         name = min(vocabs)
         value = min(vocabs[name])
         return with_stats(vocabs={**vocabs, name: {**vocabs[name], value: code}})(header)
@@ -917,39 +919,49 @@ def with_vocab_code(code):
     return edit
 
 
+def with_channel(header):
+    """The header with one more continuous channel than the params were
+    trained on."""
+    stats = header["stats"]
+    return with_stats(cont_channels=stats["cont_channels"] + ["extra"],
+                      mean=stats["mean"] + [0.0], std=stats["std"] + [1.0])(header)
+
+
 @pytest.mark.parametrize("model,edit", [
-    ("rnnsm", with_extra(w="0.1")),
-    ("rnnsm", with_extra(w=None)),
-    ("rnnsm", with_extra(w=-1.0)),
-    ("rnnsm", with_extra(w=float("nan"))),
-    ("rnn", with_extra(w=0.5)),
-    ("rnnsm", lambda header: {**header, "extra": 5}),
+    ("rnnsm", with_header(w="0.1")),
+    ("rnnsm", with_header(w=None)),
+    ("rnnsm", with_header(w=-1.0)),
+    ("rnnsm", with_header(w=float("nan"))),
+    ("rnn", with_header(w=0.5)),
+    ("rnnsm", with_header(embedding_dims=5)),
     ("rnnsm", lambda header: [header]),
-    ("rnnsm", with_extra(stats=[])),
-    ("rnnsm", lambda header: {**header, "extra": {
-        **header["extra"], "stats": {**header["extra"]["stats"], "vocabs": []}}}),
-    ("rnnsm", lambda header: {**header, "net_config": "abc"}),
-    ("rnnsm", lambda header: {**header, "net_config": {**header["net_config"], "hidden_size": 4}}),
-    ("rnn", lambda header: {**header, "net_config": {
-        **header["net_config"], "n_continuous": header["net_config"]["n_continuous"] + 1}}),
-    ("rnnsm", lambda header: {**header, "extra": {
-        **header["extra"], "stats": {**header["extra"]["stats"], "mean": [0.0]}}}),
-    ("rnn", lambda header: {**header, "extra": {**header["extra"], "stats": {
-        **header["extra"]["stats"], "std": ["a"] * len(header["extra"]["stats"]["std"])}}}),
+    ("rnnsm", with_header(stats=[])),
+    ("rnnsm", with_stats(vocabs=[])),
+    ("rnnsm", with_header(fusion_size="8")),
+    ("rnnsm", with_header(hidden_size=4)),
+    ("rnnsm", with_header(hidden_size=8.0)),
+    ("rnn", lambda header: with_header(embedding_dims=header["embedding_dims"][1:])(header)),
+    ("rnnsm", lambda header: with_header(embedding_dims=[0] * len(header["embedding_dims"]))(
+        header)),
+    ("rnn", with_channel),
+    ("rnnsm", lambda header: with_stats(mean=[0.0])(header)),
+    ("rnn", lambda header: with_stats(std=["a"] * len(header["stats"]["std"]))(header)),
     ("rnnsm", with_stats(continuous_markers=[[1]])),
     ("rnn", lambda header: with_stats(
-        cont_channels=[1] * len(header["extra"]["stats"]["cont_channels"]))(header)),
+        cont_channels=[1] * len(header["stats"]["cont_channels"]))(header)),
     ("rnnsm", with_vocab_code("x")),
     ("rnnsm", with_vocab_code(10**6)),
     ("rnn", with_vocab_code(-1)),
     ("rnnsm", with_stats(max_steps=0)),
     ("rnnsm", with_stats(max_steps=-3)),
-    ("rnn", with_stats(per_session_steps="false")),
-], ids=["w-text", "w-null", "w-negative", "w-nan", "rnn-w-number", "extra-number",
-        "header-list", "stats-list", "vocabs-list", "net-config-text", "hidden-size-edited",
+    ("rnn", lambda header: with_stats(
+        cardinalities=[c + 0.5 for c in header["stats"]["cardinalities"]])(header)),
+], ids=["w-text", "w-null", "w-negative", "w-nan", "rnn-w-number", "embedding-dims-number",
+        "header-list", "stats-list", "vocabs-list", "fusion-size-text", "hidden-size-edited",
+        "hidden-size-float", "embedding-dims-short", "embedding-dims-zero",
         "n-continuous-edited", "stats-mean-short", "stats-std-text", "markers-not-strings",
         "channels-not-strings", "vocab-code-text", "vocab-code-too-large",
-        "vocab-code-negative", "max-steps-zero", "max-steps-negative", "per-session-text"])
+        "vocab-code-negative", "max-steps-zero", "max-steps-negative", "cardinality-fraction"])
 def test_malformed_checkpoint_header_exit_3(trained_recurrent, tmp_path, model, edit):
     rc, err, target = predict_with_header(trained_recurrent, tmp_path, model, edit)
     assert rc == 3, err
@@ -966,7 +978,7 @@ def test_checkpoint_with_a_training_record_still_loads(trained_recurrent, tmp_pa
                                         lambda header: header)
     assert rc == 0, err
     rc, err, old = predict_with_header(trained_recurrent, tmp_path / "b", "rnnsm",
-                                       with_extra(loss_trace=5, diverged="no"))
+                                       with_header(loss_trace=5, diverged="no"))
     assert rc == 0, err
     assert old.read_bytes() == kept.read_bytes()
 

@@ -208,13 +208,6 @@ class TestSequences:
         for length, user in zip(seqs.lengths.tolist(), ds.users):
             assert length == min(count_active_days(user), 2)
 
-    def test_per_session_mode(self):
-        raw = [s("b", 3.3, duration=0.1), s("b", 3.5), s("b", 8.0)]
-        ds = assign_windows(session_columns(raw), WINDOW)
-        seqs, _ = build_sequences(ds, FeatureConfig(max_steps=8, per_session_steps=True))
-        assert seqs.lengths.tolist() == [3]
-        assert seqs.targets[0] == pytest.approx(3.5 - 3.4)
-
     def test_pad_batch_masks(self):
         ds = small_dataset()
         seqs, _ = build_sequences(ds, FeatureConfig(max_steps=8))
@@ -294,19 +287,18 @@ def assert_same_sequences(got, want):
 
 
 def assert_matches_object_path(train, test, train_users, test_users):
-    """Sequences in both step modes, fitted on train and applied to test,
-    and aggregates, equal to the object path's on the same users."""
+    """Sequences, fitted on train and applied to test, and aggregates, equal
+    to the object path's on the same users."""
     window, weekday = train.window, train.epoch_weekday
-    for per_session in (False, True):
-        config = FeatureConfig(max_steps=8 if per_session else 64, per_session_steps=per_session)
-        seqs, stats = build_sequences(train, config)
-        want, want_stats = build_sequences_objects(train_users, weekday, config)
-        assert stats.to_dict() == want_stats.to_dict()
-        assert_bitwise_equal(stats.mean, want_stats.mean)
-        assert_bitwise_equal(stats.std, want_stats.std)
-        assert_same_sequences(seqs, want)
-        seqs, _ = build_sequences(test, stats=stats)
-        assert_same_sequences(seqs, build_sequences_objects(test_users, weekday, stats=stats)[0])
+    config = FeatureConfig(max_steps=64)
+    seqs, stats = build_sequences(train, config)
+    want, want_stats = build_sequences_objects(train_users, weekday, config)
+    assert stats.to_dict() == want_stats.to_dict()
+    assert_bitwise_equal(stats.mean, want_stats.mean)
+    assert_bitwise_equal(stats.std, want_stats.std)
+    assert_same_sequences(seqs, want)
+    seqs, _ = build_sequences(test, stats=stats)
+    assert_same_sequences(seqs, build_sequences_objects(test_users, weekday, stats=stats)[0])
     agg = build_aggregates(train)
     X, names = build_aggregates_objects(train_users, window)
     assert (agg.feature_names, agg.user_ids) == (names, [u.user_id for u in train_users])

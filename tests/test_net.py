@@ -399,7 +399,6 @@ class TestCheckpoint:
             discrete_features=list(CONFIG.discrete_features),
             cardinalities=list(CONFIG.cardinalities), vocabs={}, cont_channels=["a", "b"],
             mean=np.zeros(2), std=np.ones(2), continuous_markers=[], max_steps=8,
-            per_session_steps=False,
         )
         path = tmp_path / "model.npz"
         rnnsm.save_model(path, rnnsm.RecurrentModel(params, CONFIG, stats, w=0.5))

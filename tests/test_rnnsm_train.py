@@ -56,14 +56,7 @@ def small_sequences(small_dataset):
 
 
 def small_net(stats, hidden=8, fusion=8):
-    return net.NetConfig(
-        discrete_features=tuple(stats.discrete_features),
-        cardinalities=tuple(stats.cardinalities),
-        embedding_dims=tuple(2 for _ in stats.discrete_features),
-        n_continuous=len(stats.cont_channels),
-        fusion_size=fusion,
-        hidden_size=hidden,
-    )
+    return rnnsm.network_config(stats, [2] * len(stats.discrete_features), fusion, hidden)
 
 
 class TestEndToEndGradient:
@@ -354,7 +347,7 @@ class TestPrediction:
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("kind, w", [("rnn", None), ("rnnsm", 0.25)])
-    def test_hand_written_version_3_file_loads(self, small_sequences, tmp_path, kind, w):
+    def test_hand_written_version_4_file_loads(self, small_sequences, tmp_path, kind, w):
         # the model.npz layout, written without save_model: renaming a member
         # or a header key breaks every trained model unless the version moves
         _, stats = small_sequences
@@ -362,14 +355,6 @@ class TestPrediction:
         rng = np.random.default_rng(5)
         params = {name: rng.uniform(-1.0, 1.0, size=shape).astype(np.float32)
                   for name, shape in net.param_shapes(config).items()}
-        net_config = {
-            "discrete_features": list(config.discrete_features),
-            "cardinalities": list(config.cardinalities),
-            "embedding_dims": list(config.embedding_dims),
-            "n_continuous": config.n_continuous,
-            "fusion_size": config.fusion_size,
-            "hidden_size": config.hidden_size,
-        }
         stats_header = {
             "discrete_features": stats.discrete_features,
             "cardinalities": stats.cardinalities,
@@ -379,10 +364,10 @@ class TestPrediction:
             "std": stats.std.tolist(),
             "continuous_markers": stats.continuous_markers,
             "max_steps": stats.max_steps,
-            "per_session_steps": stats.per_session_steps,
         }
-        header = {"version": 3, "net_config": net_config,
-                  "extra": {"kind": kind, "w": w, "stats": stats_header}}
+        header = {"version": 4, "kind": kind, "w": w, "stats": stats_header,
+                  "embedding_dims": list(config.embedding_dims),
+                  "fusion_size": config.fusion_size, "hidden_size": config.hidden_size}
         meta = json.dumps(header, sort_keys=True).encode()
         path = tmp_path / "model.npz"
         np.savez(path, meta=np.frombuffer(meta, dtype=np.uint8),

@@ -6,6 +6,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+from returntime.cli import main
 from returntime.data import Session, assign_windows, read_sessions_jsonl, write_sessions_jsonl
 from returntime.errors import ConfigError, ValidationError
 from returntime.synth import (
@@ -92,6 +93,24 @@ class TestValidation:
         bad = single_cohort_config(gap_log_sigma=-0.1)
         with pytest.raises(ConfigError):
             bad.validate()
+
+    @pytest.mark.parametrize("cohorts, name", [
+        ([{"name": "big", "fraction": 1.5}, {"name": "negative", "fraction": -0.5}], "negative"),
+        ([{"name": "skewed", "fraction": 1.0, "device_probs": [1.5, -0.5, 0.0]}], "skewed"),
+        ([{"name": "owls", "fraction": 1.0, "night_owl_prob": 7}], "owls"),
+        ([{"name": "larks", "fraction": 1.0, "night_owl_prob": -0.1}], "larks"),
+    ], ids=["fraction-negative", "device-probs-negative", "night-owl-prob-7",
+            "night-owl-prob-negative"])
+    def test_probability_out_of_range_exit_2(self, tmp_path, capsys, cohorts, name):
+        # a negative fraction or device probability reached numpy's sampler,
+        # and a night_owl_prob above 1 made every user a night owl
+        cohorts = [{"gap_log_mean": 1.0, "gap_log_sigma": 0.5, **c} for c in cohorts]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"generator": {"user_count": 10, "cohorts": cohorts}}))
+        assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("error:") == 1
+        assert f"cohort {name!r}" in err and "Traceback" not in err
 
     def test_windows_must_fit(self):
         with pytest.raises(ConfigError):
