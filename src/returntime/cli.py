@@ -86,7 +86,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         if name in model_predictions:
             raise ConfigError(f"duplicate predictions for model {name!r}")
         model_predictions[name] = table
-    report = experiment.write_report(
+    report = metrics.write_report(
         args.out, model_predictions,
         auc_score_mode=setting(config, "evaluation.auc_score_mode", text),
     )

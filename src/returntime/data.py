@@ -40,7 +40,7 @@ logger = logging.getLogger(__name__)
 
 SECONDS_PER_DAY = 86400.0
 CACHE_SUFFIX = ".parsed.npz"  # the parse cache of <sessions file> is <sessions file>.parsed.npz
-CACHE_FORMAT_VERSION = 3  # bump when the cache layout or the parse result changes
+CACHE_FORMAT_VERSION = 4  # bump when the cache layout or the parse result changes
 _BYTES_PER_WORKER = 4 << 20  # a parse block holds at least this many bytes of the file
 _ROWS_PER_WORKER = 20_000  # a write block holds at least this many sessions
 _UNIX_EPOCH = dt.datetime(1970, 1, 1, tzinfo=dt.timezone.utc)
@@ -431,12 +431,14 @@ def _parse_jsonl(path: Path, raw: bytes, digest: str) -> tuple[dict, dict[str, n
 def _merge_blocks(path: Path, blocks: list[_ParsedBlock],
                   digest: str) -> tuple[dict, dict[str, np.ndarray]]:
     """The cache's header and columns of the blocks' records laid end to end,
-    for the file at path, hashing to digest. User ids, marker keys and
-    discrete values are coded by first appearance however the records are
-    cut into blocks; start_time counts from the epoch, midnight UTC of the
-    earliest start. Starts that span 2^53 microseconds (about 285 years) or
-    more from the epoch raise ValidationError: start_time would not be
-    exact to the microsecond."""
+    for the file at path, hashing to digest. User ids, marker keys and each
+    key's discrete values are listed in sorted order, only those some row
+    uses, and every block's codes are mapped onto those lists, so the cache
+    does not depend on how the records are cut into blocks or coded in them;
+    start_time counts from the epoch, midnight UTC of the earliest start.
+    Starts that span 2^53 microseconds (about 285 years) or more from the
+    epoch raise ValidationError: start_time would not be exact to the
+    microsecond."""
     micros = np.concatenate([b.micros for b in blocks])
     epoch = _UNIX_EPOCH
     if micros.size:
@@ -449,60 +451,62 @@ def _merge_blocks(path: Path, blocks: list[_ParsedBlock],
         raise ValidationError(f"{path}: session starts span {span} microseconds from "
                               f"{epoch.isoformat()}, 2^53 or more (about 285 years)")
 
-    user_codes: dict[str, int] = {}
-    users: list[np.ndarray] = []
-    discrete: dict[str, tuple[dict, list, list]] = {}  # key -> (value codes, rows, codes)
-    continuous: dict[str, tuple[list, list]] = {}  # key -> (rows, values)
-    n = 0
-    for b in blocks:
-        users.append(_recode(user_codes, b.user_ids)[b.user])
-        for key, (values, rows, codes) in b.discrete.items():
-            value_codes, key_rows, key_codes = discrete.setdefault(key, ({}, [], []))
-            key_rows.append(rows + n)
-            key_codes.append(_recode(value_codes, values)[codes])
-        for key, (rows, values) in b.continuous.items():
-            key_rows, key_values = continuous.setdefault(key, ([], []))
-            key_rows.append(rows + n)
-            key_values.append(values)
-        n += len(b.duration)
+    user_ids, user = _sorted_codes([b.user_ids for b in blocks], [b.user for b in blocks])
     header = {
-        "user_ids": list(user_codes),
-        "discrete": [[key, list(codes)] for key, (codes, _, _) in discrete.items()],
-        "continuous": list(continuous),
+        "user_ids": user_ids, "discrete": [], "continuous": [],
         "version": CACHE_FORMAT_VERSION, "sha256": digest, "epoch_iso": epoch.isoformat(),
         "epoch_weekday": epoch.weekday(),
     }
     arrays = {
-        "user": np.concatenate(users),
+        "user": user,
         # exact below 2^53, so the division rounds once, as
         # timedelta.total_seconds does
         "start_time": since.astype(float) / 1e6 / SECONDS_PER_DAY,
         "duration": np.concatenate([b.duration for b in blocks]),
     }
-    for kind, markers, dtype in (
-            ("discrete", [(r, c) for _, r, c in discrete.values()], np.int64),
-            ("continuous", continuous.values(), float)):
-        for i, (rows, values) in enumerate(markers):  # zero where the marker is absent
-            present = arrays[f"{kind}_present_{i}"] = np.zeros(n, dtype=bool)
-            column = arrays[f"{kind}_value_{i}"] = np.zeros(n, dtype=dtype)
-            rows = np.concatenate(rows)
-            present[rows] = True
-            column[rows] = np.concatenate(values)
+    firsts = np.cumsum([0] + [len(b.duration) for b in blocks]).tolist()  # then the row count
+    for kind in ("discrete", "continuous"):
+        markers = [getattr(b, kind) for b in blocks]
+        for i, key in enumerate(sorted(set().union(*markers))):
+            # an entry ends in (rows, codes) for a discrete key, (rows, values) for a continuous one
+            entries = [(m[key], first) for m, first in zip(markers, firsts) if key in m]
+            if kind == "discrete":
+                names, values = _sorted_codes([e[0] for e, _ in entries],
+                                              [e[-1] for e, _ in entries])
+                header[kind].append([key, names])
+            else:
+                values = np.concatenate([e[-1] for e, _ in entries])
+                header[kind].append(key)
+            rows = np.concatenate([e[-2] + first for e, first in entries])
+            present = arrays[f"{kind}_present_{i}"] = np.zeros(firsts[-1], dtype=bool)
+            column = arrays[f"{kind}_value_{i}"] = np.zeros(firsts[-1], dtype=values.dtype)
+            present[rows] = True  # zero where the marker is absent
+            column[rows] = values
     return header, arrays
 
 
-def _recode(codes: dict, keys: list) -> np.ndarray:
-    """The code of each key in codes, where a new key gets the next code."""
-    return np.array([codes.setdefault(key, len(codes)) for key in keys], dtype=np.int64)
+def _sorted_codes(names: list[list], codes: list[np.ndarray]) -> tuple[list[str], np.ndarray]:
+    """The names that some code uses, names[i][c] for code c of codes[i], in
+    sorted order, and every code laid end to end as its name's position
+    among them."""
+    used = [np.unique(c).tolist() for c in codes]
+    ordered = sorted({n[c] for n, cs in zip(names, used) for c in cs})
+    position = {name: i for i, name in enumerate(ordered)}
+    recoded = []
+    for n, c, cs in zip(names, codes, used):
+        lookup = np.zeros(len(n), dtype=np.int64)
+        lookup[cs] = [position[n[code]] for code in cs]
+        recoded.append(lookup[c])
+    return ordered, np.concatenate(recoded)
 
 
 @dataclass(frozen=True, eq=False)
 class _ParsedBlock:
     """The records of a block of lines, parsed (_parse_block) or derived from
-    the columns written (_parsed_rows). User ids and each discrete marker's
-    values are coded by first appearance in the block, and marker keys are
-    in order of first appearance; each key maps to the rows that carry it
-    and their codes (discrete, after the values) or values (continuous)."""
+    the columns written (_parsed_rows). ``user`` holds codes into user_ids;
+    each marker key maps to the rows that carry it and their codes into the
+    key's values (discrete) or their values (continuous). The codes and the
+    order of the lists are the block's own: _merge_blocks sorts them."""
 
     user_ids: list[str]
     user: np.ndarray  # int64
@@ -721,12 +725,12 @@ def _format_rows(sessions: SessionColumns,
 
 def _parsed_rows(sessions: SessionColumns, micros: np.ndarray,
                  seconds: np.ndarray) -> _ParsedBlock | None:
-    """The _ParsedBlock that _parse_block makes of _format_rows's lines of
-    the sessions, given each row's start in microseconds since the Unix
-    epoch and duration_s. None where that is not exact by construction: a
-    user id, marker key or discrete value written that is not a str, a
-    continuous value or duration_s that is not a finite float64, or a
-    duration the parse rejects."""
+    """What _parse_block makes of _format_rows's lines of the sessions, given
+    each row's start in microseconds since the Unix epoch and duration_s,
+    with the columns' own codes. None where that is not exact by
+    construction: a user id, marker key or discrete value written that is
+    not a str, a continuous value or duration_s that is not a finite
+    float64, or a duration the parse rejects."""
     if seconds.dtype != np.float64:
         return None
     duration = seconds / SECONDS_PER_DAY  # as the parse divides duration_s
@@ -734,8 +738,11 @@ def _parsed_rows(sessions: SessionColumns, micros: np.ndarray,
         return None
     if not all(type(key) is str for key in (*sessions.discrete, *sessions.continuous)):
         return None
-    users = _str_codes(sessions.user_ids, sessions.user)
-    if users is None:
+
+    def str_names(names: list, codes: np.ndarray) -> bool:
+        return all(type(names[c]) is str for c in np.unique(codes).tolist())
+
+    if not str_names(sessions.user_ids, sessions.user):
         return None
     continuous = {}
     for key, (present, column) in sessions.continuous.items():
@@ -749,34 +756,12 @@ def _parsed_rows(sessions: SessionColumns, micros: np.ndarray,
         if key in sessions.continuous:  # where the row has both, the continuous value is written
             present = present & ~sessions.continuous[key][0]
         rows = np.flatnonzero(present)
-        coded = _str_codes(names, codes[rows])
-        if coded is None:
+        if not str_names(names, codes[rows]):
             return None
         if len(rows):
-            discrete[key] = (coded[0], rows, coded[1])
-
-    def by_first_row(markers: dict, rows_at: int) -> dict:
-        # a line lists its markers by sorted key, so keys first appear by (first row, key)
-        return dict(sorted(markers.items(), key=lambda item: (item[1][rows_at][0], item[0])))
-
-    return _ParsedBlock(*users, micros, duration, by_first_row(discrete, 1),
-                        by_first_row(continuous, 0), None)
-
-
-def _str_codes(names: list, codes: np.ndarray) -> tuple[list[str], np.ndarray] | None:
-    """names[c] for each code c, as the distinct names in order of first
-    appearance and each row's index among them; None unless every name
-    used is a str."""
-    distinct, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    used = [names[c] for c in distinct[order].tolist()]
-    if not all(type(name) is str for name in used):
-        return None
-    rank = np.empty(len(order), dtype=np.int64)
-    rank[order] = np.arange(len(order))
-    index: dict[str, int] = {}  # two codes may name one str
-    recoded = _recode(index, used)[rank[inverse]]
-    return list(index), recoded
+            discrete[key] = (names, rows, codes[rows])
+    return _ParsedBlock(sessions.user_ids, sessions.user, micros, duration, discrete,
+                        continuous, None)
 
 
 def _json_float(x: float) -> str:

@@ -1,9 +1,8 @@
 """Experiment plumbing shared by the CLI: dataset assembly, model training
-dispatch, prediction dispatch, and report emission."""
+dispatch and prediction dispatch."""
 
 from __future__ import annotations
 
-import csv
 import functools
 import hashlib
 import json
@@ -378,18 +377,3 @@ def predict_model(
             predicted = rnnsm.predict(model, seqs, t_s)
     return predictions(dataset, predicted)
 
-
-# ---------------------------------------------------------------------------
-# report emission
-
-def write_report(out_dir: str | Path, model_predictions: dict, auc_score_mode: str) -> dict:
-    out = output_dir(out_dir)
-    report = metrics.build_report(model_predictions, auc_score_mode=auc_score_mode)
-    (out / "report.json").write_text(json.dumps(report, sort_keys=True, indent=2))
-    for table in ("rmse_by_week", "mean_error_by_week", "rmse_by_active_days"):
-        with open(out / f"{table}.csv", "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["model", "bucket", "value"])
-            for model_name, row in report["tables"][table].items():
-                writer.writerows([model_name, bucket, repr(value)] for bucket, value in row.items())
-    return report

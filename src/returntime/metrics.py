@@ -12,6 +12,7 @@ import contextlib
 import csv
 import datetime as dt
 import io
+import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,6 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import output_dir
 from .errors import DataError, ValidationError
 
 MODEL_ORDER = ("baseline", "cph", "cpha", "rnn", "rnnsm", "rnnsma")
@@ -126,37 +128,30 @@ def nonreturning_recall(table: Predictions) -> float:
     return float((predicted_nonret & censored).sum() / censored.sum())
 
 
-@dataclass
-class Breakdowns:
-    rmse_by_week: dict[int, float]
-    mean_error_by_week: dict[int, float]
-    n_by_week: dict[int, int]
-    rmse_by_active_days: dict[str, float]
-    n_by_active_days: dict[str, int]
-
-
 def _active_day_bucket(count: int) -> str:
     return f"{ACTIVE_DAY_CAP}+" if count >= ACTIVE_DAY_CAP else str(count)
 
 
-def error_breakdowns(table: Predictions) -> Breakdowns:
-    """RMSE / mean error grouped by true return week, and RMSE grouped by
-    active-day count with a terminal >= 64 bucket. Uncensored users only;
-    empty buckets are omitted. Each bucket keeps its users in table order."""
+def error_breakdowns(table: Predictions) -> dict[str, dict]:
+    """The report's five tables of one model, keyed by bucket: RMSE, mean
+    error and user count grouped by true return week, and RMSE and user
+    count grouped by active-day count with a terminal >= 64 bucket.
+    Uncensored users only; empty buckets are omitted, and buckets are listed
+    in increasing order. Each bucket keeps its users in table order."""
     returning = ~table.censored
     err = table.predicted[returning] - table.observed[returning]
     sq = err * err
     weeks = np.floor(table.observed[returning] / 7.0)
     days = np.minimum(table.active_days[returning], ACTIVE_DAY_CAP)
-    by_week = [(int(week), weeks == week) for week in np.unique(weeks)]
+    by_week = [(str(int(week)), weeks == week) for week in np.unique(weeks)]
     by_days = [(_active_day_bucket(int(d)), days == d) for d in np.unique(days)]
-    return Breakdowns(
-        rmse_by_week={k: float(np.sqrt(np.mean(sq[m]))) for k, m in by_week},
-        mean_error_by_week={k: float(np.mean(err[m])) for k, m in by_week},
-        n_by_week={k: int(m.sum()) for k, m in by_week},
-        rmse_by_active_days={k: float(np.sqrt(np.mean(sq[m]))) for k, m in by_days},
-        n_by_active_days={k: int(m.sum()) for k, m in by_days},
-    )
+    return {
+        "rmse_by_week": {k: float(np.sqrt(np.mean(sq[m]))) for k, m in by_week},
+        "mean_error_by_week": {k: float(np.mean(err[m])) for k, m in by_week},
+        "n_by_week": {k: int(m.sum()) for k, m in by_week},
+        "rmse_by_active_days": {k: float(np.sqrt(np.mean(sq[m]))) for k, m in by_days},
+        "n_by_active_days": {k: int(m.sum()) for k, m in by_days},
+    }
 
 
 def _model_sort_key(name: str) -> tuple[int, str]:
@@ -188,14 +183,25 @@ def build_report(
                 "nonreturning_auc": nonreturning_auc(table, score_mode=auc_score_mode),
                 "nonreturning_recall": nonreturning_recall(table),
             }
-            b = error_breakdowns(table)
-        report["tables"]["rmse_by_week"][name] = {str(k): v for k, v in b.rmse_by_week.items()}
-        report["tables"]["mean_error_by_week"][name] = {
-            str(k): v for k, v in b.mean_error_by_week.items()
-        }
-        report["tables"]["n_by_week"][name] = {str(k): v for k, v in b.n_by_week.items()}
-        report["tables"]["rmse_by_active_days"][name] = dict(b.rmse_by_active_days)
-        report["tables"]["n_by_active_days"][name] = dict(b.n_by_active_days)
+            tables = error_breakdowns(table)
+        for kind, buckets in tables.items():
+            report["tables"][kind][name] = buckets
+    return report
+
+
+def write_report(out_dir: str | Path, model_predictions: dict[str, Predictions],
+                 auc_score_mode: str) -> dict:
+    """build_report's report, written to out_dir as report.json and one CSV
+    of (model, bucket, value) rows per RMSE and mean-error table."""
+    out = output_dir(out_dir)
+    report = build_report(model_predictions, auc_score_mode=auc_score_mode)
+    (out / "report.json").write_text(json.dumps(report, sort_keys=True, indent=2))
+    for table in ("rmse_by_week", "mean_error_by_week", "rmse_by_active_days"):
+        with open(out / f"{table}.csv", "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["model", "bucket", "value"])
+            for model_name, row in report["tables"][table].items():
+                writer.writerows([model_name, bucket, repr(value)] for bucket, value in row.items())
     return report
 
 
@@ -252,15 +258,22 @@ def _finite(value: str) -> float:
     return number
 
 
+def _not_negative(number: float) -> float:
+    if number < 0:
+        raise ValueError(f"negative value {number!r}")
+    return number
+
+
 def read_predictions_csv(path: str | Path) -> tuple[str, Predictions]:
     """Read a prediction CSV written by write_predictions_csv.
 
     The file is decoded as UTF-8. A file that is not UTF-8 or not CSV, or a
-    row with a missing, non-numeric or non-finite value, with both or
-    neither gap cell filled, with an is_censored_truth other than 1 for a
-    censoring bound or 0 for a true gap, or with a user_id of an earlier row,
-    raises ValidationError naming path:line; a missing column or a path
-    that cannot be read, such as a missing file, names the path.
+    row with a missing, non-numeric or non-finite value, with a negative
+    gap, horizon gap or active-day count, with both or neither gap cell
+    filled, with an is_censored_truth other than 1 for a censoring bound or
+    0 for a true gap, or with a user_id of an earlier row, raises
+    ValidationError naming path:line; a missing column or a path that
+    cannot be read, such as a missing file, names the path.
     """
     path = Path(path)
     try:
@@ -300,9 +313,9 @@ def read_predictions_csv(path: str | Path) -> tuple[str, Predictions]:
             if row["user_id"] in lines:
                 raise ValueError(f"user {row['user_id']!r} repeats line {lines[row['user_id']]}")
             predicted.append(_finite(row["predicted_return_days"]))
-            observed.append(_finite(true or bound))
-            horizon_gap.append(_finite(row["horizon_gap_days"]))
-            active_days.append(np.int64(int(row["active_day_count"])))
+            observed.append(_not_negative(_finite(true or bound)))
+            horizon_gap.append(_not_negative(_finite(row["horizon_gap_days"])))
+            active_days.append(np.int64(_not_negative(int(row["active_day_count"]))))
             end = row["last_session_end_days"]
             last_end.append(_finite(end) if end else math.nan)
         except (TypeError, ValueError, OverflowError) as exc:

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import parallel
 from .config import count, entries, finite, mapping, natural, output_dir, setting, text
-from .data import SessionColumns, WindowConfig, check_times, write_sessions_jsonl
+from .data import SECONDS_PER_DAY, SessionColumns, WindowConfig, check_times, write_sessions_jsonl
 from .errors import ConfigError
 
 DEVICES = ("mobile", "desktop", "tablet")
@@ -114,9 +114,20 @@ class GeneratorConfig:
         if not (0 <= self.signup_spread < 1):
             raise ConfigError(f"signup_spread must lie in [0, 1), got {self.signup_spread}")
         try:
-            dt.datetime.fromisoformat(self.epoch_iso)
+            epoch = dt.datetime.fromisoformat(self.epoch_iso)
         except ValueError as exc:
             raise ConfigError(f"epoch_iso must be an ISO date, got {self.epoch_iso!r}") from exc
+        # a parse counts starts in microseconds as float64, exact below 2^53
+        if self.horizon_days * SECONDS_PER_DAY * 1e6 >= 2 ** 53:
+            raise ConfigError("horizon_days must be below 2^53 microseconds (about 104,249 "
+                              f"days), got {self.horizon_days}")
+        aware = epoch.replace(tzinfo=epoch.tzinfo or dt.timezone.utc)
+        try:  # the window dates count from the epoch as written, the session starts in UTC
+            for start in (epoch, aware.astimezone(dt.timezone.utc)):
+                start + dt.timedelta(days=self.horizon_days)
+        except OverflowError as exc:
+            raise ConfigError(f"epoch_iso + horizon_days must fall before year 10000, got "
+                              f"{self.epoch_iso!r} + {self.horizon_days} days") from exc
 
     @classmethod
     def from_config(cls, config: dict) -> "GeneratorConfig":

@@ -209,8 +209,6 @@ def rmse_returning_records(records):
 def error_breakdowns_records(records, cap=64):
     """returntime.metrics.error_breakdowns, one record at a time: each
     bucket's values are appended in record order."""
-    from returntime.metrics import Breakdowns
-
     week_sq, week_err, day_sq = {}, {}, {}
     for r in records:
         if r.true_return_days is None:
@@ -222,13 +220,13 @@ def error_breakdowns_records(records, cap=64):
         bucket = f"{cap}+" if r.active_day_count >= cap else str(r.active_day_count)
         day_sq.setdefault(bucket, []).append(err * err)
     buckets = sorted(day_sq, key=lambda b: math.inf if b.endswith("+") else int(b))
-    return Breakdowns(
-        rmse_by_week={k: float(np.sqrt(np.mean(v))) for k, v in sorted(week_sq.items())},
-        mean_error_by_week={k: float(np.mean(v)) for k, v in sorted(week_err.items())},
-        n_by_week={k: len(v) for k, v in sorted(week_sq.items())},
-        rmse_by_active_days={k: float(np.sqrt(np.mean(day_sq[k]))) for k in buckets},
-        n_by_active_days={k: len(day_sq[k]) for k in buckets},
-    )
+    return {
+        "rmse_by_week": {str(k): float(np.sqrt(np.mean(v))) for k, v in sorted(week_sq.items())},
+        "mean_error_by_week": {str(k): float(np.mean(v)) for k, v in sorted(week_err.items())},
+        "n_by_week": {str(k): len(v) for k, v in sorted(week_sq.items())},
+        "rmse_by_active_days": {k: float(np.sqrt(np.mean(day_sq[k]))) for k in buckets},
+        "n_by_active_days": {k: len(day_sq[k]) for k in buckets},
+    }
 
 
 def concordance_brute(records):

@@ -1065,9 +1065,15 @@ def test_breakdown_csv_quotes_model_names(tmp_path):
     ("is_censored_truth", b"1"),
     ("user_id", b"u0"),
     ("censored_lower_bound_days", b"5.0"),
+    ("active_day_count", b"-5"),
+    ("true_return_days", b"-1.0"),
+    (("is_censored_truth", "true_return_days", "censored_lower_bound_days"),
+     (b"1", b"", b"-95.0")),
+    ("horizon_gap_days", b"-120.0"),
 ], ids=["prediction-text", "prediction-nan", "horizon-overflows", "active-days-float",
         "not-utf-8", "short-row", "censored-flag-not-0-or-1", "censored-flag-disagrees",
-        "repeated-user", "both-gap-cells"])
+        "repeated-user", "both-gap-cells", "active-days-negative", "true-gap-negative",
+        "censoring-bound-negative", "horizon-gap-negative"])
 def test_malformed_prediction_csv_exit_2(tmp_path, column, value):
     path = prediction_csv(tmp_path / "p.csv")
     lines = path.read_bytes().split(b"\r\n")
@@ -1075,8 +1081,10 @@ def test_malformed_prediction_csv_exit_2(tmp_path, column, value):
     cells = lines[3].split(b",")
     if column is None:
         del cells[-3:]
-    else:
-        cells[header.index(column.encode())] = value
+    else:  # one cell, or a tuple of cells and a tuple of their values
+        edits = zip(column, value) if isinstance(column, tuple) else [(column, value)]
+        for name, cell in edits:
+            cells[header.index(name.encode())] = cell
     lines[3] = b",".join(cells)
     path.write_bytes(b"\r\n".join(lines))
     rc, err = evaluate(path, tmp_path / "report")

@@ -292,6 +292,11 @@ def cache_of(path):
     return Path(str(path) + CACHE_SUFFIX)
 
 
+def cache_header(path):
+    with np.load(cache_of(path)) as npz:
+        return json.loads(npz["header"].tobytes())
+
+
 def write_lines(path, lines):
     Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 
@@ -512,6 +517,31 @@ class TestForkedParse:
         fan_out(cpus)
         assert parse_error(path) == expected
 
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_cache_lists_names_in_sorted_order(self, tmp_path, fan_out, cpus):
+        # users, marker keys and device values first appear out of sorted
+        # order, and in another order in each block
+        path = tmp_path / "sessions.jsonl"
+        write_lines(path, [
+            record("zed", 3.0, zone="eu", device="tablet", score=2),
+            record("amy", 0.5, device="mobile", Plan="pro"),
+            record("émile", 1.0, device="desktop", zone="as", pages=4.5),
+            record("Bob", 2.0, device="tablet", kind="a"),
+            record("10", 1.5, kind=3, zone="eu"),
+            record("9", 4.0, device="mobile", Plan="free", pages=1),
+        ])
+        fan_out(1)
+        expected = cache_contents(path)
+        header = cache_header(path)
+        assert header["user_ids"] == ["10", "9", "Bob", "amy", "zed", "émile"]
+        assert header["discrete"] == [["Plan", ["free", "pro"]], ["device", [
+            "desktop", "mobile", "tablet"]], ["kind", ["a"]], ["zone", ["as", "eu"]]]
+        assert header["continuous"] == ["kind", "pages", "score"]
+        worker_blocks = fan_out(cpus)
+        assert cache_contents(path) == expected
+        assert len(worker_blocks()) == cpus - 1
+        assert as_plain(cached_read(path)) == read_sessions_plain(path)
+
     @pytest.mark.parametrize("case", ["last", "first-and-last", "duration-then-malformed",
                                       "duration-last", "duration-first-and-last"])
     @pytest.mark.parametrize("cpus", [2, 3])
@@ -710,6 +740,28 @@ class TestWrittenCache:
         assert cache_of(path).exists() == written
         assert as_plain(read_sessions_jsonl(path)) == read_sessions_plain(path)
         assert cache_of(path).exists()  # where the writer left none, the read wrote it
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_unused_and_repeated_names_write_the_cold_parse_cache(self, tmp_path, fan_out,
+                                                                   cpus):
+        # "unused" and "never" name no row, codes 0 and 3 both name "zed" and
+        # "tablet", and row 2 carries "kind" as discrete and continuous
+        sessions = data.SessionColumns(
+            ["zed", "unused", "amy", "zed"], np.array([0, 2, 3, 2]),
+            np.array([3.0, 0.5, 1.0, 2.0]), np.full(4, 0.01),
+            {"device": (["tablet", "never", "mobile", "tablet"],
+                        np.array([True, True, True, False]), np.array([3, 2, 0, 1])),
+             "kind": (["a"], np.array([True, False, True, False]), np.zeros(4, dtype=np.int64))},
+            {"kind": (np.array([False, False, True, True]), np.array([0.0, 0.0, 2.5, 1.0]))},
+        )
+        path = tmp_path / "sessions.jsonl"
+        worker_blocks = fan_out(cpus)
+        write_sessions_jsonl(path, sessions, EPOCHS[0])
+        assert len(worker_blocks()) == cpus - 1
+        assert cache_header(path)["user_ids"] == ["amy", "zed"]
+        assert cache_header(path)["discrete"] == [["device", ["mobile", "tablet"]],
+                                                  ["kind", ["a"]]]
+        assert as_plain(cold_read_equals_cached(path)) == read_sessions_plain(path)
 
     def test_non_str_marker_key_leaves_no_cache(self, tmp_path):
         sessions = data.SessionColumns(["a"], np.zeros(1, dtype=np.int64), np.ones(1),

@@ -1,11 +1,16 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import returntime
 from returntime.cli import main
 from returntime.data import Session, assign_windows, read_sessions_jsonl, write_sessions_jsonl
 from returntime.errors import ConfigError, ValidationError
@@ -115,6 +120,22 @@ class TestValidation:
     def test_windows_must_fit(self):
         with pytest.raises(ConfigError):
             GeneratorConfig(horizon_days=100.0).validate()
+
+    @pytest.mark.parametrize("generator, key", [
+        ({"epoch_iso": "9999-06-01T00:00:00+00:00"}, "epoch_iso + horizon_days"),
+        ({"horizon_days": 1e9}, "horizon_days"),
+        ({"horizon_days": 2e6}, "horizon_days"),
+    ], ids=["epoch-near-year-10000", "horizon-1e9-days", "horizon-2e6-days"])
+    def test_horizon_the_files_cannot_hold_exit_2(self, tmp_path, capsys, generator, key):
+        # the first two ended in an OverflowError traceback while formatting
+        # the lines; the third wrote a sessions file every later read refused
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"generator": {"user_count": 3, **generator}}))
+        assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} must") and err.count("error:") == 1
+        assert "Traceback" not in err
+        assert not (tmp_path / "x" / "sessions.jsonl").exists()
 
     def test_starving_config_reports_zero_session_users(self):
         # median gap of ~60k days: almost every user generates nothing
@@ -335,6 +356,23 @@ class TestGeneratedCache:
         fan_out(cpus)
         generate_to_files(cfg, tmp_path)
         cold_read_equals_cached(tmp_path / "sessions.jsonl")
+
+    def test_cache_does_not_depend_on_the_hash_seed(self, tmp_path):
+        # str hashes differ per PYTHONHASHSEED, so a set's order would leak here
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"generator": {"user_count": 40}}))
+        package_root = str(Path(returntime.__file__).resolve().parents[1])
+        members = []
+        for seed in ("1", "2"):
+            out = tmp_path / seed
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": os.pathsep.join(
+                filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+            done = subprocess.run([sys.executable, "-m", "returntime", "generate", "--config",
+                                   str(config), "--out", str(out)], env=env,
+                                  capture_output=True, text=True, timeout=300)
+            assert done.returncode == 0, done.stderr
+            members.append(cache_members(out / "sessions.jsonl"))
+        assert members[0] == members[1]
 
 
 class TestWriter:
