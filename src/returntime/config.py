@@ -16,7 +16,7 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError
 
-MODEL_NAMES = ("baseline", "rnn", "cph", "cpha", "rnnsm", "rnnsma")
+MODEL_NAMES = ("baseline", "cph", "cpha", "rnn", "rnnsm", "rnnsma")  # in report order
 
 DEFAULTS: dict = {
     "seed": 7,

@@ -1,6 +1,7 @@
 """Sessions, time windows, censoring labels, return-time targets, and dataset splitting.
 
-Time is measured in days (float) since a dataset epoch. The observation
+Time is measured in days (float) since a dataset epoch, which a Dataset
+keeps as its ISO string (epoch_weekday derives from it). The observation
 window is [0, prediction_start], the activity window [activity_start,
 prediction_start], and the prediction window (prediction_start, horizon_end].
 A user is censored when they have no session in the prediction window; their
@@ -40,7 +41,7 @@ logger = logging.getLogger(__name__)
 
 SECONDS_PER_DAY = 86400.0
 CACHE_SUFFIX = ".parsed.npz"  # the parse cache of <sessions file> is <sessions file>.parsed.npz
-CACHE_FORMAT_VERSION = 4  # bump when the cache layout or the parse result changes
+CACHE_FORMAT_VERSION = 5  # bump when the cache layout or the parse result changes
 _BYTES_PER_WORKER = 4 << 20  # a parse block holds at least this many bytes of the file
 _ROWS_PER_WORKER = 20_000  # a write block holds at least this many sessions
 _UNIX_EPOCH = dt.datetime(1970, 1, 1, tzinfo=dt.timezone.utc)
@@ -184,10 +185,14 @@ class Dataset:
     last_session_end: np.ndarray
     window: WindowConfig
     epoch_iso: str | None = None
-    epoch_weekday: int = 0
 
     def __len__(self) -> int:
         return len(self.final_gap)
+
+    @property
+    def epoch_weekday(self) -> int:
+        """The epoch's weekday in UTC, Monday 0; 0 when there is no epoch."""
+        return 0 if self.epoch_iso is None else _parse_ts(self.epoch_iso).weekday()
 
     @property
     def user_ids(self) -> list[str]:
@@ -243,8 +248,7 @@ class Dataset:
             user=np.repeat(np.arange(len(users)), np.diff(offsets)),
         )
         return Dataset(sessions, offsets, self.final_gap[users], self.is_censored[users],
-                       self.last_session_end[users], self.window, self.epoch_iso,
-                       self.epoch_weekday)
+                       self.last_session_end[users], self.window, self.epoch_iso)
 
 
 def _merge_overlaps(s: SessionColumns, user: np.ndarray) -> SessionColumns:
@@ -282,7 +286,7 @@ def _merge_overlaps(s: SessionColumns, user: np.ndarray) -> SessionColumns:
 
 
 def assign_windows(raw: SessionColumns, config: WindowConfig,
-                   epoch_iso: str | None = None, epoch_weekday: int = 0) -> Dataset:
+                   epoch_iso: str | None = None) -> Dataset:
     """Window a raw session stream into labeled user histories.
 
     Keeps users with at least one session starting in the activity window,
@@ -321,7 +325,7 @@ def assign_windows(raw: SessionColumns, config: WindowConfig,
     observed = Dataset(
         dataclasses.replace(s, user_ids=[ids[r] for r in user[heads].tolist()],
                             user=np.cumsum(heads) - 1),
-        offsets, final_gap, ~returning, last_end, config, epoch_iso, epoch_weekday,
+        offsets, final_gap, ~returning, last_end, config, epoch_iso,
     )
     return observed.subset(np.flatnonzero(s.start_time[last] >= config.activity_start))
 
@@ -355,33 +359,18 @@ def _parse_ts(value: str) -> dt.datetime:
     return ts.astimezone(dt.timezone.utc)
 
 
-class SessionsRead(tuple):
-    """read_sessions_jsonl's (sessions, epoch_iso, epoch_weekday) triple.
-
-    ``sha256`` is the hex digest of the sessions file's bytes.
-    """
-
-    sha256: str
-
-    def __new__(cls, sessions: SessionColumns, epoch_iso: str, epoch_weekday: int,
-                sha256: str) -> "SessionsRead":
-        read = super().__new__(cls, (sessions, epoch_iso, epoch_weekday))
-        read.sha256 = sha256
-        return read
-
-
-def read_sessions_jsonl(path: str | Path) -> SessionsRead:
+def read_sessions_jsonl(path: str | Path) -> tuple[SessionColumns, str, str]:
     """Load the JSON-lines ingestion format.
 
     One session per line with fields user_id (string), start_ts (ISO-8601),
     duration_s (number), markers (object; string values become discrete
     markers, numeric values continuous ones). The epoch is midnight UTC of
     the earliest start_ts so time-of-day and weekday derivations stay aligned.
-    Returns (sessions as SessionColumns in file order, epoch_iso,
-    epoch_weekday), with the sha256 of the file's bytes as ``.sha256``; a
-    malformed record, or a negative or non-finite duration, raises
-    ValidationError naming path:lineno; a file that cannot be read, such as
-    a missing one or a directory, raises DataModelMismatchError.
+    Returns (sessions as SessionColumns in file order, epoch_iso, the sha256
+    of the file's bytes); a malformed record, or a negative or non-finite
+    duration, raises ValidationError naming path:lineno; a file that cannot
+    be read, such as a missing one or a directory, raises
+    DataModelMismatchError.
 
     The parse is cached beside the file as ``<name>.parsed.npz``, keyed by
     the sha256 of the file's bytes and CACHE_FORMAT_VERSION. The file is
@@ -409,7 +398,7 @@ def read_sessions_jsonl(path: str | Path) -> SessionsRead:
         {key: (arrays[f"continuous_present_{i}"], arrays[f"continuous_value_{i}"])
          for i, key in enumerate(header["continuous"])},
     )
-    return SessionsRead(sessions, header["epoch_iso"], header["epoch_weekday"], digest)
+    return sessions, header["epoch_iso"], digest
 
 
 def _parse_jsonl(path: Path, raw: bytes, digest: str) -> tuple[dict, dict[str, np.ndarray]]:
@@ -455,7 +444,6 @@ def _merge_blocks(path: Path, blocks: list[_ParsedBlock],
     header = {
         "user_ids": user_ids, "discrete": [], "continuous": [],
         "version": CACHE_FORMAT_VERSION, "sha256": digest, "epoch_iso": epoch.isoformat(),
-        "epoch_weekday": epoch.weekday(),
     }
     arrays = {
         "user": user,

@@ -51,16 +51,13 @@ class LoadedData:
 
 def load_dataset(config: dict) -> tuple[Dataset, str]:
     """The windowed users of data.sessions, and the sha256 of the file's bytes."""
-    read = read_sessions_jsonl(setting(config, "data.sessions", text))
-    sessions, epoch_iso, epoch_weekday = read
+    sessions, epoch_iso, sha256 = read_sessions_jsonl(setting(config, "data.sessions", text))
     # day offsets are numbers, *_date entries ISO strings
     window_cfg = {
         key: setting(config, f"window.{key}", text if key.endswith("_date") else finite)
         for key in setting(config, "window", mapping)
     }
-    dataset = assign_windows(sessions, resolve_window_days(window_cfg, epoch_iso),
-                             epoch_iso=epoch_iso, epoch_weekday=epoch_weekday)
-    return dataset, read.sha256
+    return assign_windows(sessions, resolve_window_days(window_cfg, epoch_iso), epoch_iso), sha256
 
 
 def load_and_split(config: dict) -> LoadedData:

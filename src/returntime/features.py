@@ -3,9 +3,13 @@ for the recurrent models.
 
 Sequence steps are active days (calendar days with at least one session).
 All continuous channels are z-scored with statistics frozen from the
-training split. The steps of all users form one table (Sequences) with
-per-user offsets, the layout of the Dataset's sessions, which training
-batches pad by index and the scoring pass reads as it is.
+training split. SequenceStats holds the marker vocabs, the continuous
+markers, the z-scores and max_steps; the discrete features, their
+cardinalities and the continuous channels derive from those, so a discrete
+marker may not take the name of a derived feature (day_of_week,
+day_of_month, hour_of_day). The steps of all users form one table
+(Sequences) with per-user offsets, the layout of the Dataset's sessions,
+which training batches pad by index and the scoring pass reads as it is.
 """
 
 from __future__ import annotations
@@ -24,8 +28,8 @@ DERIVED_CARDINALITIES = {"day_of_week": 7, "day_of_month": 31, "hour_of_day": 24
 
 @dataclass(frozen=True)
 class FeatureConfig:
-    max_steps: int = 64
-    variance_threshold: float = 0.9
+    max_steps: int
+    variance_threshold: float
 
     def __post_init__(self) -> None:
         if self.max_steps < 1:
@@ -146,16 +150,33 @@ class Sequences:
 
 @dataclass
 class SequenceStats:
-    """Frozen encoding/normalization state, fitted on the training split."""
+    """Frozen encoding/normalization state, fitted on the training split.
 
-    discrete_features: list[str]
-    cardinalities: list[int]
+    The network's inputs derive from it: an embedding per discrete feature
+    (each marker vocab, in sorted order, then DERIVED_DISCRETE) and one
+    input per continuous channel.
+    """
+
     vocabs: dict[str, dict[str, int]]  # marker-backed features only
-    cont_channels: list[str]
     mean: np.ndarray
     std: np.ndarray
     continuous_markers: list[str]
     max_steps: int
+
+    @property
+    def discrete_features(self) -> list[str]:
+        return [*sorted(self.vocabs), *DERIVED_DISCRETE]
+
+    @property
+    def cardinalities(self) -> list[int]:
+        """Each feature's number of codes, excluding the unknown slot."""
+        return ([len(self.vocabs[name]) for name in sorted(self.vocabs)]
+                + [DERIVED_CARDINALITIES[name] for name in DERIVED_DISCRETE])
+
+    @property
+    def cont_channels(self) -> list[str]:
+        return (["elapsed_days", "session_count", "total_duration"]
+                + [f"sum_{m}" for m in self.continuous_markers])
 
     def to_dict(self) -> dict:
         """The fields, with mean and std as lists."""
@@ -163,42 +184,27 @@ class SequenceStats:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SequenceStats":
-        """The statistics to_dict wrote. Names that are not strings, a
-        cardinality or max_steps that is not an integer of at least 1, or a
-        vocab code that is not an integer in [0, cardinality) of its feature
-        raise TypeError or ValueError."""
-        discrete = _strings(d, "discrete_features")
-        cardinalities = list(d["cardinalities"])
-        if not all(type(c) is int and c >= 1 for c in cardinalities):
-            raise ValueError(f"cardinalities = {cardinalities!r}, expected integers of at least 1")
+        """The statistics to_dict wrote. Continuous markers that are not
+        strings, a vocab named after a derived feature, a vocab code that is
+        not an integer in [0, len(vocab)), or a max_steps that is not an
+        integer of at least 1 raise TypeError or ValueError."""
         vocabs = {k: dict(v) for k, v in d["vocabs"].items()}
-        card = dict(zip(discrete, cardinalities))
         for name, vocab in vocabs.items():
-            limit = card.get(name, 0)
-            bad = [c for c in vocab.values() if not (type(c) is int and 0 <= c < limit)]
+            if name in DERIVED_DISCRETE:
+                raise ValueError(f"vocab {name!r} has the name of a derived feature")
+            bad = [c for c in vocab.values() if not (type(c) is int and 0 <= c < len(vocab))]
             if bad:
-                raise ValueError(f"vocab of {name!r} holds codes {bad[:3]} outside [0, {limit})")
+                raise ValueError(f"vocab of {name!r} holds codes {bad[:3]} outside "
+                                 f"[0, {len(vocab)})")
+        markers = d["continuous_markers"]
+        if not (isinstance(markers, list) and all(isinstance(m, str) for m in markers)):
+            raise TypeError(f"continuous_markers = {markers!r}, expected a list of strings")
         max_steps = d["max_steps"]
         if not (type(max_steps) is int and max_steps >= 1):
             raise ValueError(f"max_steps = {max_steps!r}, expected an integer of at least 1")
-        return cls(
-            discrete_features=discrete,
-            cardinalities=cardinalities,
-            vocabs=vocabs,
-            cont_channels=_strings(d, "cont_channels"),
-            mean=np.asarray(d["mean"], dtype=float),
-            std=np.asarray(d["std"], dtype=float),
-            continuous_markers=_strings(d, "continuous_markers"),
-            max_steps=max_steps,
-        )
-
-
-def _strings(d: dict, key: str) -> list[str]:
-    """d[key], a list of strings; anything else raises TypeError."""
-    values = d[key]
-    if not (isinstance(values, list) and all(isinstance(v, str) for v in values)):
-        raise TypeError(f"{key} = {values!r}, expected a list of strings")
-    return list(values)
+        return cls(vocabs=vocabs, mean=np.asarray(d["mean"], dtype=float),
+                   std=np.asarray(d["std"], dtype=float), continuous_markers=list(markers),
+                   max_steps=max_steps)
 
 
 def _unit_sums(column: np.ndarray, heads: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -215,13 +221,14 @@ def _unit_sums(column: np.ndarray, heads: np.ndarray, lengths: np.ndarray) -> np
     return total
 
 
-def _marker_codes(dataset: Dataset, name: str, vocab: dict[str, int], card: int,
+def _marker_codes(dataset: Dataset, name: str, vocab: dict[str, int],
                   rows: np.ndarray) -> np.ndarray:
     """Vocab index of a discrete marker at the given rows.
 
     A missing marker encodes as the string "None" would; values outside the
-    vocab take the unknown slot, card.
+    vocab take the unknown slot, len(vocab).
     """
+    card = len(vocab)
     missing = vocab.get("None", card)
     if name not in dataset.sessions.discrete:
         return np.full(len(rows), missing, dtype=np.int64)
@@ -241,6 +248,11 @@ def build_sequences(
     are fitted on this dataset and returned; otherwise the given stats are
     applied unchanged (test mode).
     """
+    derived_markers = sorted(name for name, (_, present, _) in dataset.sessions.discrete.items()
+                             if name in DERIVED_DISCRETE and present.any())
+    if derived_markers:
+        raise DataError(f"discrete marker {derived_markers[0]!r} has the name of a derived "
+                        f"feature ({', '.join(DERIVED_DISCRETE)}); rename the marker")
     fitting = stats is None
     if fitting:
         if config is None:
@@ -250,21 +262,9 @@ def build_sequences(
             if present.any():
                 used = {str(values[c]) for c in np.unique(codes[present]).tolist()}
                 vocabs[name] = {v: i for i, v in enumerate(sorted(used))}
-        markers = dataset_continuous_markers(dataset)
-        cont_channels = ["elapsed_days", "session_count", "total_duration"] + [
-            f"sum_{m}" for m in markers
-        ]
-        stats = SequenceStats(
-            discrete_features=list(vocabs) + list(DERIVED_DISCRETE),
-            cardinalities=([len(vocab) for vocab in vocabs.values()]
-                           + [DERIVED_CARDINALITIES[n] for n in DERIVED_DISCRETE]),
-            vocabs=vocabs,
-            cont_channels=cont_channels,
-            mean=np.zeros(len(cont_channels)),
-            std=np.ones(len(cont_channels)),
-            continuous_markers=markers,
-            max_steps=config.max_steps,
-        )
+        stats = SequenceStats(vocabs=vocabs, mean=np.empty(0), std=np.empty(0),  # fitted below
+                              continuous_markers=dataset_continuous_markers(dataset),
+                              max_steps=config.max_steps)
     markers = stats.continuous_markers
 
     # one unit per step: an active day
@@ -296,9 +296,9 @@ def build_sequences(
         "hour_of_day": np.minimum(((start - day) * 24.0).astype(np.int64), 23),
     }
     disc = np.column_stack([
-        _marker_codes(dataset, name, stats.vocabs[name], stats.cardinalities[k], heads)
+        _marker_codes(dataset, name, stats.vocabs[name], heads)
         if name in stats.vocabs else derived[name]
-        for k, name in enumerate(stats.discrete_features)
+        for name in stats.discrete_features
     ])
 
     keep = np.arange(len(heads)) >= np.repeat(firsts + per_user - stats.max_steps, per_user)

@@ -20,10 +20,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import output_dir
+from .config import MODEL_NAMES, output_dir
 from .errors import DataError, ValidationError
 
-MODEL_ORDER = ("baseline", "cph", "cpha", "rnn", "rnnsm", "rnnsma")
 ACTIVE_DAY_CAP = 64  # terminal bucket collects users with this many or more
 
 
@@ -156,9 +155,9 @@ def error_breakdowns(table: Predictions) -> dict[str, dict]:
 
 def _model_sort_key(name: str) -> tuple[int, str]:
     try:
-        return (MODEL_ORDER.index(name), name)
+        return (MODEL_NAMES.index(name), name)
     except ValueError:
-        return (len(MODEL_ORDER), name)
+        return (len(MODEL_NAMES), name)
 
 
 def build_report(
@@ -269,11 +268,12 @@ def read_predictions_csv(path: str | Path) -> tuple[str, Predictions]:
 
     The file is decoded as UTF-8. A file that is not UTF-8 or not CSV, or a
     row with a missing, non-numeric or non-finite value, with a negative
-    gap, horizon gap or active-day count, with both or neither gap cell
-    filled, with an is_censored_truth other than 1 for a censoring bound or
-    0 for a true gap, or with a user_id of an earlier row, raises
-    ValidationError naming path:line; a missing column or a path that
-    cannot be read, such as a missing file, names the path.
+    prediction, gap, horizon gap, active-day count or last session end,
+    with both or neither gap cell filled, with an is_censored_truth other
+    than 1 for a censoring bound or 0 for a true gap, or with a user_id of
+    an earlier row, raises ValidationError naming path:line; a missing
+    column or a path that cannot be read, such as a missing file, names the
+    path.
     """
     path = Path(path)
     try:
@@ -312,12 +312,12 @@ def read_predictions_csv(path: str | Path) -> tuple[str, Predictions]:
                                  f"{'1' if bound else '0'}, as the filled gap cell says")
             if row["user_id"] in lines:
                 raise ValueError(f"user {row['user_id']!r} repeats line {lines[row['user_id']]}")
-            predicted.append(_finite(row["predicted_return_days"]))
+            predicted.append(_not_negative(_finite(row["predicted_return_days"])))
             observed.append(_not_negative(_finite(true or bound)))
             horizon_gap.append(_not_negative(_finite(row["horizon_gap_days"])))
             active_days.append(np.int64(_not_negative(int(row["active_day_count"]))))
             end = row["last_session_end_days"]
-            last_end.append(_finite(end) if end else math.nan)
+            last_end.append(_not_negative(_finite(end)) if end else math.nan)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"{path}:{line}: bad prediction row: {exc}") from exc
         lines[row["user_id"]] = line

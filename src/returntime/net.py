@@ -30,8 +30,8 @@ class NetConfig:
     cardinalities: tuple[int, ...]  # declared sizes, excluding the unknown slot
     embedding_dims: tuple[int, ...]
     n_continuous: int
-    fusion_size: int = 32
-    hidden_size: int = 32
+    fusion_size: int
+    hidden_size: int
 
     def __post_init__(self) -> None:
         if not (len(self.discrete_features) == len(self.cardinalities) == len(self.embedding_dims)):

@@ -40,8 +40,9 @@ _LOG_TAIL = math.log(1e-9)  # survival level that bounds the quadrature interval
 _GRAD_O_BITS = 64
 # model.npz: 2 dropped the Adam moments, which nothing read back; 3 stores
 # the params in float32, the precision they are trained and scored in; 4
-# states the network's inputs once, by the sequence statistics
-CHECKPOINT_VERSION = 4
+# states the network's inputs once, by the sequence statistics; 5 drops the
+# statistics' feature lists, which derive from their vocabs and markers
+CHECKPOINT_VERSION = 5
 
 
 def _check_exponent(value: float, what: str) -> None:
@@ -210,11 +211,11 @@ def absence_conditioned_expectation(o, w: float, t_s):
 
 @dataclass(frozen=True)
 class TrainingConfig:
-    epochs: int = 25
-    batch_size: int = 64
-    learning_rate: float = 1e-3
-    clip_norm: float = 5.0
-    seed: int = 0
+    epochs: int
+    batch_size: int
+    learning_rate: float
+    clip_norm: float
+    seed: int
 
 
 @dataclass
@@ -431,9 +432,9 @@ def load_model(path: str | Path, kind: str) -> RecurrentModel:
     not fit the network, or a parameter that is not a float32 array of
     finite values, raises DataModelMismatchError; so does a corrupt archive
     directory, on which zipfile raises OSError, and a checkpoint of another
-    version, such as the float64 version 2 or the version 3 of earlier
-    releases. The training record is kept in meta.json; a checkpoint that
-    still carries one is read without it.
+    version, such as the float64 version 2 or the versions 3 and 4 of
+    earlier releases. The training record is kept in meta.json; a checkpoint
+    that still carries one is read without it.
     """
     try:
         # np.load leaks a file it opened itself when the archive is corrupt

@@ -117,11 +117,16 @@ class GeneratorConfig:
             epoch = dt.datetime.fromisoformat(self.epoch_iso)
         except ValueError as exc:
             raise ConfigError(f"epoch_iso must be an ISO date, got {self.epoch_iso!r}") from exc
-        # a parse counts starts in microseconds as float64, exact below 2^53
-        if self.horizon_days * SECONDS_PER_DAY * 1e6 >= 2 ** 53:
-            raise ConfigError("horizon_days must be below 2^53 microseconds (about 104,249 "
-                              f"days), got {self.horizon_days}")
         aware = epoch.replace(tzinfo=epoch.tzinfo or dt.timezone.utc)
+        # a parse counts starts in microseconds as float64, exact below 2^53,
+        # from midnight UTC of the earliest start: up to the epoch's time of
+        # day in UTC before the epoch
+        local = aware - aware.replace(hour=0, minute=0, second=0, microsecond=0)
+        utc_time_of_day = (local - aware.utcoffset()).total_seconds() % SECONDS_PER_DAY
+        if (self.horizon_days * SECONDS_PER_DAY + utc_time_of_day) * 1e6 >= 2 ** 53:
+            raise ConfigError("horizon_days must be below 2^53 microseconds (about 104,249 "
+                              "days) less the epoch's time of day in UTC, got "
+                              f"{self.horizon_days} from {self.epoch_iso!r}")
         try:  # the window dates count from the epoch as written, the session starts in UTC
             for start in (epoch, aware.astimezone(dt.timezone.utc)):
                 start + dt.timedelta(days=self.horizon_days)

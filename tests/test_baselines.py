@@ -28,7 +28,7 @@ def small_data():
     cfg = GeneratorConfig(user_count=220, seed=31)
     sessions, _ = generate(cfg)
     dataset = assign_windows(sessions, cfg.window)
-    seqs, stats = build_sequences(dataset, FeatureConfig(max_steps=32))
+    seqs, stats = build_sequences(dataset, FeatureConfig(max_steps=32, variance_threshold=0.9))
     return dataset, seqs, stats
 
 
@@ -93,7 +93,7 @@ class TestSimpleRnn:
     def test_censored_users_do_not_affect_training(self, small_data):
         _, seqs, stats = small_data
         config = small_net(stats)
-        cfg = TrainingConfig(epochs=2, batch_size=32, seed=5)
+        cfg = TrainingConfig(epochs=2, batch_size=32, learning_rate=1e-3, clip_norm=5.0, seed=5)
         mixed = train_simple_rnn(seqs, config, stats, cfg)
         returning_only = train_simple_rnn(
             seqs.take(np.flatnonzero(~seqs.censored)), config, stats, cfg
@@ -108,14 +108,15 @@ class TestSimpleRnn:
         _, seqs, stats = small_data
         config = small_net(stats)
         model = train_simple_rnn(
-            seqs, config, stats, TrainingConfig(epochs=8, seed=6, learning_rate=0.05)
+            seqs, config, stats, TrainingConfig(epochs=8, batch_size=64,
+                                                learning_rate=0.05, clip_norm=5.0, seed=6)
         )
         assert model.loss_trace[-1] < model.loss_trace[0]
 
     def test_divergence_restores_last_epoch_end_params(self, small_data, monkeypatch):
         _, seqs, stats = small_data
         config = small_net(stats)
-        cfg = TrainingConfig(epochs=1, batch_size=32, seed=9)
+        cfg = TrainingConfig(epochs=1, batch_size=32, learning_rate=1e-3, clip_norm=5.0, seed=9)
         one_epoch = train_simple_rnn(seqs, config, stats, cfg)
         # diverge on the second batch of epoch 2, after one more Adam step
         n_returning = int(np.count_nonzero(~seqs.censored))
@@ -140,7 +141,9 @@ class TestSimpleRnn:
         _, seqs, stats = small_data
         censored_only = seqs.take(np.flatnonzero(seqs.censored))
         with pytest.raises(DataError):
-            train_simple_rnn(censored_only, small_net(stats), stats, TrainingConfig(epochs=1))
+            train_simple_rnn(censored_only, small_net(stats), stats,
+                             TrainingConfig(epochs=1, batch_size=64, learning_rate=1e-3,
+                                            clip_norm=5.0, seed=0))
 
     def test_negative_outputs_clamped_to_zero(self, small_data):
         _, seqs, stats = small_data
@@ -149,7 +152,7 @@ class TestSimpleRnn:
         params["out_b"][0] = -50.0
         model_like = train_simple_rnn(
             seqs.take(np.flatnonzero(~seqs.censored)[:10]), config, stats,
-            TrainingConfig(epochs=0, seed=7),
+            TrainingConfig(epochs=0, batch_size=64, learning_rate=1e-3, clip_norm=5.0, seed=7),
         )
         model_like.params = params
         predicted = predict_simple_rnn(model_like, seqs.take(np.arange(20)))
@@ -160,7 +163,9 @@ class TestSimpleRnn:
     def test_save_load_round_trip(self, small_data, tmp_path):
         _, seqs, stats = small_data
         config = small_net(stats)
-        model = train_simple_rnn(seqs, config, stats, TrainingConfig(epochs=2, seed=8))
+        training = TrainingConfig(epochs=2, batch_size=64, learning_rate=1e-3, clip_norm=5.0,
+                                  seed=8)
+        model = train_simple_rnn(seqs, config, stats, training)
         path = tmp_path / "rnn.npz"
         save_model(path, model)
         loaded = load_model(path, "rnn")

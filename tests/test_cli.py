@@ -22,6 +22,7 @@ from returntime import data, experiment, metrics
 from returntime.cli import main
 from returntime.config import load_config, model_family
 from returntime.errors import DataError
+from returntime.features import SequenceStats
 
 from oracles import (
     Record,
@@ -419,15 +420,22 @@ class TestTrainPredictEvaluate:
         # the training record lives in meta.json only
         assert sorted(meta) == ["embedding_dims", "fusion_size", "hidden_size", "kind", "stats",
                                 "version", "w"]
+        stats = meta["stats"]
+        assert sorted(stats) == ["continuous_markers", "max_steps", "mean", "std", "vocabs"]
         params = {k: a for k, a in arrays.items() if k != "meta"}
         # a version 1 checkpoint also carried the Adam moments and step,
-        # versions 1 and 2 held float64 params, and version 3 held float32
-        # params under a header that stated the network's inputs twice
+        # versions 1 and 2 held float64 params, version 3 held float32
+        # params under a header that stated the network's inputs twice, and
+        # version 4 stored the feature lists that derive from the statistics
         float64 = {k: a.astype(np.float64) for k, a in params.items()}
         moments = {f"adam_{m}::{k[len('param::'):]}": np.zeros_like(a)
                    for k, a in float64.items() for m in "mv"}
+        derived = SequenceStats.from_dict(stats)
+        stats4 = {**stats, "discrete_features": derived.discrete_features,
+                  "cardinalities": derived.cardinalities, "cont_channels": derived.cont_channels}
         for version, extra, members in ((1, {"adam_step": 12}, {**float64, **moments}),
-                                        (2, {}, float64), (3, {}, params), (99, {}, params)):
+                                        (2, {}, float64), (3, {}, params),
+                                        (4, {"stats": stats4}, params), (99, {}, params)):
             header = json.dumps({**meta, "version": version, **extra}).encode()
             np.savez(path, meta=np.frombuffer(header, dtype=np.uint8), **members)
             capsys.readouterr()
@@ -920,11 +928,16 @@ def with_vocab_code(code):
 
 
 def with_channel(header):
-    """The header with one more continuous channel than the params were
-    trained on."""
+    """The header with one more continuous marker, and so one more channel,
+    than the params were trained on."""
     stats = header["stats"]
-    return with_stats(cont_channels=stats["cont_channels"] + ["extra"],
+    return with_stats(continuous_markers=stats["continuous_markers"] + ["extra"],
                       mean=stats["mean"] + [0.0], std=stats["std"] + [1.0])(header)
+
+
+def with_vocab(name, vocab):
+    """The header with the vocab of name set to vocab."""
+    return lambda header: with_stats(vocabs={**header["stats"]["vocabs"], name: vocab})(header)
 
 
 @pytest.mark.parametrize("model,edit", [
@@ -947,21 +960,19 @@ def with_channel(header):
     ("rnnsm", lambda header: with_stats(mean=[0.0])(header)),
     ("rnn", lambda header: with_stats(std=["a"] * len(header["stats"]["std"]))(header)),
     ("rnnsm", with_stats(continuous_markers=[[1]])),
-    ("rnn", lambda header: with_stats(
-        cont_channels=[1] * len(header["stats"]["cont_channels"]))(header)),
+    ("rnn", with_vocab("device", ["mobile"])),
     ("rnnsm", with_vocab_code("x")),
     ("rnnsm", with_vocab_code(10**6)),
     ("rnn", with_vocab_code(-1)),
     ("rnnsm", with_stats(max_steps=0)),
     ("rnnsm", with_stats(max_steps=-3)),
-    ("rnn", lambda header: with_stats(
-        cardinalities=[c + 0.5 for c in header["stats"]["cardinalities"]])(header)),
+    ("rnn", with_vocab("hour_of_day", {"a": 0})),
 ], ids=["w-text", "w-null", "w-negative", "w-nan", "rnn-w-number", "embedding-dims-number",
         "header-list", "stats-list", "vocabs-list", "fusion-size-text", "hidden-size-edited",
         "hidden-size-float", "embedding-dims-short", "embedding-dims-zero",
         "n-continuous-edited", "stats-mean-short", "stats-std-text", "markers-not-strings",
-        "channels-not-strings", "vocab-code-text", "vocab-code-too-large",
-        "vocab-code-negative", "max-steps-zero", "max-steps-negative", "cardinality-fraction"])
+        "vocab-list", "vocab-code-text", "vocab-code-too-large",
+        "vocab-code-negative", "max-steps-zero", "max-steps-negative", "vocab-derived-name"])
 def test_malformed_checkpoint_header_exit_3(trained_recurrent, tmp_path, model, edit):
     rc, err, target = predict_with_header(trained_recurrent, tmp_path, model, edit)
     assert rc == 3, err
@@ -981,6 +992,29 @@ def test_checkpoint_with_a_training_record_still_loads(trained_recurrent, tmp_pa
                                        with_header(loss_trace=5, diverged="no"))
     assert rc == 0, err
     assert old.read_bytes() == kept.read_bytes()
+
+
+@pytest.mark.parametrize("name", ["hour_of_day", "day_of_week", "day_of_month"])
+def test_marker_named_after_a_derived_feature_exit_2(trained_recurrent, tmp_path, capsys, name):
+    # one embedding table served the marker and the derived feature of that
+    # name, both columns read the marker's codes, and training exited 0
+    cfgs, base = trained_recurrent
+    path = tmp_path / "sessions.jsonl"
+    lines = (base / "data" / "sessions.jsonl").read_text().splitlines()
+    records = [json.loads(line) for line in lines]
+    for i, rec in enumerate(records):
+        rec["markers"][name] = "ab"[i % 2]
+    path.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+    cfgs = [*cfgs, "--config", write_cfg(tmp_path, {"data": {"sessions": str(path)}})]
+    capsys.readouterr()
+    for argv in (["train", "--model", "rnnsm", *cfgs, "--out", str(tmp_path / "rnnsm")],
+                 ["predict", "--model", "rnn", "--checkpoint", str(base / "rnn"), *cfgs,
+                  "--split", "all", "--out", str(tmp_path / "p.csv")]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and repr(name) in err and "Traceback" not in err
+    assert not (tmp_path / "rnnsm" / "model.npz").exists()
+    assert not (tmp_path / "p.csv").exists()
 
 
 @pytest.fixture(scope="module")
@@ -1070,10 +1104,13 @@ def test_breakdown_csv_quotes_model_names(tmp_path):
     (("is_censored_truth", "true_return_days", "censored_lower_bound_days"),
      (b"1", b"", b"-95.0")),
     ("horizon_gap_days", b"-120.0"),
+    ("predicted_return_days", b"-50.0"),
+    ("last_session_end_days", b"-3.0"),
 ], ids=["prediction-text", "prediction-nan", "horizon-overflows", "active-days-float",
         "not-utf-8", "short-row", "censored-flag-not-0-or-1", "censored-flag-disagrees",
         "repeated-user", "both-gap-cells", "active-days-negative", "true-gap-negative",
-        "censoring-bound-negative", "horizon-gap-negative"])
+        "censoring-bound-negative", "horizon-gap-negative", "prediction-negative",
+        "last-end-negative"])
 def test_malformed_prediction_csv_exit_2(tmp_path, column, value):
     path = prediction_csv(tmp_path / "p.csv")
     lines = path.read_bytes().split(b"\r\n")

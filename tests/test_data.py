@@ -258,15 +258,23 @@ class TestJsonlRoundTrip:
         ]
         path = tmp_path / "sessions.jsonl"
         write_sessions_jsonl(path, session_columns(sessions), "2020-01-01T00:00:00+00:00")
-        loaded, epoch_iso, weekday = cold_read_equals_cached(path)
+        loaded, epoch_iso, _ = cold_read_equals_cached(path)
         assert epoch_iso.startswith("2020-01-01")
-        assert weekday == 2  # 2020-01-01 is a Wednesday
         assert [x.user_id for x in loaded] == ["a", "a", "b"]
         for orig, back in zip(sessions, loaded):
             assert back.start_time == pytest.approx(orig.start_time, abs=2e-11)
             assert back.duration == pytest.approx(orig.duration, abs=2e-11)
             assert back.discrete_markers == orig.discrete_markers
             assert back.continuous_markers == orig.continuous_markers
+
+    @pytest.mark.parametrize("epoch_iso, weekday", [
+        (None, 0), ("2020-01-01T00:00:00+00:00", 2), ("1970-01-01T00:00:00+00:00", 3),
+        ("2020-01-01T23:00:00-05:00", 3), ("2020-01-02T01:00:00+02:00", 2),
+    ])
+    def test_epoch_weekday_is_the_epochs_weekday_in_utc(self, epoch_iso, weekday):
+        ds = assign_windows(session_columns([s("a", 50.0)]), WINDOW, epoch_iso)
+        assert ds.epoch_weekday == weekday
+        assert ds.subset(np.arange(1)).epoch_weekday == weekday
 
     def test_starts_spanning_2_pow_53_microseconds_leave_no_cache(self, tmp_path):
         sessions = session_columns([Session("a", 0.5, 0.01, {}, {}),
@@ -355,7 +363,7 @@ class TestSessionsCache:
             assert cache_of(path).exists()
             hit = cached_read(path)
             assert as_plain(miss) == as_plain(hit) == plain
-            assert miss.sha256 == hit.sha256 == data.hashlib.sha256(path.read_bytes()).hexdigest()
+            assert miss[2] == hit[2] == data.hashlib.sha256(path.read_bytes()).hexdigest()
 
     def test_edited_file_reparses_and_rewrites_cache(self, tmp_path):
         path = tmp_path / "sessions.jsonl"
@@ -364,7 +372,7 @@ class TestSessionsCache:
         old_cache = cache_of(path).read_bytes()
         write_lines(path, SAMPLE + [record("b", 3.0, pages=2)])
         second = read_sessions_jsonl(path)
-        assert second.sha256 != first.sha256
+        assert second[2] != first[2]  # the file's sha256
         assert as_plain(second) == read_sessions_plain(path)
         assert len(second[0]) == len(first[0]) + 1
         assert cache_of(path).read_bytes() != old_cache
@@ -392,7 +400,7 @@ class TestSessionsCache:
         assert as_plain(read) == read_sessions_plain(path)
         with np.load(cache_of(path)) as npz:
             header = json.loads(npz["header"].tobytes())
-        assert (header["version"], header["sha256"]) == (CACHE_FORMAT_VERSION, read.sha256)
+        assert (header["version"], header["sha256"]) == (CACHE_FORMAT_VERSION, read[2])
         assert as_plain(cached_read(path)) == read_sessions_plain(path)
 
     @pytest.mark.parametrize("failing", ["mkstemp", "savez", "replace"])
@@ -410,8 +418,8 @@ class TestSessionsCache:
     def test_empty_file_reads_empty_through_the_cache(self, tmp_path):
         path = tmp_path / "sessions.jsonl"
         path.write_text("\n\n")
-        assert as_plain(read_sessions_jsonl(path)) == ([], "1970-01-01T00:00:00+00:00", 3)
-        assert as_plain(cached_read(path)) == ([], "1970-01-01T00:00:00+00:00", 3)
+        assert as_plain(read_sessions_jsonl(path)) == ([], "1970-01-01T00:00:00+00:00")
+        assert as_plain(cached_read(path)) == ([], "1970-01-01T00:00:00+00:00")
 
     @pytest.mark.parametrize("bad,message", [
         ('{"user_id": "d", "start_ts": 123}', ":5: bad session record"),

@@ -24,6 +24,7 @@ from oracles import (
 )
 from returntime.features import (
     FeatureConfig,
+    SequenceStats,
     Standardization,
     build_aggregates,
     build_sequences,
@@ -143,7 +144,7 @@ class TestSequences:
         raw = [s("u", float(d) + 0.3) for d in range(70)] + [s("u", 75.0)]
         window = WindowConfig(activity_start=1.0, prediction_start=72.0, horizon_end=100.0)
         ds = assign_windows(session_columns(raw), window)
-        seqs, stats = build_sequences(ds, FeatureConfig(max_steps=64))
+        seqs, stats = build_sequences(ds, FeatureConfig(max_steps=64, variance_threshold=0.9))
         assert seqs.lengths.tolist() == [64]
         assert ds.active_day_counts.tolist() == [70]
         # elapsed input of the first retained step keeps the real gap
@@ -152,7 +153,7 @@ class TestSequences:
 
     def test_single_active_day_has_zero_elapsed(self):
         ds = assign_windows(session_columns([s("c", 6.0)]), WINDOW)
-        seqs, stats = build_sequences(ds, FeatureConfig(max_steps=8))
+        seqs, stats = build_sequences(ds, FeatureConfig(max_steps=8, variance_threshold=0.9))
         assert seqs.lengths.tolist() == [1]
         raw_elapsed = seqs.cont[0, 0] * stats.std[0] + stats.mean[0]
         assert raw_elapsed == pytest.approx(0.0)
@@ -160,7 +161,7 @@ class TestSequences:
 
     def test_same_day_sessions_grouped(self):
         ds = assign_windows(session_columns([s("b", 3.3), s("b", 3.5), s("b", 8.0)]), WINDOW)
-        seqs, stats = build_sequences(ds, FeatureConfig(max_steps=8))
+        seqs, stats = build_sequences(ds, FeatureConfig(max_steps=8, variance_threshold=0.9))
         assert seqs.lengths.tolist() == [2]
         idx = stats.cont_channels.index("session_count")
         raw_count = seqs.cont[0, idx] * stats.std[idx] + stats.mean[idx]
@@ -168,7 +169,7 @@ class TestSequences:
 
     def test_targets_are_day_gaps_then_final_gap(self):
         ds = assign_windows(session_columns([s("b", 3.3), s("b", 8.0), s("b", 12.0)]), WINDOW)
-        seqs, _ = build_sequences(ds, FeatureConfig(max_steps=8))
+        seqs, _ = build_sequences(ds, FeatureConfig(max_steps=8, variance_threshold=0.9))
         assert len(seqs) == 1
         assert seqs.targets[0] == pytest.approx(5.0)  # day 3 -> day 8
         assert seqs.targets[-1] == pytest.approx(12.0 - 8.0)
@@ -176,7 +177,7 @@ class TestSequences:
 
     def test_unknown_category_maps_to_reserved_slot(self):
         train = small_dataset()
-        _, stats = build_sequences(train, FeatureConfig(max_steps=8))
+        _, stats = build_sequences(train, FeatureConfig(max_steps=8, variance_threshold=0.9))
         test_ds = assign_windows(session_columns([s("z", 5.0, device="smartwatch")]), WINDOW)
         seqs, _ = build_sequences(test_ds, stats=stats)
         assert len(seqs) == 1
@@ -187,14 +188,14 @@ class TestSequences:
 
     def test_all_indices_within_cardinality_plus_unknown(self):
         ds = small_dataset()
-        seqs, stats = build_sequences(ds, FeatureConfig(max_steps=8))
+        seqs, stats = build_sequences(ds, FeatureConfig(max_steps=8, variance_threshold=0.9))
         cards = np.asarray(stats.cardinalities)
         assert np.all(seqs.disc < cards + 1)
         assert np.all(seqs.disc >= 0)
 
     def test_test_mode_does_not_mutate_stats(self):
         train = small_dataset()
-        _, stats = build_sequences(train, FeatureConfig(max_steps=8))
+        _, stats = build_sequences(train, FeatureConfig(max_steps=8, variance_threshold=0.9))
         frozen = copy.deepcopy(stats.to_dict())
         test_ds = assign_windows(session_columns([s("z", 5.0, pages=99.0)]), WINDOW)
         build_sequences(test_ds, stats=stats)
@@ -202,7 +203,7 @@ class TestSequences:
 
     def test_lengths_match_capped_active_days(self):
         ds = small_dataset()
-        config = FeatureConfig(max_steps=2)
+        config = FeatureConfig(max_steps=2, variance_threshold=0.9)
         seqs, _ = build_sequences(ds, config)
         assert len(seqs) == len(ds)
         for length, user in zip(seqs.lengths.tolist(), ds.users):
@@ -210,18 +211,33 @@ class TestSequences:
 
     def test_pad_batch_masks(self):
         ds = small_dataset()
-        seqs, _ = build_sequences(ds, FeatureConfig(max_steps=8))
+        seqs, _ = build_sequences(ds, FeatureConfig(max_steps=8, variance_threshold=0.9))
         batch = pad_batch(seqs, np.arange(len(seqs)))
         assert batch.disc.shape[0] == len(seqs)
         assert batch.lengths.tolist() == seqs.lengths.tolist()
         assert np.all(batch.targets > 0)
+
+    def test_feature_lists_derive_from_vocabs_and_markers(self):
+        _, stats = build_sequences(small_dataset(),
+                                   FeatureConfig(max_steps=8, variance_threshold=0.9))
+        assert set(stats.to_dict()) == {"vocabs", "mean", "std", "continuous_markers",
+                                        "max_steps"}
+        assert stats.vocabs == {"device": {"mobile": 0, "tablet": 1}}
+        assert stats.discrete_features == ["device", "day_of_week", "day_of_month",
+                                           "hour_of_day"]
+        assert stats.cardinalities == [2, 7, 31, 24]
+        assert stats.cont_channels == ["elapsed_days", "session_count", "total_duration",
+                                       "sum_pages_viewed"]
+        loaded = SequenceStats.from_dict(stats.to_dict())
+        assert (loaded.discrete_features, loaded.cardinalities, loaded.cont_channels) == (
+            stats.discrete_features, stats.cardinalities, stats.cont_channels)
 
 
 @pytest.fixture(scope="module")
 def generated_sequences():
     cfg = GeneratorConfig(user_count=150, seed=13)
     dataset = assign_windows(generate(cfg)[0], cfg.window)
-    seqs, stats = build_sequences(dataset, FeatureConfig(max_steps=16))
+    seqs, stats = build_sequences(dataset, FeatureConfig(max_steps=16, variance_threshold=0.9))
     return dataset, seqs, stats
 
 
@@ -290,7 +306,7 @@ def assert_matches_object_path(train, test, train_users, test_users):
     """Sequences, fitted on train and applied to test, and aggregates, equal
     to the object path's on the same users."""
     window, weekday = train.window, train.epoch_weekday
-    config = FeatureConfig(max_steps=64)
+    config = FeatureConfig(max_steps=64, variance_threshold=0.9)
     seqs, stats = build_sequences(train, config)
     want, want_stats = build_sequences_objects(train_users, weekday, config)
     assert stats.to_dict() == want_stats.to_dict()
@@ -343,10 +359,12 @@ class TestObjectPathOracle:
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(session_streams(), session_streams(), st.integers(0, 6))
     def test_random_streams_match_object_path(self, raw, other, weekday):
-        dataset = assign_windows(session_columns(raw), PROPERTY_WINDOW, epoch_weekday=weekday)
+        epoch_iso = f"2024-01-0{1 + weekday}T00:00:00+00:00"  # 2024-01-01 is a Monday
+        dataset = assign_windows(session_columns(raw), PROPERTY_WINDOW, epoch_iso)
+        assert dataset.epoch_weekday == weekday
         users = assign_windows_objects(raw, PROPERTY_WINDOW)
         assert dataset.users == users
-        test = assign_windows(session_columns(other), PROPERTY_WINDOW, epoch_weekday=weekday)
+        test = assign_windows(session_columns(other), PROPERTY_WINDOW, epoch_iso)
         test_users = assign_windows_objects(other, PROPERTY_WINDOW)
         assert test.users == test_users
         if users and test_users:
@@ -357,7 +375,7 @@ class TestObjectPathOracle:
             out = Path(tmp) / "data"
             assert main(["generate", "--out", str(out), "--seed", "7"]) == 0
             data = experiment.load_and_split(load_config([str(out / "run_config.json")]))
-            sessions, _, _ = read_sessions_plain(out / "sessions.jsonl")
+            sessions, _ = read_sessions_plain(out / "sessions.jsonl")
         users = assign_windows_objects(sessions, data.dataset.window)
         assert data.dataset.users == users
         by_id = {u.user_id: u for u in users}

@@ -82,18 +82,18 @@ def assert_same_table(a, b):
 @st.composite
 def prediction_tables(draw):
     """Tables with non-ASCII (and CSV-quoted) user ids, censored rows and
-    unknown (NaN) last session ends. Gaps, horizon gaps and active-day
-    counts are not negative, as a reader requires."""
+    unknown (NaN) last session ends. Predictions, gaps, horizon gaps,
+    active-day counts and last session ends are not negative, as a reader
+    requires."""
     ids = draw(st.lists(st.text(st.characters(blacklist_categories=("Cs",)), max_size=8),
                         min_size=1, max_size=12, unique=True))
-    finite = st.floats(allow_nan=False, allow_infinity=False)
     not_negative = st.floats(min_value=-0.0, allow_infinity=False)
     records = []
     for user_id in ids:
         gap, censored = draw(not_negative), draw(st.booleans())
         records.append(Record(
-            user_id, draw(finite), None if censored else gap, gap if censored else None,
-            draw(not_negative), draw(st.integers(0, 2**63 - 1)), draw(st.none() | finite),
+            user_id, draw(not_negative), None if censored else gap, gap if censored else None,
+            draw(not_negative), draw(st.integers(0, 2**63 - 1)), draw(st.none() | not_negative),
         ))
     return table(records)
 

@@ -393,23 +393,21 @@ class TestFloat32:
 
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
-        params, disc, cont = random_instance(14, T=2)
+        stats = SequenceStats(vocabs={"device": {"a": 0, "b": 1, "c": 2}}, mean=np.zeros(3),
+                              std=np.ones(3), continuous_markers=[], max_steps=8)
+        config = rnnsm.network_config(stats, (2, 3, 2, 2), fusion_size=5, hidden_size=4)
+        params, disc, cont = random_instance(14, T=2, config=config)
         params = as_float32(params)  # a model.npz holds float32 params
-        stats = SequenceStats(
-            discrete_features=list(CONFIG.discrete_features),
-            cardinalities=list(CONFIG.cardinalities), vocabs={}, cont_channels=["a", "b"],
-            mean=np.zeros(2), std=np.ones(2), continuous_markers=[], max_steps=8,
-        )
         path = tmp_path / "model.npz"
-        rnnsm.save_model(path, rnnsm.RecurrentModel(params, CONFIG, stats, w=0.5))
+        rnnsm.save_model(path, rnnsm.RecurrentModel(params, config, stats, w=0.5))
         loaded = rnnsm.load_model(path, "rnnsm")
-        assert loaded.net_config == CONFIG
+        assert loaded.net_config == config
         assert loaded.w == 0.5
         assert loaded.params.keys() == params.keys()
         with np.load(path) as data:
             assert sorted(data.files) == sorted(["meta", *(f"param::{k}" for k in params)])
         for k in params:
             assert np.array_equal(loaded.params[k], params[k])
-        o1, _ = forward_one(params, disc, cont)
+        o1, _ = forward_one(params, disc, cont, config)
         o2, _ = forward_one(loaded.params, disc, cont, loaded.net_config)
         assert np.array_equal(o1, o2)

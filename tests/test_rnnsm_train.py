@@ -52,7 +52,7 @@ def small_dataset():
 
 @pytest.fixture(scope="module")
 def small_sequences(small_dataset):
-    return build_sequences(small_dataset, FeatureConfig(max_steps=32))
+    return build_sequences(small_dataset, FeatureConfig(max_steps=32, variance_threshold=0.9))
 
 
 def small_net(stats, hidden=8, fusion=8):
@@ -104,7 +104,8 @@ class TestTraining:
         config = small_net(stats)
         model = rnnsm.train_rnnsm(
             seqs, config, stats, w=0.1,
-            config=rnnsm.TrainingConfig(epochs=6, batch_size=64, seed=1),
+            config=rnnsm.TrainingConfig(epochs=6, batch_size=64,
+                                        learning_rate=1e-3, clip_norm=5.0, seed=1),
         )
         assert len(model.loss_trace) == 6
         assert model.loss_trace[5] < model.loss_trace[0]
@@ -113,7 +114,8 @@ class TestTraining:
     def test_same_seed_identical_trace_and_params(self, small_sequences):
         seqs, stats = small_sequences
         config = small_net(stats)
-        cfg = rnnsm.TrainingConfig(epochs=3, batch_size=64, seed=2)
+        cfg = rnnsm.TrainingConfig(epochs=3, batch_size=64,
+                                   learning_rate=1e-3, clip_norm=5.0, seed=2)
         m1 = rnnsm.train_rnnsm(seqs, config, stats, w=0.1, config=cfg)
         m2 = rnnsm.train_rnnsm(seqs, config, stats, w=0.1, config=cfg)
         assert m1.loss_trace == m2.loss_trace
@@ -137,14 +139,18 @@ class TestTraining:
         returning_only = seqs.take(np.flatnonzero(~seqs.censored))
         with pytest.raises(DataError):
             rnnsm.train_rnnsm(returning_only, config, stats, w=0.1,
-                              config=rnnsm.TrainingConfig(epochs=1))
+                              config=rnnsm.TrainingConfig(epochs=1, batch_size=64,
+                                                          learning_rate=1e-3, clip_norm=5.0,
+                                                          seed=0))
 
     def test_w_must_be_positive(self, small_sequences):
         seqs, stats = small_sequences
         config = small_net(stats)
         with pytest.raises(Exception):
             rnnsm.train_rnnsm(seqs, config, stats, w=0.0,
-                              config=rnnsm.TrainingConfig(epochs=1))
+                              config=rnnsm.TrainingConfig(epochs=1, batch_size=64,
+                                                          learning_rate=1e-3, clip_norm=5.0,
+                                                          seed=0))
 
     def test_divergence_restores_last_good_params(self, small_sequences):
         seqs, stats = small_sequences
@@ -155,7 +161,8 @@ class TestTraining:
         poisoned.targets[seqs.offsets[1] - 1] = 5000.0  # the first user's final gap
         model = rnnsm.train_rnnsm(
             poisoned, config, stats, w=1.0,
-            config=rnnsm.TrainingConfig(epochs=2, batch_size=16, seed=3),
+            config=rnnsm.TrainingConfig(epochs=2, batch_size=16,
+                                        learning_rate=1e-3, clip_norm=5.0, seed=3),
         )
         assert model.diverged
         assert model.loss_trace == []
@@ -165,7 +172,8 @@ class TestTraining:
     def test_divergence_restores_last_epoch_end_params(self, small_sequences, monkeypatch):
         seqs, stats = small_sequences
         config = small_net(stats)
-        cfg = rnnsm.TrainingConfig(epochs=1, batch_size=64, seed=3)
+        cfg = rnnsm.TrainingConfig(epochs=1, batch_size=64,
+                                   learning_rate=1e-3, clip_norm=5.0, seed=3)
         one_epoch = rnnsm.train_rnnsm(seqs, config, stats, w=0.1, config=cfg)
         # diverge on the second batch of epoch 2, after one more Adam step
         fail_at = -(-len(seqs) // cfg.batch_size) + 2
@@ -220,7 +228,8 @@ class TestFloat32Training:
     def test_large_w_trains_as_in_float64(self, small_sequences, w):
         seqs, stats = small_sequences
         config = small_net(stats)
-        training = rnnsm.TrainingConfig(epochs=3, batch_size=64, seed=1)
+        training = rnnsm.TrainingConfig(epochs=3, batch_size=64,
+                                        learning_rate=1e-3, clip_norm=5.0, seed=1)
         want, peak = float64_reference(seqs, config, stats, w, training)
         # unscaled, these gradients would overflow float32 and end training
         assert peak > float(np.finfo(np.float32).max)
@@ -264,7 +273,8 @@ def trained(small_dataset, small_sequences):
     config = small_net(stats)
     model = rnnsm.train_rnnsm(
         seqs, config, stats, w=0.1,
-        config=rnnsm.TrainingConfig(epochs=4, batch_size=64, seed=4),
+        config=rnnsm.TrainingConfig(epochs=4, batch_size=64,
+                                    learning_rate=1e-3, clip_norm=5.0, seed=4),
     )
     return model, seqs, small_dataset.absence_times
 
@@ -347,7 +357,7 @@ class TestPrediction:
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("kind, w", [("rnn", None), ("rnnsm", 0.25)])
-    def test_hand_written_version_4_file_loads(self, small_sequences, tmp_path, kind, w):
+    def test_hand_written_version_5_file_loads(self, small_sequences, tmp_path, kind, w):
         # the model.npz layout, written without save_model: renaming a member
         # or a header key breaks every trained model unless the version moves
         _, stats = small_sequences
@@ -356,16 +366,13 @@ class TestPrediction:
         params = {name: rng.uniform(-1.0, 1.0, size=shape).astype(np.float32)
                   for name, shape in net.param_shapes(config).items()}
         stats_header = {
-            "discrete_features": stats.discrete_features,
-            "cardinalities": stats.cardinalities,
             "vocabs": stats.vocabs,
-            "cont_channels": stats.cont_channels,
             "mean": stats.mean.tolist(),
             "std": stats.std.tolist(),
             "continuous_markers": stats.continuous_markers,
             "max_steps": stats.max_steps,
         }
-        header = {"version": 4, "kind": kind, "w": w, "stats": stats_header,
+        header = {"version": 5, "kind": kind, "w": w, "stats": stats_header,
                   "embedding_dims": list(config.embedding_dims),
                   "fusion_size": config.fusion_size, "hidden_size": config.hidden_size}
         meta = json.dumps(header, sort_keys=True).encode()

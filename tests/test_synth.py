@@ -125,10 +125,16 @@ class TestValidation:
         ({"epoch_iso": "9999-06-01T00:00:00+00:00"}, "epoch_iso + horizon_days"),
         ({"horizon_days": 1e9}, "horizon_days"),
         ({"horizon_days": 2e6}, "horizon_days"),
-    ], ids=["epoch-near-year-10000", "horizon-1e9-days", "horizon-2e6-days"])
+        # half a day below the 2^53 microsecond bound, which the parse's
+        # midnight UTC epoch, 23 hours before this one, carries past it
+        ({"epoch_iso": "2020-01-01T23:00:00+00:00", "horizon_days": 104249.5}, "horizon_days"),
+    ], ids=["epoch-near-year-10000", "horizon-1e9-days", "horizon-2e6-days",
+            "epoch-at-23h-utc-horizon-within-a-day-of-the-bound"])
     def test_horizon_the_files_cannot_hold_exit_2(self, tmp_path, capsys, generator, key):
         # the first two ended in an OverflowError traceback while formatting
-        # the lines; the third wrote a sessions file every later read refused
+        # the lines; the third wrote a sessions file every later read
+        # refused, and the fourth may: a start in its last half day lies
+        # 2^53 microseconds or more past the parse's epoch
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"generator": {"user_count": 3, **generator}}))
         assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
