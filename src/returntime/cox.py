@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -138,16 +137,18 @@ class CoxModel:
             raise ValidationError(
                 f"baseline needs equal-length, non-empty 1-d times and hazards, got "
                 f"{t.shape} and {h.shape}")
+        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(h))):
+            raise ValidationError("baseline event times and hazard values must be finite")
         if np.any(np.diff(t) <= 0) or np.any(t <= 0):
             raise ValidationError("baseline event times must be positive and strictly increasing")
         if np.any(h < 0):
             raise ValidationError("baseline hazard values must be non-negative")
-        self.beta = np.asarray(self.beta, dtype=float)
+        b = self.beta = np.asarray(self.beta, dtype=float)
         c = self.center = np.asarray(self.center, dtype=float)
         p = len(self.feature_names)
-        if not (self.beta.shape == c.shape == (p,) and np.all(np.isfinite(c))):
-            raise ValidationError(f"{p} features need as many coefficients and finite center "
-                                  f"values, got {self.beta} and {c}")
+        if not (b.shape == c.shape == (p,) and np.all(np.isfinite(b)) and np.all(np.isfinite(c))):
+            raise ValidationError(f"{p} features need as many finite coefficients and center "
+                                  f"values, got {b.tolist()} and {c.tolist()}")
         self.baseline_times = t
         self.baseline_hazard = h
         widths = np.diff(np.concatenate([[0.0], t]))
@@ -170,21 +171,6 @@ class CoxModel:
         value = self._cum_at_knots[i] + self._piece_rates[i] * (t - self._piece_left[i])
         value = np.where(t <= 0, 0.0, value)
         return float(value) if value.ndim == 0 else value
-
-    def risk_score(self, x: np.ndarray) -> float:
-        return float(_linear_predictor(np.atleast_2d(x), self.beta, self.center)[0])
-
-    def survival(self, x: np.ndarray, t: float) -> float:
-        """S(t | x) = exp(-exp(beta.(x - center)) * Lambda(t)), overflow-guarded."""
-        if t <= 0:
-            return 1.0
-        ch = self.cumulative_hazard(t)
-        if ch <= 0:
-            return 1.0
-        expo = self.risk_score(x) + math.log(ch)
-        if expo > 700.0:
-            return 0.0
-        return math.exp(-math.exp(expo))
 
     def mean_residuals(self, lin: np.ndarray, a: np.ndarray) -> np.ndarray:
         """integral_a^inf S(z|x)/S(a|x) dz for every row, from its linear

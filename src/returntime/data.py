@@ -199,10 +199,6 @@ class Dataset:
         return self.sessions.user_ids
 
     @property
-    def censored_fraction(self) -> float:
-        return int(self.is_censored.sum()) / len(self) if len(self) else 0.0
-
-    @property
     def absence_times(self) -> np.ndarray:
         return self.window.prediction_start - self.last_session_end
 

@@ -186,7 +186,8 @@ class SequenceStats:
     def from_dict(cls, d: dict) -> "SequenceStats":
         """The statistics to_dict wrote. Continuous markers that are not
         strings, a vocab named after a derived feature, a vocab code that is
-        not an integer in [0, len(vocab)), or a max_steps that is not an
+        not an integer in [0, len(vocab)), a mean that is not finite, a std
+        that is not positive and finite, or a max_steps that is not an
         integer of at least 1 raise TypeError or ValueError."""
         vocabs = {k: dict(v) for k, v in d["vocabs"].items()}
         for name, vocab in vocabs.items():
@@ -202,8 +203,11 @@ class SequenceStats:
         max_steps = d["max_steps"]
         if not (type(max_steps) is int and max_steps >= 1):
             raise ValueError(f"max_steps = {max_steps!r}, expected an integer of at least 1")
-        return cls(vocabs=vocabs, mean=np.asarray(d["mean"], dtype=float),
-                   std=np.asarray(d["std"], dtype=float), continuous_markers=list(markers),
+        mean, std = np.asarray(d["mean"], dtype=float), np.asarray(d["std"], dtype=float)
+        if not (np.all(np.isfinite(mean)) and np.all((std > 0) & (std < np.inf))):
+            raise ValueError(f"mean = {mean.tolist()}, std = {std.tolist()}, expected finite "
+                             f"means and positive finite stds")
+        return cls(vocabs=vocabs, mean=mean, std=std, continuous_markers=list(markers),
                    max_steps=max_steps)
 
 

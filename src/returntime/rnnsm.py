@@ -45,57 +45,17 @@ _GRAD_O_BITS = 64
 CHECKPOINT_VERSION = 5
 
 
-def _check_exponent(value: float, what: str) -> None:
-    if value > EXP_LIMIT:
-        raise NumericalError(f"{what} exponent {value:.6g} exceeds {EXP_LIMIT:.0f}")
-
-
-def hazard(o: float, w: float, dt: float) -> float:
-    """Instantaneous return rate exp(o + w*dt) at elapsed time dt."""
-    if w <= 0:
-        raise ValidationError(f"current-influence weight w must be positive, got {w}")
-    if dt < 0:
-        raise ValidationError(f"elapsed time must be non-negative, got {dt}")
-    expo = o + w * dt
-    _check_exponent(expo, f"hazard(o={o:.6g}, w={w:.6g}, dt={dt:.6g})")
-    return math.exp(expo)
-
-
 def _integrated_hazard(o, z, w: float) -> np.ndarray:
     """(exp(o + z) - exp(o)) / w elementwise: the hazard integrated over a
     gap whose w*gap is z. Up to z = 50 it is grouped as exp(o)*expm1(z)/w,
     free of cancellation on short gaps; beyond, the difference form does not
     overflow where expm1(z) would. Both forms are evaluated, and overflow
-    saturates to inf: callers check exponents against EXP_LIMIT first when
-    overflow must be an error."""
+    saturates to inf: _batch_loss checks its exponents against EXP_LIMIT
+    first."""
     with np.errstate(over="ignore"):
         e_o = np.exp(o)
         return np.where(z <= 50.0, e_o * np.expm1(np.minimum(z, 50.0)) / w,
                         (np.exp(o + z) - e_o) / w)
-
-
-def _gap_term(o: float, w: float, gap: float) -> float:
-    """The integrated hazard over [0, gap >= 0] for one gap; overflow raises.
-    With w > 0 the largest exponent is o + w*gap."""
-    if w <= 0:
-        raise ValidationError(f"current-influence weight w must be positive, got {w}")
-    z = w * gap
-    _check_exponent(o + z, f"survival term (o={o:.6g}, w={w:.6g}, gap={gap:.6g})")
-    return float(_integrated_hazard(o, z, w))
-
-
-def log_survival(o: float, w: float, gap: float) -> float:
-    """log S(gap): probability of no return within gap days of the step."""
-    if gap < 0:
-        raise ValidationError(f"gap must be non-negative, got {gap}")
-    return -_gap_term(o, w, gap)
-
-
-def log_density_return(o: float, w: float, gap: float) -> float:
-    """log f(gap): log-likelihood of a return exactly gap days after the step."""
-    if gap <= 0:
-        raise ValidationError(f"return gap must be positive, got {gap}")
-    return o + w * gap - _gap_term(o, w, gap)
 
 
 # ---------------------------------------------------------------------------
@@ -110,15 +70,17 @@ def _batch_loss(
     a padded batch; a single sequence is a one-row batch.
 
     Every step's target is the observed gap to the next step, and a step
-    contributes -log_density_return; a censored user's final gap contributes
-    -log_survival instead. Padded steps contribute nothing and get a zero
-    gradient.
+    contributes -log f(gap); a censored user's final gap contributes
+    -log S(gap) instead (see the module docstring). Padded steps contribute
+    nothing and get a zero gradient. An exponent o + w*gap past EXP_LIMIT
+    on a real step raises NumericalError naming it.
     """
     B, T = o.shape
     mask = np.arange(T)[None, :] < batch.lengths[:, None]
     z = w * batch.targets
     worst = float(np.max(np.maximum(o + z, o)[mask], initial=-np.inf))
-    _check_exponent(worst, "batch loss")
+    if worst > EXP_LIMIT:
+        raise NumericalError(f"batch loss exponent {worst:.6g} exceeds {EXP_LIMIT:.0f}")
     A = _integrated_hazard(o, z, w)
     ll = o + z - A
     grad = A - 1.0

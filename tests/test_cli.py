@@ -70,6 +70,11 @@ def edited_param(edit, name="lstm_wh"):
     return corrupt
 
 
+def first_listed(key, value):
+    """A JSON edit that sets the first entry of the list at key to value."""
+    return edited(lambda d: d.update({key: [value, *d[key][1:]]}))
+
+
 def first_entry(value):
     def edit(array):
         array = array.copy()
@@ -319,12 +324,17 @@ class TestTrainPredictEvaluate:
         ("cph", "model.json", edited(lambda d: d.update(baseline_times=d["baseline_times"][::-1]))),
         ("cph", "model.json", edited(
             lambda d: d.update(baseline_hazard=[-h for h in d["baseline_hazard"]]))),
+        ("cph", "model.json", first_listed("beta", float("nan"))),
+        ("cph", "model.json", first_listed("baseline_times", float("nan"))),
+        ("cph", "model.json", first_listed("baseline_hazard", float("nan"))),
+        ("cph", "model.json", first_listed("baseline_hazard", float("inf"))),
     ], ids=["npz-truncated", "npz-not-zip", "npz-directory-offset", "npz-param-nan",
             "npz-param-inf", "npz-param-float64", "npz-param-int64", "npz-param-complex", "meta-truncated",
             "cox-json-truncated",
             "meta-list", "cph-markers-not-strings", "cox-json-without-center",
             "cox-center-wrong-length", "cox-center-non-finite", "cox-empty-baseline",
-            "cox-knots-descending", "cox-negative-hazard"])
+            "cox-knots-descending", "cox-negative-hazard", "cox-beta-nan", "cox-times-nan",
+            "cox-hazard-nan", "cox-hazard-inf"])
     def test_corrupt_artifact_exit_3(self, generated, tmp_path, capsys, model, name, corrupt):
         cfg, out = generated
         cfgs = ["--config", cfg, "--config", str(out / "run_config.json")]
@@ -338,7 +348,7 @@ class TestTrainPredictEvaluate:
                    "--out", str(target)])
         err = capsys.readouterr().err
         assert rc == 3
-        assert "unreadable" in err and "Traceback" not in err
+        assert err.count("error:") == 1 and "unreadable" in err and "Traceback" not in err
         assert not target.exists()
 
     @pytest.mark.parametrize("case,code", [
@@ -959,6 +969,9 @@ def with_vocab(name, vocab):
     ("rnn", with_channel),
     ("rnnsm", lambda header: with_stats(mean=[0.0])(header)),
     ("rnn", lambda header: with_stats(std=["a"] * len(header["stats"]["std"]))(header)),
+    ("rnnsm", lambda header: with_stats(mean=[float("nan"), *header["stats"]["mean"][1:]])(
+        header)),
+    ("rnn", lambda header: with_stats(std=[0.0, *header["stats"]["std"][1:]])(header)),
     ("rnnsm", with_stats(continuous_markers=[[1]])),
     ("rnn", with_vocab("device", ["mobile"])),
     ("rnnsm", with_vocab_code("x")),
@@ -970,7 +983,8 @@ def with_vocab(name, vocab):
 ], ids=["w-text", "w-null", "w-negative", "w-nan", "rnn-w-number", "embedding-dims-number",
         "header-list", "stats-list", "vocabs-list", "fusion-size-text", "hidden-size-edited",
         "hidden-size-float", "embedding-dims-short", "embedding-dims-zero",
-        "n-continuous-edited", "stats-mean-short", "stats-std-text", "markers-not-strings",
+        "n-continuous-edited", "stats-mean-short", "stats-std-text", "stats-mean-nan",
+        "stats-std-zero", "markers-not-strings",
         "vocab-list", "vocab-code-text", "vocab-code-too-large",
         "vocab-code-negative", "max-steps-zero", "max-steps-negative", "vocab-derived-name"])
 def test_malformed_checkpoint_header_exit_3(trained_recurrent, tmp_path, model, edit):

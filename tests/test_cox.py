@@ -16,6 +16,7 @@ from oracles import (
     breslow_partial_log_likelihood,
     cox_cumulative_hazard,
     cox_mean_residual,
+    cox_survival,
     efron_by_group,
     efron_two_path,
     nelson_aalen,
@@ -264,7 +265,7 @@ class TestExpectedSurvivalTime:
     def test_fine_grid_quadrature_cross_check(self):
         model = self.hand_model()
         x = np.array([0.4])
-        ref, _ = sp_integrate.quad(lambda t: model.survival(x, t), 0, 200.0, limit=500)
+        ref, _ = sp_integrate.quad(lambda t: cox_survival(model, x, t), 0, 200.0, limit=500)
         assert cox.expected_survival_time(model, x, 0.0) == pytest.approx(ref, abs=1e-7)
 
     def test_conditioning_at_zero_matches_unconditioned(self):
@@ -287,8 +288,8 @@ class TestExpectedSurvivalTime:
         model = self.hand_model()
         x = np.array([0.25])
         t_s = 0.8
-        num, _ = sp_integrate.quad(lambda t: model.survival(x, t), t_s, 300.0, limit=500)
-        ref = t_s + num / model.survival(x, t_s)
+        num, _ = sp_integrate.quad(lambda t: cox_survival(model, x, t), t_s, 300.0, limit=500)
+        ref = t_s + num / cox_survival(model, x, t_s)
         value = cox.expected_survival_time(model, x, t_s)
         assert value == pytest.approx(ref, abs=1e-7)
 
@@ -310,11 +311,12 @@ class TestExpectedSurvivalTime:
     def test_baseline_survival_shape(self):
         X, times, events = simulate_ph(300, beta_true=0.6, seed=17)
         model = cox.fit(X, times, events)
-        x = np.array([1.0])
-        assert model.survival(x, 0.0) == 1.0
+        # S(t | x) = exp(-exp(beta.(x - center)) * Lambda(t)) for every x:
+        # Lambda starts at 0 and never falls
         grid = np.linspace(0.0, 50.0, 60)
-        values = [model.survival(x, float(t)) for t in grid]
-        assert all(b <= a + 1e-15 for a, b in zip(values, values[1:]))
+        values = model.cumulative_hazard(grid)
+        assert values[0] == 0.0
+        assert np.all(np.diff(values) >= 0.0)
 
     def test_cumulative_hazard_scalar_and_array(self):
         model = cox.CoxModel(
@@ -407,10 +409,10 @@ class TestBatchedExpectation:
             inner = [k for k in knots if a < k < end]
             num = 0.0
             if end > a:
-                num, _ = sp_integrate.quad(lambda t: model.survival(x[i], t), a, end,
+                num, _ = sp_integrate.quad(lambda t: cox_survival(model, x[i], t), a, end,
                                            points=inner or None, limit=10 * len(knots))
-            tail, _ = sp_integrate.quad(lambda t: model.survival(x[i], t), end, np.inf)
-            ref = a + (num + tail) / model.survival(x[i], a)
+            tail, _ = sp_integrate.quad(lambda t: cox_survival(model, x[i], t), end, np.inf)
+            ref = a + (num + tail) / cox_survival(model, x[i], a)
             assert batched[i] == pytest.approx(ref, abs=1e-7)
 
     def test_survival_underflow_warned_once_per_call(self, fitted, caplog):

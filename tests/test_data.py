@@ -232,7 +232,7 @@ class TestStratifiedSplit:
     def test_ratio_gap_below_one_user(self):
         ds = _dataset_with(53, 29)
         train, test = stratified_split(ds, 0.3, seed=7)
-        gap = abs(train.censored_fraction - test.censored_fraction)
+        gap = abs(train.is_censored.mean() - test.is_censored.mean())
         assert gap < max(1 / len(train), 1 / len(test))
 
     def test_small_stratum_rejected(self):

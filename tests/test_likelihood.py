@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import math
 
@@ -12,7 +13,10 @@ from returntime.errors import NumericalError, ValidationError
 from returntime.features import PaddedBatch
 from oracles import (
     absence_conditioned_expectation_scalar,
+    batch_log_likelihood,
     expected_return_time_scalar,
+    one_user_batch,
+    per_step_loss,
     safe_density,
     safe_survival,
 )
@@ -21,22 +25,9 @@ from returntime.rnnsm import (
     _batch_loss,
     absence_conditioned_expectation,
     expected_return_time,
-    hazard,
-    log_density_return,
-    log_survival,
 )
 
 PARAM_GRID = [(0.0, 1.0), (1.0, 0.5), (-1.0, 2.0), (2.0, 0.1)]
-
-
-def one_user_batch(targets, censored, disc=None, cont=None):
-    """One user's (T,) gaps as a one-row PaddedBatch. The features default
-    to zero channels, which the loss does not read."""
-    T = len(targets)
-    disc = np.zeros((T, 0), dtype=np.int64) if disc is None else disc
-    cont = np.zeros((T, 0)) if cont is None else cont
-    return PaddedBatch(disc[None], cont[None], np.asarray(targets, dtype=float)[None],
-                       np.array([T]), np.array([censored]))
 
 
 def one_user_loss(o, targets, censored, w):
@@ -46,42 +37,41 @@ def one_user_loss(o, targets, censored, w):
     return float(losses[0]), grad[0]
 
 
-def per_step_loss(o, targets, censored, w):
-    """The reference: -log_density_return summed step by step, with
-    -log_survival in place of the last term of a censored user."""
-    total = 0.0
-    for t, (o_t, gap) in enumerate(zip(o, targets)):
-        last_censored = censored and t == len(targets) - 1
-        total += log_survival(o_t, w, gap) if last_censored else log_density_return(o_t, w, gap)
-    return -total
+def log_density(o, w, gap):
+    return batch_log_likelihood(o, w, gap, censored=False)
+
+
+def log_survival(o, w, gap):
+    return batch_log_likelihood(o, w, gap, censored=True)
 
 
 class TestHazard:
+    """The hazard the batch loss implies: f/S, from a returning and a
+    censored one-step batch, is exp(o + w*dt)."""
+
+    @staticmethod
+    def hazard(o, w, dt):
+        return math.exp(log_density(o, w, dt) - log_survival(o, w, dt))
+
     def test_at_origin(self):
-        assert hazard(0.0, 1.0, 0.0) == 1.0
+        assert self.hazard(0.0, 1.0, 0.0) == 1.0
 
     def test_closed_form_value(self):
-        assert hazard(math.log(2.0), 0.5, 2.0) == pytest.approx(2.0 * math.e, rel=1e-12)
+        assert self.hazard(math.log(2.0), 0.5, 2.0) == pytest.approx(2.0 * math.e, rel=1e-12)
 
     def test_monotone_in_elapsed_time(self):
-        values = [hazard(0.3, 0.7, dt) for dt in np.linspace(0, 20, 50)]
+        values = [self.hazard(0.3, 0.7, dt) for dt in np.linspace(0, 20, 50)]
         assert all(b > a for a, b in zip(values, values[1:]))
 
     def test_overflow_names_inputs(self):
-        with pytest.raises(NumericalError, match="800"):
-            hazard(0.0, 1.0, 800.0)
-
-    def test_preconditions(self):
-        with pytest.raises(ValidationError):
-            hazard(0.0, -1.0, 1.0)
-        with pytest.raises(ValidationError):
-            hazard(0.0, 1.0, -0.5)
+        with pytest.raises(NumericalError, match="batch loss exponent 800 exceeds 700"):
+            _batch_loss(np.array([[0.0]]), one_user_batch([800.0], False), 1.0)
 
 
 class TestLogDensity:
     def test_density_at_origin_is_hazard_times_one(self):
         # f(0+) = hazard(0) * S(0) = exp(o); with o=0 the log tends to 0
-        assert log_density_return(0.0, 1.0, 1e-12) == pytest.approx(0.0, abs=1e-9)
+        assert log_density(0.0, 1.0, 1e-12) == pytest.approx(0.0, abs=1e-9)
 
     @pytest.mark.parametrize("o,w", PARAM_GRID)
     def test_density_integrates_to_one(self, o, w):
@@ -94,13 +84,9 @@ class TestLogDensity:
             o = rng.uniform(-2, 2)
             w = rng.uniform(0.05, 2.0)
             gap = rng.uniform(0.01, 30.0)
-            lhs = log_density_return(o, w, gap)
-            rhs = math.log(hazard(o, w, gap)) + log_survival(o, w, gap)
+            lhs = log_density(o, w, gap)
+            rhs = o + w * gap + log_survival(o, w, gap)  # log hazard + log S
             assert lhs == pytest.approx(rhs, abs=1e-12)
-
-    def test_non_positive_gap_rejected(self):
-        with pytest.raises(ValidationError):
-            log_density_return(0.0, 1.0, 0.0)
 
 
 class TestLogSurvival:
@@ -118,30 +104,25 @@ class TestLogSurvival:
 
     @pytest.mark.parametrize("o,w,gap", [(0.0, 1.0, 2.0), (1.0, 0.5, 4.0), (-1.0, 2.0, 1.5)])
     def test_equals_negative_integrated_hazard(self, o, w, gap):
-        integral, _ = sp_integrate.quad(lambda t: hazard(o, w, t), 0, gap, limit=200)
+        integral, _ = sp_integrate.quad(lambda t: math.exp(o + w * t), 0, gap, limit=200)
         assert log_survival(o, w, gap) == pytest.approx(-integral, abs=1e-8)
 
 
 class TestSequenceLoss:
     def test_single_step_returning(self):
         loss, grad = one_user_loss(np.array([0.3]), np.array([2.0]), False, 0.5)
-        assert loss == pytest.approx(-log_density_return(0.3, 0.5, 2.0))
+        assert loss == pytest.approx(per_step_loss([0.3], [2.0], False, 0.5))
         assert grad.shape == (1,)
 
     def test_single_step_censored(self):
         loss, _ = one_user_loss(np.array([0.3]), np.array([2.0]), True, 0.5)
-        assert loss == pytest.approx(-log_survival(0.3, 0.5, 2.0))
+        assert loss == pytest.approx(per_step_loss([0.3], [2.0], True, 0.5))
 
     def test_censored_sequence_mixes_terms(self):
         o = np.array([0.1, -0.2, 0.4])
         g = np.array([1.0, 3.0, 12.0])
         loss, _ = one_user_loss(o, g, True, 0.3)
-        expected = -(
-            log_density_return(0.1, 0.3, 1.0)
-            + log_density_return(-0.2, 0.3, 3.0)
-            + log_survival(0.4, 0.3, 12.0)
-        )
-        assert loss == pytest.approx(expected, rel=1e-12)
+        assert loss == pytest.approx(per_step_loss(o, g, True, 0.3), rel=1e-12)
 
     @pytest.mark.parametrize("censored", [False, True])
     def test_grad_matches_finite_differences(self, censored):
@@ -172,8 +153,7 @@ class TestSequenceLoss:
         o = np.array([0.2, 0.1])
         g = np.array([1.5, 2.5])
         loss, _ = one_user_loss(o, g, False, 0.4)
-        expected = -(log_density_return(0.2, 0.4, 1.5) + log_density_return(0.1, 0.4, 2.5))
-        assert loss == pytest.approx(expected, rel=1e-12)
+        assert loss == pytest.approx(per_step_loss(o, g, False, 0.4), rel=1e-12)
 
 
 @st.composite
@@ -206,6 +186,18 @@ class TestBatchLoss:
             assert math.isclose(losses[i], ref, rel_tol=1e-12)
         padded = np.arange(o.shape[1])[None, :] >= batch.lengths[:, None]
         assert np.all(grad[padded] == 0.0)
+
+    def test_overflow_guard_reads_real_steps_only(self):
+        # a padded lane past the limit is ignored; the same value on a real
+        # step of another user raises, naming its exponent o + w*gap
+        o = np.array([[0.5, 0.0], [0.0, 0.0]])
+        targets = np.array([[1.0, 900.0], [1.0, 900.0]])
+        batch = PaddedBatch(np.zeros((2, 2, 0), dtype=np.int64), np.zeros((2, 2, 0)), targets,
+                            np.array([1, 2]), np.array([False, True]))
+        with pytest.raises(NumericalError, match="batch loss exponent 900 exceeds 700"):
+            _batch_loss(o, batch, 1.0)
+        losses, _ = _batch_loss(o, dataclasses.replace(batch, lengths=np.array([1, 1])), 1.0)
+        assert np.all(np.isfinite(losses))
 
 
 class TestExpectedReturnTime:

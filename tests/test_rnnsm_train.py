@@ -16,8 +16,9 @@ from oracles import (
     expected_return_time_scalar,
     finite_difference_grads,
     max_relative_error,
+    one_user_batch,
+    per_step_loss,
 )
-from test_likelihood import one_user_batch, per_step_loss
 
 TINY = net.NetConfig(
     discrete_features=("device", "hour"),

@@ -222,7 +222,7 @@ class TestCensoringCalibration:
         cfg = GeneratorConfig(user_count=2000, seed=7)
         sessions, _ = generate(cfg)
         ds = assign_windows(sessions, cfg.window)
-        assert 0.25 <= ds.censored_fraction <= 0.50
+        assert 0.25 <= ds.is_censored.mean() <= 0.50
 
     def test_ground_truth_matches_dataset_labels(self):
         cfg = GeneratorConfig(user_count=300, seed=8)
