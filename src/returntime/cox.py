@@ -20,6 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .data import json_numbers
 from .errors import DataError, DataModelMismatchError, NumericalError, ValidationError
 from .features import Standardization
 
@@ -230,12 +231,12 @@ class CoxModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CoxModel":
+        """The model to_dict wrote; a coefficient, center, knot or hazard
+        list that json_numbers rejects raises TypeError or ValueError."""
         return cls(
             feature_names=list(d["feature_names"]),
-            beta=np.asarray(d["beta"], dtype=float),
-            center=np.asarray(d["center"], dtype=float),
-            baseline_times=np.asarray(d["baseline_times"], dtype=float),
-            baseline_hazard=np.asarray(d["baseline_hazard"], dtype=float),
+            **{name: json_numbers(name, d[name])
+               for name in ("beta", "center", "baseline_times", "baseline_hazard")},
             n_train=int(d.get("n_train", 0)),
         )
 

@@ -22,6 +22,7 @@ import dataclasses
 import datetime as dt
 import functools
 import hashlib
+import itertools
 import json
 import logging
 import math
@@ -44,8 +45,16 @@ CACHE_SUFFIX = ".parsed.npz"  # the parse cache of <sessions file> is <sessions 
 CACHE_FORMAT_VERSION = 5  # bump when the cache layout or the parse result changes
 _BYTES_PER_WORKER = 4 << 20  # a parse block holds at least this many bytes of the file
 _ROWS_PER_WORKER = 20_000  # a write block holds at least this many sessions
+_ROWS_PER_CHUNK = 4096  # the writer formats the start stamps of this many sessions at a time
 _UNIX_EPOCH = dt.datetime(1970, 1, 1, tzinfo=dt.timezone.utc)
 _MICROSECOND = dt.timedelta(microseconds=1)
+_MICROS_PER_DAY = 86_400_000_000
+_WALL_EPOCH = dt.datetime(1970, 1, 1)  # the Unix epoch on any datetime's own wall clock
+_MIN_MICROS = (dt.datetime.min - _WALL_EPOCH) // _MICROSECOND
+_MAX_MICROS = (dt.datetime.max - _WALL_EPOCH) // _MICROSECOND
+# an offset of this many days leaves datetime's range from any datetime, and
+# its whole days in microseconds still fit an int64
+_DAYS_BEYOND_RANGE = 1e7
 _NUMBERS = (int, float)  # the types a JSON number decodes to; a JSON bool is neither
 
 
@@ -677,10 +686,46 @@ def write_sessions_jsonl(path: str | Path, sessions: SessionColumns, epoch_iso: 
                      *_merge_blocks(path, [parsed for _, parsed in blocks], digest.hexdigest()))
 
 
+def timedelta_micros(days: np.ndarray) -> np.ndarray:
+    """timedelta(days=x) // timedelta(microseconds=1) of each x, as int64,
+    for finite x of magnitude below 1e7. It rounds as CPython's
+    _datetimemodule.c does: the whole days are exact; the fraction times
+    86,400,000,000 adds its whole microseconds and rounds its leftover half
+    away from zero, or on an exact half to the even total."""
+    fraction, whole_days = np.modf(days)
+    leftover, whole_micros = np.modf(fraction * 86400e6)
+    micros = whole_days.astype(np.int64) * _MICROS_PER_DAY + whole_micros.astype(np.int64)
+    away = (np.abs(leftover) > 0.5) | ((np.abs(leftover) == 0.5) & (micros % 2 == 1))
+    return micros + (np.sign(leftover) * away).astype(np.int64)
+
+
+def offset_micros(epoch: dt.datetime, days: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """epoch + timedelta(days=x) for each x of days, in microseconds since
+    1970-01-01 on the epoch's own wall clock, and the mask of the sums that
+    exist: False where x is not finite or the sum leaves datetime's range,
+    where the sum raises ValueError or OverflowError."""
+    days = np.asarray(days, dtype=np.float64)
+    near = np.abs(days) < _DAYS_BEYOND_RANGE  # False for NaN and the infinities
+    micros = ((epoch.replace(tzinfo=None) - _WALL_EPOCH) // _MICROSECOND
+              + timedelta_micros(np.where(near, days, 0.0)))
+    return micros, near & (micros >= _MIN_MICROS) & (micros <= _MAX_MICROS)
+
+
+def _utc_isoformat(micros: np.ndarray) -> list[str]:
+    """datetime.isoformat of each UTC instant, given in microseconds since
+    the Unix epoch, without its "+00:00": no fraction where the microsecond
+    is 0."""
+    stamps = np.datetime_as_string(micros.astype("M8[us]"), unit="us")
+    whole = micros % 1_000_000 == 0
+    stamps[whole] = np.datetime_as_string(micros[whole].astype("M8[us]"), unit="s")
+    return stamps.tolist()
+
+
 def _format_rows(sessions: SessionColumns,
                  epoch: dt.datetime) -> tuple[Iterator[str], _ParsedBlock | None]:
     """write_sessions_jsonl's lines of the sessions, and what _parse_block
-    makes of them (_parsed_rows)."""
+    makes of them (_parsed_rows). The start stamps are formatted
+    _ROWS_PER_CHUNK rows at a time, as the lines are taken."""
     users = [json.dumps(u) for u in sessions.user_ids]
     fields = [[None] * len(sessions)]  # per marker key and row '"key": value', or None
     for key in sorted(set(sessions.discrete) | set(sessions.continuous)):
@@ -694,16 +739,19 @@ def _format_rows(sessions: SessionColumns,
             column[present] = [f"{name}: {_json_float(x)}" for x in values[present].tolist()]
         fields.append(column.tolist())
     markers = (", ".join(filter(None, row)) for row in zip(*fields))
-    stamps = [epoch + dt.timedelta(days=start) for start in sessions.start_time.tolist()]
+    micros, exists = offset_micros(epoch, sessions.start_time)
+    for row in np.flatnonzero(~exists)[:1].tolist():
+        epoch + dt.timedelta(days=float(sessions.start_time[row]))  # raises the sum's error
+    stamps = itertools.chain.from_iterable(
+        _utc_isoformat(micros[lo:lo + _ROWS_PER_CHUNK])
+        for lo in range(0, len(micros), _ROWS_PER_CHUNK))
     seconds = sessions.duration * SECONDS_PER_DAY
     lines = (
         f'{{"duration_s": {_json_float(duration)}, "markers": {{{marker}}}, '
-        f'"start_ts": "{stamp.isoformat()}", "user_id": {users[user]}}}\n'
+        f'"start_ts": "{stamp}+00:00", "user_id": {users[user]}}}\n'
         for user, stamp, duration, marker in zip(
             sessions.user.tolist(), stamps, seconds.tolist(), markers)
     )
-    micros = np.array([(stamp - _UNIX_EPOCH) // _MICROSECOND for stamp in stamps],
-                      dtype=np.int64)
     return lines, _parsed_rows(sessions, micros, seconds)
 
 
@@ -750,6 +798,18 @@ def _parsed_rows(sessions: SessionColumns, micros: np.ndarray,
 
 def _json_float(x: float) -> str:
     return repr(x) if math.isfinite(x) else json.dumps(x)
+
+
+def json_numbers(name: str, values) -> np.ndarray:
+    """A JSON list of numbers as float64. Anything else, such as a list that
+    holds a string or a bool, raises TypeError; an integer too large for a
+    float raises ValueError."""
+    if not (isinstance(values, list) and all(type(v) in _NUMBERS for v in values)):
+        raise TypeError(f"{name} = {values!r}, expected a list of numbers")
+    try:
+        return np.asarray(values, dtype=float)
+    except OverflowError as exc:
+        raise ValueError(f"{name} holds a number too large for a float: {exc}") from exc
 
 
 def resolve_window_days(window_cfg: dict, epoch_iso: str | None) -> WindowConfig:

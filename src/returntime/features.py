@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import Dataset, gather_runs
+from .data import Dataset, gather_runs, json_numbers
 from .errors import DataError, ValidationError
 
 DERIVED_DISCRETE = ("day_of_week", "day_of_month", "hour_of_day")
@@ -188,7 +188,8 @@ class SequenceStats:
         strings, a vocab named after a derived feature, a vocab code that is
         not an integer in [0, len(vocab)), a mean that is not finite, a std
         that is not positive and finite, or a max_steps that is not an
-        integer of at least 1 raise TypeError or ValueError."""
+        integer of at least 1, or a mean or std that json_numbers rejects,
+        raise TypeError or ValueError."""
         vocabs = {k: dict(v) for k, v in d["vocabs"].items()}
         for name, vocab in vocabs.items():
             if name in DERIVED_DISCRETE:
@@ -203,7 +204,7 @@ class SequenceStats:
         max_steps = d["max_steps"]
         if not (type(max_steps) is int and max_steps >= 1):
             raise ValueError(f"max_steps = {max_steps!r}, expected an integer of at least 1")
-        mean, std = np.asarray(d["mean"], dtype=float), np.asarray(d["std"], dtype=float)
+        mean, std = json_numbers("mean", d["mean"]), json_numbers("std", d["std"])
         if not (np.all(np.isfinite(mean)) and np.all((std > 0) & (std < np.inf))):
             raise ValueError(f"mean = {mean.tolist()}, std = {std.tolist()}, expected finite "
                              f"means and positive finite stds")

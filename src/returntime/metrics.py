@@ -8,7 +8,6 @@ gap between their last session and the horizon.
 from __future__ import annotations
 
 import bisect
-import contextlib
 import csv
 import datetime as dt
 import io
@@ -21,6 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .config import MODEL_NAMES, output_dir
+from .data import offset_micros
 from .errors import DataError, ValidationError
 
 ACTIVE_DAY_CAP = 64  # terminal bucket collects users with this many or more
@@ -214,40 +214,55 @@ CSV_COLUMNS = (
 )
 
 
+def _csv_fields(values: list[str]) -> list[str]:
+    """The values as csv.writer writes them: quoted, with inner quotes
+    doubled, where one holds a comma, a quote, a \r or a \n."""
+    joined = "".join(values)
+    if not any(c in joined for c in ',"\r\n'):
+        return values
+    return [f'"{v.replace(chr(34), chr(34) * 2)}"' if any(c in v for c in ',"\r\n') else v
+            for v in values]
+
+
 def write_predictions_csv(
     path: str | Path,
     model_name: str,
     table: Predictions,
     epoch_iso: str | None = None,
 ) -> None:
-    epoch = None
+    """One row per user, as csv.writer writes it. predicted_return_date is
+    the date of epoch_iso + last_session_end_days + predicted_return_days on
+    the epoch's own clock, empty where there is no epoch, the last end is
+    unknown or the date is past year 9999."""
+    n = len(table)
+    known_end = ~np.isnan(table.last_end)
+    date = [""] * n
     if epoch_iso is not None:
         epoch = dt.datetime.fromisoformat(epoch_iso.replace("Z", "+00:00"))
+        with np.errstate(over="ignore"):  # an inf sum is past year 9999, as for floats
+            days = table.last_end + table.predicted
+        for value in days[known_end & np.isnan(days)][:1].tolist():
+            dt.timedelta(days=value)  # a NaN prediction raises timedelta's ValueError
+        micros, exists = offset_micros(epoch, days)
+        date = np.where(exists, np.datetime_as_string(micros.astype("M8[us]"), unit="D"),
+                        "").tolist()
+    censored = table.censored.tolist()
+    observed = list(map(repr, table.observed.tolist()))
+    columns = [
+        _csv_fields([model_name]) * n,
+        _csv_fields(list(table.user_ids)),
+        list(map(repr, table.predicted.tolist())),
+        date,
+        ["1" if c else "0" for c in censored],
+        ["" if c else o for c, o in zip(censored, observed)],
+        [o if c else "" for c, o in zip(censored, observed)],
+        list(map(repr, table.horizon_gap.tolist())),
+        list(map(str, table.active_days.tolist())),
+        [repr(e) if k else "" for k, e in zip(known_end.tolist(), table.last_end.tolist())],
+    ]
+    lines = [",".join(CSV_COLUMNS), *map(",".join, zip(*columns)), ""]
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        for user_id, pred, observed, censored, horizon_gap, active_days, last_end in zip(
-            table.user_ids, table.predicted.tolist(), table.observed.tolist(),
-            table.censored.tolist(), table.horizon_gap.tolist(), table.active_days.tolist(),
-            table.last_end.tolist(),
-        ):
-            known_end = not math.isnan(last_end)
-            date = ""  # where the last end is unknown or the date is past year 9999
-            if epoch is not None and known_end:
-                with contextlib.suppress(OverflowError):
-                    date = (epoch + dt.timedelta(days=last_end + pred)).date().isoformat()
-            writer.writerow([
-                model_name,
-                user_id,
-                repr(pred),
-                date,
-                "1" if censored else "0",
-                "" if censored else repr(observed),
-                repr(observed) if censored else "",
-                repr(horizon_gap),
-                active_days,
-                repr(last_end) if known_end else "",
-            ])
+        fh.write("\r\n".join(lines))
 
 
 def _finite(value: str) -> float:
@@ -263,6 +278,53 @@ def _not_negative(number: float) -> float:
     return number
 
 
+def _check_row(path: Path, line: int, row: dict, model_name: str, earlier: int) -> None:
+    """Raise the ValidationError of a bad prediction row, one row of
+    read_predictions_csv's columns; earlier is the line on which the row's
+    user id first appears."""
+    if row["model"] != model_name:
+        raise ValidationError(f"{path}:{line}: mixed model names in one prediction CSV")
+    try:
+        true, bound = row["true_return_days"], row["censored_lower_bound_days"]
+        if bool(true) == bool(bound):
+            raise ValueError("needs exactly one of true_return_days / censored_lower_bound_days")
+        if row["is_censored_truth"] != ("1" if bound else "0"):
+            raise ValueError(f"is_censored_truth {row['is_censored_truth']!r} is not "
+                             f"{'1' if bound else '0'}, as the filled gap cell says")
+        if earlier != line:
+            raise ValueError(f"user {row['user_id']!r} repeats line {earlier}")
+        _not_negative(_finite(row["predicted_return_days"]))
+        _not_negative(_finite(true or bound))
+        _not_negative(_finite(row["horizon_gap_days"]))
+        np.int64(_not_negative(int(row["active_day_count"])))
+        end = row["last_session_end_days"]
+        if end:
+            _not_negative(_finite(end))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{path}:{line}: bad prediction row: {exc}") from exc
+
+
+def _converted(values: Sequence, convert, dtype, failed) -> np.ndarray:
+    """[convert(v) for v in values] as an array of dtype, with failed in
+    place of each value that convert rejects or dtype cannot hold."""
+    try:
+        return np.fromiter(map(convert, values), dtype, len(values))
+    except (TypeError, ValueError, OverflowError):
+        def one(value):
+            try:
+                return np.dtype(dtype).type(convert(value))
+            except (TypeError, ValueError, OverflowError):
+                return failed
+        return np.array([one(v) for v in values], dtype=dtype)
+
+
+def _not_negative_floats(values: Sequence) -> tuple[np.ndarray, np.ndarray]:
+    """The values as float64, and the mask of those that are not numbers,
+    not finite or negative."""
+    numbers = _converted(values, float, np.float64, math.nan)
+    return numbers, ~(np.isfinite(numbers) & (numbers >= 0))
+
+
 def read_predictions_csv(path: str | Path) -> tuple[str, Predictions]:
     """Read a prediction CSV written by write_predictions_csv.
 
@@ -274,6 +336,12 @@ def read_predictions_csv(path: str | Path) -> tuple[str, Predictions]:
     an earlier row, raises ValidationError naming path:line; a missing
     column or a path that cannot be read, such as a missing file, names the
     path.
+
+    Rows are read as csv.DictReader reads them: blank lines are skipped, a
+    column named twice reads its last cell, and a short row reads None past
+    its end. Every column is converted and checked at once; the first row
+    that fails a check is checked again on its own (_check_row) for its
+    error.
     """
     path = Path(path)
     try:
@@ -285,45 +353,51 @@ def read_predictions_csv(path: str | Path) -> tuple[str, Predictions]:
     except UnicodeDecodeError as exc:
         line = raw.count(b"\n", 0, exc.start) + 1
         raise ValidationError(f"{path}:{line}: prediction CSV is not UTF-8") from exc
-    reader = csv.DictReader(io.StringIO(text, newline=""))
+    reader = csv.reader(io.StringIO(text, newline=""))
     try:
-        columns = reader.fieldnames or ()
-        rows = [(reader.line_num, row) for row in reader]
+        header = next(reader, [])
+        numbered = [(reader.line_num, row) for row in reader if row]
     except csv.Error as exc:
         raise ValidationError(f"{path}:{reader.line_num}: not a CSV file: {exc}") from exc
-    missing = set(CSV_COLUMNS) - set(columns)
+    missing = set(CSV_COLUMNS) - set(header)
     if missing:
         raise ValidationError(f"{path}: prediction CSV missing columns {sorted(missing)}")
-    if not rows:
+    if not numbered:
         raise ValidationError(f"{path}: prediction CSV is empty")
-    model_name = rows[0][1]["model"]
-    lines: dict[str, int] = {}  # user id -> its line, in file order
-    predicted, observed, censored, horizon_gap, active_days, last_end = [], [], [], [], [], []
-    for line, row in rows:
-        if row["model"] != model_name:
-            raise ValidationError(f"{path}:{line}: mixed model names in one prediction CSV")
-        try:
-            true, bound = row["true_return_days"], row["censored_lower_bound_days"]
-            if bool(true) == bool(bound):
-                raise ValueError(
-                    "needs exactly one of true_return_days / censored_lower_bound_days")
-            if row["is_censored_truth"] != ("1" if bound else "0"):
-                raise ValueError(f"is_censored_truth {row['is_censored_truth']!r} is not "
-                                 f"{'1' if bound else '0'}, as the filled gap cell says")
-            if row["user_id"] in lines:
-                raise ValueError(f"user {row['user_id']!r} repeats line {lines[row['user_id']]}")
-            predicted.append(_not_negative(_finite(row["predicted_return_days"])))
-            observed.append(_not_negative(_finite(true or bound)))
-            horizon_gap.append(_not_negative(_finite(row["horizon_gap_days"])))
-            active_days.append(np.int64(_not_negative(int(row["active_day_count"]))))
-            end = row["last_session_end_days"]
-            last_end.append(_not_negative(_finite(end)) if end else math.nan)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValidationError(f"{path}:{line}: bad prediction row: {exc}") from exc
-        lines[row["user_id"]] = line
-        censored.append(bool(bound))
+    lines, rows = zip(*numbered)
+    index = {name: i for i, name in enumerate(header)}
+    width = max(index[name] for name in CSV_COLUMNS) + 1
+    if min(map(len, rows)) < width:
+        rows = [row + [None] * (width - len(row)) for row in rows]
+    cells = list(zip(*rows))
+    col = {name: cells[index[name]] for name in CSV_COLUMNS}
+
+    n = len(rows)
+    model_name = col["model"][0]
+    true, bound = col["true_return_days"], col["censored_lower_bound_days"]
+    censored = np.fromiter(map(bool, bound), bool, n)
+    ids = col["user_id"]
+    first = dict(zip(reversed(ids), reversed(lines)))  # user id -> the line it first appears on
+    predicted, bad_predicted = _not_negative_floats(col["predicted_return_days"])
+    observed, bad_observed = _not_negative_floats([t or b for t, b in zip(true, bound)])
+    horizon_gap, bad_horizon_gap = _not_negative_floats(col["horizon_gap_days"])
+    active_days = _converted(col["active_day_count"], int, np.int64, -1)
+    ends = col["last_session_end_days"]
+    known_end = np.fromiter(map(bool, ends), bool, n)
+    last_end, bad_last_end = _not_negative_floats([e or "nan" for e in ends])
+    bad = (
+        (np.array(col["model"], dtype=object) != model_name)
+        | (np.fromiter(map(bool, true), bool, n) == censored)
+        | (np.array(col["is_censored_truth"], dtype=object) != np.where(censored, "1", "0"))
+        | bad_predicted | bad_observed | bad_horizon_gap | (active_days < 0)
+        | (known_end & bad_last_end)
+    )
+    if len(first) < n:
+        bad |= np.array([first[u] != line for u, line in zip(ids, lines)])
+    for i in np.flatnonzero(bad)[:1].tolist():
+        _check_row(path, lines[i], {name: col[name][i] for name in CSV_COLUMNS}, model_name,
+                   first[ids[i]])
     return model_name, Predictions(
-        user_ids=list(lines), predicted=np.array(predicted), observed=np.array(observed),
-        censored=np.array(censored), horizon_gap=np.array(horizon_gap),
-        active_days=np.array(active_days, dtype=np.int64), last_end=np.array(last_end),
+        user_ids=list(ids), predicted=predicted, observed=observed, censored=censored,
+        horizon_gap=horizon_gap, active_days=active_days, last_end=last_end,
     )

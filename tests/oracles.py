@@ -9,7 +9,10 @@ are what the quadrature oracles check.
 
 from __future__ import annotations
 
+import contextlib
+import csv
 import datetime as dt
+import io
 import json
 import math
 from pathlib import Path
@@ -227,6 +230,116 @@ def table(records):
         active_days=np.array([r.active_day_count for r in records], dtype=np.int64),
         last_end=np.array([math.nan if r.last_session_end_days is None
                            else r.last_session_end_days for r in records], dtype=float),
+    )
+
+
+def write_predictions_csv_rows(path, model_name, table, epoch_iso=None):
+    """returntime.metrics.write_predictions_csv one user at a time: a
+    datetime plus a timedelta per date and one csv.writer row per user."""
+    from returntime.metrics import CSV_COLUMNS
+
+    epoch = None
+    if epoch_iso is not None:
+        epoch = dt.datetime.fromisoformat(epoch_iso.replace("Z", "+00:00"))
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(CSV_COLUMNS)
+        for user_id, pred, observed, censored, horizon_gap, active_days, last_end in zip(
+            table.user_ids, table.predicted.tolist(), table.observed.tolist(),
+            table.censored.tolist(), table.horizon_gap.tolist(), table.active_days.tolist(),
+            table.last_end.tolist(),
+        ):
+            known_end = not math.isnan(last_end)
+            date = ""  # where the last end is unknown or the date is past year 9999
+            if epoch is not None and known_end:
+                with contextlib.suppress(OverflowError):
+                    date = (epoch + dt.timedelta(days=last_end + pred)).date().isoformat()
+            writer.writerow([
+                model_name,
+                user_id,
+                repr(pred),
+                date,
+                "1" if censored else "0",
+                "" if censored else repr(observed),
+                repr(observed) if censored else "",
+                repr(horizon_gap),
+                active_days,
+                repr(last_end) if known_end else "",
+            ])
+
+
+def _finite(value):
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"non-finite value {value!r}")
+    return number
+
+
+def _not_negative(number):
+    if number < 0:
+        raise ValueError(f"negative value {number!r}")
+    return number
+
+
+def read_predictions_csv_rows(path):
+    """returntime.metrics.read_predictions_csv one row at a time: a
+    csv.DictReader dict per row, each cell converted and checked in turn."""
+    from returntime.errors import ValidationError
+    from returntime.metrics import CSV_COLUMNS, Predictions
+
+    path = Path(path)
+    try:
+        raw = path.read_bytes()
+    except OSError as exc:
+        raise ValidationError(f"{path}: cannot read prediction CSV: {exc.strerror or exc}") from exc
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise ValidationError(f"{path}:{line}: prediction CSV is not UTF-8") from exc
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    try:
+        columns = reader.fieldnames or ()
+        rows = [(reader.line_num, row) for row in reader]
+    except csv.Error as exc:
+        # the line the parse failed on: DictReader's own line_num stays at
+        # the last row read whole
+        raise ValidationError(f"{path}:{reader.reader.line_num}: not a CSV file: {exc}") from exc
+    missing = set(CSV_COLUMNS) - set(columns)
+    if missing:
+        raise ValidationError(f"{path}: prediction CSV missing columns {sorted(missing)}")
+    if not rows:
+        raise ValidationError(f"{path}: prediction CSV is empty")
+    model_name = rows[0][1]["model"]
+    lines = {}  # user id -> its line, in file order
+    predicted, observed, censored, horizon_gap, active_days, last_end = [], [], [], [], [], []
+    for line, row in rows:
+        if row["model"] != model_name:
+            raise ValidationError(f"{path}:{line}: mixed model names in one prediction CSV")
+        try:
+            true, bound = row["true_return_days"], row["censored_lower_bound_days"]
+            if bool(true) == bool(bound):
+                raise ValueError(
+                    "needs exactly one of true_return_days / censored_lower_bound_days")
+            if row["is_censored_truth"] != ("1" if bound else "0"):
+                raise ValueError(f"is_censored_truth {row['is_censored_truth']!r} is not "
+                                 f"{'1' if bound else '0'}, as the filled gap cell says")
+            if row["user_id"] in lines:
+                raise ValueError(f"user {row['user_id']!r} repeats line {lines[row['user_id']]}")
+            predicted.append(_not_negative(_finite(row["predicted_return_days"])))
+            observed.append(_not_negative(_finite(true or bound)))
+            horizon_gap.append(_not_negative(_finite(row["horizon_gap_days"])))
+            active_days.append(np.int64(_not_negative(int(row["active_day_count"]))))
+            end = row["last_session_end_days"]
+            last_end.append(_not_negative(_finite(end)) if end else math.nan)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValidationError(f"{path}:{line}: bad prediction row: {exc}") from exc
+        lines[row["user_id"]] = line
+        censored.append(bool(bound))
+    return model_name, Predictions(
+        user_ids=list(lines), predicted=np.array(predicted), observed=np.array(observed),
+        censored=np.array(censored), horizon_gap=np.array(horizon_gap),
+        active_days=np.array(active_days, dtype=np.int64), last_end=np.array(last_end),
     )
 
 
@@ -578,6 +691,38 @@ def write_sessions_jsonl_objects(path, sessions, epoch_iso):
                 "duration_s": s.duration * 86400.0,
                 "markers": markers,
             }, sort_keys=True) + "\n")
+
+
+def format_rows_per_row(sessions, epoch):
+    """returntime.data._format_rows one session at a time: a datetime plus a
+    timedelta and an isoformat call per start."""
+    from returntime.data import (
+        _MICROSECOND, _UNIX_EPOCH, SECONDS_PER_DAY, _json_float, _parsed_rows)
+
+    users = [json.dumps(u) for u in sessions.user_ids]
+    fields = [[None] * len(sessions)]  # per marker key and row '"key": value', or None
+    for key in sorted(set(sessions.discrete) | set(sessions.continuous)):
+        name, column = json.dumps(key), np.full(len(sessions), None, dtype=object)
+        if key in sessions.discrete:
+            values, present, codes = sessions.discrete[key]
+            encoded = np.array([f"{name}: {json.dumps(v)}" for v in values], dtype=object)
+            column[present] = encoded[codes[present]]
+        if key in sessions.continuous:
+            present, values = sessions.continuous[key]
+            column[present] = [f"{name}: {_json_float(x)}" for x in values[present].tolist()]
+        fields.append(column.tolist())
+    markers = (", ".join(filter(None, row)) for row in zip(*fields))
+    stamps = [epoch + dt.timedelta(days=start) for start in sessions.start_time.tolist()]
+    seconds = sessions.duration * SECONDS_PER_DAY
+    lines = (
+        f'{{"duration_s": {_json_float(duration)}, "markers": {{{marker}}}, '
+        f'"start_ts": "{stamp.isoformat()}", "user_id": {users[user]}}}\n'
+        for user, stamp, duration, marker in zip(
+            sessions.user.tolist(), stamps, seconds.tolist(), markers)
+    )
+    micros = np.array([(stamp - _UNIX_EPOCH) // _MICROSECOND for stamp in stamps],
+                      dtype=np.int64)
+    return lines, _parsed_rows(sessions, micros, seconds)
 
 
 def cache_members(path):

@@ -21,7 +21,7 @@ import returntime
 from returntime import data, experiment, metrics
 from returntime.cli import main
 from returntime.config import load_config, model_family
-from returntime.errors import DataError
+from returntime.errors import DataError, ValidationError
 from returntime.features import SequenceStats
 
 from oracles import (
@@ -30,6 +30,7 @@ from oracles import (
     cache_members,
     cached_read,
     cold_read_equals_cached,
+    read_predictions_csv_rows,
     read_sessions_plain,
     table,
 )
@@ -328,13 +329,22 @@ class TestTrainPredictEvaluate:
         ("cph", "model.json", first_listed("baseline_times", float("nan"))),
         ("cph", "model.json", first_listed("baseline_hazard", float("nan"))),
         ("cph", "model.json", first_listed("baseline_hazard", float("inf"))),
+        # JSON strings and bools are not numbers, though numpy converts them
+        ("cph", "model.json", first_listed("beta", "0.5")),
+        ("cph", "model.json", edited(lambda d: d.update(center=[True] * len(d["center"])))),
+        ("cph", "model.json", edited(
+            lambda d: d.update(baseline_times=[str(t) for t in d["baseline_times"]]))),
+        ("cph", "model.json", edited(
+            lambda d: d.update(baseline_hazard=[True] * len(d["baseline_hazard"])))),
+        ("cph", "model.json", first_listed("beta", 10**400)),
     ], ids=["npz-truncated", "npz-not-zip", "npz-directory-offset", "npz-param-nan",
             "npz-param-inf", "npz-param-float64", "npz-param-int64", "npz-param-complex", "meta-truncated",
             "cox-json-truncated",
             "meta-list", "cph-markers-not-strings", "cox-json-without-center",
             "cox-center-wrong-length", "cox-center-non-finite", "cox-empty-baseline",
             "cox-knots-descending", "cox-negative-hazard", "cox-beta-nan", "cox-times-nan",
-            "cox-hazard-nan", "cox-hazard-inf"])
+            "cox-hazard-nan", "cox-hazard-inf", "cox-beta-text", "cox-center-bool",
+            "cox-times-text", "cox-hazard-bool", "cox-beta-huge-integer"])
     def test_corrupt_artifact_exit_3(self, generated, tmp_path, capsys, model, name, corrupt):
         cfg, out = generated
         cfgs = ["--config", cfg, "--config", str(out / "run_config.json")]
@@ -945,6 +955,11 @@ def with_channel(header):
                       mean=stats["mean"] + [0.0], std=stats["std"] + [1.0])(header)
 
 
+def with_first_stat(key, value):
+    """The header with the first entry of the stats list at key set to value."""
+    return lambda header: with_stats(**{key: [value, *header["stats"][key][1:]]})(header)
+
+
 def with_vocab(name, vocab):
     """The header with the vocab of name set to vocab."""
     return lambda header: with_stats(vocabs={**header["stats"]["vocabs"], name: vocab})(header)
@@ -980,13 +995,21 @@ def with_vocab(name, vocab):
     ("rnnsm", with_stats(max_steps=0)),
     ("rnnsm", with_stats(max_steps=-3)),
     ("rnn", with_vocab("hour_of_day", {"a": 0})),
+    # JSON strings and bools are not numbers, though numpy converts them
+    ("rnnsm", with_first_stat("mean", "7.5")),
+    ("rnn", with_first_stat("mean", True)),
+    ("rnnsm", with_first_stat("std", True)),
+    ("rnn", with_first_stat("std", "2")),
+    ("rnnsm", with_first_stat("mean", 10**400)),
 ], ids=["w-text", "w-null", "w-negative", "w-nan", "rnn-w-number", "embedding-dims-number",
         "header-list", "stats-list", "vocabs-list", "fusion-size-text", "hidden-size-edited",
         "hidden-size-float", "embedding-dims-short", "embedding-dims-zero",
         "n-continuous-edited", "stats-mean-short", "stats-std-text", "stats-mean-nan",
         "stats-std-zero", "markers-not-strings",
         "vocab-list", "vocab-code-text", "vocab-code-too-large",
-        "vocab-code-negative", "max-steps-zero", "max-steps-negative", "vocab-derived-name"])
+        "vocab-code-negative", "max-steps-zero", "max-steps-negative", "vocab-derived-name",
+        "stats-mean-text-entry", "stats-mean-bool", "stats-std-bool", "stats-std-text-entry",
+        "stats-mean-huge-integer"])
 def test_malformed_checkpoint_header_exit_3(trained_recurrent, tmp_path, model, edit):
     rc, err, target = predict_with_header(trained_recurrent, tmp_path, model, edit)
     assert rc == 3, err
@@ -1156,29 +1179,83 @@ csv_mutations = st.one_of(
 )
 
 
+def mutated_prediction_csv(path, index, mutation):
+    """prediction_csv's file at path with one line, cell or bit changed."""
+    raw = prediction_csv(path).read_bytes()
+    lines = raw.split(b"\r\n")
+    index %= len(lines)
+    kind, value = mutation
+    if kind == "line":
+        lines[index] = value
+    elif kind == "cell":
+        cells = lines[index].split(b",")
+        cells[value[0] % len(cells)] = value[1].encode("utf-8", "surrogatepass")
+        lines[index] = b",".join(cells)
+    elif kind == "cut":
+        lines[index] = b",".join(lines[index].split(b",")[:value])
+    if kind == "flip":
+        flipped = bytearray(raw)
+        flipped[value[0] % len(raw)] ^= 1 << value[1]
+        path.write_bytes(bytes(flipped))
+    else:
+        path.write_bytes(b"\r\n".join(lines))
+    return path
+
+
 @settings(max_examples=80, deadline=None)
 @given(index=st.integers(0, 10**6), mutation=csv_mutations)
 def test_one_mutated_prediction_csv_exits_0_or_2(index, mutation):
     with tempfile.TemporaryDirectory() as tmp:
-        path = prediction_csv(Path(tmp) / "p.csv")
-        raw = path.read_bytes()
-        lines = raw.split(b"\r\n")
-        index %= len(lines)
-        kind, value = mutation
-        if kind == "line":
-            lines[index] = value
-        elif kind == "cell":
-            cells = lines[index].split(b",")
-            cells[value[0] % len(cells)] = value[1].encode("utf-8", "surrogatepass")
-            lines[index] = b",".join(cells)
-        elif kind == "cut":
-            lines[index] = b",".join(lines[index].split(b",")[:value])
-        if kind == "flip":
-            flipped = bytearray(raw)
-            flipped[value[0] % len(raw)] ^= 1 << value[1]
-            path.write_bytes(bytes(flipped))
-        else:
-            path.write_bytes(b"\r\n".join(lines))
+        path = mutated_prediction_csv(Path(tmp) / "p.csv", index, mutation)
         rc, err = evaluate(path, Path(tmp) / "report")
     assert rc in (0, 2), err
     assert "Traceback" not in err
+
+
+def read_outcome(read, path):
+    """A prediction CSV read's model name and columns, or its error text."""
+    try:
+        name, table = read(path)
+    except ValidationError as exc:
+        return str(exc)
+    return name, list(table.user_ids), *(getattr(table, column).tobytes() for column in (
+        "predicted", "observed", "censored", "horizon_gap", "active_days", "last_end"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(index=st.integers(0, 10**6), mutation=csv_mutations)
+def test_mutated_prediction_csv_reads_as_the_rows_do(index, mutation):
+    # the same table, or the same error naming the same path:line
+    with tempfile.TemporaryDirectory() as tmp:
+        path = mutated_prediction_csv(Path(tmp) / "p.csv", index, mutation)
+        assert (read_outcome(metrics.read_predictions_csv, path)
+                == read_outcome(read_predictions_csv_rows, path))
+
+
+@pytest.mark.parametrize("text", [
+    "\r\n\r\n",
+    "{header}\r\n\r\nm,a,1.0,,0,2.0,,3.0,4,\r\n\r\n",
+    "{header},model\r\nm,a,1.0,,0,2.0,,3.0,4,,other\r\n",
+    "{header}\r\nm,a,1.0,,0,2.0,,3.0,4,,extra,cells\r\n",
+    "{header}\r\nm,a,1.0\r\n",
+    "{header}\r\n,,1.0\r\n,,2.0\r\n",
+    # the quoted id spans lines 2 and 3; the doubled column reads its last cell
+    'last_session_end_days,{header}\r\n"",m,"a\r\nb",1.0,,0,2.0,,3.0,4,\r\n'
+    "x,m,a,1.0,,0,,9.0,3.0,4\r\n",
+    "{header}\r\nm,a,1.0,,0,2.0,,3.0,4,\r\nm,b,1.0,,0,2.0,,3.0,4,\r\nm,a,1.0,,0,2.0,,3.0,4,\r\n",
+    "{header}\r\nm,a,1.0,,0,2.0,,3.0,99999999999999999999,\r\n",
+    "{header}\r\nm,a,1.0,,0,2.0,,3.0,-99999999999999999999,\r\n",
+    "{header}\r\nm,a, 1_0.5 ,,0,2.0,,3.0, 4 , 3\r\n",
+    "{header}\r\nm,a,1.0,,0,2.0,,3.0,4,nan\r\n",
+    "{header}\r\nm,a,1.0,,0,2.0,,3.0,4,\r\nn,b,1.0,,0,2.0,,3.0,4,\r\n",
+    '{header}\r\nm,"a\r\n',
+    "{header}\r\nm," + "a" * 200_000 + "\r\n",
+], ids=["blank", "blank-rows", "model-named-twice", "long-row", "short-row", "short-rows-alike",
+        "quoted-newline-and-reordered", "repeat-after-other", "active-days-huge",
+        "active-days-huge-negative", "underscores-and-spaces", "last-end-nan", "mixed-models",
+        "open-quote", "field-too-large"])
+def test_odd_prediction_csv_reads_as_the_rows_do(tmp_path, text):
+    path = tmp_path / "p.csv"
+    path.write_bytes(text.format(header=",".join(metrics.CSV_COLUMNS)).encode())
+    assert (read_outcome(metrics.read_predictions_csv, path)
+            == read_outcome(read_predictions_csv_rows, path))

@@ -247,6 +247,72 @@ class TestStratifiedSplit:
         assert sorted(ids) == sorted(u.user_id for u in ds.users)
 
 
+# ---------------------------------------------------------------------------
+# timedelta arithmetic by columns
+
+MICROSECOND = dt.timedelta(microseconds=1)
+# 86,400,000,000 = 2**13 * 10,546,875, so for odd j the fraction j / 2**14
+# of a day is 10,546,875 * j / 2 microseconds: an exact half
+HALF_MICROSECOND_DAYS = st.builds(
+    lambda whole, j, sign: sign * (whole + (2 * j + 1) / 2**14),
+    st.integers(0, 3 * 10**6), st.integers(0, 2**13 - 1), st.sampled_from([1.0, -1.0]))
+TIMEDELTA_DAYS = st.one_of(
+    st.floats(0.0, 3e6),
+    st.builds(lambda whole, off: whole + off, st.integers(0, 3 * 10**6), st.floats(-1e-6, 1e-6)),
+    HALF_MICROSECOND_DAYS,
+    st.floats(-1e-9, 1e-9),
+    st.floats(-9.99e6, 9.99e6),
+)
+
+
+class TestTimedeltaMicros:
+    @settings(max_examples=500, deadline=None)
+    @given(days=st.lists(TIMEDELTA_DAYS, min_size=1, max_size=20))
+    def test_is_cpythons_timedelta(self, days):
+        expected = [dt.timedelta(days=x) // MICROSECOND for x in days]
+        assert data.timedelta_micros(np.array(days)).tolist() == expected
+
+    # j / 2**14 days for odd j truncates to 10,546,875 * (j - 1) / 2 + 5,273,437
+    # microseconds, odd for j = 1, 5, ... and even for j = 3, 7, ...
+    @pytest.mark.parametrize("days", [
+        *((2 * j + 1) / 2**14 for j in range(4)), 1.0 + 1 / 2**14, 7.0 + 3 / 2**14,
+        -(1.0 + 1 / 2**14), -(2.0 + 3 / 2**14)])
+    def test_half_microsecond_ties_round_to_even(self, days):
+        assert abs(np.modf(np.modf(days)[0] * 86400e6)[0]) == 0.5
+        assert data.timedelta_micros(np.array([days])).tolist() == [
+            dt.timedelta(days=days) // MICROSECOND]
+
+    @pytest.mark.parametrize("days", [5e-324, -5e-324, 0.5 / 86400e6, 1.5 / 86400e6,
+                                      -0.5 / 86400e6, 1e-300, 0.0, -0.0])
+    def test_tiny_offsets(self, days):
+        assert data.timedelta_micros(np.array([days])).tolist() == [
+            dt.timedelta(days=days) // MICROSECOND]
+
+    @settings(max_examples=300, deadline=None)
+    @given(days=st.lists(st.one_of(
+        # from 2020-01-01, datetime.max is 2,914,635 days less one microsecond away
+        st.floats(2914634.99, 2914635.01),
+        st.builds(lambda k: 2914635.0 - k / 86400e6, st.integers(-3, 3)),
+        # whole microseconds around the last and first second of datetime
+        st.builds(lambda k: k / 86400e6, st.integers(-1_000_010, 1_000_010)),
+        st.floats(allow_nan=True), st.floats(-1e8, 1e8)), min_size=1, max_size=10),
+        epoch_iso=st.sampled_from(["2020-01-01T00:00:00", "2020-01-01T00:00:00+00:00",
+                                   "2020-01-01T00:00:00+02:00", "0001-01-02T05:00:00",
+                                   "9999-12-31T23:59:59+02:00", "0001-01-01T00:00:01"]))
+    @example(days=[999_999 / 86400e6, 1e6 / 86400e6], epoch_iso="9999-12-31T23:59:59+02:00")
+    @example(days=[-1e6 / 86400e6, -1_000_001 / 86400e6], epoch_iso="0001-01-01T00:00:01")
+    def test_offset_exists_where_the_datetime_sum_does(self, days, epoch_iso):
+        epoch = dt.datetime.fromisoformat(epoch_iso)
+        micros, exists = data.offset_micros(epoch, np.array(days))
+        for x, got, ok in zip(days, micros.tolist(), exists.tolist()):
+            try:
+                stamp = (epoch + dt.timedelta(days=x)).replace(tzinfo=None)
+            except (OverflowError, ValueError):
+                assert not ok
+            else:
+                assert ok and got == (stamp - dt.datetime(1970, 1, 1)) // MICROSECOND
+
+
 class TestJsonlRoundTrip:
     def test_round_trip_preserves_times(self, tmp_path):
         # earliest session on day 0 keeps the reader's midnight-based epoch

@@ -1,5 +1,6 @@
 import csv
 import math
+import re
 
 import numpy as np
 import pytest
@@ -24,9 +25,11 @@ from oracles import (
     auc_brute,
     concordance_brute,
     error_breakdowns_records,
+    read_predictions_csv_rows,
     recall_brute,
     rmse_returning_records,
     table,
+    write_predictions_csv_rows,
 )
 
 
@@ -80,14 +83,13 @@ def assert_same_table(a, b):
 
 
 @st.composite
-def prediction_tables(draw):
+def prediction_tables(draw, not_negative=st.floats(min_value=-0.0, allow_infinity=False)):
     """Tables with non-ASCII (and CSV-quoted) user ids, censored rows and
     unknown (NaN) last session ends. Predictions, gaps, horizon gaps,
     active-day counts and last session ends are not negative, as a reader
-    requires."""
+    requires; the floats are drawn from not_negative."""
     ids = draw(st.lists(st.text(st.characters(blacklist_categories=("Cs",)), max_size=8),
                         min_size=1, max_size=12, unique=True))
-    not_negative = st.floats(min_value=-0.0, allow_infinity=False)
     records = []
     for user_id in ids:
         gap, censored = draw(not_negative), draw(st.booleans())
@@ -378,6 +380,65 @@ class TestReportAndCsv:
         name, loaded = read_predictions_csv(path)
         assert name == "rnnsm"
         assert_same_table(loaded, written)
+
+
+# floats with dates up to year 9999 from a 2020 epoch, and past it
+DATED_DAYS = st.one_of(st.floats(0.0, 1e4), st.floats(1e6, 4e6),
+                       st.floats(min_value=-0.0, allow_infinity=False))
+QUOTED_IDS = ["a,b", 'say "hi"', "line\nbreak", "cr\rlf", '",', ""]
+
+
+class TestPredictionCsvMatchesRows:
+    """The columnar writer and reader against the row-at-a-time references."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(written=prediction_tables(DATED_DAYS),
+           epoch_iso=st.sampled_from([None, "2020-01-01T00:00:00Z", "2020-01-01T00:00:00+00:00",
+                                      "2019-12-31T23:30:00+02:00", "2020-01-01T12:00:00"]),
+           model=st.sampled_from(["rnnsm", 'my,"model']))
+    def test_writer_is_byte_identical(self, tmp_path_factory, written, epoch_iso, model):
+        out = tmp_path_factory.mktemp("csv")
+        write_predictions_csv(out / "columns.csv", model, written, epoch_iso=epoch_iso)
+        write_predictions_csv_rows(out / "rows.csv", model, written, epoch_iso=epoch_iso)
+        assert (out / "columns.csv").read_bytes() == (out / "rows.csv").read_bytes()
+        assert read_predictions_csv(out / "columns.csv")[0] == model
+
+    def test_quoted_ids_and_unknown_ends(self, tmp_path):
+        written = table([rec(uid, 1.5 * i, true=2.0, last_end=None if i % 2 else 300.0)
+                         for i, uid in enumerate(QUOTED_IDS)])
+        for epoch_iso in ("2020-01-01T00:00:00Z", "2020-01-01T00:00:00+00:00",
+                          "2020-01-01T00:00:00+02:00"):
+            write_predictions_csv(tmp_path / "columns.csv", "rnnsm", written, epoch_iso)
+            write_predictions_csv_rows(tmp_path / "rows.csv", "rnnsm", written, epoch_iso)
+            assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+            _, loaded = read_predictions_csv(tmp_path / "columns.csv")
+            assert_same_table(loaded, written)
+
+    def test_nan_prediction_with_a_date_raises_as_the_rows_do(self, tmp_path):
+        written = table([rec("a", math.nan, true=2.0, last_end=3.0)])
+        raised = []
+        for writer in (write_predictions_csv, write_predictions_csv_rows):
+            with pytest.raises(ValueError) as info:
+                writer(tmp_path / "p.csv", "rnnsm", written, "2020-01-01T00:00:00+00:00")
+            raised.append(str(info.value))
+        assert raised[0] == raised[1]
+
+    def test_a_row_that_is_not_csv_names_its_own_line(self, tmp_path):
+        # line 2 is read whole; the parse fails on line 3
+        path = tmp_path / "p.csv"
+        path.write_text(",".join(CSV_COLUMNS) + "\nrnnsm,a,1.0,,0,2.0,,3.0,4,\nrnnsm,"
+                        + "b" * 200_000 + "\n")
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}:3: not a CSV file"):
+            read_predictions_csv(path)
+
+    @settings(max_examples=100, deadline=None)
+    @given(written=prediction_tables())
+    def test_reader_reads_as_the_rows_do(self, tmp_path_factory, written):
+        path = tmp_path_factory.mktemp("csv") / "preds.csv"
+        write_predictions_csv(path, "rnnsm", written, epoch_iso="2020-01-01T00:00:00+00:00")
+        got, expected = read_predictions_csv(path), read_predictions_csv_rows(path)
+        assert got[0] == expected[0]
+        assert_same_table(got[1], expected[1])
 
 
 @st.composite

@@ -1,7 +1,9 @@
+import datetime as dt
 import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -11,8 +13,15 @@ import numpy as np
 import pytest
 
 import returntime
+from returntime import data
 from returntime.cli import main
-from returntime.data import Session, assign_windows, read_sessions_jsonl, write_sessions_jsonl
+from returntime.data import (
+    CACHE_SUFFIX,
+    Session,
+    assign_windows,
+    read_sessions_jsonl,
+    write_sessions_jsonl,
+)
 from returntime.errors import ConfigError, ValidationError
 from returntime.synth import (
     DEVICES,
@@ -27,6 +36,7 @@ from returntime.synth import (
 from oracles import (
     cache_members,
     cold_read_equals_cached,
+    format_rows_per_row,
     generate_objects,
     session_columns,
     write_sessions_jsonl_objects,
@@ -381,24 +391,72 @@ class TestGeneratedCache:
         assert members[0] == members[1]
 
 
+WRITER_SESSIONS = [
+    Session("ünïcode", 0.25, 0.01, {"device": "mobile", "plan": "pro"}, {"pages_viewed": 4.0}),
+    Session("用户", 1.0 / 3.0, 0.0, {"plan": "frée"}, {"score": math.inf}),
+    Session('quote"back\\slash', 50.5, 1e-9, {}, {"score": -math.inf, "plan": 2.5}),
+    Session("ünïcode", 99.9, 0.02, {}, {}),
+    Session("b", 12.75, 0.5, {"kind": "x", "dup": "text"}, {"dup": 0.1, "nan": math.nan}),
+    Session("b", 1e-7, 2.0 / 7.0, {"device": "tablet"}, {"pages_viewed": -0.0}),
+]
+WRITER_EPOCHS = ["2020-01-01T00:00:00+00:00", "2021-06-30T22:00:00Z", "2019-03-31T01:30:00+02:00"]
+
+
+def write_both_ways(tmp_path, sessions, epoch_iso, monkeypatch):
+    """The bytes and parse cache members (None where no cache is written)
+    of write_sessions_jsonl, and of it with the row-at-a-time _format_rows."""
+    written = []
+    for name in ("columns", "rows"):
+        if name == "rows":
+            monkeypatch.setattr(data, "_format_rows", format_rows_per_row)
+        path = tmp_path / f"{name}.jsonl"
+        write_sessions_jsonl(path, sessions, epoch_iso)
+        cache = Path(str(path) + CACHE_SUFFIX)
+        written.append((path.read_bytes(), cache_members(path) if cache.exists() else None))
+    return written
+
+
 class TestWriter:
-    @pytest.mark.parametrize("epoch_iso", ["2020-01-01T00:00:00+00:00", "2021-06-30T22:00:00Z",
-                                           "2019-03-31T01:30:00+02:00"])
+    @pytest.mark.parametrize("epoch_iso", WRITER_EPOCHS)
     def test_matches_json_dumps_per_session(self, tmp_path, epoch_iso):
-        sessions = [
-            Session("ünïcode", 0.25, 0.01, {"device": "mobile", "plan": "pro"},
-                    {"pages_viewed": 4.0}),
-            Session("用户", 1.0 / 3.0, 0.0, {"plan": "frée"}, {"score": math.inf}),
-            Session('quote"back\\slash', 50.5, 1e-9, {}, {"score": -math.inf, "plan": 2.5}),
-            Session("ünïcode", 99.9, 0.02, {}, {}),
-            Session("b", 12.75, 0.5, {"kind": "x", "dup": "text"}, {"dup": 0.1, "nan": math.nan}),
-            Session("b", 1e-7, 2.0 / 7.0, {"device": "tablet"}, {"pages_viewed": -0.0}),
-        ]
-        write_sessions_jsonl(tmp_path / "columns.jsonl", session_columns(sessions), epoch_iso)
-        write_sessions_jsonl_objects(tmp_path / "objects.jsonl", sessions, epoch_iso)
+        write_sessions_jsonl(tmp_path / "columns.jsonl", session_columns(WRITER_SESSIONS),
+                             epoch_iso)
+        write_sessions_jsonl_objects(tmp_path / "objects.jsonl", WRITER_SESSIONS, epoch_iso)
         written = (tmp_path / "columns.jsonl").read_bytes()
         assert written == (tmp_path / "objects.jsonl").read_bytes()
-        assert written.isascii() and written.count(b"\n") == len(sessions)
+        assert written.isascii() and written.count(b"\n") == len(WRITER_SESSIONS)
+
+    @pytest.mark.parametrize("epoch_iso", WRITER_EPOCHS)
+    @pytest.mark.parametrize("keep_inf", [True, False], ids=["no-cache", "cache"])
+    def test_matches_the_row_at_a_time_writer(self, tmp_path, monkeypatch, epoch_iso, keep_inf):
+        # two stamps per chunk; whole-second starts format without a fraction
+        monkeypatch.setattr(data, "_ROWS_PER_CHUNK", 2)
+        sessions = [*WRITER_SESSIONS, Session("c", 2.0), Session("c", 3.5),
+                    Session("c", 0.5 + 1 / 2**14)]
+        if not keep_inf:  # a non-finite continuous value leaves no cache
+            sessions = [replace(s, continuous_markers={}) for s in sessions]
+        columns, rows = write_both_ways(tmp_path, session_columns(sessions), epoch_iso,
+                                        monkeypatch)
+        assert columns == rows
+        assert (columns[1] is None) == keep_inf
+
+    def test_generate_matches_the_row_at_a_time_writer(self, tmp_path, monkeypatch):
+        sessions, _ = generate(GeneratorConfig(seed=7))
+        columns, rows = write_both_ways(tmp_path, sessions, GeneratorConfig().epoch_iso,
+                                        monkeypatch)
+        assert columns[1] is not None
+        assert columns == rows
+
+    @pytest.mark.parametrize("start", [math.nan, math.inf, 3e6, 1e9, -1e-3])
+    def test_a_start_outside_datetime_raises_as_the_sum_does(self, tmp_path, start):
+        sessions = session_columns([Session("a", 1.0), Session("b", 2.0)])
+        sessions.start_time[1] = start  # Session refuses it, the columns do not
+        epoch_iso = "0001-01-01T00:00:00+00:00" if start < 0 else "2020-01-01T00:00:00+00:00"
+        epoch = dt.datetime.fromisoformat(epoch_iso)
+        with pytest.raises((OverflowError, ValueError)) as expected:
+            epoch + dt.timedelta(days=start)
+        with pytest.raises(expected.type, match=re.escape(str(expected.value))):
+            write_sessions_jsonl(tmp_path / "s.jsonl", sessions, epoch_iso)
 
     def test_no_sessions_and_no_markers(self, tmp_path):
         for name, sessions in (("empty", []), ("bare", [Session("a", 2.0), Session("b", 3.5)])):
